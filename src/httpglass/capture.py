@@ -79,6 +79,9 @@ class RawConnection:
 # TCP flag bits
 _FIN, _SYN, _RST, _PSH, _ACK = 0x01, 0x02, 0x04, 0x08, 0x10
 
+_SEQ_MASK = 0xFFFFFFFF  # TCP sequence numbers are 32-bit
+_HALF_SEQ = 1 << 31
+
 
 @dataclass
 class _RawSegment:
@@ -113,24 +116,27 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
         return b"", [], False, False
     if base_seq is None:
         base_seq = min(seq for seq, _, _ in segments)
-    # stable sort keeps first-seen ordering among equal sequence numbers
-    ordered = sorted(segments, key=lambda s: s[0])
+    # offsets from base_seq mod 2**32, signed so bytes before base_seq stay
+    # duplicates; the stable sort keeps first-seen order among equal offsets
+    ordered = sorted(
+        ((((seq - base_seq + _HALF_SEQ) & _SEQ_MASK) - _HALF_SEQ, payload, pkt_idx)
+         for seq, payload, pkt_idx in segments), key=lambda s: s[0])
     stream = bytearray()
     segmap: list[Segment] = []
-    expected = base_seq
+    expected = 0
     gap = False
     anomaly = False
-    for seq, payload, pkt_idx in ordered:
-        end = seq + len(payload)
+    for off, payload, pkt_idx in ordered:
+        end = off + len(payload)
         if end <= expected:
             continue  # full duplicate / retransmission
-        if seq > expected:
+        if off > expected:
             gap = True
             break
-        skip = expected - seq
+        skip = expected - off
         if skip > 0:
             # overlap region: first-seen bytes already in the stream win
-            prior = bytes(stream[seq - base_seq:expected - base_seq])
+            prior = bytes(stream[off:expected])
             if prior != payload[:skip]:
                 anomaly = True
         new = payload[skip:]
@@ -285,8 +291,8 @@ def load_pcap(path: str) -> list[RawConnection]:
         for ep in (client, server):
             for rs in state.segments.get(ep, []):
                 raw_segs[ep].append((rs.seq, rs.payload, remap[rs.packet_index]))
-        base_c = state.isn[client] + 1 if client in state.isn else None
-        base_s = state.isn[server] + 1 if server in state.isn else None
+        base_c = (state.isn[client] + 1) & _SEQ_MASK if client in state.isn else None
+        base_s = (state.isn[server] + 1) & _SEQ_MASK if server in state.isn else None
         cs, cmap, gap_c, an_c = reassemble(raw_segs[client], base_c)
         ss, smap, gap_s, an_s = reassemble(raw_segs[server], base_s)
         duration = (state.last_ts - state.first_ts) if state.first_ts is not None else 0.0
@@ -332,4 +338,3 @@ def build_tcp_frame(src: tuple[str, int], dst: tuple[str, int], seq: int,
 TCP_FLAG_SYN = _SYN
 TCP_FLAG_ACK = _ACK
 TCP_FLAG_PSH = _PSH
-TCP_FLAG_FIN = _FIN

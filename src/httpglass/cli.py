@@ -17,7 +17,8 @@ from . import evalx, forest as rf, keyscan
 from .capture import PcapError, load_pcap
 from .corpus import (SynthSpec, ground_truth_session, load_corpus, save_corpus,
                      split_dataset, synthesize_corpus)
-from .features import assemble_record_sample, feature_names
+from .features import (SCHEMA_STANDARD, SCHEMA_TOR, feature_names,
+                       record_table)
 from .inference import (DEFAULT_PARAMS, classify_corpus, load_bundle,
                         save_bundle, train_bundle)
 from .tlsparse import parse_tls_records
@@ -48,26 +49,24 @@ def _load_any(args):
 
 def cmd_extract(args) -> int:
     conns = _parse_connections(args.pcap)
-    mode = args.mode
-    names = feature_names("record-v1-tor" if mode == "tor"
-                          else "record-v1-standard")
+    schema = SCHEMA_TOR if args.mode == "tor" else SCHEMA_STANDARD
+    csv = args.format == "csv"
     with _open_out(args.out) as out:
-        if args.format == "csv":
-            out.write("connection,record," + ",".join(names) + "\n")
-            for cid, conn in conns:
-                for rec in conn.records:
-                    vec = assemble_record_sample(conn, rec.index, mode)
+        if csv:
+            out.write("connection,record,"
+                      + ",".join(feature_names(schema)) + "\n")
+        for cid, conn in conns:
+            for rec, values in zip(conn.records,
+                                   record_table(conn, args.mode)):
+                if csv:
                     out.write(f"{cid},{rec.index},"
-                              + ",".join(repr(v) for v in vec.values) + "\n")
-        else:
-            for cid, conn in conns:
-                for rec in conn.records:
-                    vec = assemble_record_sample(conn, rec.index, mode)
+                              + ",".join(repr(v) for v in values) + "\n")
+                else:
                     out.write(json.dumps(
                         {"schema_version": OUTPUT_SCHEMA_VERSION,
-                         "schema_id": vec.schema_id, "connection": cid,
+                         "schema_id": schema, "connection": cid,
                          "record": rec.index,
-                         "values": list(vec.values)}, sort_keys=True) + "\n")
+                         "values": list(values)}, sort_keys=True) + "\n")
     return 0
 
 
@@ -211,15 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     # each subparser gets fresh parent parsers: argparse parents share action
     # objects, so per-subcommand set_defaults would otherwise leak across
     # subcommands
-    def common(default_format="jsonl"):
+    def common():
         c = argparse.ArgumentParser(add_help=False)
-        c.add_argument("--mode", choices=("standard", "tor"),
-                       default="standard")
         c.add_argument("--seed", type=int, default=0)
-        c.add_argument("--jobs", type=int, default=0,
-                       help="parallelism hint (0 = auto)")
-        c.add_argument("--format", choices=("csv", "jsonl", "json"),
-                       default=default_format)
         c.add_argument("--out", default="-")
         return c
 
@@ -235,13 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[common(default_format="csv")],
+    p = sub.add_parser("extract", parents=[common()],
                        help="pcap -> per-record feature dump")
+    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
+    p.add_argument("--format", choices=("csv", "jsonl", "json"), default="csv")
     p.add_argument("pcap")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common(), train_common()],
                        help="labeled corpus -> model bundle")
+    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
     p.add_argument("corpus")
     p.set_defaults(func=cmd_train)
 
@@ -254,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval",
-                       parents=[common(default_format="json"),
-                                train_common()],
+                       parents=[common(), train_common()],
                        help="run an experiment and report metrics")
+    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
+    p.add_argument("--format", choices=("csv", "jsonl", "json"), default="json")
     p.add_argument("--experiment", choices=("semantics", "malware"),
                    default="semantics")
     p.add_argument("--corpus")
@@ -268,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--malicious")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", parents=[common(), train_common()],
+    p = sub.add_parser("synth", parents=[common()],
                        help="generate a synthetic labeled corpus")
+    p.add_argument("--include-etag", action="store_true")
     p.add_argument("--connections", type=int, default=200)
     p.add_argument("--preset", choices=("default", "correlated"),
                    default="default")

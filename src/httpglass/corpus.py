@@ -419,8 +419,7 @@ def _prior_for(spec: SynthSpec, problem: ProblemSpec) -> dict[str, float]:
     return {label: 1.0 / len(problem.labels) for label in problem.labels}
 
 
-def _channel_value(rng, problem: ProblemSpec, label: str, channel: str,
-                   scale: float):
+def _channel_value(problem: ProblemSpec, label: str, channel: str):
     idx = problem.labels.index(label) if label in problem.labels \
         else len(problem.labels)
     if channel == "pkt":
@@ -590,12 +589,11 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
             length = int(base + rng.integers(step, 4 * step))
         pkt = None
         if pkt_pid is not None:
-            pkt = _channel_value(rng, by_problem[pkt_pid], labels[pkt_pid],
-                                 "pkt", 1.0)
+            pkt = _channel_value(by_problem[pkt_pid], labels[pkt_pid], "pkt")
         push_all = False
         if push_pid is not None:
-            push_all = bool(_channel_value(rng, by_problem[push_pid],
-                                           labels[push_pid], "push", 1.0))
+            push_all = bool(_channel_value(by_problem[push_pid],
+                                           labels[push_pid], "push"))
         return builder.add_record(23, _ROLE_SIDE[role], length,
                                   pkt_count=pkt, push_all=push_all)
 

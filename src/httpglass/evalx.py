@@ -19,7 +19,7 @@ from .features import (build_feature_vocab, enrich_malware_features,
                        malware_categorical_indices, SCHEMA_MALWARE_STANDARD)
 from .inference import (ModelBundle, aggregate_predictions, classify_corpus,
                         train_bundle)
-from .registry import OTHER, Side, registry
+from .registry import OTHER, registry
 
 # Table 4 reference points from the original study, recorded for context in
 # malware reports (desk-scale synthetic runs are not expected to match them)

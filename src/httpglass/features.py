@@ -52,7 +52,6 @@ class FeatureError(Exception):
 class RecordFeatureVector:
     values: np.ndarray
     schema_id: str
-    target_index: int
 
 
 @dataclass(frozen=True)
@@ -69,22 +68,28 @@ class FeatureVocab:
             raise FeatureError("vocab must hold exactly 25 extensions")
 
 
-def _slot_features(conn: Connection, idx: int) -> list[float]:
-    if 0 <= idx < len(conn.records):
-        r = conn.records[idx]
-        return [float(r.pkt_count), float(r.push_count), r.avg_pkt_size,
-                float(r.type_code), float(r.length), float(r.direction)]
-    return [0.0, 0.0, 0.0, 0.0, 0.0, float(DIR_NO_RECORD)]
+_ABSENT_SLOT = (0.0, 0.0, 0.0, 0.0, 0.0, float(DIR_NO_RECORD))
+
+
+def _padded_slots(conn: Connection, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 6) slot features for records lo .. hi-1; absent records pad."""
+    recs = conn.records
+    out: list[float] = []
+    for k in range(lo, hi):
+        if 0 <= k < len(recs):
+            r = recs[k]
+            out += (float(r.pkt_count), float(r.push_count), r.avg_pkt_size,
+                    float(r.type_code), float(r.length), float(r.direction))
+        else:
+            out += _ABSENT_SLOT
+    return np.asarray(out, dtype=np.float64).reshape(hi - lo, PER_RECORD_FEATURES)
 
 
 def extract_window_features(conn: Connection, i: int) -> np.ndarray:
     """66 features for record i: 6 per slot over slots i-5 .. i+5."""
     if not 0 <= i < len(conn.records):
         raise FeatureError(f"record index {i} out of range")
-    out = []
-    for j in range(i - WINDOW_RADIUS, i + WINDOW_RADIUS + 1):
-        out.extend(_slot_features(conn, j))
-    return np.asarray(out, dtype=np.float64)
+    return _padded_slots(conn, i - WINDOW_RADIUS, i + WINDOW_RADIUS + 1).ravel()
 
 
 def signed_record_lengths(conn: Connection, n: int) -> np.ndarray:
@@ -117,14 +122,32 @@ def extract_connection_features(conn: Connection) -> np.ndarray:
 
 def assemble_record_sample(conn: Connection, i: int, mode: str = "standard",
                            ) -> RecordFeatureVector:
-    """Full per-record sample: window + connection (standard) or window (tor)."""
+    """Row i of ``record_table(conn, mode)``, built from its neighbours only."""
     window = extract_window_features(conn, i)
     if mode == "tor":
-        return RecordFeatureVector(window, SCHEMA_TOR, i)
+        return RecordFeatureVector(window, SCHEMA_TOR)
     if mode != "standard":
         raise FeatureError(f"unknown mode {mode!r}")
     values = np.concatenate([window, extract_connection_features(conn)])
-    return RecordFeatureVector(values, SCHEMA_STANDARD, i)
+    return RecordFeatureVector(values, SCHEMA_STANDARD)
+
+
+def record_table(conn: Connection, mode: str = "standard") -> np.ndarray:
+    """Every record's sample as one (records, width) array, built once.
+
+    Window columns come from one padded slot array, slot offset k of record i
+    being padded row i + k; the connection block is computed once and repeated
+    on every row (standard mode).
+    """
+    if mode not in ("standard", "tor"):
+        raise FeatureError(f"unknown mode {mode!r}")
+    n = len(conn.records)
+    slots = _padded_slots(conn, -WINDOW_RADIUS, n + WINDOW_RADIUS)
+    blocks = [slots[k:k + n] for k in range(WINDOW_SLOTS)]
+    if mode == "standard":
+        blocks.append(np.broadcast_to(extract_connection_features(conn),
+                                      (n, CONNECTION_LEN)))
+    return np.concatenate(blocks, axis=1)
 
 
 def record_categorical_indices(mode: str = "standard") -> frozenset[int]:

@@ -17,10 +17,11 @@ from . import forest as rf
 from .capture import Direction
 from .corpus import LabeledConnection
 from .features import (SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD, SCHEMA_TOR,
-                       alp_fallback_features, assemble_record_sample,
-                       record_categorical_indices)
-from .registry import (OTHER, Kind, ProblemSpec, Side, enhanced_length,
-                       registry)
+                       alp_fallback_features, record_categorical_indices,
+                       record_table)
+# the row view stays importable here: bench/spans.py traces it by this name
+from .features import assemble_record_sample  # noqa: F401
+from .registry import ProblemSpec, Side, enhanced_length, registry
 from .tlsparse import Connection
 
 BUNDLE_FORMAT_VERSION = 1
@@ -105,25 +106,24 @@ def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
 
 
 def build_enhanced_features(problems: list[ProblemSpec],
-                            header_vectors: list[np.ndarray],
+                            header_vectors: np.ndarray,
                             target_pos: int, target_problem: str,
                             exclude_whole_record: bool = False,
                             window: tuple[int, int] | None = None,
                             ) -> np.ndarray:
     """Context block for one (record, problem) classification.
 
-    Sums predicted-label indicator vectors over the connection's header
-    records; the target record's contribution to the target problem's
+    Sums the rows of ``header_vectors`` (predicted-label indicators, one per
+    header record); the target record's contribution to the target problem's
     subcomponent is excluded (optionally its entire contribution).  ``window``
     restricts the sum to header positions [lo, hi] (Tor mode).
     """
-    width = enhanced_length(problems)
-    lo, hi = window if window is not None else (0, len(header_vectors) - 1)
-    total = np.zeros(width, dtype=np.float64)
-    for pos in range(max(lo, 0), min(hi, len(header_vectors) - 1) + 1):
-        total += header_vectors[pos]
+    vecs = np.asarray(header_vectors, dtype=np.float64).reshape(
+        -1, enhanced_length(problems))
+    lo, hi = window if window is not None else (0, len(vecs) - 1)
+    total = vecs[max(lo, 0):max(hi + 1, 0)].sum(0)
     if lo <= target_pos <= hi:
-        target = header_vectors[target_pos]
+        target = vecs[target_pos]
         if exclude_whole_record:
             total -= target
         else:
@@ -151,17 +151,47 @@ def classify_alp(bundle: ModelBundle, conn: Connection) -> str:
     return rf.predict(bundle.alp_fallback, alp_fallback_features(conn))[0]
 
 
-def _record_side(direction: Direction) -> Side:
-    return Side.CLIENT if direction == Direction.CLIENT_TO_SERVER else Side.SERVER
+# direction code of the records each side sends (plain ints: numpy compares
+# them with the codes far faster than it does Direction members)
+_SENDER = {Side.CLIENT: int(Direction.CLIENT_TO_SERVER),
+           Side.SERVER: int(Direction.SERVER_TO_CLIENT)}
 
 
-def _base_matrix(bundle: ModelBundle, conn: Connection,
-                 indices: list[int]) -> np.ndarray:
-    mode = "tor" if bundle.mode == "tor" else "standard"
-    if not indices:
-        return np.zeros((0, 0))
-    return np.stack([assemble_record_sample(conn, i, mode).values
-                     for i in indices])
+@dataclass
+class _Headers:
+    """One connection's header records: rows of its record table and the
+    labels the per-problem models train on or predict."""
+
+    base: np.ndarray              # base features, one row per header record
+    directions: np.ndarray        # Direction code of each header record
+    labels: list[dict[str, str]]  # ground truth (training) or predictions
+    vecs: np.ndarray | None = None  # context indicator vector per header
+
+    @classmethod
+    def of(cls, conn: Connection, table: np.ndarray, header_idx: list[int],
+           labels: list[dict[str, str]]) -> "_Headers":
+        directions = np.array([conn.records[i].direction for i in header_idx],
+                              dtype=np.int64)
+        return cls(table[header_idx], directions, labels)
+
+    def context(self, problems: list[ProblemSpec], pos: int, pid: str,
+                exclude_whole_record: bool, tor: bool) -> np.ndarray:
+        window = tor_enhanced_window(len(self.vecs), pos) if tor else None
+        return build_enhanced_features(problems, self.vecs, pos, pid,
+                                       exclude_whole_record, window)
+
+
+def _gather(headers: list[_Headers], p: ProblemSpec, labelled: bool = False,
+            ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Base rows of the header records sent by p's side (with a label for p
+    when ``labelled``), and their (index into ``headers``, position)."""
+    picks = [[pos for pos in
+              np.flatnonzero(h.directions == _SENDER[p.side]).tolist()
+              if not labelled or p.id in h.labels[pos]] for h in headers]
+    owners = [(j, pos) for j, sel in enumerate(picks) for pos in sel]
+    if not owners:
+        return np.zeros((0, 0)), owners
+    return np.concatenate([h.base[sel] for h, sel in zip(headers, picks)]), owners
 
 
 @dataclass
@@ -169,18 +199,12 @@ class _ConnState:
     conn: Connection
     connection_id: str
     protocol: str
-    msg_flags: list[bool]
-    header_idx: list[int]         # record indices of header records
-    base: np.ndarray              # base features, one row per header record
-    labels: list[dict[str, str]]  # current predictions per header record
+    table: np.ndarray | None      # record table, until the headers are known
+    msg_flags: list[bool] = field(default_factory=list)
+    header_idx: list[int] = field(default_factory=list)  # header record indices
+    h: _Headers | None = None
     iterations: int = 1
     converged: bool = False
-
-
-def _predict_problem_batch(forest: rf.Forest, rows: list[np.ndarray]) -> list:
-    if not rows:
-        return []
-    return rf.predict_labels(forest, np.stack(rows))
 
 
 SWITCH_MARGIN_DEFAULT = 0.05
@@ -202,52 +226,46 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
     ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
-    states = []
-    for conn, cid in zip(conns, ids):
-        protocol = classify_alp(bundle, conn)
-        states.append(_ConnState(conn=conn, connection_id=cid,
-                                 protocol=protocol, msg_flags=[], header_idx=[],
-                                 base=np.zeros((0, 0)), labels=[]))
+    mode = "tor" if bundle.mode == "tor" else "standard"
+    states = [_ConnState(conn=conn, connection_id=cid,
+                         protocol=classify_alp(bundle, conn),
+                         table=record_table(conn, mode))
+              for conn, cid in zip(conns, ids)]
 
     # message types, batched per protocol
     for protocol in PROTOCOLS:
         members = [s for s in states if s.protocol == protocol]
         model = bundle.models.get(protocol, ProtocolModels()).message_type
-        rows, owners = [], []
         for s in members:
             s.msg_flags = [False] * len(s.conn.records)
-            if model is None:
-                continue
-            for rec in s.conn.records:
-                if rec.type_code == 23:
-                    rows.append(assemble_record_sample(
-                        s.conn, rec.index,
-                        "tor" if bundle.mode == "tor" else "standard").values)
-                    owners.append((s, rec.index))
-        for (s, idx), flag in zip(owners, _predict_problem_batch(model, rows)):
-            s.msg_flags[idx] = bool(int(flag))
+        app = [[rec.index for rec in s.conn.records if rec.type_code == 23]
+               for s in members]
+        if model is None or not any(app):
+            continue
+        flags = iter(rf.predict_labels(model, np.concatenate(
+            [s.table[idx] for s, idx in zip(members, app)])))
+        for s, idx in zip(members, app):
+            for i in idx:
+                s.msg_flags[i] = bool(int(next(flags)))
 
     for s in states:
         s.header_idx = [i for i, f in enumerate(s.msg_flags) if f]
-        s.base = _base_matrix(bundle, s.conn, s.header_idx)
-        s.labels = [{} for _ in s.header_idx]
+        s.h = _Headers.of(s.conn, s.table, s.header_idx,
+                          [{} for _ in s.header_idx])
+        s.table = None
 
     # first semantics pass, batched per (protocol, problem)
     for protocol in PROTOCOLS:
-        members = [s for s in states if s.protocol == protocol]
+        members = [s.h for s in states if s.protocol == protocol]
         models = bundle.models.get(protocol, ProtocolModels())
         for p in bundle.problems[protocol]:
             model = models.single.get(p.id)
             if model is None:
                 continue
-            rows, owners = [], []
-            for s in members:
-                for pos, idx in enumerate(s.header_idx):
-                    if _record_side(s.conn.records[idx].direction) == p.side:
-                        rows.append(s.base[pos])
-                        owners.append((s, pos))
-            for (s, pos), label in zip(owners, _predict_problem_batch(model, rows)):
-                s.labels[pos][p.id] = label
+            X, owners = _gather(members, p)
+            if owners:
+                for (j, pos), label in zip(owners, rf.predict_labels(model, X)):
+                    members[j].labels[pos][p.id] = label
 
     # iterative enhanced passes; records update sequentially within a pass so
     # each classification sees the freshest predictions (this converges far
@@ -255,10 +273,11 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     active = [s for s in states
               if s.header_idx and bundle.models.get(s.protocol)
               and bundle.models[s.protocol].enhanced]
-    contexts = {id(s): [indicator_vector(bundle.problems[s.protocol], lab)
-                        for lab in s.labels] for s in active}
+    for s in active:
+        s.h.vecs = np.array([indicator_vector(bundle.problems[s.protocol], lab)
+                             for lab in s.h.labels])
     while active and max(s.iterations for s in active) < max_iters:
-        snapshots = {id(s): [dict(lab) for lab in s.labels] for s in active}
+        snapshots = {id(s): [dict(lab) for lab in s.h.labels] for s in active}
         max_headers = max(len(s.header_idx) for s in active)
         for pos in range(max_headers):
             updates: dict[tuple[int, str], str] = {}
@@ -269,29 +288,20 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     model = models.enhanced.get(p.id)
                     if model is None:
                         continue
-                    rows, owners = [], []
-                    for s in active:
-                        if s.protocol != protocol or pos >= len(s.header_idx):
-                            continue
-                        idx = s.header_idx[pos]
-                        if _record_side(s.conn.records[idx].direction) != p.side:
-                            continue
-                        vecs = contexts[id(s)]
-                        window = tor_enhanced_window(len(vecs), pos) \
-                            if bundle.mode == "tor" else None
-                        ctx = build_enhanced_features(
-                            problems, vecs, pos, p.id,
-                            bundle.exclude_whole_record, window)
-                        rows.append(np.concatenate([s.base[pos], ctx]))
-                        owners.append(s)
-                    if not rows:
+                    owners = [s for s in active if s.protocol == protocol
+                              and pos < len(s.header_idx)
+                              and s.h.directions[pos] == _SENDER[p.side]]
+                    if not owners:
                         continue
+                    rows = [np.concatenate([s.h.base[pos], s.h.context(
+                        problems, pos, p.id, bundle.exclude_whole_record,
+                        mode == "tor")]) for s in owners]
                     scores = rf.predict_scores(model, np.stack(rows))
                     cls_index = {c: k for k, c in enumerate(model.classes)}
                     for s, row in zip(owners, scores):
                         best = int(np.argmax(row))
                         label = model.classes[best]
-                        current = s.labels[pos].get(p.id)
+                        current = s.h.labels[pos].get(p.id)
                         if current is not None and current != label:
                             cur_score = row[cls_index[current]] \
                                 if current in cls_index else 0.0
@@ -304,16 +314,16 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                 changed = False
                 for p in bundle.problems[s.protocol]:
                     label = updates.get((id(s), p.id))
-                    if label is not None and s.labels[pos].get(p.id) != label:
-                        s.labels[pos][p.id] = label
+                    if label is not None and s.h.labels[pos].get(p.id) != label:
+                        s.h.labels[pos][p.id] = label
                         changed = True
                 if changed:
-                    contexts[id(s)][pos] = indicator_vector(
-                        bundle.problems[s.protocol], s.labels[pos])
+                    s.h.vecs[pos] = indicator_vector(
+                        bundle.problems[s.protocol], s.h.labels[pos])
         still = []
         for s in active:
             s.iterations += 1
-            if s.labels == snapshots[id(s)]:
+            if s.h.labels == snapshots[id(s)]:
                 s.converged = True
             elif s.iterations < max_iters:
                 still.append(s)
@@ -324,7 +334,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
         if not s.header_idx or not (bundle.models.get(s.protocol)
                                     and bundle.models[s.protocol].enhanced):
             s.converged = True
-        by_pos = dict(zip(s.header_idx, s.labels))
+        by_pos = dict(zip(s.header_idx, s.h.labels))
         recs = [RecordPrediction(index=i, message_type=s.msg_flags[i],
                                  labels=by_pos.get(i, {}))
                 for i in range(len(s.conn.records))]
@@ -409,109 +419,80 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
             model_index += 1 + 2 * len(problems[protocol])
             continue
         schema = bundle.base_schema()
-        fmode = "tor" if mode == "tor" else "standard"
 
-        mt_rows, mt_y = [], []
-        conn_headers = []  # (lc, [record indices of headers], base rows, gt labels)
+        mt_rows, mt_y, headers = [], [], []
         for lc in members:
+            table = record_table(lc.conn, mode)
             flags = {lr.index: lr.message_type for lr in lc.records}
-            header_idx = [lr.index for lr in lc.records if lr.message_type]
-            base, labels = [], []
-            for rec in lc.conn.records:
-                if rec.type_code == 23:
-                    row = assemble_record_sample(lc.conn, rec.index, fmode).values
-                    mt_rows.append(row)
-                    mt_y.append(int(flags.get(rec.index, False)))
-            for idx in header_idx:
-                base.append(assemble_record_sample(lc.conn, idx, fmode).values)
-                labels.append(next(lr.labels for lr in lc.records
-                                   if lr.index == idx))
-            conn_headers.append((lc, header_idx, base, labels))
+            app = [rec.index for rec in lc.conn.records if rec.type_code == 23]
+            mt_rows.append(table[app])
+            mt_y += [int(flags.get(i, False)) for i in app]
+            heads = [lr for lr in lc.records if lr.message_type]
+            headers.append(_Headers.of(lc.conn, table,
+                                       [lr.index for lr in heads],
+                                       [lr.labels for lr in heads]))
 
         if len(set(mt_y)) > 1:
-            pm.message_type = rf.train(np.stack(mt_rows), mt_y,
+            pm.message_type = rf.train(np.concatenate(mt_rows), mt_y,
                                        _child_params(params, seed, model_index),
                                        categorical=cat, schema_id=schema)
         model_index += 1
 
-        context_labels = [[dict(lab) for lab in labels]
-                          for _, _, _, labels in conn_headers]
-        if with_enhanced and context_source == "cross_fit":
-            context_labels = _cross_fit_context(
-                conn_headers, problems[protocol], params, seed, cat, schema)
-        context_vecs = [[indicator_vector(problems[protocol], lab)
-                         for lab in conn] for conn in context_labels]
+        if with_enhanced:
+            context = [h.labels for h in headers]
+            if context_source == "cross_fit":
+                context = _cross_fit_context(
+                    headers, problems[protocol], params, seed, cat, schema)
+            for h, labels in zip(headers, context):
+                h.vecs = np.array([indicator_vector(problems[protocol], lab)
+                                   for lab in labels])
 
         for p in problems[protocol]:
-            sX, sy, eX = [], [], []
-            for m, (lc, header_idx, base, labels) in enumerate(conn_headers):
-                vecs = context_vecs[m]
-                for pos, idx in enumerate(header_idx):
-                    rec = lc.conn.records[idx]
-                    if _record_side(rec.direction) != p.side or \
-                            p.id not in labels[pos]:
-                        continue
-                    sX.append(base[pos])
-                    sy.append(labels[pos][p.id])
-                    if with_enhanced:
-                        window = tor_enhanced_window(len(vecs), pos) \
-                            if mode == "tor" else None
-                        ctx = build_enhanced_features(
-                            problems[protocol], vecs, pos, p.id,
-                            exclude_whole_record, window)
-                        eX.append(np.concatenate([base[pos], ctx]))
-            if sX and len(set(sy)) > 1:
+            sX, owners = _gather(headers, p, labelled=True)
+            sy = [headers[j].labels[pos][p.id] for j, pos in owners]
+            if len(set(sy)) > 1:
                 pm.single[p.id] = rf.train(
-                    np.stack(sX), sy, _child_params(params, seed, model_index),
+                    sX, sy, _child_params(params, seed, model_index),
                     categorical=cat, schema_id=f"{schema}/{p.id}")
                 if with_enhanced:
+                    ctx = [headers[j].context(problems[protocol], pos, p.id,
+                                              exclude_whole_record,
+                                              mode == "tor")
+                           for j, pos in owners]
                     pm.enhanced[p.id] = rf.train(
-                        np.stack(eX), sy,
+                        np.hstack([sX, np.stack(ctx)]), sy,
                         _child_params(params, seed, model_index + 1),
                         categorical=cat, schema_id=f"{schema}/{p.id}/enhanced")
             model_index += 2
     return bundle
 
 
-def _cross_fit_context(conn_headers, problems, params, seed, cat, schema):
+def _cross_fit_context(headers, problems, params, seed, cat, schema):
     """Held-out first-pass predictions to serve as enhanced-training context.
 
     Connections are split into two folds; each fold's header records are
     relabeled by per-problem models trained on the other fold.  Records a
     fold model cannot cover keep their ground-truth label.
     """
-    context = [[dict(lab) for lab in labels] for _, _, _, labels in conn_headers]
-    folds = [m % 2 for m in range(len(conn_headers))]
+    context = [[dict(lab) for lab in h.labels] for h in headers]
     for fold in (0, 1):
-        train_members = [m for m, f in enumerate(folds) if f != fold]
-        predict_members = [m for m, f in enumerate(folds) if f == fold]
+        train_members = [h for m, h in enumerate(headers) if m % 2 != fold]
+        predict_members = [m for m in range(len(headers)) if m % 2 == fold]
         if not train_members or not predict_members:
             continue
         for k, p in enumerate(problems):
-            sX, sy = [], []
-            for m in train_members:
-                lc, header_idx, base, labels = conn_headers[m]
-                for pos, idx in enumerate(header_idx):
-                    if _record_side(lc.conn.records[idx].direction) == p.side \
-                            and p.id in labels[pos]:
-                        sX.append(base[pos])
-                        sy.append(labels[pos][p.id])
-            if not sX or len(set(sy)) < 2:
+            sX, owners = _gather(train_members, p, labelled=True)
+            sy = [train_members[j].labels[pos][p.id] for j, pos in owners]
+            if len(set(sy)) < 2:
                 continue
             child = _child_params(params, seed, 1000 + 10 * k + fold)
-            model = rf.train(np.stack(sX), sy, child, categorical=cat,
+            model = rf.train(sX, sy, child, categorical=cat,
                              schema_id=f"{schema}/{p.id}/fold{fold}")
-            rows, owners = [], []
-            for m in predict_members:
-                lc, header_idx, base, labels = conn_headers[m]
-                for pos, idx in enumerate(header_idx):
-                    if _record_side(lc.conn.records[idx].direction) == p.side \
-                            and p.id in labels[pos]:
-                        rows.append(base[pos])
-                        owners.append((m, pos))
-            for (m, pos), label in zip(owners,
-                                       rf.predict_labels(model, np.stack(rows))):
-                context[m][pos][p.id] = label
+            X, owners = _gather([headers[m] for m in predict_members], p,
+                                labelled=True)
+            if owners:
+                for (j, pos), label in zip(owners, rf.predict_labels(model, X)):
+                    context[predict_members[j]][pos][p.id] = label
     return context
 
 

@@ -108,18 +108,17 @@ def _records_for_direction(raw: RawConnection, direction: Direction):
 
 def _attribute_packets(raw: RawConnection, direction: Direction, span_start: int,
                        span_end: int):
-    """Packets carrying any byte of [span_start, span_end) in stream order."""
-    hits = []
+    """Packets carrying any byte of [span_start, span_end) in stream order,
+    and the packet carrying byte span_start."""
+    hits = {}  # a packet may contribute several segments; count it once
+    first = None
     for seg in raw.segments(direction):
         seg_end = seg.stream_offset + seg.length
         if seg.stream_offset < span_end and seg_end > span_start:
-            hits.append(seg.packet_index)
-    # a packet may contribute several segments; count it once
-    seen = []
-    for idx in hits:
-        if idx not in seen:
-            seen.append(idx)
-    return seen
+            hits[seg.packet_index] = None
+            if seg.stream_offset <= span_start:
+                first = seg.packet_index
+    return list(hits), first
 
 
 def parse_tls_records(raw: RawConnection) -> Connection | None:
@@ -142,13 +141,12 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
         stream_len = len(raw.stream(direction))
         for off, type_code, length, truncated in recs:
             span_end = min(off + RECORD_HEADER_LEN + length, stream_len)
-            pkt_idxs = _attribute_packets(raw, direction, off, span_end)
+            pkt_idxs, first = _attribute_packets(raw, direction, off, span_end)
             if not pkt_idxs:
                 continue
             sizes = [raw.packets[i].payload_len for i in pkt_idxs]
             pushes = sum(1 for i in pkt_idxs if raw.packets[i].push_flag)
-            first_ts = min(raw.packets[i].timestamp for i in pkt_idxs
-                           if _covers(raw, direction, i, off))
+            first_ts = raw.packets[first].timestamp
             entries.append((first_ts, direction, off, type_code, length,
                             len(pkt_idxs), pushes, sum(sizes) / len(sizes),
                             truncated))
@@ -162,14 +160,6 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     conn = Connection(raw=raw, records=records, handshake=HandshakeMeta())
     conn.handshake = parse_handshake_meta(conn)
     return conn
-
-
-def _covers(raw: RawConnection, direction: Direction, pkt_idx: int, offset: int) -> bool:
-    for seg in raw.segments(direction):
-        if seg.packet_index == pkt_idx and \
-                seg.stream_offset <= offset < seg.stream_offset + seg.length:
-            return True
-    return False
 
 
 def _handshake_payload(raw: RawConnection, direction: Direction) -> bytes:

@@ -140,3 +140,25 @@ def test_segment_map_covers_stream(tmp_path):
     assert covered[-1][1] == len(raw.client_stream)
     for (a, b), (c, d) in zip(covered, covered[1:]):
         assert b == c
+
+
+@pytest.mark.parametrize("isn", [0xFFFFFF00, 0xFFFFFFFF])
+def test_sequence_wraparound(tmp_path, isn):
+    """A stream whose sequence numbers cross 2**32 reassembles whole."""
+    chunks = [bytes([k]) * 100 for k in range(8)]
+    base = (isn + 1) & 0xFFFFFFFF
+    segs = [((base + 100 * k) & 0xFFFFFFFF, c, k) for k, c in enumerate(chunks)]
+    stream, segmap, gap, anomaly = reassemble(segs, base)
+    assert stream == b"".join(chunks)
+    assert not gap and not anomaly
+    assert [s.stream_offset for s in segmap] == [100 * k for k in range(8)]
+
+    path = str(tmp_path / "wrap.pcap")
+    frames = [(1.0, build_tcp_frame(CLIENT, SERVER, isn, flags=TCP_FLAG_SYN))]
+    for k, (seq, payload, _) in enumerate(segs):
+        frames.append((1.1 + 0.01 * k, build_tcp_frame(
+            CLIENT, SERVER, seq, payload, flags=TCP_FLAG_ACK | TCP_FLAG_PSH)))
+    write_pcap(path, frames)
+    (raw,) = load_pcap(path)
+    assert raw.client_stream == b"".join(chunks)
+    assert not raw.gap_client

@@ -16,7 +16,7 @@ from httpglass.features import (ALP_FALLBACK_LEN, CONNECTION_LEN,
                                 extract_malware_standard,
                                 extract_window_features, feature_names,
                                 malware_categorical_indices,
-                                record_categorical_indices,
+                                record_categorical_indices, record_table,
                                 signed_record_lengths)
 from httpglass.tlsparse import GREASE_COLLAPSED, HandshakeMeta
 
@@ -182,7 +182,8 @@ def test_feature_names_match_widths():
                 min_size=1, max_size=30),
        st.data())
 def test_window_slot_consistency(recs, data):
-    """Every populated window slot reproduces that record's own metadata."""
+    """Every populated window slot reproduces that record's own metadata, and
+    the record table holds exactly the per-record samples."""
     conn = synthetic_connection(recs)
     i = data.draw(st.integers(min_value=0, max_value=len(recs) - 1))
     v = extract_window_features(conn, i)
@@ -190,7 +191,20 @@ def test_window_slot_consistency(recs, data):
         j = i - 5 + slot
         block = v[slot * 6:(slot + 1) * 6]
         if 0 <= j < len(recs):
+            r = conn.records[j]
+            assert block.tolist() == [r.pkt_count, r.push_count,
+                                      r.avg_pkt_size, r.type_code,
+                                      r.length, float(r.direction)]
             assert block[4] == recs[j][0]
             assert block[5] == recs[j][1]
         else:
             assert block[5] == DIR_NO_RECORD
+    for mode in ("standard", "tor"):
+        table = record_table(conn, mode)
+        assert table.shape[0] == len(recs)
+        for k, row in enumerate(table):
+            np.testing.assert_array_equal(
+                row, assemble_record_sample(conn, k, mode).values)
+    np.testing.assert_array_equal(record_table(conn)[:, -CONNECTION_LEN:],
+                                  np.tile(extract_connection_features(conn),
+                                          (len(recs), 1)))

@@ -57,6 +57,27 @@ def test_two_records_in_one_packet(tmp_path):
     assert all(r.pkt_count == 1 for r in data)
 
 
+def test_first_byte_timestamps(tmp_path):
+    """A record's timestamp is that of the packet holding its first byte."""
+    ch, sh = handshake_payloads()
+    packed = tls_stream([(23, b"a" * 50), (23, b"b" * 70)])
+    # client packets at 100.011 (hello), 100.031 and 100.041: the first
+    # record is split across the last two, which also carries the second
+    conn = _load_single(tmp_path, [ch, packed[:30], packed[30:]], [sh])
+    data = [r for r in conn.records if r.type_code == 23]
+    assert [r.length for r in data] == [50, 70]
+    assert [r.first_byte_ts for r in data] == \
+        [conn.raw.packets[2].timestamp, conn.raw.packets[3].timestamp]
+    assert [r.first_byte_ts for r in data] == \
+        pytest.approx([100.031, 100.041], abs=1e-6)
+    assert [r.pkt_count for r in data] == [2, 1]
+    # both records whole in one packet share its timestamp
+    conn = _load_single(tmp_path, [ch, packed], [sh])
+    data = [r for r in conn.records if r.type_code == 23]
+    assert [r.first_byte_ts for r in data] == \
+        [conn.raw.packets[2].timestamp] * 2
+
+
 def test_non_tls_rejected(tmp_path):
     conn = _load_single(tmp_path, [b"GET / HTTP/1.1\r\n\r\n"], [])
     assert conn is None
