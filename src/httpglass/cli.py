@@ -60,7 +60,7 @@ def cmd_extract(args) -> int:
                                    record_table(conn, args.mode)):
                 if csv:
                     out.write(f"{cid},{rec.index},"
-                              + ",".join(repr(v) for v in values) + "\n")
+                              + ",".join(map(repr, values.tolist())) + "\n")
                 else:
                     out.write(json.dumps(
                         {"schema_version": OUTPUT_SCHEMA_VERSION,

@@ -48,38 +48,136 @@ class TrainParams:
         return min(m, d)
 
 
-@dataclass
-class Node:
-    feature: int = -1            # -1 for leaves
-    threshold: float | None = None
-    cats_left: list[int] | None = None  # categorical splits: codes going left
-    left: int = -1
-    right: int = -1
-    counts: list[int] | None = None     # leaves: per-class sample counts
+@dataclass(eq=False)
+class Nodes:
+    """Every node of a forest's trees, as parallel arrays indexed by node id.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    Tree t starts at ``roots[t]``; its nodes follow depth-first, left child
+    first.  Training, prediction and persistence all read these arrays.
+    """
+
+    feature: np.ndarray    # split feature of each node, -1 at leaves
+    threshold: np.ndarray  # numeric splits send x <= threshold left; else NaN
+    left: np.ndarray       # child node ids, -1 at leaves
+    right: np.ndarray
+    roots: np.ndarray      # first node of each tree
+    counts: np.ndarray     # (nodes, classes) training counts at leaves, 0 at splits
+    cat: np.ndarray        # categorical splits: index into cats_left, else -1
+    cats_left: list[np.ndarray]  # codes going left at each categorical split
+
+    @classmethod
+    def concat(cls, parts: list[Nodes]) -> Nodes:
+        """One pool of the trees of all ``parts``: ids shifted, class counts
+        zero-padded to the widest part."""
+        if len(parts) == 1:
+            return parts[0]
+        node_base = np.cumsum([0] + [len(p.feature) for p in parts])
+        cat_base = np.cumsum([0] + [len(p.cats_left) for p in parts])
+
+        def shifted(name, bases):
+            return np.concatenate([np.where(a >= 0, a + b, a) for a, b in
+                                   zip((getattr(p, name) for p in parts), bases)])
+
+        counts = np.zeros((node_base[-1], max(p.counts.shape[1] for p in parts)),
+                          dtype=np.int64)
+        for p, b in zip(parts, node_base):
+            counts[b:b + len(p.feature), :p.counts.shape[1]] = p.counts
+        return cls(feature=np.concatenate([p.feature for p in parts]),
+                   threshold=np.concatenate([p.threshold for p in parts]),
+                   left=shifted("left", node_base),
+                   right=shifted("right", node_base),
+                   roots=np.concatenate([p.roots + b
+                                         for p, b in zip(parts, node_base)]),
+                   counts=counts, cat=shifted("cat", cat_base),
+                   cats_left=[c for p in parts for c in p.cats_left])
 
 
-@dataclass
-class Tree:
-    nodes: list[Node] = field(default_factory=list)
-
-
-@dataclass
+@dataclass(eq=False)
 class Forest:
-    trees: list[Tree]
+    """A trained forest: its classes, schema and parameters, and its trees
+    as one struct of arrays."""
+
     classes: list
     schema_id: str
     n_features: int
     categorical: frozenset[int]
     params: TrainParams
     importance_raw: np.ndarray  # unnormalized Gini importance accumulator
+    nodes: Nodes
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.nodes.roots)
+
+
+@dataclass(eq=False)
+class Stack:
+    """Forests over the same features, with as many trees each, pooled so
+    that one ``predict_scores`` walk scores rows meant for any of them."""
+
+    forests: list[Forest]
+    nodes: Nodes = field(init=False)
+
+    def __post_init__(self):
+        if len({(f.n_features, f.n_trees) for f in self.forests}) != 1:
+            raise ForestError("stacked forests must share their features "
+                              "and tree count")
+        self.nodes = Nodes.concat([f.nodes for f in self.forests])
+
+
+@dataclass
+class _Grower:
+    """Node lists a forest is built into, by training or from JSON."""
+
+    n_classes: int
+    feature: list[int] = field(default_factory=list)
+    threshold: list[float] = field(default_factory=list)
+    left: list[int] = field(default_factory=list)
+    right: list[int] = field(default_factory=list)
+    counts: list[list[int]] = field(default_factory=list)
+    cat: list[int] = field(default_factory=list)
+    cats_left: list[np.ndarray] = field(default_factory=list)
+    roots: list[int] = field(default_factory=list)
+
+    def tree(self) -> int:
+        """Start a tree; returns the id its root will get."""
+        self.roots.append(len(self.feature))
+        return self.roots[-1]
+
+    def leaf(self, counts: list[int]) -> int:
+        self.feature.append(-1)
+        self.threshold.append(np.nan)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.counts.append(counts)
+        self.cat.append(-1)
+        return len(self.feature) - 1
+
+    def split(self, node: int, feature: int, threshold: float | None,
+              cats_left: list[float] | None) -> None:
+        """Turn leaf ``node`` into a split; its children are set later."""
+        self.feature[node] = feature
+        self.counts[node] = [0] * self.n_classes
+        if cats_left is None:
+            self.threshold[node] = threshold
+        else:
+            self.cat[node] = len(self.cats_left)
+            self.cats_left.append(np.asarray(cats_left, dtype=np.float64))
+
+    def nodes(self) -> Nodes:
+        return Nodes(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            roots=np.asarray(self.roots, dtype=np.int64),
+            counts=np.asarray(self.counts, dtype=np.int64).reshape(
+                -1, self.n_classes),
+            cat=np.asarray(self.cat, dtype=np.int64), cats_left=self.cats_left)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -158,10 +256,11 @@ def _categorical_candidates(col, Y, yv, min_leaf, node_counts):
     return float(score[best]), left_codes
 
 
-def _build_tree(X, yv, K, params, categorical, rng, importance, n_total):
+def _build_tree(X, yv, K, params, categorical, rng, importance, n_total,
+                grow: _Grower) -> None:
     d = X.shape[1]
     mtry = params.resolved_mtry(d)
-    nodes: list[Node] = []
+    grow.tree()
     if params.bootstrap:
         root_idx = np.sort(rng.integers(0, X.shape[0], X.shape[0]))
     else:
@@ -169,15 +268,10 @@ def _build_tree(X, yv, K, params, categorical, rng, importance, n_total):
     stack = [(root_idx, 0, None, False)]  # (sample idx, depth, parent, is_right)
     while stack:
         idx, depth, parent, is_right = stack.pop()
-        node_id = len(nodes)
-        if parent is not None:
-            if is_right:
-                nodes[parent].right = node_id
-            else:
-                nodes[parent].left = node_id
         counts = np.bincount(yv[idx], minlength=K)
-        node = Node(counts=[int(c) for c in counts])
-        nodes.append(node)
+        node_id = grow.leaf(counts.tolist())
+        if parent is not None:
+            (grow.right if is_right else grow.left)[parent] = node_id
         n = idx.size
         if n < 2 * params.min_leaf or (counts > 0).sum() < 2 or \
                 (params.max_depth is not None and depth >= params.max_depth):
@@ -215,14 +309,10 @@ def _build_tree(X, yv, K, params, categorical, rng, importance, n_total):
             - (left_idx.size / n_total) * _gini(cl) \
             - (right_idx.size / n_total) * _gini(cr)
         importance[f] += decrease
-        node.feature = f
-        node.threshold = threshold
-        node.cats_left = cats_left
-        node.counts = None
+        grow.split(node_id, f, threshold, cats_left)
         # push right first so the left child is materialized next (stable ids)
         stack.append((right_idx, depth + 1, node_id, True))
         stack.append((left_idx, depth + 1, node_id, False))
-    return Tree(nodes=nodes)
 
 
 def train(X, y, params: TrainParams | None = None,
@@ -247,49 +337,68 @@ def train(X, y, params: TrainParams | None = None,
             raise ForestError(f"categorical index {i} out of range")
     importance = np.zeros(X.shape[1], dtype=np.float64)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = []
+    grow = _Grower(K)
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        trees.append(_build_tree(X, yv, K, params, categorical, rng,
-                                 importance, X.shape[0]))
-    return Forest(trees=trees, classes=classes, schema_id=schema_id,
-                  n_features=X.shape[1], categorical=categorical,
-                  params=params, importance_raw=importance)
+        _build_tree(X, yv, K, params, categorical, rng, importance, X.shape[0],
+                    grow)
+    return Forest(classes=classes, schema_id=schema_id, n_features=X.shape[1],
+                  categorical=categorical, params=params,
+                  importance_raw=importance, nodes=grow.nodes())
 
 
-def _tree_scores(tree: Tree, X: np.ndarray, K: int) -> np.ndarray:
-    out = np.zeros((X.shape[0], K), dtype=np.float64)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node_id, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        node = tree.nodes[node_id]
-        if node.is_leaf:
-            counts = np.asarray(node.counts, dtype=np.float64)
-            out[idx] = counts / counts.sum()
-            continue
-        col = X[idx, node.feature]
-        if node.cats_left is not None:
-            mask = np.isin(col, node.cats_left)
-        else:
-            mask = col <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def _leaves(nodes: Nodes, X: np.ndarray, rows: np.ndarray,
+            at: np.ndarray) -> np.ndarray:
+    """Leaf reached from each (row of X, start node) pair.
+
+    All pairs descend together, one level per step, until each is at a leaf.
+    Numeric splits send x <= threshold left (NaN goes right); categorical
+    splits send left only the values equal to one of the node's codes.
+    """
+    at = at.copy()
+    active = np.flatnonzero(nodes.feature[at] >= 0)  # pairs not at a leaf
+    while active.size:
+        n = at[active]
+        x = X[rows[active], nodes.feature[n]]
+        go_left = x <= nodes.threshold[n]
+        cat = nodes.cat[n]
+        at_cat = np.flatnonzero(cat >= 0)
+        # few distinct categorical splits are active at once; codes are
+        # arbitrary floats, so each is tested by equality with its own codes
+        for c in set(cat[at_cat].tolist()):
+            sel = at_cat[cat[at_cat] == c]
+            go_left[sel] = (x[sel, None] == nodes.cats_left[c]).any(axis=1)
+        at[active] = np.where(go_left, nodes.left[n], nodes.right[n])
+        active = active[nodes.feature[at[active]] >= 0]
+    return at
 
 
-def predict_scores(forest: Forest, X) -> np.ndarray:
-    """Mean of per-tree leaf class frequencies; rows sum to 1."""
+def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
+    """Mean of per-tree leaf class frequencies; rows sum to 1.
+
+    For a Stack, ``which[i]`` is the index of row i's forest, and row i holds
+    that forest's scores in its first n_classes columns, zeros after.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != forest.n_features:
-        raise ForestError(
-            f"schema mismatch: expected {forest.n_features} features, "
-            f"got {X.shape[1]}")
-    total = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
-    for tree in forest.trees:
-        total += _tree_scores(tree, X, forest.n_classes)
-    return total / len(forest.trees)
+    if isinstance(model, Forest):
+        model, which = Stack([model]), np.zeros(X.shape[0], dtype=np.int64)
+    n_features, n_trees = model.forests[0].n_features, model.forests[0].n_trees
+    if X.shape[1] != n_features:
+        raise ForestError(f"schema mismatch: expected {n_features} features, "
+                          f"got {X.shape[1]}")
+    # (row, tree) pairs, row-major; forest k's trees are roots[k*T:(k+1)*T]
+    n_rows = X.shape[0]
+    rows = np.repeat(np.arange(n_rows), n_trees)
+    trees = np.asarray(which, dtype=np.int64)[:, None] * n_trees \
+        + np.arange(n_trees)
+    nodes = model.nodes
+    counts = nodes.counts[_leaves(nodes, X, rows, nodes.roots[trees.ravel()])]
+    freqs = (counts / counts.sum(axis=1, keepdims=True)).reshape(
+        n_rows, n_trees, -1)
+    total = np.zeros((n_rows, freqs.shape[2]), dtype=np.float64)
+    for t in range(n_trees):  # summed in tree order: reproducible bit for bit
+        total += freqs[:, t]
+    return total / n_trees
 
 
 def predict(forest: Forest, x):
@@ -320,6 +429,24 @@ def forest_has_splits(forest: Forest) -> bool:
 
 
 def to_dict(forest: Forest) -> dict:
+    """The JSON layout: per tree, one [feature, threshold, cats_left, left,
+    right, counts] list per node, with tree-local child ids."""
+    nodes = forest.nodes
+    feature, threshold, cat = (nodes.feature.tolist(), nodes.threshold.tolist(),
+                               nodes.cat.tolist())
+    left, right, counts = (nodes.left.tolist(), nodes.right.tolist(),
+                           nodes.counts.tolist())
+    roots = nodes.roots.tolist()
+    trees = []
+    for root, end in zip(roots, roots[1:] + [len(feature)]):
+        trees.append([
+            [feature[i],
+             threshold[i] if feature[i] >= 0 and cat[i] < 0 else None,
+             nodes.cats_left[cat[i]].tolist() if cat[i] >= 0 else None,
+             left[i] - root if feature[i] >= 0 else -1,
+             right[i] - root if feature[i] >= 0 else -1,
+             counts[i] if feature[i] < 0 else None]
+            for i in range(root, end)])
     return {
         "format_version": FORMAT_VERSION,
         "schema_id": forest.schema_id,
@@ -335,31 +462,28 @@ def to_dict(forest: Forest) -> dict:
             "seed": forest.params.seed,
         },
         "importance_raw": [float(v) for v in forest.importance_raw],
-        "trees": [
-            [[n.feature, n.threshold, n.cats_left, n.left, n.right, n.counts]
-             for n in tree.nodes]
-            for tree in forest.trees
-        ],
+        "trees": trees,
     }
 
 
 def from_dict(data: dict) -> Forest:
     if data.get("format_version") != FORMAT_VERSION:
         raise ForestError("unsupported model format version")
-    trees = [
-        Tree(nodes=[Node(feature=f, threshold=t, cats_left=c, left=l, right=r,
-                         counts=cnt)
-                    for f, t, c, l, r, cnt in nodes])
-        for nodes in data["trees"]
-    ]
-    p = data["params"]
+    grow = _Grower(len(data["classes"]))
+    for tree in data["trees"]:
+        root = grow.tree()
+        for f, t, c, l, r, cnt in tree:
+            node = grow.leaf(cnt)
+            if f >= 0:
+                grow.split(node, f, t, c)
+                grow.left[node], grow.right[node] = root + l, root + r
     return Forest(
-        trees=trees, classes=data["classes"], schema_id=data["schema_id"],
+        classes=data["classes"], schema_id=data["schema_id"],
         n_features=data["n_features"],
         categorical=frozenset(data["categorical"]),
-        params=TrainParams(**p),
+        params=TrainParams(**data["params"]),
         importance_raw=np.asarray(data["importance_raw"], dtype=np.float64),
-    )
+        nodes=grow.nodes())
 
 
 def save(forest: Forest, path: str) -> None:

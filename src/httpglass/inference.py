@@ -16,9 +16,9 @@ import numpy as np
 from . import forest as rf
 from .capture import Direction
 from .corpus import LabeledConnection
-from .features import (SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD, SCHEMA_TOR,
-                       alp_fallback_features, record_categorical_indices,
-                       record_table)
+from .features import (ALP_FALLBACK_LEN, SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD,
+                       SCHEMA_TOR, STANDARD_LEN, TOR_LEN, alp_fallback_features,
+                       record_categorical_indices, record_table)
 # the row view stays importable here: bench/spans.py traces it by this name
 from .features import assemble_record_sample  # noqa: F401
 from .registry import ProblemSpec, Side, enhanced_length, registry
@@ -90,6 +90,27 @@ def indicator_layout(problems: list[ProblemSpec]) -> list[tuple[str, int, tuple[
     return out
 
 
+class _Layout:
+    """A protocol's indicator-block layout, computed once and reused for
+    every record, problem and pass."""
+
+    def __init__(self, problems: list[ProblemSpec]):
+        layout = indicator_layout(problems)
+        self.width = enhanced_length(problems)
+        self.span = {pid: (off, off + len(labels))
+                     for pid, off, labels in layout}
+        self.column = {(pid, label): off + k for pid, off, labels in layout
+                       for k, label in enumerate(labels)}
+
+    def vector(self, labels: dict[str, str]) -> np.ndarray:
+        vec = np.zeros(self.width, dtype=np.float64)
+        for pid, label in labels.items():
+            col = self.column.get((pid, label))
+            if col is not None:
+                vec[col] = 1.0
+        return vec
+
+
 def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
                      ) -> np.ndarray:
     """Concatenated one-hot indicators for one record's predicted labels.
@@ -97,12 +118,27 @@ def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
     Labels outside a problem's set (the ``other`` class) and problems with no
     prediction on this record contribute zeros.
     """
-    vec = np.zeros(enhanced_length(problems), dtype=np.float64)
-    for pid, off, labelset in indicator_layout(problems):
-        label = labels.get(pid)
-        if label is not None and label in labelset:
-            vec[off + labelset.index(label)] = 1.0
-    return vec
+    return _Layout(problems).vector(labels)
+
+
+def _context(vecs: np.ndarray, target_pos: int,
+             target_spans: list[tuple[int, int] | None],
+             exclude_whole_record: bool, window: tuple[int, int] | None,
+             ) -> np.ndarray:
+    """Context blocks of one header, one row per target problem's indicator
+    span ([start, end), or None for a problem outside the layout)."""
+    lo, hi = window if window is not None else (0, len(vecs) - 1)
+    total = vecs[max(lo, 0):max(hi + 1, 0)].sum(0)
+    out = np.repeat(total[None], len(target_spans), axis=0)
+    if lo <= target_pos <= hi:
+        target = vecs[target_pos]
+        if exclude_whole_record:
+            out -= target
+        else:
+            for row, span in zip(out, target_spans):
+                if span is not None:
+                    row[span[0]:span[1]] -= target[span[0]:span[1]]
+    return out
 
 
 def build_enhanced_features(problems: list[ProblemSpec],
@@ -118,20 +154,11 @@ def build_enhanced_features(problems: list[ProblemSpec],
     subcomponent is excluded (optionally its entire contribution).  ``window``
     restricts the sum to header positions [lo, hi] (Tor mode).
     """
+    layout = _Layout(problems)
     vecs = np.asarray(header_vectors, dtype=np.float64).reshape(
-        -1, enhanced_length(problems))
-    lo, hi = window if window is not None else (0, len(vecs) - 1)
-    total = vecs[max(lo, 0):max(hi + 1, 0)].sum(0)
-    if lo <= target_pos <= hi:
-        target = vecs[target_pos]
-        if exclude_whole_record:
-            total -= target
-        else:
-            for pid, off, labelset in indicator_layout(problems):
-                if pid == target_problem:
-                    total[off:off + len(labelset)] -= target[off:off + len(labelset)]
-                    break
-    return total
+        -1, layout.width)
+    return _context(vecs, target_pos, [layout.span.get(target_problem)],
+                    exclude_whole_record, window)[0]
 
 
 def tor_enhanced_window(n_headers: int, pos: int,
@@ -174,11 +201,14 @@ class _Headers:
                               dtype=np.int64)
         return cls(table[header_idx], directions, labels)
 
-    def context(self, problems: list[ProblemSpec], pos: int, pid: str,
-                exclude_whole_record: bool, tor: bool) -> np.ndarray:
+    def enhanced_rows(self, pos: int, spans: list[tuple[int, int]],
+                      exclude_whole_record: bool, tor: bool) -> np.ndarray:
+        """Enhanced-model inputs of header ``pos``: its base features and a
+        context block, one row per target problem's indicator span."""
         window = tor_enhanced_window(len(self.vecs), pos) if tor else None
-        return build_enhanced_features(problems, self.vecs, pos, pid,
-                                       exclude_whole_record, window)
+        ctx = _context(self.vecs, pos, spans, exclude_whole_record, window)
+        base = np.broadcast_to(self.base[pos], (len(spans), self.base.shape[1]))
+        return np.hstack([base, ctx])
 
 
 def _gather(headers: list[_Headers], p: ProblemSpec, labelled: bool = False,
@@ -273,41 +303,58 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     active = [s for s in states
               if s.header_idx and bundle.models.get(s.protocol)
               and bundle.models[s.protocol].enhanced]
+    layouts = {protocol: _Layout(bundle.problems[protocol])
+               for protocol in PROTOCOLS}
     for s in active:
-        s.h.vecs = np.array([indicator_vector(bundle.problems[s.protocol], lab)
+        s.h.vecs = np.array([layouts[s.protocol].vector(lab)
                              for lab in s.h.labels])
+    # each protocol's enhanced models, stacked to be walked together: one
+    # predict call per (position, protocol), with a model index per row
+    enhanced = {}
+    for protocol in PROTOCOLS:
+        models = bundle.models.get(protocol, ProtocolModels()).enhanced
+        problems = [p for p in bundle.problems[protocol] if p.id in models]
+        if problems:
+            # model indices by the direction code of the records they label
+            by_sender = {code: [k for k, p in enumerate(problems)
+                                if _SENDER[p.side] == code]
+                         for code in _SENDER.values()}
+            enhanced[protocol] = (problems, by_sender, rf.Stack(
+                [models[p.id] for p in problems]))
     while active and max(s.iterations for s in active) < max_iters:
         snapshots = {id(s): [dict(lab) for lab in s.h.labels] for s in active}
         max_headers = max(len(s.header_idx) for s in active)
         for pos in range(max_headers):
             updates: dict[tuple[int, str], str] = {}
-            for protocol in PROTOCOLS:
-                problems = bundle.problems[protocol]
-                models = bundle.models.get(protocol, ProtocolModels())
-                for p in problems:
-                    model = models.enhanced.get(p.id)
-                    if model is None:
+            for protocol, (problems, by_sender, stack) in enhanced.items():
+                span = layouts[protocol].span
+                jobs, blocks = [], []
+                for s in active:
+                    if s.protocol != protocol or pos >= len(s.header_idx):
                         continue
-                    owners = [s for s in active if s.protocol == protocol
-                              and pos < len(s.header_idx)
-                              and s.h.directions[pos] == _SENDER[p.side]]
-                    if not owners:
-                        continue
-                    rows = [np.concatenate([s.h.base[pos], s.h.context(
-                        problems, pos, p.id, bundle.exclude_whole_record,
-                        mode == "tor")]) for s in owners]
-                    scores = rf.predict_scores(model, np.stack(rows))
-                    cls_index = {c: k for k, c in enumerate(model.classes)}
-                    for s, row in zip(owners, scores):
-                        best = int(np.argmax(row))
-                        label = model.classes[best]
-                        current = s.h.labels[pos].get(p.id)
-                        if current is not None and current != label:
-                            cur_score = row[cls_index[current]] \
-                                if current in cls_index else 0.0
-                            if row[best] - cur_score <= switch_margin:
-                                label = current
-                        updates[(id(s), p.id)] = label
+                    ks = by_sender[int(s.h.directions[pos])]
+                    if ks:
+                        jobs += [(s, k) for k in ks]
+                        blocks.append(s.h.enhanced_rows(
+                            pos, [span[problems[k].id] for k in ks],
+                            bundle.exclude_whole_record, mode == "tor"))
+                if not jobs:
+                    continue
+                scores = rf.predict_scores(stack, np.concatenate(blocks),
+                                           [k for _, k in jobs])
+                # a row's padding past its model's classes is zero and the
+                # row sums to 1, so the padding never holds the first maximum
+                bests = scores.argmax(axis=1).tolist()
+                for (s, k), row, best in zip(jobs, scores, bests):
+                    p, model = problems[k], stack.forests[k]
+                    label = model.classes[best]
+                    current = s.h.labels[pos].get(p.id)
+                    if current is not None and current != label:
+                        cur_score = row[model.classes.index(current)] \
+                            if current in model.classes else 0.0
+                        if row[best] - cur_score <= switch_margin:
+                            label = current
+                    updates[(id(s), p.id)] = label
             for s in active:
                 if pos >= len(s.header_idx):
                     continue
@@ -318,8 +365,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                         s.h.labels[pos][p.id] = label
                         changed = True
                 if changed:
-                    s.h.vecs[pos] = indicator_vector(
-                        bundle.problems[s.protocol], s.h.labels[pos])
+                    s.h.vecs[pos] = layouts[s.protocol].vector(s.h.labels[pos])
         still = []
         for s in active:
             s.iterations += 1
@@ -359,10 +405,11 @@ def single_pass_classify(bundle: ModelBundle, conn: Connection,
 def aggregate_predictions(problems: list[ProblemSpec],
                           result: ConnectionResult) -> np.ndarray:
     """Connection-level sum of predicted indicator vectors (Section 5 enrichment)."""
-    total = np.zeros(enhanced_length(problems), dtype=np.float64)
+    layout = _Layout(problems)
+    total = np.zeros(layout.width, dtype=np.float64)
     for rec in result.records:
         if rec.message_type:
-            total += indicator_vector(problems, rec.labels)
+            total += layout.vector(rec.labels)
     return total
 
 
@@ -438,14 +485,14 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                                        categorical=cat, schema_id=schema)
         model_index += 1
 
+        layout = _Layout(problems[protocol])
         if with_enhanced:
             context = [h.labels for h in headers]
             if context_source == "cross_fit":
                 context = _cross_fit_context(
                     headers, problems[protocol], params, seed, cat, schema)
             for h, labels in zip(headers, context):
-                h.vecs = np.array([indicator_vector(problems[protocol], lab)
-                                   for lab in labels])
+                h.vecs = np.array([layout.vector(lab) for lab in labels])
 
         for p in problems[protocol]:
             sX, owners = _gather(headers, p, labelled=True)
@@ -455,12 +502,11 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                     sX, sy, _child_params(params, seed, model_index),
                     categorical=cat, schema_id=f"{schema}/{p.id}")
                 if with_enhanced:
-                    ctx = [headers[j].context(problems[protocol], pos, p.id,
-                                              exclude_whole_record,
-                                              mode == "tor")
-                           for j, pos in owners]
+                    eX = np.concatenate([headers[j].enhanced_rows(
+                        pos, [layout.span[p.id]], exclude_whole_record,
+                        mode == "tor") for j, pos in owners])
                     pm.enhanced[p.id] = rf.train(
-                        np.hstack([sX, np.stack(ctx)]), sy,
+                        eX, sy,
                         _child_params(params, seed, model_index + 1),
                         categorical=cat, schema_id=f"{schema}/{p.id}/enhanced")
             model_index += 2
@@ -541,7 +587,38 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             single={pid: rf.from_dict(d) for pid, d in pd["single"].items()},
             enhanced={pid: rf.from_dict(d) for pid, d in pd["enhanced"].items()},
         )
+    _check_schemas(bundle)
     return bundle
+
+
+def _check_schemas(bundle: ModelBundle) -> None:
+    """Every forest must carry the schema id and width ``train_bundle`` gives
+    it for the bundle's mode; otherwise prediction would fail far from the
+    cause, or read features in the wrong places."""
+    if bundle.mode not in ("standard", "tor"):
+        raise InferenceError(f"unknown bundle mode {bundle.mode!r}")
+    schema = bundle.base_schema()
+    width = TOR_LEN if bundle.mode == "tor" else STANDARD_LEN
+    expected = [("alp_fallback", bundle.alp_fallback, SCHEMA_ALP_FALLBACK,
+                 ALP_FALLBACK_LEN)]
+    for protocol, pm in bundle.models.items():
+        if protocol not in PROTOCOLS:
+            raise InferenceError(f"unknown protocol {protocol!r} in bundle")
+        context = enhanced_length(bundle.problems[protocol])
+        expected.append((f"{protocol}.message_type", pm.message_type, schema,
+                         width))
+        expected += [(f"{protocol}.single.{pid}", f, f"{schema}/{pid}", width)
+                     for pid, f in pm.single.items()]
+        expected += [(f"{protocol}.enhanced.{pid}", f,
+                      f"{schema}/{pid}/enhanced", width + context)
+                     for pid, f in pm.enhanced.items()]
+    for name, f, schema_id, n_features in expected:
+        if f is not None and (f.schema_id, f.n_features) != (schema_id,
+                                                             n_features):
+            raise InferenceError(
+                f"forest {name} has schema {f.schema_id!r} with "
+                f"{f.n_features} features; a {bundle.mode!r} bundle needs "
+                f"{schema_id!r} with {n_features}")
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:

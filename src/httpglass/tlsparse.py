@@ -7,9 +7,10 @@ by the capture timestamp of each record's first byte.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .capture import Direction, RawConnection
+from .capture import Direction, RawConnection, Segment
 
 RECORD_TYPES = (20, 21, 22, 23)
 MAX_RECORD_LEN = (1 << 14) + 2048
@@ -106,18 +107,24 @@ def _records_for_direction(raw: RawConnection, direction: Direction):
     return out
 
 
-def _attribute_packets(raw: RawConnection, direction: Direction, span_start: int,
-                       span_end: int):
+def _attribute_packets(segments: list[Segment], starts: list[int],
+                       span_start: int, span_end: int):
     """Packets carrying any byte of [span_start, span_end) in stream order,
-    and the packet carrying byte span_start."""
+    and the packet carrying byte span_start.
+
+    ``segments`` are sorted and do not overlap (as ``reassemble`` emits
+    them); ``starts`` holds their stream offsets.
+    """
     hits = {}  # a packet may contribute several segments; count it once
     first = None
-    for seg in raw.segments(direction):
-        seg_end = seg.stream_offset + seg.length
-        if seg.stream_offset < span_end and seg_end > span_start:
+    i = max(bisect_right(starts, span_start) - 1, 0)
+    while i < len(segments) and segments[i].stream_offset < span_end:
+        seg = segments[i]
+        if seg.stream_offset + seg.length > span_start:
             hits[seg.packet_index] = None
             if seg.stream_offset <= span_start:
                 first = seg.packet_index
+        i += 1
     return list(hits), first
 
 
@@ -139,9 +146,12 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     entries = []
     for direction, recs in per_dir.items():
         stream_len = len(raw.stream(direction))
+        segments = raw.segments(direction)
+        starts = [seg.stream_offset for seg in segments]
         for off, type_code, length, truncated in recs:
             span_end = min(off + RECORD_HEADER_LEN + length, stream_len)
-            pkt_idxs, first = _attribute_packets(raw, direction, off, span_end)
+            pkt_idxs, first = _attribute_packets(segments, starts, off,
+                                                 span_end)
             if not pkt_idxs:
                 continue
             sizes = [raw.packets[i].payload_len for i in pkt_idxs]

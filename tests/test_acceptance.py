@@ -95,15 +95,16 @@ def test_criterion_03_forest_vs_exhaustive_stump():
         X = np.round(rng.normal(size=(n, d)) * 4.0, 1)
         y = [f"c{int(v)}" for v in rng.integers(0, k, n)]
         forest = rf.train(X, y, params)
-        root = forest.trees[0].nodes[0]
+        nodes = forest.nodes
+        root = nodes.roots[0]
         yv, kk = _encode(y)
         counts = np.bincount(yv, minlength=kk).astype(float)
         base = (counts @ counts) / n
         best, winners = exhaustive_numeric_stump(X, y)
-        if root.is_leaf:
+        if nodes.feature[root] < 0:
             if best > base + 1e-9:
                 failures += 1
-        elif (root.feature, root.threshold) not in winners:
+        elif (nodes.feature[root], nodes.threshold[root]) not in winners:
             failures += 1
     ok = failures == 0
     _verdict(3, ok, f"depth-1 stump equals exhaustive best Gini stump on "

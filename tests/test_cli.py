@@ -37,6 +37,11 @@ def test_extract_csv(sample_pcap, tmp_path, capsys):
     assert header[:2] == ["connection", "record"]
     assert len(header) == 2 + 174
     assert len(lines) >= 5  # header + 4 records
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header)
+        for cell in cells[2:]:
+            float(cell)  # plain numbers, not numpy reprs
 
 
 def test_extract_tor_jsonl(sample_pcap, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Random forest training, prediction, and serialization oracles."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -84,16 +85,17 @@ def test_stump_matches_exhaustive_search():
     for _ in range(20):
         X, y = random_dataset(rng)
         forest = rf.train(X, y, _stump_params())
-        root = forest.trees[0].nodes[0]
+        nodes = forest.nodes
+        root = nodes.roots[0]
         yv, k = _encode(y)
         counts = np.bincount(yv, minlength=k).astype(float)
         base = (counts @ counts) / len(y)
         best, winners = exhaustive_numeric_stump(X, y)
-        if root.is_leaf:
+        if nodes.feature[root] < 0:
             # a leaf root is only legal when no split improves on the node
             assert best <= base + 1e-9
             continue
-        assert (root.feature, root.threshold) in winners
+        assert (nodes.feature[root], nodes.threshold[root]) in winners
 
 
 def test_stump_categorical_binary_matches_exhaustive_subsets():
@@ -106,15 +108,17 @@ def test_stump_categorical_binary_matches_exhaustive_subsets():
         y = ["pos" if v else "neg" for v in rng.integers(0, 2, size=n)]
         cat = frozenset({0, 2})
         forest = rf.train(X, y, _stump_params(), categorical=cat)
-        root = forest.trees[0].nodes[0]
-        if root.is_leaf:
+        nodes = forest.nodes
+        root = nodes.roots[0]
+        if nodes.feature[root] < 0:
             continue
         yv, k = _encode(y)
-        col = X[:, root.feature]
-        if root.cats_left is not None:
-            achieved = _split_score(yv, np.isin(col, root.cats_left), k)
+        col = X[:, nodes.feature[root]]
+        if nodes.cat[root] >= 0:
+            achieved = _split_score(
+                yv, np.isin(col, nodes.cats_left[nodes.cat[root]]), k)
         else:
-            achieved = _split_score(yv, col <= root.threshold, k)
+            achieved = _split_score(yv, col <= nodes.threshold[root], k)
         best = exhaustive_subset_stump(X, y, cat)
         assert achieved == pytest.approx(best, abs=1e-9)
 
@@ -124,19 +128,21 @@ def test_predict_matches_manual_tree_walk():
     X, y = random_dataset(rng)
     forest = rf.train(X, y, rf.TrainParams(n_trees=5, max_depth=4, seed=1))
     scores = rf.predict_scores(forest, X)
+    nodes = forest.nodes
 
-    def walk(tree, x):
-        node = tree.nodes[0]
-        while not node.is_leaf:
-            if node.cats_left is not None:
-                go_left = x[node.feature] in node.cats_left
+    def walk(node, x):
+        while nodes.feature[node] >= 0:
+            f, c = nodes.feature[node], nodes.cat[node]
+            if c >= 0:
+                go_left = x[f] in nodes.cats_left[c].tolist()
             else:
-                go_left = x[node.feature] <= node.threshold
-            node = tree.nodes[node.left if go_left else node.right]
-        return np.asarray(node.counts, dtype=float) / np.sum(node.counts)
+                go_left = x[f] <= nodes.threshold[node]
+            node = nodes.left[node] if go_left else nodes.right[node]
+        counts = nodes.counts[node]
+        return np.asarray(counts, dtype=float) / np.sum(counts)
 
     for i in range(len(X)):
-        manual = np.mean([walk(t, X[i]) for t in forest.trees], axis=0)
+        manual = np.mean([walk(r, X[i]) for r in nodes.roots], axis=0)
         np.testing.assert_allclose(scores[i], manual, atol=1e-12)
 
 
@@ -154,22 +160,24 @@ def test_min_leaf_respected():
     X, y = random_dataset(rng)
     forest = rf.train(X, y, rf.TrainParams(n_trees=3, min_leaf=5,
                                            bootstrap=False, seed=0))
-    for tree in forest.trees:
-        for node in tree.nodes:
-            if node.is_leaf:
-                assert int(np.sum(node.counts)) >= 5
+    nodes = forest.nodes
+    for node in range(len(nodes.feature)):
+        if nodes.feature[node] < 0:
+            assert int(np.sum(nodes.counts[node])) >= 5
 
 
 def test_max_depth_respected():
     rng = np.random.default_rng(2)
     X, y = random_dataset(rng)
     forest = rf.train(X, y, rf.TrainParams(n_trees=3, max_depth=2, seed=0))
-    for tree in forest.trees:
-        depth = {0: 0}
-        for i, node in enumerate(tree.nodes):
-            if not node.is_leaf:
-                depth[node.left] = depth[i] + 1
-                depth[node.right] = depth[i] + 1
+    nodes = forest.nodes
+    ends = nodes.roots.tolist()[1:] + [len(nodes.feature)]
+    for root, end in zip(nodes.roots.tolist(), ends):
+        depth = {root: 0}
+        for i in range(root, end):  # parents come before their children
+            if nodes.feature[i] >= 0:
+                depth[nodes.left[i]] = depth[i] + 1
+                depth[nodes.right[i]] = depth[i] + 1
                 assert depth[i] < 2
 
 
@@ -196,6 +204,77 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.schema_id == forest.schema_id
     np.testing.assert_allclose(rf.predict_scores(loaded, X),
                                rf.predict_scores(forest, X))
+
+
+# a forest saved in the JSON layout (per tree, [feature, threshold,
+# cats_left, left, right, counts] per node) before the forest became flat
+# arrays, and the scores predict_scores gave then for _SAVED_ROWS; feature 0
+# is categorical, and the rows hold unseen codes and NaN
+_SAVED_FOREST = (
+    '{"categorical": [0], "classes": ["a", "b", "c"], "format_version": 1, '
+    '"importance_raw": [0.09268416927899675, 0.21189171122994654, '
+    '0.14879529932003704], "n_features": 3, "params": {"bootstrap": true, '
+    '"features_per_split": null, "max_depth": 2, "min_leaf": 1, "n_trees": 2, '
+    '"seed": 3}, "schema_id": "tiny-v1", "trees": [[[0, null, [15.0], 1, 4, '
+    'null], [2, 2.2, null, 2, 3, null], [-1, null, null, -1, -1, [5, 3, 1]], '
+    '[-1, null, null, -1, -1, [0, 0, 2]], [2, 1.2, null, 5, 6, null], '
+    '[-1, null, null, -1, -1, [0, 22, 1]], [-1, null, null, -1, -1, '
+    '[4, 2, 0]]], [[1, 2.15, null, 1, 4, null], [1, 0.55, null, 2, 3, null], '
+    '[-1, null, null, -1, -1, [3, 10, 4]], [-1, null, null, -1, -1, '
+    '[8, 1, 2]], [-1, null, null, -1, -1, [0, 12, 0]]]]}')
+_SAVED_ROWS = [[15.0, 0.0, 0.0], [21.0, 3.0, 1.5], [-1.0, np.nan, 2.2],
+                [22.5, 0.55, np.nan], [np.nan, 2.15, 1.2], [0.0, 0.6, 5.0]]
+_SAVED_SCORES = [
+    [0.36601307189542487, 0.4607843137254902, 0.17320261437908496],
+    [0.3333333333333333, 0.6666666666666666, 0.0],
+    [0.3333333333333333, 0.6666666666666666, 0.0],
+    [0.4215686274509804, 0.4607843137254902, 0.11764705882352941],
+    [0.36363636363636365, 0.5237154150197628, 0.11264822134387352],
+    [0.696969696969697, 0.2121212121212121, 0.09090909090909091]]
+
+
+def test_saved_forest_layout_round_trips_byte_for_byte():
+    forest = rf.from_dict(json.loads(_SAVED_FOREST))
+    assert json.dumps(rf.to_dict(forest), sort_keys=True) == _SAVED_FOREST
+    assert rf.predict_scores(forest, _SAVED_ROWS).tolist() == _SAVED_SCORES
+
+
+def test_stacked_call_equals_each_forest():
+    """One call over several forests (2, 3 and 4 classes) equals each
+    forest's own call, row for row and bit for bit, including categorical
+    codes never seen in training."""
+    rng = np.random.default_rng(12)
+    n = 150
+    X = np.round(rng.normal(size=(n, 5)) * 3, 1)
+    X[:, 0] = rng.integers(0, 3, n) * 7.5  # categorical codes 0, 7.5, 15
+    forests = []
+    for k in (2, 3, 4):
+        y = [f"c{int(v)}" for v in (X[:, 0] / 7.5 + (X[:, 1] > 0)
+                                    + rng.integers(0, 2, n)) % k]
+        forests.append(rf.train(X, y, rf.TrainParams(n_trees=4, seed=k),
+                                categorical=frozenset({0})))
+    Xt = np.round(rng.normal(size=(60, 5)) * 3, 1)
+    Xt[:, 0] = rng.choice([0.0, 7.5, 15.0, 21.0, -1.0, 22.5, np.nan], 60)
+    Xt[::7, 2] = np.nan
+    which = rng.integers(0, len(forests), 60)
+    stacked = rf.predict_scores(rf.Stack(forests), Xt, which)
+    assert stacked.shape == (60, 4)
+    alone = [rf.predict_scores(f, Xt) for f in forests]
+    for i, k in enumerate(which):
+        K = forests[k].n_classes
+        assert np.array_equal(stacked[i, :K], alone[k][i])
+        assert not stacked[i, K:].any()
+
+
+def test_stack_needs_one_width_and_tree_count():
+    rng = np.random.default_rng(13)
+    X, y = random_dataset(rng, d_max=4)
+    a = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
+    with pytest.raises(rf.ForestError):
+        rf.Stack([a, rf.train(X, y, rf.TrainParams(n_trees=4, seed=0))])
+    with pytest.raises(rf.ForestError):
+        rf.Stack([a, rf.train(np.hstack([X, X]), y,
+                              rf.TrainParams(n_trees=3, seed=0))])
 
 
 def test_gini_importance_identifies_signal_feature():

@@ -1,11 +1,13 @@
 """Iterative semantics classification: contexts, gating, and training."""
 
+import json
+
 import numpy as np
 import pytest
 
 from httpglass.corpus import SynthSpec, split_dataset, synthesize_corpus
 from httpglass.forest import TrainParams
-from httpglass.inference import (DEFAULT_PARAMS, TOR_WINDOW,
+from httpglass.inference import (DEFAULT_PARAMS, TOR_WINDOW, InferenceError,
                                  aggregate_predictions,
                                  build_enhanced_features, bundle_from_dict,
                                  bundle_to_dict, classify_alp,
@@ -242,6 +244,26 @@ class TestTraining:
         b = classify_connection(loaded, conn)
         assert [(r.message_type, r.labels) for r in a.records] == \
             [(r.message_type, r.labels) for r in b.records]
+
+
+    def test_bundle_json_round_trips_byte_for_byte(self, small_world):
+        bundle, _, _ = small_world
+        text = json.dumps(bundle_to_dict(bundle), sort_keys=True)
+        again = bundle_to_dict(bundle_from_dict(json.loads(text)))
+        assert json.dumps(again, sort_keys=True) == text
+
+    def test_flipped_mode_names_the_forest(self, small_world):
+        bundle, _, _ = small_world
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        data["mode"] = "tor"
+        with pytest.raises(InferenceError,
+                           match=r"forest http\d\.message_type .*'tor'"):
+            bundle_from_dict(data)
+        data["mode"] = "standard"
+        data["protocols"]["http1"]["single"]["request.method"]["n_features"] = 66
+        with pytest.raises(InferenceError,
+                           match=r"forest http1\.single\.request\.method "):
+            bundle_from_dict(data)
 
 
 class TestFixedPoint:

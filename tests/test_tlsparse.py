@@ -1,11 +1,13 @@
 """TLS record cutting, packet attribution, and hello parsing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction, load_pcap, write_pcap
-from httpglass.tlsparse import (GREASE_COLLAPSED, collapse_grease,
+from httpglass.capture import Direction, Segment, load_pcap, write_pcap
+from httpglass.tlsparse import (GREASE_COLLAPSED, RECORD_HEADER_LEN,
+                                _attribute_packets, collapse_grease,
                                 build_client_hello, build_server_hello,
                                 parse_tls_records, record_header)
 
@@ -76,6 +78,64 @@ def test_first_byte_timestamps(tmp_path):
     data = [r for r in conn.records if r.type_code == 23]
     assert [r.first_byte_ts for r in data] == \
         [conn.raw.packets[2].timestamp] * 2
+
+
+def _brute_attribution(segments, span_start, span_end):
+    """Every segment tested against the span, in stream order."""
+    hits, first = [], None
+    for seg in segments:
+        if seg.stream_offset < span_end and \
+                seg.stream_offset + seg.length > span_start:
+            if seg.packet_index not in hits:
+                hits.append(seg.packet_index)
+            if seg.stream_offset <= span_start:
+                first = seg.packet_index
+    return hits, first
+
+
+def test_attribution_sweep_matches_brute_force():
+    """Sorted, non-overlapping segments with holes; spans anywhere,
+    including empty ones, ones past the end and ones inside a hole."""
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        segments, off = [], int(rng.integers(0, 5))
+        for k in range(int(rng.integers(0, 30))):
+            length = int(rng.integers(1, 12))
+            segments.append(Segment(off, length, int(rng.integers(0, 10))))
+            off += length + int(rng.choice([0, 0, 0, 3]))
+        starts = [seg.stream_offset for seg in segments]
+        for _ in range(20):
+            a = int(rng.integers(0, off + 5))
+            b = a + int(rng.integers(0, 60))
+            assert _attribute_packets(segments, starts, a, b) == \
+                _brute_attribution(segments, a, b)
+
+
+def test_attribution_of_records_over_many_packets(tmp_path):
+    """Records cut into many small packets, several records per packet."""
+    rng = np.random.default_rng(21)
+    ch, sh = handshake_payloads()
+    for trial in range(5):
+        streams = []
+        for _ in range(2):
+            body = tls_stream([(23, bytes(int(rng.integers(0, 300))))
+                               for _ in range(int(rng.integers(5, 40)))])
+            cuts = np.cumsum(rng.integers(1, 40, size=len(body)))
+            cuts = [0] + [int(c) for c in cuts if c < len(body)] + [len(body)]
+            streams.append([body[a:b] for a, b in zip(cuts, cuts[1:])])
+        conn = _load_single(tmp_path, [ch] + streams[0], [sh] + streams[1])
+        assert sum(r.pkt_count > 2 for r in conn.records) > 5
+        raw = conn.raw
+        for r in conn.records:
+            stream_len = len(raw.stream(r.direction))
+            end = min(r.stream_offset + RECORD_HEADER_LEN + r.length, stream_len)
+            hits, first = _brute_attribution(raw.segments(r.direction),
+                                             r.stream_offset, end)
+            sizes = [raw.packets[i].payload_len for i in hits]
+            assert r.pkt_count == len(hits)
+            assert r.push_count == sum(raw.packets[i].push_flag for i in hits)
+            assert r.avg_pkt_size == sum(sizes) / len(sizes)
+            assert r.first_byte_ts == raw.packets[first].timestamp
 
 
 def test_non_tls_rejected(tmp_path):
