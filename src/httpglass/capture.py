@@ -84,23 +84,13 @@ _HALF_SEQ = 1 << 31
 
 
 @dataclass
-class _RawSegment:
-    # pre-reassembly view of one packet's payload
-    seq: int
-    payload: bytes
-    packet_index: int
-
-
-@dataclass
 class _FlowState:
-    endpoints: tuple  # ((ip, port), (ip, port)) in canonical order
-    client: tuple | None = None  # (ip, port) of the client endpoint
-    first_sender: tuple | None = None
+    first_sender: tuple  # (ip, port) of the flow's first packet
+    first_ts: float
+    last_ts: float
+    syn_sender: tuple | None = None  # sender of the first SYN without ACK
     isn: dict = field(default_factory=dict)  # endpoint -> SYN seq
-    packets: list[PacketMeta] = field(default_factory=list)
-    segments: dict = field(default_factory=dict)  # endpoint -> list[_RawSegment]
-    first_ts: float | None = None
-    last_ts: float | None = None
+    data: list = field(default_factory=list)  # (ts, src, payload, flags, seq)
 
 
 def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = None,
@@ -206,30 +196,25 @@ def _read_pcap_records(fh: BinaryIO):
         raise PcapError(f"unsupported link type {linktype}")
     while True:
         rec = fh.read(16)
-        if len(rec) == 0:
-            return
         if len(rec) < 16:
-            yield None, None  # truncated record header
-            return
+            return  # end of file, or a truncated record header
         ts_sec, ts_frac, incl_len, orig_len = struct.unpack(endian + "IIII", rec)
         data = fh.read(incl_len)
-        ts = ts_sec + ts_frac / ts_div
         if len(data) < incl_len:
-            yield None, None
-            return
-        yield ts, data
+            return  # truncated record body
+        yield ts_sec + ts_frac / ts_div, data
 
 
 def load_pcap(path: str) -> list[RawConnection]:
-    """Load a classic pcap file and group TCP traffic into connections."""
+    """Load a classic pcap file and group TCP traffic into connections.
+
+    Flows come out in the order of their first packet.  Each data packet gets
+    its direction once, after the whole capture is read, so a SYN seen after
+    data still decides which endpoint is the client.
+    """
     flows: dict[tuple, _FlowState] = {}
-    order: list[tuple] = []
-    skipped = 0
     with open(path, "rb") as fh:
         for ts, data in _read_pcap_records(fh):
-            if ts is None:
-                skipped += 1
-                continue
             parsed = _parse_frame(data)
             if parsed is None:
                 continue
@@ -237,74 +222,41 @@ def load_pcap(path: str) -> list[RawConnection]:
             key = (min(src, dst), max(src, dst))
             state = flows.get(key)
             if state is None:
-                state = _FlowState(endpoints=key)
-                flows[key] = state
-                order.append(key)
-            if state.first_sender is None:
-                state.first_sender = src
-            if flags & _SYN and not flags & _ACK and state.client is None:
-                state.client = src
-                state.isn[src] = seq
-            elif flags & _SYN:
-                state.isn[src] = seq
-            if state.first_ts is None:
-                state.first_ts = ts
+                state = flows[key] = _FlowState(src, ts, ts)
             state.last_ts = ts
+            if flags & _SYN:
+                state.isn[src] = seq
+                if not flags & _ACK and state.syn_sender is None:
+                    state.syn_sender = src
             if payload:
-                client = state.client or state.first_sender
-                direction = (Direction.CLIENT_TO_SERVER if src == client
-                             else Direction.SERVER_TO_CLIENT)
-                pkt = PacketMeta(timestamp=ts, direction=direction,
-                                 payload_len=len(payload),
-                                 push_flag=bool(flags & _PSH), seq=seq)
-                idx = len(state.packets)
-                state.packets.append(pkt)
-                state.segments.setdefault(src, []).append(
-                    _RawSegment(seq, payload, idx))
+                state.data.append((ts, src, payload, flags, seq))
     connections = []
-    for key in order:
-        state = flows[key]
-        client = state.client or state.first_sender
-        if client is None:
-            continue
-        a, b = state.endpoints
+    for (a, b), state in flows.items():
+        client = state.syn_sender or state.first_sender
         server = b if client == a else a
-        # directions were assigned against the running client guess; rebuild
-        # against the final client in case a SYN arrived after data
-        owner_of: dict[int, tuple] = {}
-        for ep in (client, server):
-            for rs in state.segments.get(ep, []):
-                owner_of[rs.packet_index] = ep
-        fixed_packets = []
-        remap: dict[int, int] = {}
-        for idx, pkt in enumerate(state.packets):
-            owner = owner_of.get(idx)
-            if owner is None:
-                continue
-            direction = (Direction.CLIENT_TO_SERVER if owner == client
-                         else Direction.SERVER_TO_CLIENT)
-            remap[idx] = len(fixed_packets)
-            fixed_packets.append(PacketMeta(pkt.timestamp, direction,
-                                            pkt.payload_len, pkt.push_flag,
-                                            pkt.seq))
+        packets = []
+        # a self-connection (client == server) shares one list, so each side
+        # reassembles every segment of the flow
         raw_segs = {client: [], server: []}
-        for ep in (client, server):
-            for rs in state.segments.get(ep, []):
-                raw_segs[ep].append((rs.seq, rs.payload, remap[rs.packet_index]))
+        for idx, (ts, src, payload, flags, seq) in enumerate(state.data):
+            direction = (Direction.CLIENT_TO_SERVER if src == client
+                         else Direction.SERVER_TO_CLIENT)
+            packets.append(PacketMeta(ts, direction, len(payload),
+                                      bool(flags & _PSH), seq))
+            raw_segs[src].append((seq, payload, idx))
         base_c = (state.isn[client] + 1) & _SEQ_MASK if client in state.isn else None
         base_s = (state.isn[server] + 1) & _SEQ_MASK if server in state.isn else None
         cs, cmap, gap_c, an_c = reassemble(raw_segs[client], base_c)
         ss, smap, gap_s, an_s = reassemble(raw_segs[server], base_s)
-        duration = (state.last_ts - state.first_ts) if state.first_ts is not None else 0.0
         connections.append(RawConnection(
             five_tuple=(client[0], client[1], server[0], server[1], "tcp"),
-            packets=fixed_packets,
+            packets=packets,
             client_stream=cs, server_stream=ss,
-            duration=duration,
+            duration=state.last_ts - state.first_ts,
             client_segments=cmap, server_segments=smap,
             gap_client=gap_c, gap_server=gap_s,
             overlap_anomaly=an_c or an_s,
-            start_time=state.first_ts or 0.0,
+            start_time=state.first_ts,
         ))
     return connections
 

@@ -17,7 +17,7 @@ import numpy as np
 from .capture import Direction, PacketMeta, RawConnection, Segment
 from .tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
                        build_client_hello, build_server_hello, record_header,
-                       GREASE_COLLAPSED)
+                       EXT_ALPN, GREASE_COLLAPSED)
 from .registry import (ABSENT, OTHER, PRESENT, Kind, ProblemSpec, Side,
                        registry)
 
@@ -530,7 +530,8 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
     hs.version = 0x0303
     if rng.random() < spec.alpn_present_prob:
         hs.alpn_selected = "h2" if protocol == "http2" else "http/1.1"
-        hs.alpn_offered = ["h2", "http/1.1"]
+        if EXT_ALPN in hs.advertised_extensions:  # the offer travels in it
+            hs.alpn_offered = ["h2", "http/1.1"]
 
     # handshake records; hello payloads are real when streams are emitted
     ch = build_client_hello(hs.offered_cipher_suites,

@@ -237,20 +237,19 @@ class _ConnState:
     converged: bool = False
 
 
-SWITCH_MARGIN_DEFAULT = 0.05
+SWITCH_MARGIN = 0.05
 
 
 def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     max_iters: int = MAX_ITERS_DEFAULT,
                     connection_ids: list[str] | None = None,
-                    switch_margin: float = SWITCH_MARGIN_DEFAULT,
                     ) -> list[ConnectionResult]:
     """Run the full iterative pipeline over a corpus.
 
     Connections are processed in lockstep so every model is invoked in large
     batches; iteration state is tracked per connection.  During enhanced
     iterations a prediction only changes when the model prefers the new
-    label by more than ``switch_margin``; this hysteresis suppresses
+    label by more than ``SWITCH_MARGIN``; this hysteresis suppresses
     oscillation between near-tied labels without affecting fixed points.
     """
     if max_iters < 1:
@@ -352,7 +351,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     if current is not None and current != label:
                         cur_score = row[model.classes.index(current)] \
                             if current in model.classes else 0.0
-                        if row[best] - cur_score <= switch_margin:
+                        if row[best] - cur_score <= SWITCH_MARGIN:
                             label = current
                     updates[(id(s), p.id)] = label
             for s in active:
@@ -425,18 +424,14 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                  params: rf.TrainParams | None = None,
                  include_etag: bool = False, seed: int = 0,
                  exclude_whole_record: bool = False,
-                 with_enhanced: bool = True,
-                 context_source: str = "cross_fit") -> ModelBundle:
+                 with_enhanced: bool = True) -> ModelBundle:
     """Train every model in the bundle from a labeled corpus.
 
     Enhanced-model training contexts are built with the same exclusion rule
-    applied at inference time.  With ``context_source="cross_fit"`` (default)
-    the context labels come from held-out first-pass predictions (two folds),
-    so the enhanced models see the noisy count distributions they will
-    receive when iterating; ``"ground_truth"`` uses the true labels instead.
+    applied at inference time.  The context labels come from held-out
+    first-pass predictions (two folds), so the enhanced models see the noisy
+    count distributions they will receive when iterating.
     """
-    if context_source not in ("cross_fit", "ground_truth"):
-        raise InferenceError(f"unknown context_source {context_source!r}")
     if mode not in ("standard", "tor"):
         raise InferenceError(f"unknown mode {mode!r}")
     params = params or DEFAULT_PARAMS
@@ -487,10 +482,8 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
 
         layout = _Layout(problems[protocol])
         if with_enhanced:
-            context = [h.labels for h in headers]
-            if context_source == "cross_fit":
-                context = _cross_fit_context(
-                    headers, problems[protocol], params, seed, cat, schema)
+            context = _cross_fit_context(
+                headers, problems[protocol], params, seed, cat, schema)
             for h, labels in zip(headers, context):
                 h.vecs = np.array([layout.vector(lab) for lab in labels])
 

@@ -134,17 +134,11 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     A connection with data in some direction that does not begin with a
     plausible record header is excluded entirely.
     """
-    per_dir = {}
+    entries = []
     for direction in (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT):
-        if len(raw.stream(direction)) == 0:
-            per_dir[direction] = []
-            continue
         recs = _records_for_direction(raw, direction)
         if recs is None:
             return None
-        per_dir[direction] = recs
-    entries = []
-    for direction, recs in per_dir.items():
         stream_len = len(raw.stream(direction))
         segments = raw.segments(direction)
         starts = [seg.stream_offset for seg in segments]
@@ -172,15 +166,16 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     return conn
 
 
-def _handshake_payload(raw: RawConnection, direction: Direction) -> bytes:
-    """Concatenated payload of all handshake records in one direction."""
-    recs = _records_for_direction(raw, direction) or []
-    stream = raw.stream(direction)
-    chunks = []
-    for off, type_code, length, truncated in recs:
-        if type_code == 22 and not truncated:
-            chunks.append(stream[off + RECORD_HEADER_LEN:off + RECORD_HEADER_LEN + length])
-    return b"".join(chunks)
+def _handshake_payload(conn: Connection, direction: Direction) -> bytes:
+    """Concatenated payload of one direction's whole handshake records, in
+    stream order (``conn.records`` is in first-byte timestamp order)."""
+    stream = conn.raw.stream(direction)
+    recs = sorted((r for r in conn.records if r.direction == direction
+                   and r.type_code == 22 and not r.truncated),
+                  key=lambda r: r.stream_offset)
+    return b"".join(stream[r.stream_offset + RECORD_HEADER_LEN:
+                           r.stream_offset + RECORD_HEADER_LEN + r.length]
+                    for r in recs)
 
 
 def _iter_handshake_messages(payload: bytes):
@@ -274,11 +269,11 @@ def parse_handshake_meta(conn: Connection) -> HandshakeMeta:
                 meta.version = struct.unpack_from("!H", stream, rec.stream_offset + 1)[0]
             break
     try:
-        client_payload = _handshake_payload(raw, Direction.CLIENT_TO_SERVER)
+        client_payload = _handshake_payload(conn, Direction.CLIENT_TO_SERVER)
         for msg_type, body in _iter_handshake_messages(client_payload):
             if msg_type == 1:  # keep the last client_hello (retry case)
                 _parse_client_hello(body, meta)
-        server_payload = _handshake_payload(raw, Direction.SERVER_TO_CLIENT)
+        server_payload = _handshake_payload(conn, Direction.SERVER_TO_CLIENT)
         for msg_type, body in _iter_handshake_messages(server_payload):
             if msg_type == 2:
                 _parse_server_hello(body, meta)

@@ -51,6 +51,38 @@ def pcap_frames(client_payloads, server_payloads, start_ts=100.0):
     return frames
 
 
+def planted_pcap_frames(corpus, isn):
+    """Write ``SynthSpec(emit_streams=True)`` connections as capture frames.
+
+    Connection i gets its own client endpoint and a SYN handshake with ``isn``
+    on both sides, stamped with its first packet's time; then each planted
+    packet becomes one frame with seq = isn + 1 + its stream offset (mod
+    2**32).  Returns the (timestamp, frame) pairs in capture-time order and
+    the planted connection of each five-tuple.
+    """
+    frames, planted = [], {}
+    for i, lc in enumerate(corpus):
+        client = (f"10.1.{i >> 8}.{i & 255}", 30000 + i)
+        planted[client + SERVER + ("tcp",)] = lc
+        raw = lc.conn.raw
+        start = raw.packets[0].timestamp
+        frames += [
+            (start, build_tcp_frame(client, SERVER, isn, flags=TCP_FLAG_SYN)),
+            (start, build_tcp_frame(SERVER, client, isn,
+                                    flags=TCP_FLAG_SYN | TCP_FLAG_ACK)),
+            (start, build_tcp_frame(client, SERVER, isn + 1))]
+        for pkt in raw.packets:
+            src, dst = ((client, SERVER)
+                        if pkt.direction == Direction.CLIENT_TO_SERVER
+                        else (SERVER, client))
+            payload = raw.stream(pkt.direction)[pkt.seq:pkt.seq + pkt.payload_len]
+            flags = TCP_FLAG_ACK | (TCP_FLAG_PSH if pkt.push_flag else 0)
+            frames.append((pkt.timestamp, build_tcp_frame(
+                src, dst, isn + 1 + pkt.seq, payload, flags=flags)))
+    frames.sort(key=lambda f: f[0])  # stable: each flow keeps its own order
+    return frames, planted
+
+
 def handshake_payloads(alpn_offered=("h2", "http/1.1"), alpn_selected="h2",
                        suites=(0x1301, 0x1303), extensions=(0, 16, 43)):
     """(client_hello_record, server_hello_record) byte strings."""

@@ -226,13 +226,6 @@ class TestTraining:
         c = train_bundle(corpus, params=PARAMS_FAST, seed=6)
         assert bundle_to_dict(a) != bundle_to_dict(c)
 
-    def test_ground_truth_context_option(self):
-        corpus = synthesize_corpus(SynthSpec(seed=25, n_connections=15,
-                                             protocol_mix={"http1": 1.0}))
-        bundle = train_bundle(corpus, params=PARAMS_FAST, seed=0,
-                              context_source="ground_truth")
-        assert bundle.models["http1"].enhanced
-
     def test_bundle_round_trip(self, small_world, tmp_path):
         bundle, _, test = small_world
         path = str(tmp_path / "bundle.json")

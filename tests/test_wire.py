@@ -1,0 +1,98 @@
+"""Wire-path oracles: planted connections written as a real pcap must parse
+back to what the generator planted, and malformed captures never crash."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from httpglass.capture import PcapError, load_pcap, write_pcap
+from httpglass.corpus import (SynthSpec, ground_truth_session,
+                              ingest_ground_truth, synthesize_corpus)
+from httpglass.features import SCHEMA_STANDARD, feature_names, record_table
+from httpglass.registry import registry
+from httpglass.tlsparse import parse_tls_records
+
+from helpers import (handshake_payloads, pcap_frames, planted_pcap_frames,
+                     tls_stream)
+
+# pcap stores microseconds, so times come back rounded to 1 us
+DURATION_COL = feature_names(SCHEMA_STANDARD).index("duration")
+TIME_TOL = 1e-6
+
+
+def _exact(rec):
+    return (rec.index, rec.type_code, rec.length, rec.direction,
+            rec.pkt_count, rec.push_count, rec.avg_pkt_size)
+
+
+@pytest.mark.parametrize("etag", [False, True])
+@pytest.mark.parametrize("isn", [0, 0xFFFFFF00, 0xFFFFFFFF])
+def test_planted_connections_come_back(tmp_path, isn, etag):
+    corpus = synthesize_corpus(SynthSpec(
+        seed=3, n_connections=30, filler_range=(0, 3), include_etag=etag,
+        emit_streams=True))
+    assert {lc.protocol for lc in corpus} == {"http1", "http2"}
+    frames, planted = planted_pcap_frames(corpus, isn)
+    path = str(tmp_path / "planted.pcap")
+    write_pcap(path, frames)
+    raws = load_pcap(path)
+    assert sorted(raw.five_tuple for raw in raws) == sorted(planted)
+    for raw in raws:
+        lc = planted[raw.five_tuple]
+        want = lc.conn
+        assert not (raw.gap_client or raw.gap_server or raw.overlap_anomaly)
+        conn = parse_tls_records(raw)
+        assert conn is not None
+        assert [_exact(r) for r in conn.records] == \
+            [_exact(r) for r in want.records]
+        assert [r.first_byte_ts for r in conn.records] == pytest.approx(
+            [r.first_byte_ts for r in want.records], rel=0, abs=TIME_TOL)
+        assert conn.handshake == want.handshake
+        assert np.array_equal(record_table(conn, "tor"),
+                              record_table(want, "tor"))
+        got, exp = record_table(conn, "standard"), record_table(want, "standard")
+        assert np.array_equal(np.delete(got, DURATION_COL, axis=1),
+                              np.delete(exp, DURATION_COL, axis=1))
+        assert got[:, DURATION_COL] == pytest.approx(
+            exp[:, DURATION_COL], rel=0, abs=TIME_TOL)
+        back = ingest_ground_truth(conn, ground_truth_session(lc), lc.protocol,
+                                   registry(lc.protocol, etag))
+        assert [(r.index, r.message_type, r.labels) for r in back] == \
+            [(r.index, r.message_type, r.labels) for r in lc.records]
+
+
+def _valid_pcap(path):
+    ch, sh = handshake_payloads()
+    write_pcap(path, pcap_frames(
+        [ch, tls_stream([(20, b"\x01"), (23, b"q" * 90)])],
+        [sh, tls_stream([(23, b"r" * 200)]), tls_stream([(23, b"s" * 40)])]))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)),
+                      min_size=1, max_size=8),
+       cut=st.none() | st.integers(0, 1 << 20))
+def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
+    """Byte flips and truncation raise nothing but PcapError anywhere from
+    pcap ingest to the record tables."""
+    path = str(tmp_path / "fuzz.pcap")
+    data = bytearray(_valid_pcap(path))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        raws = load_pcap(path)
+    except PcapError:
+        return
+    for raw in raws:
+        conn = parse_tls_records(raw)
+        if conn is not None:
+            record_table(conn, "standard")
+            record_table(conn, "tor")
