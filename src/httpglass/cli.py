@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", parents=[common()],
                        help="pcap -> per-record feature dump")
     p.add_argument("--mode", choices=("standard", "tor"), default="standard")
-    p.add_argument("--format", choices=("csv", "jsonl", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("pcap")
     p.set_defaults(func=cmd_extract)
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common(), train_common()],
                        help="run an experiment and report metrics")
     p.add_argument("--mode", choices=("standard", "tor"), default="standard")
-    p.add_argument("--format", choices=("csv", "jsonl", "json"), default="json")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--experiment", choices=("semantics", "malware"),
                    default="semantics")
     p.add_argument("--corpus")

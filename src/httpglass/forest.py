@@ -12,13 +12,12 @@ staying exact for integer class counts.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil, sqrt
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ForestError(Exception):
@@ -131,7 +130,7 @@ class Stack:
 
 @dataclass
 class _Grower:
-    """Node lists a forest is built into, by training or from JSON."""
+    """Node lists training grows a forest's trees into."""
 
     n_classes: int
     feature: list[int] = field(default_factory=list)
@@ -401,12 +400,6 @@ def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
     return total / n_trees
 
 
-def predict(forest: Forest, x):
-    """(label, scores) for one vector; argmax ties go to the lowest class index."""
-    scores = predict_scores(forest, x)[0]
-    return forest.classes[int(np.argmax(scores))], scores
-
-
 def predict_labels(forest: Forest, X) -> list:
     scores = predict_scores(forest, X)
     return [forest.classes[int(k)] for k in np.argmax(scores, axis=1)]
@@ -429,68 +422,50 @@ def forest_has_splits(forest: Forest) -> bool:
 
 
 def to_dict(forest: Forest) -> dict:
-    """The JSON layout: per tree, one [feature, threshold, cats_left, left,
-    right, counts] list per node, with tree-local child ids."""
+    """The JSON layout: the ``Nodes`` arrays with forest-wide ids, thresholds
+    null except at numeric splits, and class counts for leaves only."""
     nodes = forest.nodes
-    feature, threshold, cat = (nodes.feature.tolist(), nodes.threshold.tolist(),
-                               nodes.cat.tolist())
-    left, right, counts = (nodes.left.tolist(), nodes.right.tolist(),
-                           nodes.counts.tolist())
-    roots = nodes.roots.tolist()
-    trees = []
-    for root, end in zip(roots, roots[1:] + [len(feature)]):
-        trees.append([
-            [feature[i],
-             threshold[i] if feature[i] >= 0 and cat[i] < 0 else None,
-             nodes.cats_left[cat[i]].tolist() if cat[i] >= 0 else None,
-             left[i] - root if feature[i] >= 0 else -1,
-             right[i] - root if feature[i] >= 0 else -1,
-             counts[i] if feature[i] < 0 else None]
-            for i in range(root, end)])
+    numeric = (nodes.feature >= 0) & (nodes.cat < 0)
     return {
         "format_version": FORMAT_VERSION,
         "schema_id": forest.schema_id,
         "n_features": forest.n_features,
         "classes": list(forest.classes),
         "categorical": sorted(forest.categorical),
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "min_leaf": forest.params.min_leaf,
-            "features_per_split": forest.params.features_per_split,
-            "bootstrap": forest.params.bootstrap,
-            "seed": forest.params.seed,
+        "params": asdict(forest.params),
+        "importance_raw": forest.importance_raw.tolist(),
+        "nodes": {
+            "feature": nodes.feature.tolist(),
+            "threshold": np.where(numeric, nodes.threshold, None).tolist(),
+            "left": nodes.left.tolist(),
+            "right": nodes.right.tolist(),
+            "roots": nodes.roots.tolist(),
+            "cat": nodes.cat.tolist(),
+            "cats_left": [c.tolist() for c in nodes.cats_left],
+            "leaf_counts": nodes.counts[nodes.feature < 0].tolist(),
         },
-        "importance_raw": [float(v) for v in forest.importance_raw],
-        "trees": trees,
     }
 
 
 def from_dict(data: dict) -> Forest:
     if data.get("format_version") != FORMAT_VERSION:
         raise ForestError("unsupported model format version")
-    grow = _Grower(len(data["classes"]))
-    for tree in data["trees"]:
-        root = grow.tree()
-        for f, t, c, l, r, cnt in tree:
-            node = grow.leaf(cnt)
-            if f >= 0:
-                grow.split(node, f, t, c)
-                grow.left[node], grow.right[node] = root + l, root + r
+    nd = data["nodes"]
+    feature = np.asarray(nd["feature"], dtype=np.int64)
+    counts = np.zeros((len(feature), len(data["classes"])), dtype=np.int64)
+    counts[feature < 0] = np.asarray(nd["leaf_counts"], dtype=np.int64)
     return Forest(
         classes=data["classes"], schema_id=data["schema_id"],
         n_features=data["n_features"],
         categorical=frozenset(data["categorical"]),
         params=TrainParams(**data["params"]),
         importance_raw=np.asarray(data["importance_raw"], dtype=np.float64),
-        nodes=grow.nodes())
-
-
-def save(forest: Forest, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(forest), fh, sort_keys=True)
-
-
-def load(path: str) -> Forest:
-    with open(path) as fh:
-        return from_dict(json.load(fh))
+        nodes=Nodes(
+            feature=feature,
+            threshold=np.asarray(nd["threshold"], dtype=np.float64),
+            left=np.asarray(nd["left"], dtype=np.int64),
+            right=np.asarray(nd["right"], dtype=np.int64),
+            roots=np.asarray(nd["roots"], dtype=np.int64), counts=counts,
+            cat=np.asarray(nd["cat"], dtype=np.int64),
+            cats_left=[np.asarray(c, dtype=np.float64)
+                       for c in nd["cats_left"]]))

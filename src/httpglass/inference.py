@@ -24,7 +24,7 @@ from .features import assemble_record_sample  # noqa: F401
 from .registry import ProblemSpec, Side, enhanced_length, registry
 from .tlsparse import Connection
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 MAX_ITERS_DEFAULT = 10
 TOR_WINDOW = 5
 
@@ -71,7 +71,6 @@ class ModelBundle:
     problems: dict[str, list[ProblemSpec]]
     models: dict[str, ProtocolModels]
     alp_fallback: rf.Forest | None = None
-    exclude_whole_record: bool = False
     default_protocol: str = "http1"
 
     def base_schema(self) -> str:
@@ -123,8 +122,7 @@ def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
 
 def _context(vecs: np.ndarray, target_pos: int,
              target_spans: list[tuple[int, int] | None],
-             exclude_whole_record: bool, window: tuple[int, int] | None,
-             ) -> np.ndarray:
+             window: tuple[int, int] | None) -> np.ndarray:
     """Context blocks of one header, one row per target problem's indicator
     span ([start, end), or None for a problem outside the layout)."""
     lo, hi = window if window is not None else (0, len(vecs) - 1)
@@ -132,33 +130,29 @@ def _context(vecs: np.ndarray, target_pos: int,
     out = np.repeat(total[None], len(target_spans), axis=0)
     if lo <= target_pos <= hi:
         target = vecs[target_pos]
-        if exclude_whole_record:
-            out -= target
-        else:
-            for row, span in zip(out, target_spans):
-                if span is not None:
-                    row[span[0]:span[1]] -= target[span[0]:span[1]]
+        for row, span in zip(out, target_spans):
+            if span is not None:
+                row[span[0]:span[1]] -= target[span[0]:span[1]]
     return out
 
 
 def build_enhanced_features(problems: list[ProblemSpec],
                             header_vectors: np.ndarray,
                             target_pos: int, target_problem: str,
-                            exclude_whole_record: bool = False,
                             window: tuple[int, int] | None = None,
                             ) -> np.ndarray:
     """Context block for one (record, problem) classification.
 
     Sums the rows of ``header_vectors`` (predicted-label indicators, one per
     header record); the target record's contribution to the target problem's
-    subcomponent is excluded (optionally its entire contribution).  ``window``
-    restricts the sum to header positions [lo, hi] (Tor mode).
+    subcomponent is excluded.  ``window`` restricts the sum to header
+    positions [lo, hi] (Tor mode).
     """
     layout = _Layout(problems)
     vecs = np.asarray(header_vectors, dtype=np.float64).reshape(
         -1, layout.width)
     return _context(vecs, target_pos, [layout.span.get(target_problem)],
-                    exclude_whole_record, window)[0]
+                    window)[0]
 
 
 def tor_enhanced_window(n_headers: int, pos: int,
@@ -175,7 +169,8 @@ def classify_alp(bundle: ModelBundle, conn: Connection) -> str:
         return _ALPN_MAP[alpn]
     if bundle.alp_fallback is None:
         return bundle.default_protocol
-    return rf.predict(bundle.alp_fallback, alp_fallback_features(conn))[0]
+    return rf.predict_labels(bundle.alp_fallback,
+                             alp_fallback_features(conn)[None])[0]
 
 
 # direction code of the records each side sends (plain ints: numpy compares
@@ -202,11 +197,11 @@ class _Headers:
         return cls(table[header_idx], directions, labels)
 
     def enhanced_rows(self, pos: int, spans: list[tuple[int, int]],
-                      exclude_whole_record: bool, tor: bool) -> np.ndarray:
+                      tor: bool) -> np.ndarray:
         """Enhanced-model inputs of header ``pos``: its base features and a
         context block, one row per target problem's indicator span."""
         window = tor_enhanced_window(len(self.vecs), pos) if tor else None
-        ctx = _context(self.vecs, pos, spans, exclude_whole_record, window)
+        ctx = _context(self.vecs, pos, spans, window)
         base = np.broadcast_to(self.base[pos], (len(spans), self.base.shape[1]))
         return np.hstack([base, ctx])
 
@@ -321,12 +316,12 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
             enhanced[protocol] = (problems, by_sender, rf.Stack(
                 [models[p.id] for p in problems]))
     while active and max(s.iterations for s in active) < max_iters:
-        snapshots = {id(s): [dict(lab) for lab in s.h.labels] for s in active}
+        for s in active:
+            s.converged = True  # until one of its labels moves in this pass
         max_headers = max(len(s.header_idx) for s in active)
         for pos in range(max_headers):
-            updates: dict[tuple[int, str], str] = {}
             for protocol, (problems, by_sender, stack) in enhanced.items():
-                span = layouts[protocol].span
+                layout = layouts[protocol]
                 jobs, blocks = [], []
                 for s in active:
                     if s.protocol != protocol or pos >= len(s.header_idx):
@@ -335,8 +330,8 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     if ks:
                         jobs += [(s, k) for k in ks]
                         blocks.append(s.h.enhanced_rows(
-                            pos, [span[problems[k].id] for k in ks],
-                            bundle.exclude_whole_record, mode == "tor"))
+                            pos, [layout.span[problems[k].id] for k in ks],
+                            mode == "tor"))
                 if not jobs:
                     continue
                 scores = rf.predict_scores(stack, np.concatenate(blocks),
@@ -344,35 +339,26 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                 # a row's padding past its model's classes is zero and the
                 # row sums to 1, so the padding never holds the first maximum
                 bests = scores.argmax(axis=1).tolist()
+                # every row is built already, and a connection's rows all sit
+                # in this call, so labels and vectors can move right away
                 for (s, k), row, best in zip(jobs, scores, bests):
                     p, model = problems[k], stack.forests[k]
                     label = model.classes[best]
                     current = s.h.labels[pos].get(p.id)
-                    if current is not None and current != label:
+                    if current == label:
+                        continue
+                    if current is not None:
                         cur_score = row[model.classes.index(current)] \
                             if current in model.classes else 0.0
                         if row[best] - cur_score <= SWITCH_MARGIN:
-                            label = current
-                    updates[(id(s), p.id)] = label
-            for s in active:
-                if pos >= len(s.header_idx):
-                    continue
-                changed = False
-                for p in bundle.problems[s.protocol]:
-                    label = updates.get((id(s), p.id))
-                    if label is not None and s.h.labels[pos].get(p.id) != label:
-                        s.h.labels[pos][p.id] = label
-                        changed = True
-                if changed:
-                    s.h.vecs[pos] = layouts[s.protocol].vector(s.h.labels[pos])
-        still = []
+                            continue
+                    s.h.labels[pos][p.id] = label
+                    s.h.vecs[pos] = layout.vector(s.h.labels[pos])
+                    s.converged = False
         for s in active:
             s.iterations += 1
-            if s.h.labels == snapshots[id(s)]:
-                s.converged = True
-            elif s.iterations < max_iters:
-                still.append(s)
-        active = still
+        active = [s for s in active
+                  if not s.converged and s.iterations < max_iters]
 
     results = []
     for s in states:
@@ -423,7 +409,6 @@ def _child_params(params: rf.TrainParams, base_seed: int, index: int,
 def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                  params: rf.TrainParams | None = None,
                  include_etag: bool = False, seed: int = 0,
-                 exclude_whole_record: bool = False,
                  with_enhanced: bool = True) -> ModelBundle:
     """Train every model in the bundle from a labeled corpus.
 
@@ -437,8 +422,7 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     params = params or DEFAULT_PARAMS
     problems = {p: registry(p, include_etag) for p in PROTOCOLS}
     bundle = ModelBundle(mode=mode, include_etag=include_etag,
-                         problems=problems, models={},
-                         exclude_whole_record=exclude_whole_record)
+                         problems=problems, models={})
     cat = record_categorical_indices()
     model_index = 0
 
@@ -496,8 +480,8 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                     categorical=cat, schema_id=f"{schema}/{p.id}")
                 if with_enhanced:
                     eX = np.concatenate([headers[j].enhanced_rows(
-                        pos, [layout.span[p.id]], exclude_whole_record,
-                        mode == "tor") for j, pos in owners])
+                        pos, [layout.span[p.id]], mode == "tor")
+                        for j, pos in owners])
                     pm.enhanced[p.id] = rf.train(
                         eX, sy,
                         _child_params(params, seed, model_index + 1),
@@ -545,7 +529,6 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
         "format_version": BUNDLE_FORMAT_VERSION,
         "mode": bundle.mode,
         "include_etag": bundle.include_etag,
-        "exclude_whole_record": bundle.exclude_whole_record,
         "default_protocol": bundle.default_protocol,
         "alp_fallback": opt(bundle.alp_fallback),
         "protocols": {
@@ -572,7 +555,6 @@ def bundle_from_dict(data: dict) -> ModelBundle:
         mode=data["mode"], include_etag=include_etag,
         problems={p: registry(p, include_etag) for p in PROTOCOLS},
         models={}, alp_fallback=opt(data["alp_fallback"]),
-        exclude_whole_record=data["exclude_whole_record"],
         default_protocol=data["default_protocol"])
     for protocol, pd in data["protocols"].items():
         bundle.models[protocol] = ProtocolModels(

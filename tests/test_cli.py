@@ -7,6 +7,7 @@ import pytest
 from httpglass.capture import write_pcap
 from httpglass.cli import main
 from httpglass.corpus import load_corpus
+from httpglass.evalx import render_semantics_report
 from httpglass.keyscan import build_fixture
 
 from helpers import handshake_payloads, pcap_frames, tls_stream
@@ -94,6 +95,13 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
     assert code == 0
     parsed = json.load(open(report))
     assert "problems" in parsed and "convergence" in parsed
+
+    table = str(tmp_path / "report.txt")
+    code, _, _ = _run(capsys, "eval", "--experiment", "semantics",
+                      "--corpus", corpus, "--split", "by_fraction",
+                      "--trees", "8", "--format", "text", "--out", table)
+    assert code == 0
+    assert open(table).read() == render_semantics_report(parsed)
 
 
 def test_infer_requires_input(tmp_path, capsys):

@@ -191,37 +191,59 @@ def test_determinism_same_seed():
     assert rf.to_dict(a) != rf.to_dict(c)
 
 
-def test_serialization_round_trip(tmp_path):
+def test_serialization_round_trip():
     rng = np.random.default_rng(6)
     X, y = random_dataset(rng)
     forest = rf.train(X, y, rf.TrainParams(n_trees=4, seed=2),
                       categorical=frozenset({0}), schema_id="test-v1")
-    path = str(tmp_path / "forest.json")
-    rf.save(forest, path)
-    loaded = rf.load(path)
+    loaded = rf.from_dict(json.loads(json.dumps(rf.to_dict(forest))))
     assert loaded.classes == forest.classes
     assert loaded.categorical == forest.categorical
     assert loaded.schema_id == forest.schema_id
-    np.testing.assert_allclose(rf.predict_scores(loaded, X),
-                               rf.predict_scores(forest, X))
+    assert loaded.params == forest.params
+    for name in ("feature", "threshold", "left", "right", "roots", "counts",
+                 "cat"):
+        a, b = getattr(loaded.nodes, name), getattr(forest.nodes, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+    assert len(loaded.nodes.cats_left) == len(forest.nodes.cats_left)
+    for a, b in zip(loaded.nodes.cats_left, forest.nodes.cats_left):
+        assert np.array_equal(a, b)
+    assert np.array_equal(rf.predict_scores(loaded, X),
+                          rf.predict_scores(forest, X))
 
 
-# a forest saved in the JSON layout (per tree, [feature, threshold,
-# cats_left, left, right, counts] per node) before the forest became flat
-# arrays, and the scores predict_scores gave then for _SAVED_ROWS; feature 0
-# is categorical, and the rows hold unseen codes and NaN
+def test_format_1_forest_is_refused():
+    """The per-tree node lists of format 1 have no reader any more."""
+    old = {"format_version": 1, "schema_id": "tiny-v1", "n_features": 1,
+           "classes": ["a", "b"], "categorical": [],
+           "params": {"n_trees": 1, "max_depth": None, "min_leaf": 1,
+                      "features_per_split": None, "bootstrap": True,
+                      "seed": 0},
+           "importance_raw": [0.0],
+           "trees": [[[-1, None, None, -1, -1, [3, 1]]]]}
+    with pytest.raises(rf.ForestError, match="format version"):
+        rf.from_dict(old)
+
+
+# a forest saved in format 1 (per tree, [feature, threshold, cats_left, left,
+# right, counts] per node) before the forest became flat arrays, written
+# again in format 2, and the scores predict_scores gave in format 1 for
+# _SAVED_ROWS; feature 0 is categorical, and the rows hold unseen codes and
+# NaN
 _SAVED_FOREST = (
-    '{"categorical": [0], "classes": ["a", "b", "c"], "format_version": 1, '
+    '{"categorical": [0], "classes": ["a", "b", "c"], "format_version": 2, '
     '"importance_raw": [0.09268416927899675, 0.21189171122994654, '
-    '0.14879529932003704], "n_features": 3, "params": {"bootstrap": true, '
-    '"features_per_split": null, "max_depth": 2, "min_leaf": 1, "n_trees": 2, '
-    '"seed": 3}, "schema_id": "tiny-v1", "trees": [[[0, null, [15.0], 1, 4, '
-    'null], [2, 2.2, null, 2, 3, null], [-1, null, null, -1, -1, [5, 3, 1]], '
-    '[-1, null, null, -1, -1, [0, 0, 2]], [2, 1.2, null, 5, 6, null], '
-    '[-1, null, null, -1, -1, [0, 22, 1]], [-1, null, null, -1, -1, '
-    '[4, 2, 0]]], [[1, 2.15, null, 1, 4, null], [1, 0.55, null, 2, 3, null], '
-    '[-1, null, null, -1, -1, [3, 10, 4]], [-1, null, null, -1, -1, '
-    '[8, 1, 2]], [-1, null, null, -1, -1, [0, 12, 0]]]]}')
+    '0.14879529932003704], "n_features": 3, "nodes": {"cat": [0, -1, -1, '
+    '-1, -1, -1, -1, -1, -1, -1, -1, -1], "cats_left": [[15.0]], '
+    '"feature": [0, 2, -1, -1, 2, -1, -1, 1, 1, -1, -1, -1], '
+    '"leaf_counts": [[5, 3, 1], [0, 0, 2], [0, 22, 1], [4, 2, 0], [3, 10, '
+    '4], [8, 1, 2], [0, 12, 0]], "left": [1, 2, -1, -1, 5, -1, -1, 8, 9, '
+    '-1, -1, -1], "right": [4, 3, -1, -1, 6, -1, -1, 11, 10, -1, -1, -1], '
+    '"roots": [0, 7], "threshold": [null, 2.2, null, null, 1.2, null, '
+    'null, 2.15, 0.55, null, null, null]}, "params": {"bootstrap": true, '
+    '"features_per_split": null, "max_depth": 2, "min_leaf": 1, "n_trees": '
+    '2, "seed": 3}, "schema_id": "tiny-v1"}')
 _SAVED_ROWS = [[15.0, 0.0, 0.0], [21.0, 3.0, 1.5], [-1.0, np.nan, 2.2],
                 [22.5, 0.55, np.nan], [np.nan, 2.15, 1.2], [0.0, 0.6, 5.0]]
 _SAVED_SCORES = [

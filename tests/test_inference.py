@@ -71,17 +71,6 @@ class TestEnhancedFeatures:
         moff, mlset = _layout_offset(PROBS_H1, "request.method")
         assert ctx[moff + mlset.index("GET")] == 7.0
 
-    def test_exclude_whole_record(self):
-        vecs = [indicator_vector(PROBS_H1, {"request.method": "GET",
-                                            "request.cookie": PRESENT})
-                for _ in range(3)]
-        ctx = build_enhanced_features(PROBS_H1, vecs, 1, "request.method",
-                                      exclude_whole_record=True)
-        moff, mlset = _layout_offset(PROBS_H1, "request.method")
-        coff, clset = _layout_offset(PROBS_H1, "request.cookie")
-        assert ctx[moff + mlset.index("GET")] == 2.0
-        assert ctx[coff + clset.index(PRESENT)] == 2.0
-
     def test_window_restriction(self):
         vecs = [indicator_vector(PROBS_H1, {"request.method": "GET"})
                 for _ in range(20)]
@@ -173,6 +162,29 @@ class TestClassification:
             if res.iterations < 10:
                 assert res.converged
 
+    def test_converged_labels_are_a_fixed_point(self, small_world):
+        """A connection that converged after n passes gets the same labels,
+        pass count and flag with a limit of n and with a limit of n + 3; with
+        a limit of n - 1 it gets the same labels unconverged, since its last
+        pass moved none."""
+        bundle, _, test = small_world
+        conns = [lc.conn for lc in test]
+        done = [(conn, res) for conn, res in
+                zip(conns, classify_corpus(bundle, conns, max_iters=10))
+                if res.converged]
+        assert any(res.iterations >= 2 for _, res in done)
+        for conn, res in done:
+            n = res.iterations
+            for limit, expected in ((n, (n, True)), (n + 3, (n, True)),
+                                    (n - 1, (n - 1, False))):
+                if limit < 1:
+                    continue
+                again = classify_connection(bundle, conn, max_iters=limit)
+                assert (again.iterations, again.converged) == expected
+                assert [(r.index, r.message_type, r.labels)
+                        for r in again.records] == \
+                    [(r.index, r.message_type, r.labels) for r in res.records]
+
     def test_classify_corpus_matches_per_connection(self, small_world):
         bundle, _, test = small_world
         conns = [lc.conn for lc in test[:5]]
@@ -244,6 +256,14 @@ class TestTraining:
         text = json.dumps(bundle_to_dict(bundle), sort_keys=True)
         again = bundle_to_dict(bundle_from_dict(json.loads(text)))
         assert json.dumps(again, sort_keys=True) == text
+
+    def test_format_1_bundle_is_refused(self, small_world):
+        bundle, _, _ = small_world
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        data["format_version"] = 1
+        data["exclude_whole_record"] = False
+        with pytest.raises(InferenceError, match="format version"):
+            bundle_from_dict(data)
 
     def test_flipped_mode_names_the_forest(self, small_world):
         bundle, _, _ = small_world
