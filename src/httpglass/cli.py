@@ -15,12 +15,12 @@ import numpy as np
 from . import __version__
 from . import evalx, forest as rf, keyscan
 from .capture import PcapError, load_pcap
-from .corpus import (SynthSpec, ground_truth_session, load_corpus, save_corpus,
-                     split_dataset, synthesize_corpus)
+from .corpus import (CorpusError, SynthSpec, ground_truth_session,
+                     load_corpus, save_corpus, split_dataset, synthesize_corpus)
 from .features import (SCHEMA_STANDARD, SCHEMA_TOR, feature_names,
                        record_table)
-from .inference import (DEFAULT_PARAMS, classify_corpus, load_bundle,
-                        save_bundle, train_bundle)
+from .inference import (DEFAULT_PARAMS, InferenceError, classify_corpus,
+                        load_bundle, save_bundle, train_bundle)
 from .tlsparse import parse_tls_records
 
 OUTPUT_SCHEMA_VERSION = 1
@@ -310,7 +310,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (PcapError, OSError, ValueError, KeyError) as exc:
+    except (PcapError, rf.ForestError, InferenceError, CorpusError, OSError,
+            ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

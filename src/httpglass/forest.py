@@ -180,82 +180,62 @@ class _Grower:
 
 
 def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
+    p = counts / counts.sum()
     return float(1.0 - (p ** 2).sum())
 
 
-def _numeric_candidates(col, Y, min_leaf):
-    """Best threshold for one numeric column.
+def _best_split(B, y, counts, is_cat, min_leaf):
+    """Best cut of a node over all its candidate columns at once.
 
-    Returns (score, threshold) or None.  Thresholds are midpoints between
-    consecutive distinct values, scanned in ascending order.
+    ``B`` holds the node's rows of its candidate features, ``y`` their class
+    indices.  Runs of equal values in each column are groups: numeric groups
+    in value order, categorical ones by the share of the reference class
+    (class 1 for binary problems, else the node's majority class), then by
+    code.  Every cut between groups leaving ``min_leaf`` rows a side is
+    scored, and the first maximum in (column, cut) order wins.  Returns
+    (score, column, threshold or None, left codes or None), or None when no
+    cut is allowed; a numeric threshold is the midpoint of the values around
+    the cut.
     """
-    order = np.argsort(col)
-    sv = col[order]
-    cum = Y[order].cumsum(axis=0)
-    n = len(sv)
-    boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-    if boundaries.size == 0:
+    n, m = B.shape
+    K = counts.size
+    order = np.argsort(B, axis=0)
+    S = B[order, np.arange(m)].T  # (columns, rows), ascending
+    new = np.ones((m, n), dtype=bool)
+    np.not_equal(S[:, 1:], S[:, :-1], out=new[:, 1:])
+    col = np.nonzero(new)[0]  # column of each group, groups in column order
+    val = S[new]
+    gid = np.cumsum(new) - 1
+    cnt = np.bincount(gid * K + y[order].T.ravel(),
+                      minlength=col.size * K).reshape(-1, K)
+    if is_cat.any():
+        ref = 1 if K == 2 else int(np.argmax(counts))
+        prop = np.where(is_cat[col], cnt[:, ref] / cnt.sum(axis=1), 0.0)
+        perm = np.lexsort((val, prop, col))
+        cnt, val = cnt[perm], val[perm]
+    # every column holds all n rows, so column c's prefix starts at c * counts
+    left = cnt.cumsum(axis=0) - col[:, None] * counts
+    nl = left.sum(axis=1)
+    # a column's last group leaves no rows right, so it is never a cut
+    cut = np.flatnonzero((nl >= min_leaf) & (n - nl >= min_leaf))
+    if cut.size == 0:
         return None
-    nl = boundaries + 1
-    nr = n - nl
-    ok = (nl >= min_leaf) & (nr >= min_leaf)
-    boundaries = boundaries[ok]
-    if boundaries.size == 0:
-        return None
-    nl = nl[ok]
-    nr = nr[ok]
-    total = cum[-1]
-    left = cum[boundaries]
-    right = total[None, :] - left
-    score = (left ** 2).sum(axis=1) / nl + (right ** 2).sum(axis=1) / nr
-    best = int(np.argmax(score))  # first max -> lowest threshold on ties
-    b = boundaries[best]
-    threshold = (sv[b] + sv[b + 1]) / 2.0
-    return float(score[best]), threshold
+    left, nl = left[cut], nl[cut]
+    right = counts - left
+    score = (left ** 2).sum(axis=1) / nl + (right ** 2).sum(axis=1) / (n - nl)
+    best = int(np.argmax(score))
+    g = int(cut[best])
+    c = int(col[g])
+    if is_cat[c]:
+        codes = val[np.searchsorted(col, c):g + 1]
+        return float(score[best]), c, None, sorted(codes.tolist())
+    a, b = val[g], val[g + 1]
+    mid = (a + b) / 2.0
+    # neighbouring doubles can round their midpoint up onto b
+    return float(score[best]), c, mid if mid < b else a, None
 
 
-def _categorical_candidates(col, Y, yv, min_leaf, node_counts):
-    """Best code-subset split for one categorical column.
-
-    Codes are ordered by the proportion of the reference class (class 1 for
-    binary problems, otherwise the node's majority class), ties by ascending
-    code, then prefix splits are scanned like an ordered feature.
-    Returns (score, left_codes) or None.
-    """
-    codes, inv = np.unique(col, return_inverse=True)
-    if codes.size < 2:
-        return None
-    K = Y.shape[1]
-    cnt = np.zeros((codes.size, K), dtype=np.int64)
-    np.add.at(cnt, (inv, yv), 1)
-    ref = 1 if K == 2 else int(np.argmax(node_counts))
-    prop = cnt[:, ref] / cnt.sum(axis=1)
-    order = np.lexsort((codes, prop))
-    ordered_cnt = cnt[order]
-    prefix = ordered_cnt.cumsum(axis=0)
-    total = prefix[-1]
-    n = int(total.sum())
-    cuts = np.arange(codes.size - 1)
-    nl = prefix[cuts].sum(axis=1)
-    nr = n - nl
-    ok = (nl >= min_leaf) & (nr >= min_leaf)
-    cuts = cuts[ok]
-    if cuts.size == 0:
-        return None
-    left = prefix[cuts]
-    right = total[None, :] - left
-    score = (left ** 2).sum(axis=1) / nl[ok] + (right ** 2).sum(axis=1) / nr[ok]
-    best = int(np.argmax(score))  # first max -> smallest prefix on ties
-    j = int(cuts[best])
-    left_codes = sorted(float(codes[k]) for k in order[:j + 1])
-    return float(score[best]), left_codes
-
-
-def _build_tree(X, yv, K, params, categorical, rng, importance, n_total,
+def _build_tree(X, yv, K, params, is_cat, rng, importance, n_total,
                 grow: _Grower) -> None:
     d = X.shape[1]
     mtry = params.resolved_mtry(d)
@@ -277,31 +257,14 @@ def _build_tree(X, yv, K, params, categorical, rng, importance, n_total,
             continue
         base = float((counts.astype(np.float64) ** 2).sum()) / n
         cand = np.sort(rng.choice(d, size=mtry, replace=False))
-        Y = np.zeros((n, K), dtype=np.int64)
-        Y[np.arange(n), yv[idx]] = 1
-        best_score = base
-        best = None
-        for f in cand:
-            col = X[idx, f]
-            if f in categorical:
-                res = _categorical_candidates(col, Y, yv[idx], params.min_leaf,
-                                              counts)
-                if res is not None and res[0] > best_score:
-                    best_score, best = res[0], (int(f), None, res[1])
-            else:
-                res = _numeric_candidates(col, Y, params.min_leaf)
-                if res is not None and res[0] > best_score:
-                    best_score, best = res[0], (int(f), res[1], None)
-        if best is None:
+        best = _best_split(X[idx[:, None], cand], yv[idx], counts,
+                           is_cat[cand], params.min_leaf)
+        if best is None or best[0] <= base:
             continue
-        f, threshold, cats_left = best
+        f, threshold, cats_left = int(cand[best[1]]), best[2], best[3]
         col = X[idx, f]
-        if cats_left is not None:
-            mask = np.isin(col, cats_left)
-        else:
-            mask = col <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
+        mask = np.isin(col, cats_left) if cats_left else col <= threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
         cl = np.bincount(yv[left_idx], minlength=K)
         cr = np.bincount(yv[right_idx], minlength=K)
         decrease = (n / n_total) * _gini(counts) \
@@ -326,6 +289,8 @@ def train(X, y, params: TrainParams | None = None,
         raise ForestError("X and y length mismatch")
     if X.shape[0] < 1:
         raise ForestError("need at least one sample")
+    if not np.isfinite(X).all():
+        raise ForestError("X holds NaN or infinite values")
     classes = sorted(set(y))
     class_index = {c: k for k, c in enumerate(classes)}
     yv = np.asarray([class_index[v] for v in y], dtype=np.int64)
@@ -334,12 +299,13 @@ def train(X, y, params: TrainParams | None = None,
     for i in categorical:
         if not 0 <= i < X.shape[1]:
             raise ForestError(f"categorical index {i} out of range")
+    is_cat = np.isin(np.arange(X.shape[1]), list(categorical))
     importance = np.zeros(X.shape[1], dtype=np.float64)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
     grow = _Grower(K)
     for ss in seeds:
         rng = np.random.default_rng(ss)
-        _build_tree(X, yv, K, params, categorical, rng, importance, X.shape[0],
+        _build_tree(X, yv, K, params, is_cat, rng, importance, X.shape[0],
                     grow)
     return Forest(classes=classes, schema_id=schema_id, n_features=X.shape[1],
                   categorical=categorical, params=params,
@@ -447,25 +413,58 @@ def to_dict(forest: Forest) -> dict:
     }
 
 
+def _check_nodes(nodes: Nodes, leaf_counts: np.ndarray, n_features: int,
+                 n_classes: int) -> None:
+    """Refuse loaded node arrays that ``predict_scores`` could not use: each
+    child must follow its parent inside its tree, so every walk ends at a
+    leaf, and each leaf must hold a count."""
+    n = nodes.feature.size
+    ids, split, roots = np.arange(n), nodes.feature >= 0, nodes.roots
+    if any(a.shape != (n,) for a in (nodes.feature, nodes.threshold,
+                                      nodes.left, nodes.right, nodes.cat)):
+        raise ForestError("node arrays differ in length")
+    if roots.ndim != 1 or roots.size == 0 or roots[0] != 0 \
+            or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+        raise ForestError("roots must be increasing node ids from 0")
+    end = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
+    children = np.stack([nodes.left, nodes.right])[:, split]
+    for failed, message in [
+            (((children <= ids[split]) | (children >= end[split])).any(),
+             "a child id does not follow its parent in its tree"),
+            (leaf_counts.shape != ((~split).sum(), n_classes)
+             or (leaf_counts < 0).any() or (leaf_counts.sum(axis=1) <= 0).any(),
+             "leaf_counts needs one positive row per leaf"),
+            (((nodes.feature < -1) | (nodes.feature >= n_features)).any(),
+             f"split feature out of range for {n_features} features"),
+            (((nodes.cat < -1) | (nodes.cat >= len(nodes.cats_left))).any(),
+             "categorical split index out of range"),
+            (not np.isfinite(nodes.threshold[split & (nodes.cat < 0)]).all(),
+             "numeric split without a finite threshold")]:
+        if failed:
+            raise ForestError(message)
+
+
 def from_dict(data: dict) -> Forest:
     if data.get("format_version") != FORMAT_VERSION:
         raise ForestError("unsupported model format version")
     nd = data["nodes"]
     feature = np.asarray(nd["feature"], dtype=np.int64)
-    counts = np.zeros((len(feature), len(data["classes"])), dtype=np.int64)
-    counts[feature < 0] = np.asarray(nd["leaf_counts"], dtype=np.int64)
+    nodes = Nodes(
+        feature=feature,
+        threshold=np.asarray(nd["threshold"], dtype=np.float64),
+        left=np.asarray(nd["left"], dtype=np.int64),
+        right=np.asarray(nd["right"], dtype=np.int64),
+        roots=np.asarray(nd["roots"], dtype=np.int64),
+        counts=np.zeros((feature.size, len(data["classes"])), dtype=np.int64),
+        cat=np.asarray(nd["cat"], dtype=np.int64),
+        cats_left=[np.asarray(c, dtype=np.float64) for c in nd["cats_left"]])
+    leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
+    _check_nodes(nodes, leaf_counts, data["n_features"], len(data["classes"]))
+    nodes.counts[feature < 0] = leaf_counts
     return Forest(
         classes=data["classes"], schema_id=data["schema_id"],
         n_features=data["n_features"],
         categorical=frozenset(data["categorical"]),
         params=TrainParams(**data["params"]),
         importance_raw=np.asarray(data["importance_raw"], dtype=np.float64),
-        nodes=Nodes(
-            feature=feature,
-            threshold=np.asarray(nd["threshold"], dtype=np.float64),
-            left=np.asarray(nd["left"], dtype=np.int64),
-            right=np.asarray(nd["right"], dtype=np.int64),
-            roots=np.asarray(nd["roots"], dtype=np.int64), counts=counts,
-            cat=np.asarray(nd["cat"], dtype=np.int64),
-            cats_left=[np.asarray(c, dtype=np.float64)
-                       for c in nd["cats_left"]]))
+        nodes=nodes)

@@ -547,20 +547,26 @@ def bundle_from_dict(data: dict) -> ModelBundle:
     if data.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise InferenceError("unsupported bundle format version")
 
-    def opt(d):
-        return rf.from_dict(d) if d is not None else None
+    def load(name, d):
+        """The forest saved as ``d``, if any; a refused one is named."""
+        try:
+            return rf.from_dict(d) if d is not None else None
+        except rf.ForestError as exc:
+            raise InferenceError(f"forest {name} is refused: {exc}") from exc
 
     include_etag = data["include_etag"]
     bundle = ModelBundle(
         mode=data["mode"], include_etag=include_etag,
         problems={p: registry(p, include_etag) for p in PROTOCOLS},
-        models={}, alp_fallback=opt(data["alp_fallback"]),
+        models={}, alp_fallback=load("alp_fallback", data["alp_fallback"]),
         default_protocol=data["default_protocol"])
     for protocol, pd in data["protocols"].items():
         bundle.models[protocol] = ProtocolModels(
-            message_type=opt(pd["message_type"]),
-            single={pid: rf.from_dict(d) for pid, d in pd["single"].items()},
-            enhanced={pid: rf.from_dict(d) for pid, d in pd["enhanced"].items()},
+            message_type=load(f"{protocol}.message_type", pd["message_type"]),
+            single={pid: load(f"{protocol}.single.{pid}", d)
+                    for pid, d in pd["single"].items()},
+            enhanced={pid: load(f"{protocol}.enhanced.{pid}", d)
+                      for pid, d in pd["enhanced"].items()},
         )
     _check_schemas(bundle)
     return bundle

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import copy
 import json
 
 import pytest
@@ -115,6 +116,50 @@ def test_missing_file_is_reported(capsys):
                         "--bundle", "missing.json")
     assert code == 1
     assert "error" in err
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(tmp_path_factory):
+    """A small corpus and the JSON of a bundle trained on it."""
+    d = tmp_path_factory.mktemp("bundle")
+    corpus, bundle = str(d / "c.jsonl"), str(d / "b.json")
+    assert main(["synth", "--connections", "20", "--seed", "5",
+                 "--out", corpus]) == 0
+    assert main(["train", corpus, "--trees", "2", "--out", bundle]) == 0
+    return corpus, json.load(open(bundle))
+
+
+def _format_1(data):
+    data["format_version"] = 1
+
+
+def _cyclic_child(data):
+    forests = data["protocols"]["http1"]["single"].values()
+    nodes = next(f["nodes"] for f in forests if f["nodes"]["feature"][0] >= 0)
+    nodes["left"][0] = 0  # the root's left child is the root itself
+
+
+@pytest.mark.parametrize("corrupt", [_format_1, _cyclic_child])
+def test_bad_bundle_is_one_error_line(saved_bundle, corrupt, tmp_path,
+                                      capsys):
+    corpus, data = saved_bundle
+    data = copy.deepcopy(data)
+    corrupt(data)
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "infer", "--corpus", corpus, "--bundle",
+                        str(bundle), "--out", str(tmp_path / "p.jsonl"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_corpus_of_another_schema_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"manifest": {"schema_version": 0}}) + "\n")
+    code, _, err = _run(capsys, "train", str(corpus), "--out",
+                        str(tmp_path / "b.json"))
+    assert code == 1
+    assert err == "error: unsupported corpus schema version\n"
 
 
 def test_keyscan_command(tmp_path, capsys):

@@ -123,6 +123,113 @@ def test_stump_categorical_binary_matches_exhaustive_subsets():
         assert achieved == pytest.approx(best, abs=1e-9)
 
 
+def _numeric_candidates(col, Y, min_leaf):
+    """Best threshold for one numeric column, scanned in ascending order.
+
+    Returns (score, threshold) or None; the threshold is the midpoint of two
+    neighbouring values, or the lower one when the midpoint rounds onto the
+    upper."""
+    order = np.argsort(col)
+    sv = col[order]
+    cum = Y[order].cumsum(axis=0)
+    boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
+    nl = boundaries + 1
+    nr = len(sv) - nl
+    ok = (nl >= min_leaf) & (nr >= min_leaf)
+    boundaries, nl, nr = boundaries[ok], nl[ok], nr[ok]
+    if boundaries.size == 0:
+        return None
+    left = cum[boundaries]
+    right = cum[-1][None, :] - left
+    score = (left ** 2).sum(axis=1) / nl + (right ** 2).sum(axis=1) / nr
+    best = int(np.argmax(score))  # first max -> lowest threshold on ties
+    a, b = sv[boundaries[best]], sv[boundaries[best] + 1]
+    return float(score[best]), (a + b) / 2.0 if (a + b) / 2.0 < b else a
+
+
+def _categorical_candidates(col, Y, yv, min_leaf, node_counts):
+    """Best code-subset split for one categorical column.
+
+    Codes are ordered by the proportion of the reference class (class 1 for
+    binary problems, otherwise the node's majority class), ties by ascending
+    code, then prefix splits are scanned like an ordered feature.
+    Returns (score, left_codes) or None.
+    """
+    codes, inv = np.unique(col, return_inverse=True)
+    K = Y.shape[1]
+    cnt = np.zeros((codes.size, K), dtype=np.int64)
+    np.add.at(cnt, (inv, yv), 1)
+    ref = 1 if K == 2 else int(np.argmax(node_counts))
+    order = np.lexsort((codes, cnt[:, ref] / cnt.sum(axis=1)))
+    prefix = cnt[order].cumsum(axis=0)
+    cuts = np.arange(codes.size - 1)
+    nl = prefix[cuts].sum(axis=1)
+    nr = int(prefix[-1].sum()) - nl
+    ok = (nl >= min_leaf) & (nr >= min_leaf)
+    cuts = cuts[ok]
+    if cuts.size == 0:
+        return None
+    left = prefix[cuts]
+    right = prefix[-1][None, :] - left
+    score = (left ** 2).sum(axis=1) / nl[ok] + (right ** 2).sum(axis=1) / nr[ok]
+    best = int(np.argmax(score))  # first max -> smallest prefix on ties
+    left_codes = sorted(float(codes[k]) for k in order[:cuts[best] + 1])
+    return float(score[best]), left_codes
+
+
+def scalar_best_split(B, y, counts, is_cat, min_leaf):
+    """``rf._best_split`` one column at a time: the first column whose best
+    cut beats every earlier column's wins."""
+    Y = np.zeros((len(y), counts.size), dtype=np.int64)
+    Y[np.arange(len(y)), y] = 1
+    best = None
+    for j in range(B.shape[1]):
+        if is_cat[j]:
+            res = _categorical_candidates(B[:, j], Y, y, min_leaf, counts)
+            found = res and (res[0], j, None, res[1])
+        else:
+            res = _numeric_candidates(B[:, j], Y, min_leaf)
+            found = res and (res[0], j, res[1], None)
+        if found and (best is None or found[0] > best[0]):
+            best = found
+    return best
+
+
+def _oracle_dataset(rng, k, n_codes):
+    """Integer-valued numeric columns (many ties), one real-valued column
+    and two categorical columns with ``n_codes`` arbitrary float codes."""
+    n = int(rng.integers(10, 80))
+    X = np.column_stack([
+        rng.integers(0, 4, n), rng.integers(-2, 3, n),
+        np.round(rng.normal(size=n), 1),
+        rng.choice(np.linspace(-3.5, 20.0, n_codes), n),
+        rng.choice(np.arange(n_codes) * 7.5, n)]).astype(float)
+    y = [f"c{int(v) % k}"
+         for v in (X[:, 0] + X[:, 4] > 4) + rng.integers(0, k, n)]
+    return X, y
+
+
+def test_batched_search_matches_scalar_oracle(monkeypatch):
+    """Whole forests trained with the batched split search and with the
+    scalar one are equal in their saved form: splits, thresholds, codes,
+    node ids, counts and importances."""
+    rng = np.random.default_rng(21)
+    cases = itertools.product((2, 3, 5), (1, 2, 3), (True, False), (None, 1))
+    trained = []
+    for k, min_leaf, bootstrap, max_depth in cases:
+        X, y = _oracle_dataset(rng, k, n_codes=2 if k == 2 else 5)
+        params = rf.TrainParams(n_trees=3, max_depth=max_depth,
+                                min_leaf=min_leaf, features_per_split=3,
+                                bootstrap=bootstrap, seed=int(rng.integers(99)))
+        trained.append((X, y, params))
+    batched = [json.dumps(rf.to_dict(rf.train(X, y, p, categorical={3, 4})))
+               for X, y, p in trained]
+    monkeypatch.setattr(rf, "_best_split", scalar_best_split)
+    for (X, y, p), saved in zip(trained, batched):
+        assert json.dumps(rf.to_dict(rf.train(X, y, p,
+                                              categorical={3, 4}))) == saved
+
+
 def test_predict_matches_manual_tree_walk():
     rng = np.random.default_rng(3)
     X, y = random_dataset(rng)
@@ -144,6 +251,46 @@ def test_predict_matches_manual_tree_walk():
     for i in range(len(X)):
         manual = np.mean([walk(r, X[i]) for r in nodes.roots], axis=0)
         np.testing.assert_allclose(scores[i], manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_training_input_is_refused(bad):
+    """A NaN or infinite midpoint would send every row to one side, and
+    training would grow empty leaves (or, without a depth limit, never
+    end)."""
+    X = np.array([[0.0], [1.0], [bad], [bad]])
+    with pytest.raises(rf.ForestError, match="NaN or infinite"):
+        rf.train(X, ["a", "b", "a", "b"],
+                 rf.TrainParams(n_trees=2, max_depth=3, seed=0))
+
+
+def test_midpoint_rounding_onto_upper_value():
+    """Between neighbouring doubles the midpoint rounds onto the upper one;
+    the lower value is the threshold then, so both sides keep their row."""
+    a, b = 1.0000000000000002, 1.0000000000000004
+    assert (a + b) / 2 == b
+    X = np.array([[a], [b], [a], [b]])
+    y = ["lo", "hi", "lo", "hi"]
+    forest = rf.train(X, y, rf.TrainParams(n_trees=1, max_depth=3,
+                                           bootstrap=False))
+    nodes = forest.nodes
+    assert nodes.threshold[0] == a
+    assert nodes.counts[nodes.feature < 0].sum(axis=1).tolist() == [2, 2]
+    assert rf.predict_labels(forest, X) == y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_every_leaf_holds_training_rows(seed):
+    """Columns of a few neighbouring doubles, where midpoints round, next to
+    ordinary ones: no split may leave a child empty."""
+    rng = np.random.default_rng(seed)
+    X, y = random_dataset(rng, n_max=60, d_max=4)
+    X[:, 0] = 1.0 + rng.integers(0, 4, len(X)) * np.spacing(1.0)
+    forest = rf.train(X, y, rf.TrainParams(
+        n_trees=3, max_depth=8, min_leaf=int(rng.integers(1, 3)), seed=seed))
+    leaves = forest.nodes.counts[forest.nodes.feature < 0]
+    assert (leaves.sum(axis=1) > 0).all()
 
 
 def test_training_fit_on_separable_data():
@@ -259,6 +406,30 @@ def test_saved_forest_layout_round_trips_byte_for_byte():
     forest = rf.from_dict(json.loads(_SAVED_FOREST))
     assert json.dumps(rf.to_dict(forest), sort_keys=True) == _SAVED_FOREST
     assert rf.predict_scores(forest, _SAVED_ROWS).tolist() == _SAVED_SCORES
+
+
+@pytest.mark.parametrize("field, index, value, problem", [
+    ("left", 0, 0, "child id"),  # a cycle: the walk would never end
+    ("left", 0, 10**6, "child id"),
+    ("right", 0, 7, "child id"),  # into the second tree
+    ("roots", 1, 0, "roots"),
+    ("feature", 1, 3, "feature"),
+    ("cat", 0, 1, "categorical"),
+    ("threshold", 1, None, "threshold"),
+    ("leaf_counts", 1, [0, 0, 0], "leaf_counts"),
+])
+def test_corrupt_saved_forest_is_refused(field, index, value, problem):
+    data = json.loads(_SAVED_FOREST)
+    data["nodes"][field][index] = value
+    with pytest.raises(rf.ForestError, match=problem):
+        rf.from_dict(data)
+
+
+def test_saved_forest_with_a_leaf_count_missing_is_refused():
+    data = json.loads(_SAVED_FOREST)
+    del data["nodes"]["leaf_counts"][-1]
+    with pytest.raises(rf.ForestError, match="leaf_counts"):
+        rf.from_dict(data)
 
 
 def test_stacked_call_equals_each_forest():
