@@ -7,3 +7,7 @@ scanning.
 """
 
 __version__ = "0.1.0"
+
+
+class HttpglassError(Exception):
+    """Base of every error httpglass raises for bad input or bad models."""

@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import BinaryIO, Iterable
 
+from . import HttpglassError
+
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 
 
-class PcapError(Exception):
+class PcapError(HttpglassError):
     """Fatal problem with a capture file (bad magic, malformed global header)."""
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import HttpglassError
 from .capture import Direction, PacketMeta, RawConnection, Segment
 from .tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
                        build_client_hello, build_server_hello, record_header,
                        EXT_ALPN, GREASE_COLLAPSED)
-from .registry import (ABSENT, OTHER, PRESENT, Kind, ProblemSpec, Side,
-                       registry)
+from .registry import (ABSENT, OTHER, PRESENT, PROTOCOLS, Kind, ProblemSpec,
+                       Side, registry)
 
 DAY = 86400.0
 WEEK = 7 * DAY
@@ -29,7 +30,7 @@ TYPE_NAMES = {20: "change_cipher_spec", 21: "alert", 22: "handshake",
 TYPE_CODES = {v: k for k, v in TYPE_NAMES.items()}
 
 
-class CorpusError(Exception):
+class CorpusError(HttpglassError):
     pass
 
 
@@ -378,7 +379,6 @@ class SynthSpec:
     label_priors: dict = field(default_factory=dict)  # problem id -> {label: p}
     correlation: dict = field(default_factory=dict)   # problem id -> rho
     noise_scale: dict = field(default_factory=dict)   # problem id -> multiplier
-    pipelining_probability: float = 0.0
     # filler application_data records inserted between transactions; they
     # break positional alignment between record index and transaction role
     filler_range: tuple[int, int] = (0, 0)
@@ -393,7 +393,7 @@ class SynthSpec:
         total = sum(self.protocol_mix.values())
         if not self.protocol_mix or abs(total - 1.0) > 1e-9:
             raise CorpusError("protocol_mix must sum to 1")
-        unknown = set(self.protocol_mix) - {"http1", "http2"}
+        unknown = set(self.protocol_mix) - set(PROTOCOLS)
         if unknown:
             raise CorpusError(f"unknown protocols in mix: {sorted(unknown)}")
         for pid, prior in self.label_priors.items():
@@ -417,18 +417,6 @@ def _prior_for(spec: SynthSpec, problem: ProblemSpec) -> dict[str, float]:
     if prior is not None:
         return prior
     return {label: 1.0 / len(problem.labels) for label in problem.labels}
-
-
-def _channel_value(problem: ProblemSpec, label: str, channel: str):
-    idx = problem.labels.index(label) if label in problem.labels \
-        else len(problem.labels)
-    if channel == "pkt":
-        if problem.kind == Kind.BINARY:
-            return _PKT_PRESENT if label == PRESENT else _PKT_ABSENT
-        return 2 + idx
-    if channel == "push":
-        return label == PRESENT
-    raise CorpusError(f"unexpected channel {channel}")
 
 
 def _length_value(rng, problem: ProblemSpec, label: str, base: int, step: int,
@@ -572,29 +560,21 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
 
     def emit_role(role: str, labels: dict[str, str]):
         base, step = _ROLE_BANDS[role]
-        length_pid = pkt_pid = push_pid = None
-        for pid, (r, channel) in CHANNEL_MAP.items():
-            if r != role or pid not in by_problem:
-                continue
-            if channel == "length":
-                length_pid = pid
-            elif channel == "pkt":
-                pkt_pid = pid
-            else:
-                push_pid = pid
-        if length_pid is not None:
-            length = _length_value(rng, by_problem[length_pid],
-                                   labels[length_pid], base, step,
-                                   spec.noise_scale.get(length_pid, 1.0))
+        # a role carries at most one problem per channel
+        pids = {channel: pid for pid, (r, channel) in CHANNEL_MAP.items()
+                if r == role and pid in by_problem}
+        if "length" in pids:
+            pid = pids["length"]
+            length = _length_value(rng, by_problem[pid], labels[pid], base,
+                                   step, spec.noise_scale.get(pid, 1.0))
         else:
             length = int(base + rng.integers(step, 4 * step))
+        # every pkt and push channel carries a binary problem
         pkt = None
-        if pkt_pid is not None:
-            pkt = _channel_value(by_problem[pkt_pid], labels[pkt_pid], "pkt")
-        push_all = False
-        if push_pid is not None:
-            push_all = bool(_channel_value(by_problem[push_pid],
-                                           labels[push_pid], "push"))
+        if "pkt" in pids:
+            pkt = (_PKT_PRESENT if labels[pids["pkt"]] == PRESENT
+                   else _PKT_ABSENT)
+        push_all = "push" in pids and labels[pids["push"]] == PRESENT
         return builder.add_record(23, _ROLE_SIDE[role], length,
                                   pkt_count=pkt, push_all=push_all)
 
@@ -609,24 +589,15 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
             direction = Direction(int(rng.integers(0, 2)))
             builder.add_record(23, direction, int(rng.integers(24, 160)))
 
-    pending: list[tuple[dict, list]] = []
     tx_plans = [tx_labels() for _ in range(n_tx)]
-    i = 0
-    while i < len(tx_plans):
-        pipeline = (i + 1 < len(tx_plans)
-                    and rng.random() < spec.pipelining_probability)
-        group = tx_plans[i:i + 2] if pipeline else tx_plans[i:i + 1]
-        i += len(group)
+    for i, labels in enumerate(tx_plans):
+        if i + 1 < n_tx:
+            # the draw of a pipelining option that nothing ever set; kept
+            # so that every seed still yields the same corpus
+            rng.random()
         emit_fillers()
-        reqs = []
-        for labels in group:
-            recs = [emit_role(r, labels) for r in roles_client]
-            reqs.append((labels, recs))
-        for labels, recs in reqs:
-            srecs = [emit_role(r, labels) for r in roles_server]
-            pending.append((labels, recs, srecs))
-
-    for labels, crecs, srecs in pending:
+        crecs = [emit_role(r, labels) for r in roles_client]
+        srecs = [emit_role(r, labels) for r in roles_server]
         req_lab = {pid: v for pid, v in labels.items()
                    if by_problem[pid].side == Side.CLIENT}
         resp_lab = {pid: v for pid, v in labels.items()
@@ -646,7 +617,7 @@ def synthesize_corpus(spec: SynthSpec) -> list[LabeledConnection]:
     """Generate a deterministic labeled corpus; the planted labels are exact."""
     spec.validate()
     problems_by_protocol = {p: registry(p, spec.include_etag)
-                            for p in ("http1", "http2")}
+                            for p in PROTOCOLS}
     out = []
     for i in range(spec.n_connections):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
@@ -773,8 +744,40 @@ def _conn_from_dict(d: dict) -> LabeledConnection:
     conn = Connection(raw=raw, records=records, handshake=hs)
     labels = [LabeledRecord(l["index"], l["message_type"], l["labels"])
               for l in d["labels"]]
-    return LabeledConnection(conn=conn, protocol=d["protocol"],
-                             records=labels, connection_id=d["id"])
+    lc = LabeledConnection(conn=conn, protocol=d["protocol"], records=labels,
+                           connection_id=d["id"])
+    _check_conn(lc, d)
+    return lc
+
+
+_I, _N = {int}, {int, float}
+_ROW_TYPES = {"packets": (_N, _I, _I, _I, _I), "records": (_I,) * 6 + (_N, _N)}
+
+
+def _check_conn(lc: LabeledConnection, d: dict) -> None:
+    """Refuse a loaded connection that training or classification could not
+    use, which would otherwise fail far from the cause."""
+    n = len(lc.conn.records)
+    for failed, message in [
+            (lc.protocol not in PROTOCOLS,
+             f"unknown protocol {lc.protocol!r}"),
+            ([r.index for r in lc.conn.records] != list(range(n))
+             or [lr.index for lr in lc.records] != list(range(n)),
+             "labels must be one per record, in record order"),
+            (any(not set(map(type, column)) <= t
+                 for name, types in _ROW_TYPES.items()
+                 for column, t in zip(zip(*d[name]), types))
+             or not {type(d["start_time"]), type(d["duration"])} <= _N
+             or type(lc.connection_id) is not str
+             or type(lc.conn.handshake.alpn_selected) not in (str, type(None))
+             or any(type(lr.index) is not int
+                    or type(lr.message_type) is not bool
+                    or type(lr.labels) is not dict
+                    or any(type(v) is not str for kv in lr.labels.items()
+                           for v in kv) for lr in lc.records),
+             "a field has the wrong type")]:
+        if failed:
+            raise CorpusError(message)
 
 
 def save_corpus(path: str, corpus: list[LabeledConnection],
@@ -795,7 +798,11 @@ def load_corpus(path: str) -> list[LabeledConnection]:
         header = json.loads(fh.readline())
         if header.get("manifest", {}).get("schema_version") != CORPUS_SCHEMA_VERSION:
             raise CorpusError("unsupported corpus schema version")
-        for line in fh:
+        for n, line in enumerate(fh, start=2):
             if line.strip():
-                out.append(_conn_from_dict(json.loads(line)))
+                try:
+                    out.append(_conn_from_dict(json.loads(line)))
+                except (CorpusError, KeyError, TypeError, ValueError) as exc:
+                    raise CorpusError(
+                        f"line {n}: {type(exc).__name__}: {exc}") from exc
     return out

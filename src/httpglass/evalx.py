@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import forest as rf
+from . import HttpglassError, forest as rf
 from .corpus import LabeledConnection
 from .features import (build_feature_vocab, enrich_malware_features,
                        extract_malware_standard, feature_names,
@@ -26,7 +26,7 @@ from .registry import OTHER, registry
 PAPER_REFERENCE_MALWARE_F1 = {"standard": 0.951, "enriched": 0.979}
 
 
-class EvalError(Exception):
+class EvalError(HttpglassError):
     pass
 
 
@@ -234,14 +234,12 @@ def run_malware_experiment(benign: list[LabeledConnection],
                            malicious: list[LabeledConnection],
                            bundle: ModelBundle,
                            params: rf.TrainParams | None = None,
-                           seed: int = 0, split_fraction: float = 0.5,
-                           enrich_protocol: str = "http1",
-                           max_iters: int = 10) -> dict:
+                           seed: int = 0) -> dict:
     """Compare standard vs semantics-enriched malware classifiers.
 
-    The bundle must come from a separate semantics corpus.  The enrichment
-    block always uses one protocol's registry so the enriched width is
-    constant across the corpus.
+    The bundle must come from a separate semantics corpus.  Each corpus is
+    split in half at random.  The enrichment block always uses the HTTP/1.1
+    registry so the enriched width is constant across the corpus.
     """
     params = params or rf.TrainParams(n_trees=30, max_depth=12, min_leaf=2,
                                       seed=seed)
@@ -252,7 +250,7 @@ def run_malware_experiment(benign: list[LabeledConnection],
 
     def split(group):
         order = rng.permutation(len(group))
-        cut = int(round(len(group) * split_fraction))
+        cut = round(len(group) / 2)
         return [group[i] for i in order[:cut]], [group[i] for i in order[cut:]]
 
     btr, bte = split(benign)
@@ -260,11 +258,11 @@ def run_malware_experiment(benign: list[LabeledConnection],
     train_set = [(lc, "benign") for lc in btr] + [(lc, "malicious") for lc in mtr]
     test_set = [(lc, "benign") for lc in bte] + [(lc, "malicious") for lc in mte]
     vocab = build_feature_vocab([lc.conn for lc, _ in train_set])
-    problems = registry(enrich_protocol, bundle.include_etag)
+    problems = registry("http1", bundle.include_etag)
 
     def featurize(group):
         conns = [lc.conn for lc, _ in group]
-        results = classify_corpus(bundle, conns, max_iters=max_iters)
+        results = classify_corpus(bundle, conns)
         std = np.stack([extract_malware_standard(c, vocab) for c in conns])
         enr = np.stack([
             enrich_malware_features(row, aggregate_predictions(problems, res))
@@ -280,7 +278,7 @@ def run_malware_experiment(benign: list[LabeledConnection],
     cat = malware_categorical_indices()
     report = {"paper_reference_f1": PAPER_REFERENCE_MALWARE_F1,
               "n_train": len(train_set), "n_test": len(test_set),
-              "enrich_protocol": enrich_protocol}
+              "enrich_protocol": "http1"}
     feature_sets = {
         "standard": (Xs_tr, Xs_te, feature_names(SCHEMA_MALWARE_STANDARD, vocab)),
         "enriched": (Xe_tr, Xe_te,

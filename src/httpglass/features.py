@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import HttpglassError
 from .capture import Direction
 from .tlsparse import Connection, GREASE_COLLAPSED, GREASE_CODES
 
@@ -44,7 +45,7 @@ SCHEMA_ALP_FALLBACK = "alp-fallback-v1"
 ALP_FALLBACK_LEN = 20
 
 
-class FeatureError(Exception):
+class FeatureError(HttpglassError):
     pass
 
 

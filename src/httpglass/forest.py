@@ -17,10 +17,12 @@ from math import ceil, sqrt
 
 import numpy as np
 
+from . import HttpglassError
+
 FORMAT_VERSION = 2
 
 
-class ForestError(Exception):
+class ForestError(HttpglassError):
     pass
 
 
@@ -445,26 +447,33 @@ def _check_nodes(nodes: Nodes, leaf_counts: np.ndarray, n_features: int,
 
 
 def from_dict(data: dict) -> Forest:
+    """The forest ``to_dict`` saved as ``data``; a missing, unknown or
+    wrongly typed field raises ForestError."""
     if data.get("format_version") != FORMAT_VERSION:
         raise ForestError("unsupported model format version")
-    nd = data["nodes"]
-    feature = np.asarray(nd["feature"], dtype=np.int64)
-    nodes = Nodes(
-        feature=feature,
-        threshold=np.asarray(nd["threshold"], dtype=np.float64),
-        left=np.asarray(nd["left"], dtype=np.int64),
-        right=np.asarray(nd["right"], dtype=np.int64),
-        roots=np.asarray(nd["roots"], dtype=np.int64),
-        counts=np.zeros((feature.size, len(data["classes"])), dtype=np.int64),
-        cat=np.asarray(nd["cat"], dtype=np.int64),
-        cats_left=[np.asarray(c, dtype=np.float64) for c in nd["cats_left"]])
-    leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
-    _check_nodes(nodes, leaf_counts, data["n_features"], len(data["classes"]))
-    nodes.counts[feature < 0] = leaf_counts
-    return Forest(
-        classes=data["classes"], schema_id=data["schema_id"],
-        n_features=data["n_features"],
-        categorical=frozenset(data["categorical"]),
-        params=TrainParams(**data["params"]),
-        importance_raw=np.asarray(data["importance_raw"], dtype=np.float64),
-        nodes=nodes)
+    try:
+        nd, classes = data["nodes"], data["classes"]
+        feature = np.asarray(nd["feature"], dtype=np.int64)
+        nodes = Nodes(
+            feature=feature,
+            threshold=np.asarray(nd["threshold"], dtype=np.float64),
+            left=np.asarray(nd["left"], dtype=np.int64),
+            right=np.asarray(nd["right"], dtype=np.int64),
+            roots=np.asarray(nd["roots"], dtype=np.int64),
+            counts=np.zeros((feature.size, len(classes)), dtype=np.int64),
+            cat=np.asarray(nd["cat"], dtype=np.int64),
+            cats_left=[np.asarray(c, dtype=np.float64)
+                       for c in nd["cats_left"]])
+        leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
+        _check_nodes(nodes, leaf_counts, data["n_features"], len(classes))
+        nodes.counts[feature < 0] = leaf_counts
+        return Forest(
+            classes=classes, schema_id=data["schema_id"],
+            n_features=data["n_features"],
+            categorical=frozenset(data["categorical"]),
+            params=TrainParams(**data["params"]),
+            importance_raw=np.asarray(data["importance_raw"],
+                                      dtype=np.float64),
+            nodes=nodes)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ForestError(f"malformed field ({exc!r})") from exc

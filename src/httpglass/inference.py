@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import forest as rf
+from . import HttpglassError, forest as rf
 from .capture import Direction
 from .corpus import LabeledConnection
 from .features import (ALP_FALLBACK_LEN, SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD,
@@ -21,20 +21,20 @@ from .features import (ALP_FALLBACK_LEN, SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD,
                        record_categorical_indices, record_table)
 # the row view stays importable here: bench/spans.py traces it by this name
 from .features import assemble_record_sample  # noqa: F401
-from .registry import ProblemSpec, Side, enhanced_length, registry
+from .registry import (PROTOCOLS, ProblemSpec, Side, enhanced_length,
+                       registry)
 from .tlsparse import Connection
 
 BUNDLE_FORMAT_VERSION = 2
 MAX_ITERS_DEFAULT = 10
 TOR_WINDOW = 5
 
-PROTOCOLS = ("http1", "http2")
 _ALPN_MAP = {"h2": "http2", "http/1.1": "http1", "http/1.0": "http1"}
 
 DEFAULT_PARAMS = rf.TrainParams(n_trees=20, max_depth=14, min_leaf=2)
 
 
-class InferenceError(Exception):
+class InferenceError(HttpglassError):
     pass
 
 
@@ -52,9 +52,6 @@ class ConnectionResult:
     converged: bool
     records: list[RecordPrediction]
     connection_id: str = ""
-
-    def header_indices(self) -> list[int]:
-        return [r.index for r in self.records if r.message_type]
 
 
 @dataclass
@@ -121,18 +118,17 @@ def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
 
 
 def _context(vecs: np.ndarray, target_pos: int,
-             target_spans: list[tuple[int, int] | None],
+             target_spans: list[tuple[int, int]],
              window: tuple[int, int] | None) -> np.ndarray:
     """Context blocks of one header, one row per target problem's indicator
-    span ([start, end), or None for a problem outside the layout)."""
+    span [start, end)."""
     lo, hi = window if window is not None else (0, len(vecs) - 1)
     total = vecs[max(lo, 0):max(hi + 1, 0)].sum(0)
     out = np.repeat(total[None], len(target_spans), axis=0)
     if lo <= target_pos <= hi:
         target = vecs[target_pos]
-        for row, span in zip(out, target_spans):
-            if span is not None:
-                row[span[0]:span[1]] -= target[span[0]:span[1]]
+        for row, (start, end) in zip(out, target_spans):
+            row[start:end] -= target[start:end]
     return out
 
 
@@ -151,14 +147,13 @@ def build_enhanced_features(problems: list[ProblemSpec],
     layout = _Layout(problems)
     vecs = np.asarray(header_vectors, dtype=np.float64).reshape(
         -1, layout.width)
-    return _context(vecs, target_pos, [layout.span.get(target_problem)],
+    return _context(vecs, target_pos, [layout.span[target_problem]],
                     window)[0]
 
 
-def tor_enhanced_window(n_headers: int, pos: int,
-                        radius: int = TOR_WINDOW) -> tuple[int, int]:
+def tor_enhanced_window(n_headers: int, pos: int) -> tuple[int, int]:
     """Header-position bounds [lo, hi] of the Tor-mode context window."""
-    return max(0, pos - radius), min(n_headers - 1, pos + radius)
+    return max(0, pos - TOR_WINDOW), min(n_headers - 1, pos + TOR_WINDOW)
 
 
 # --- classification ---
@@ -184,17 +179,18 @@ class _Headers:
     """One connection's header records: rows of its record table and the
     labels the per-problem models train on or predict."""
 
+    index: list[int]              # record index of each header record
     base: np.ndarray              # base features, one row per header record
     directions: np.ndarray        # Direction code of each header record
     labels: list[dict[str, str]]  # ground truth (training) or predictions
     vecs: np.ndarray | None = None  # context indicator vector per header
 
     @classmethod
-    def of(cls, conn: Connection, table: np.ndarray, header_idx: list[int],
+    def of(cls, conn: Connection, table: np.ndarray, index: list[int],
            labels: list[dict[str, str]]) -> "_Headers":
-        directions = np.array([conn.records[i].direction for i in header_idx],
+        directions = np.array([conn.records[i].direction for i in index],
                               dtype=np.int64)
-        return cls(table[header_idx], directions, labels)
+        return cls(index, table[index], directions, labels)
 
     def enhanced_rows(self, pos: int, spans: list[tuple[int, int]],
                       tor: bool) -> np.ndarray:
@@ -222,11 +218,7 @@ def _gather(headers: list[_Headers], p: ProblemSpec, labelled: bool = False,
 @dataclass
 class _ConnState:
     conn: Connection
-    connection_id: str
     protocol: str
-    table: np.ndarray | None      # record table, until the headers are known
-    msg_flags: list[bool] = field(default_factory=list)
-    header_idx: list[int] = field(default_factory=list)  # header record indices
     h: _Headers | None = None
     iterations: int = 1
     converged: bool = False
@@ -241,150 +233,127 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     ) -> list[ConnectionResult]:
     """Run the full iterative pipeline over a corpus.
 
-    Connections are processed in lockstep so every model is invoked in large
-    batches; iteration state is tracked per connection.  During enhanced
-    iterations a prediction only changes when the model prefers the new
-    label by more than ``SWITCH_MARGIN``; this hysteresis suppresses
-    oscillation between near-tied labels without affecting fixed points.
+    Each protocol's connections are classified on their own, since no model,
+    label or context vector crosses protocols (see ``_classify_protocol``).
     """
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
-    ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
-    mode = "tor" if bundle.mode == "tor" else "standard"
-    states = [_ConnState(conn=conn, connection_id=cid,
-                         protocol=classify_alp(bundle, conn),
-                         table=record_table(conn, mode))
-              for conn, cid in zip(conns, ids)]
-
-    # message types, batched per protocol
+    states = [_ConnState(conn, classify_alp(bundle, conn)) for conn in conns]
     for protocol in PROTOCOLS:
         members = [s for s in states if s.protocol == protocol]
-        model = bundle.models.get(protocol, ProtocolModels()).message_type
-        for s in members:
-            s.msg_flags = [False] * len(s.conn.records)
-        app = [[rec.index for rec in s.conn.records if rec.type_code == 23]
-               for s in members]
-        if model is None or not any(app):
-            continue
-        flags = iter(rf.predict_labels(model, np.concatenate(
-            [s.table[idx] for s, idx in zip(members, app)])))
-        for s, idx in zip(members, app):
-            for i in idx:
-                s.msg_flags[i] = bool(int(next(flags)))
-
-    for s in states:
-        s.header_idx = [i for i, f in enumerate(s.msg_flags) if f]
-        s.h = _Headers.of(s.conn, s.table, s.header_idx,
-                          [{} for _ in s.header_idx])
-        s.table = None
-
-    # first semantics pass, batched per (protocol, problem)
-    for protocol in PROTOCOLS:
-        members = [s.h for s in states if s.protocol == protocol]
-        models = bundle.models.get(protocol, ProtocolModels())
-        for p in bundle.problems[protocol]:
-            model = models.single.get(p.id)
-            if model is None:
-                continue
-            X, owners = _gather(members, p)
-            if owners:
-                for (j, pos), label in zip(owners, rf.predict_labels(model, X)):
-                    members[j].labels[pos][p.id] = label
-
-    # iterative enhanced passes; records update sequentially within a pass so
-    # each classification sees the freshest predictions (this converges far
-    # faster than simultaneous updates)
-    active = [s for s in states
-              if s.header_idx and bundle.models.get(s.protocol)
-              and bundle.models[s.protocol].enhanced]
-    layouts = {protocol: _Layout(bundle.problems[protocol])
-               for protocol in PROTOCOLS}
-    for s in active:
-        s.h.vecs = np.array([layouts[s.protocol].vector(lab)
-                             for lab in s.h.labels])
-    # each protocol's enhanced models, stacked to be walked together: one
-    # predict call per (position, protocol), with a model index per row
-    enhanced = {}
-    for protocol in PROTOCOLS:
-        models = bundle.models.get(protocol, ProtocolModels()).enhanced
-        problems = [p for p in bundle.problems[protocol] if p.id in models]
-        if problems:
-            # model indices by the direction code of the records they label
-            by_sender = {code: [k for k, p in enumerate(problems)
-                                if _SENDER[p.side] == code]
-                         for code in _SENDER.values()}
-            enhanced[protocol] = (problems, by_sender, rf.Stack(
-                [models[p.id] for p in problems]))
-    while active and max(s.iterations for s in active) < max_iters:
-        for s in active:
-            s.converged = True  # until one of its labels moves in this pass
-        max_headers = max(len(s.header_idx) for s in active)
-        for pos in range(max_headers):
-            for protocol, (problems, by_sender, stack) in enhanced.items():
-                layout = layouts[protocol]
-                jobs, blocks = [], []
-                for s in active:
-                    if s.protocol != protocol or pos >= len(s.header_idx):
-                        continue
-                    ks = by_sender[int(s.h.directions[pos])]
-                    if ks:
-                        jobs += [(s, k) for k in ks]
-                        blocks.append(s.h.enhanced_rows(
-                            pos, [layout.span[problems[k].id] for k in ks],
-                            mode == "tor"))
-                if not jobs:
-                    continue
-                scores = rf.predict_scores(stack, np.concatenate(blocks),
-                                           [k for _, k in jobs])
-                # a row's padding past its model's classes is zero and the
-                # row sums to 1, so the padding never holds the first maximum
-                bests = scores.argmax(axis=1).tolist()
-                # every row is built already, and a connection's rows all sit
-                # in this call, so labels and vectors can move right away
-                for (s, k), row, best in zip(jobs, scores, bests):
-                    p, model = problems[k], stack.forests[k]
-                    label = model.classes[best]
-                    current = s.h.labels[pos].get(p.id)
-                    if current == label:
-                        continue
-                    if current is not None:
-                        cur_score = row[model.classes.index(current)] \
-                            if current in model.classes else 0.0
-                        if row[best] - cur_score <= SWITCH_MARGIN:
-                            continue
-                    s.h.labels[pos][p.id] = label
-                    s.h.vecs[pos] = layout.vector(s.h.labels[pos])
-                    s.converged = False
-        for s in active:
-            s.iterations += 1
-        active = [s for s in active
-                  if not s.converged and s.iterations < max_iters]
+        if members:
+            _classify_protocol(bundle.models.get(protocol, ProtocolModels()),
+                               bundle.problems[protocol], members, max_iters,
+                               bundle.mode)
 
     results = []
-    for s in states:
-        if not s.header_idx or not (bundle.models.get(s.protocol)
-                                    and bundle.models[s.protocol].enhanced):
-            s.converged = True
-        by_pos = dict(zip(s.header_idx, s.h.labels))
-        recs = [RecordPrediction(index=i, message_type=s.msg_flags[i],
-                                 labels=by_pos.get(i, {}))
+    ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
+    for s, cid in zip(states, ids):
+        by_index = dict(zip(s.h.index, s.h.labels))
+        recs = [RecordPrediction(index=i, message_type=i in by_index,
+                                 labels=by_index.get(i, {}))
                 for i in range(len(s.conn.records))]
         results.append(ConnectionResult(protocol=s.protocol,
                                         iterations=s.iterations,
                                         converged=s.converged, records=recs,
-                                        connection_id=s.connection_id))
+                                        connection_id=cid))
     return results
 
 
-def classify_connection(bundle: ModelBundle, conn: Connection,
-                        max_iters: int = MAX_ITERS_DEFAULT) -> ConnectionResult:
-    return classify_corpus(bundle, [conn], max_iters)[0]
+def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
+                       members: list[_ConnState], max_iters: int, mode: str,
+                       ) -> None:
+    """Classify one protocol's connections in lockstep, so every model is
+    invoked in large batches; iteration state is tracked per connection.
 
+    During enhanced iterations a prediction only changes when the model
+    prefers the new label by more than ``SWITCH_MARGIN``; this hysteresis
+    suppresses oscillation between near-tied labels without affecting fixed
+    points.
+    """
+    # message types, in one batch
+    tables = [record_table(s.conn, mode) for s in members]
+    app = [[rec.index for rec in s.conn.records if rec.type_code == 23]
+           for s in members]
+    heads = [[] for _ in members]
+    if models.message_type is not None and any(app):
+        flags = iter(rf.predict_labels(models.message_type, np.concatenate(
+            [table[idx] for table, idx in zip(tables, app)])))
+        heads = [[i for i in idx if int(next(flags))] for idx in app]
+    for s, table, idx in zip(members, tables, heads):
+        s.h = _Headers.of(s.conn, table, idx, [{} for _ in idx])
+    del tables  # only the header rows are needed from here on
 
-def single_pass_classify(bundle: ModelBundle, conn: Connection,
-                         ) -> ConnectionResult:
-    """First-pass predictions only (no enhanced iterations)."""
-    return classify_corpus(bundle, [conn], max_iters=1)[0]
+    # first semantics pass, one batch per problem
+    hs = [s.h for s in members]
+    for p in problems:
+        X, owners = _gather(hs, p)
+        if owners and p.id in models.single:
+            labels = rf.predict_labels(models.single[p.id], X)
+            for (j, pos), label in zip(owners, labels):
+                hs[j].labels[pos][p.id] = label
+
+    # iterative enhanced passes; records update sequentially within a pass so
+    # each classification sees the freshest predictions (this converges far
+    # faster than simultaneous updates).  A connection without headers or
+    # enhanced models has nothing to iterate, so it has converged.
+    enhanced = [p for p in problems if p.id in models.enhanced]
+    for s in members:
+        s.converged = not (enhanced and s.h.index)
+    active = [s for s in members if not s.converged] if max_iters > 1 else []
+    if not active:
+        return
+    layout = _Layout(problems)
+    spans = [layout.span[p.id] for p in enhanced]
+    # the enhanced models, stacked to be walked together: one predict call
+    # per header position, with a model index per row
+    stack = rf.Stack([models.enhanced[p.id] for p in enhanced])
+    # model indices by the direction code of the records they label
+    by_sender = {code: [k for k, p in enumerate(enhanced)
+                        if _SENDER[p.side] == code]
+                 for code in _SENDER.values()}
+    for s in active:
+        s.h.vecs = np.array([layout.vector(lab) for lab in s.h.labels])
+    while active:
+        for s in active:
+            s.converged = True  # until one of its labels moves in this pass
+        for pos in range(max(len(s.h.index) for s in active)):
+            jobs, blocks = [], []
+            for s in active:
+                if pos >= len(s.h.index):
+                    continue
+                ks = by_sender[int(s.h.directions[pos])]
+                if ks:
+                    jobs += [(s, k) for k in ks]
+                    blocks.append(s.h.enhanced_rows(
+                        pos, [spans[k] for k in ks], mode == "tor"))
+            if not jobs:
+                continue
+            scores = rf.predict_scores(stack, np.concatenate(blocks),
+                                       [k for _, k in jobs])
+            # a row's padding past its model's classes is zero and the row
+            # sums to 1, so the padding never holds the first maximum
+            bests = scores.argmax(axis=1).tolist()
+            # every row is built already, and a connection's rows all sit in
+            # this call, so labels and vectors can move right away
+            for (s, k), row, best in zip(jobs, scores, bests):
+                p, model = enhanced[k], stack.forests[k]
+                label = model.classes[best]
+                current = s.h.labels[pos].get(p.id)
+                if current == label:
+                    continue
+                if current is not None:
+                    cur_score = row[model.classes.index(current)] \
+                        if current in model.classes else 0.0
+                    if row[best] - cur_score <= SWITCH_MARGIN:
+                        continue
+                s.h.labels[pos][p.id] = label
+                s.h.vecs[pos] = layout.vector(s.h.labels[pos])
+                s.converged = False
+        for s in active:
+            s.iterations += 1
+        active = [s for s in active
+                  if not s.converged and s.iterations < max_iters]
 
 
 def aggregate_predictions(problems: list[ProblemSpec],
@@ -568,6 +537,11 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             enhanced={pid: load(f"{protocol}.enhanced.{pid}", d)
                       for pid, d in pd["enhanced"].items()},
         )
+    fallback = [bundle.default_protocol,
+                *(bundle.alp_fallback.classes if bundle.alp_fallback else [])]
+    if any(p not in PROTOCOLS for p in fallback):
+        raise InferenceError(f"the protocol fallback names {fallback!r}; "
+                             f"only {PROTOCOLS!r} are known")
     _check_schemas(bundle)
     return bundle
 
@@ -583,8 +557,10 @@ def _check_schemas(bundle: ModelBundle) -> None:
     expected = [("alp_fallback", bundle.alp_fallback, SCHEMA_ALP_FALLBACK,
                  ALP_FALLBACK_LEN)]
     for protocol, pm in bundle.models.items():
-        if protocol not in PROTOCOLS:
-            raise InferenceError(f"unknown protocol {protocol!r} in bundle")
+        known = {p.id for p in bundle.problems.get(protocol, [])}
+        if not known or not known.issuperset([*pm.single, *pm.enhanced]):
+            raise InferenceError(f"bundle has models for an unknown protocol "
+                                 f"or problem under {protocol!r}")
         context = enhanced_length(bundle.problems[protocol])
         expected.append((f"{protocol}.message_type", pm.message_type, schema,
                          width))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import HttpglassError
+
 WINDOW_SIZE = 4 * 1024 * 1024
 WINDOW_OVERLAP = 256  # >= the largest pattern span (76 bytes)
 
@@ -69,7 +71,7 @@ _PROFILES = {
 PROFILE_NAMES = tuple(sorted(_PROFILES))
 
 
-class KeyscanError(Exception):
+class KeyscanError(HttpglassError):
     pass
 
 
@@ -118,8 +120,7 @@ def scan(buffer: bytes, profiles=None, base_offset: int = 0) -> list[KeyHit]:
     return hits
 
 
-def scan_windows(read_chunk, total_size: int | None = None, profiles=None,
-                 window_size: int = WINDOW_SIZE,
+def scan_windows(read_chunk, profiles=None, window_size: int = WINDOW_SIZE,
                  overlap: int = WINDOW_OVERLAP) -> list[KeyHit]:
     """Scan a byte source window by window with overlap.
 
@@ -144,8 +145,6 @@ def scan_windows(read_chunk, total_size: int | None = None, profiles=None,
         if len(chunk) < window_size:
             break
         offset += window_size - overlap
-        if total_size is not None and offset >= total_size:
-            break
     hits.sort(key=lambda h: (h.offset, h.profile))
     return hits
 

@@ -68,6 +68,9 @@ RESPONSE_BINARY_IDS = ("response.access_control_allow_origin", "response.via",
                        "response.accept_ranges", "response.set_cookie")
 
 
+PROTOCOLS = ("http1", "http2")
+
+
 def registry(protocol: str, include_etag: bool = False) -> list[ProblemSpec]:
     """Default registry for one protocol, in canonical order.
 

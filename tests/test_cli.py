@@ -139,10 +139,49 @@ def _cyclic_child(data):
     nodes["left"][0] = 0  # the root's left child is the root itself
 
 
-@pytest.mark.parametrize("corrupt", [_format_1, _cyclic_child])
+def _default_http3(data):
+    # with no fallback forest, a connection without ALPN gets the default
+    data["default_protocol"] = "http3"
+    data["alp_fallback"] = None
+
+
+def _fallback_class_http3(data):
+    data["alp_fallback"]["classes"][1] = "http3"
+
+
+def _unknown_params_key(data):
+    data["protocols"]["http1"]["single"]["request.method"]["params"][
+        "shrinkage"] = 0.5
+
+
+def _n_features_string(data):
+    forest = data["protocols"]["http1"]["single"]["request.method"]
+    forest["n_features"] = str(forest["n_features"])
+
+
+def _unknown_problem(data):
+    enhanced = data["protocols"]["http1"]["enhanced"]
+    forest = copy.deepcopy(enhanced["request.method"])
+    forest["schema_id"] = forest["schema_id"].replace("method", "teapot")
+    enhanced["request.teapot"] = forest
+
+
+# each corruption and a part of the one error line it must give
+BAD_BUNDLES = {
+    _format_1: "format version",
+    _cyclic_child: "forest http1.single.",
+    _default_http3: "'http3'",
+    _fallback_class_http3: "'http3'",
+    _unknown_params_key: "forest http1.single.request.method is refused",
+    _n_features_string: "forest http1.single.request.method is refused",
+    _unknown_problem: "unknown protocol or problem under 'http1'"}
+
+
+@pytest.mark.parametrize("corrupt", list(BAD_BUNDLES))
 def test_bad_bundle_is_one_error_line(saved_bundle, corrupt, tmp_path,
                                       capsys):
     corpus, data = saved_bundle
+    assert data["alp_fallback"] is not None  # the corpus mixes protocols
     data = copy.deepcopy(data)
     corrupt(data)
     bundle = tmp_path / "bad.json"
@@ -151,6 +190,75 @@ def test_bad_bundle_is_one_error_line(saved_bundle, corrupt, tmp_path,
                         str(bundle), "--out", str(tmp_path / "p.jsonl"))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert BAD_BUNDLES[corrupt] in err
+
+
+def _protocol_http3(conn):
+    conn["protocol"] = "http3"
+
+
+def _label_index_999(conn):
+    next(l for l in conn["labels"] if l["message_type"])["index"] = 999
+
+
+def _labels_cut_to_3(conn):
+    del conn["labels"][3:]
+
+
+def _extra_handshake_key(conn):
+    conn["handshake"]["handshake"] = {}
+
+
+def _length_as_string(conn):
+    conn["records"][0][2] = str(conn["records"][0][2])
+
+
+BAD_CORPORA = {
+    _protocol_http3: "unknown protocol 'http3'",
+    _label_index_999: "labels must be one per record",
+    _labels_cut_to_3: "labels must be one per record",
+    _extra_handshake_key: "TypeError: HandshakeMeta",
+    _length_as_string: "wrong type"}
+
+
+@pytest.mark.parametrize("corrupt", list(BAD_CORPORA))
+def test_bad_corpus_is_one_error_line(saved_bundle, corrupt, tmp_path,
+                                      capsys):
+    corpus, _ = saved_bundle
+    lines = open(corpus).read().splitlines()
+    conn = json.loads(lines[2])
+    corrupt(conn)
+    lines[2] = json.dumps(conn)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = _run(capsys, "train", str(bad), "--trees", "2", "--out",
+                        str(tmp_path / "b.json"))
+    assert code == 1
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert BAD_CORPORA[corrupt] in err
+
+
+def test_unknown_keyscan_profile_is_one_error_line(tmp_path, capsys):
+    dump = tmp_path / "dump.bin"
+    dump.write_bytes(bytes(64))
+    code, _, err = _run(capsys, "keyscan", str(dump), "--profiles", "nope")
+    assert code == 1
+    assert err == "error: unknown profile 'nope'\n"
+
+
+def test_malware_eval_on_tiny_corpora_is_one_error_line(saved_bundle,
+                                                        tmp_path, capsys):
+    corpus, data = saved_bundle
+    lines = open(corpus).read().splitlines()
+    tiny = tmp_path / "tiny.jsonl"
+    tiny.write_text("\n".join(lines[:4]) + "\n")  # manifest + 3 connections
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    code, _, err = _run(capsys, "eval", "--experiment", "malware",
+                        "--bundle", str(bundle), "--benign", str(tiny),
+                        "--malicious", str(tiny))
+    assert code == 1
+    assert err == "error: benign corpus too small to split\n"
 
 
 def test_corpus_of_another_schema_is_one_error_line(tmp_path, capsys):

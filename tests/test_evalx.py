@@ -170,8 +170,7 @@ class TestMalwareExperiment:
         malicious = synthesize_corpus(SynthSpec(
             seed=35, n_connections=16, protocol_mix={"http1": 1.0},
             label_priors=mal_priors))
-        report = run_malware_experiment(benign, malicious, bundle, seed=0,
-                                        max_iters=2)
+        report = run_malware_experiment(benign, malicious, bundle, seed=0)
         for key in ("standard", "enriched"):
             block = report[key]
             assert 0.0 <= block["f1"] <= 1.0

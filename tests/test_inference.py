@@ -1,26 +1,39 @@
 """Iterative semantics classification: contexts, gating, and training."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from httpglass.corpus import SynthSpec, split_dataset, synthesize_corpus
 from httpglass.forest import TrainParams
-from httpglass.inference import (DEFAULT_PARAMS, TOR_WINDOW, InferenceError,
-                                 aggregate_predictions,
+from httpglass.inference import (DEFAULT_PARAMS, PROTOCOLS, TOR_WINDOW,
+                                 InferenceError, aggregate_predictions,
                                  build_enhanced_features, bundle_from_dict,
                                  bundle_to_dict, classify_alp,
-                                 classify_connection, classify_corpus,
-                                 indicator_layout, indicator_vector,
-                                 load_bundle, save_bundle,
-                                 single_pass_classify, tor_enhanced_window,
-                                 train_bundle)
+                                 classify_corpus, indicator_layout,
+                                 indicator_vector, load_bundle, save_bundle,
+                                 tor_enhanced_window, train_bundle)
 from httpglass.registry import (ABSENT, OTHER, PRESENT, Side,
                                 enhanced_length, registry)
 
 PROBS_H1 = registry("http1")
 PARAMS_FAST = TrainParams(n_trees=8, max_depth=10, min_leaf=2)
+
+
+def classify_connection(bundle, conn, max_iters=10):
+    return classify_corpus(bundle, [conn], max_iters)[0]
+
+
+def single_pass_classify(bundle, conn):
+    """First-pass predictions only (no enhanced iterations)."""
+    return classify_corpus(bundle, [conn], max_iters=1)[0]
+
+
+def _outcome(res):
+    return (res.protocol, res.iterations, res.converged,
+            [(r.index, r.message_type, r.labels) for r in res.records])
 
 
 def _layout_offset(problems, pid):
@@ -194,6 +207,44 @@ class TestClassification:
             assert got.protocol == solo.protocol
             assert [(r.index, r.message_type, r.labels) for r in got.records] \
                 == [(r.index, r.message_type, r.labels) for r in solo.records]
+
+    def test_one_pass_converges_only_without_headers(self, small_world):
+        """At max_iters=1 no enhanced pass runs, so a connection with headers
+        has not converged; one without headers has nothing to iterate."""
+        bundle, _, test = small_world
+        assert all(bundle.models[p].enhanced for p in PROTOCOLS)
+        conns = [lc.conn for lc in test]
+        bare = replace(conns[0], records=[r for r in conns[0].records
+                                          if r.type_code != 23])
+        results = classify_corpus(bundle, conns + [bare], max_iters=1)
+        has_headers = [any(r.message_type for r in res.records)
+                       for res in results]
+        assert has_headers[-1] is False and sum(has_headers) >= 10
+        for res, headers in zip(results, has_headers):
+            assert res.iterations == 1
+            assert res.converged is not headers
+
+    def test_without_enhanced_models_every_connection_converges(
+            self, small_world):
+        _, train, test = small_world
+        bundle = train_bundle(train, params=PARAMS_FAST, seed=0,
+                              with_enhanced=False)
+        for res in classify_corpus(bundle, [lc.conn for lc in test]):
+            assert (res.iterations, res.converged) == (1, True)
+
+    def test_protocols_are_classified_on_their_own(self, small_world):
+        """A mixed corpus gets, record for record, the results each
+        protocol's connections get alone."""
+        bundle, _, test = small_world
+        conns = [lc.conn for lc in test]
+        mixed = classify_corpus(bundle, conns)
+        assert {res.protocol for res in mixed} == set(PROTOCOLS)
+        for protocol in PROTOCOLS:
+            picked = [(conn, res) for conn, res in zip(conns, mixed)
+                      if res.protocol == protocol]
+            alone = classify_corpus(bundle, [conn for conn, _ in picked])
+            assert [_outcome(res) for res in alone] == \
+                [_outcome(res) for _, res in picked]
 
     def test_aggregate_predictions_counts(self, small_world):
         bundle, _, test = small_world
