@@ -1,5 +1,6 @@
 """Random forest training, prediction, and serialization oracles."""
 
+import hashlib
 import itertools
 import json
 
@@ -336,6 +337,24 @@ def test_determinism_same_seed():
     assert rf.to_dict(a) == rf.to_dict(b)
     c = rf.train(X, y, rf.TrainParams(n_trees=8, seed=12))
     assert rf.to_dict(a) != rf.to_dict(c)
+
+
+def test_trained_forest_bytes_are_pinned():
+    """A seeded forest saves to the same bytes as when this test was
+    written: node order, ids, splits, codes, counts and importances."""
+    rng = np.random.default_rng(8)
+    n = 90
+    X = np.column_stack([rng.integers(0, 5, n), rng.integers(-3, 3, n),
+                         rng.integers(0, 2, n),
+                         rng.choice([-1.5, 4.0, 7.25, 30.0], n)]).astype(float)
+    y = [f"c{int(v) % 3}" for v in X[:, 0] + X[:, 3] + rng.integers(0, 2, n)]
+    forest = rf.train(X, y, rf.TrainParams(n_trees=6, max_depth=None,
+                                           features_per_split=2,
+                                           bootstrap=True, seed=19),
+                      categorical={3})
+    saved = json.dumps(rf.to_dict(forest), sort_keys=True).encode()
+    assert hashlib.sha256(saved).hexdigest() == (
+        "2e99802895bc3ed1bdab1af222d5c327c7486b35eacaaf3c1fc4e70d6f1eae9f")
 
 
 def test_serialization_round_trip():
