@@ -270,8 +270,9 @@ def write_pcap(path: str, frames: Iterable[tuple[float, bytes]]) -> None:
                              LINKTYPE_ETHERNET))
         for ts, data in frames:
             sec = int(ts)
-            usec = int(round((ts - sec) * 1e6))
-            fh.write(struct.pack("<IIII", sec, usec, len(data), len(data)))
+            carry, usec = divmod(round((ts - sec) * 1e6), 1_000_000)
+            fh.write(struct.pack("<IIII", sec + carry, usec, len(data),
+                                 len(data)))
             fh.write(data)
 
 

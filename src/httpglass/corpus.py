@@ -796,7 +796,10 @@ def load_corpus(path: str) -> list[LabeledConnection]:
     out = []
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("manifest", {}).get("schema_version") != CORPUS_SCHEMA_VERSION:
+        manifest = header.get("manifest") if isinstance(header, dict) else None
+        if not isinstance(manifest, dict):
+            raise CorpusError("line 1 is not a corpus manifest")
+        if manifest.get("schema_version") != CORPUS_SCHEMA_VERSION:
             raise CorpusError("unsupported corpus schema version")
         for n, line in enumerate(fh, start=2):
             if line.strip():

@@ -54,7 +54,8 @@ class Nodes:
     """Every node of a forest's trees, as parallel arrays indexed by node id.
 
     Tree t starts at ``roots[t]``; its nodes follow depth-first, left child
-    first.  Training, prediction and persistence all read these arrays.
+    first.  Training grows each tree as one and pools them with ``concat``,
+    as ``Stack`` pools forests; prediction and persistence read them too.
     """
 
     feature: np.ndarray    # split feature of each node, -1 at leaves
@@ -76,8 +77,10 @@ class Nodes:
         cat_base = np.cumsum([0] + [len(p.cats_left) for p in parts])
 
         def shifted(name, bases):
-            return np.concatenate([np.where(a >= 0, a + b, a) for a, b in
-                                   zip((getattr(p, name) for p in parts), bases)])
+            arrays = [getattr(p, name) for p in parts]
+            shift = np.repeat(bases[:-1], [len(a) for a in arrays])
+            a = np.concatenate(arrays)
+            return np.where(a >= 0, a + shift, a)
 
         counts = np.zeros((node_base[-1], max(p.counts.shape[1] for p in parts)),
                           dtype=np.int64)
@@ -87,8 +90,7 @@ class Nodes:
                    threshold=np.concatenate([p.threshold for p in parts]),
                    left=shifted("left", node_base),
                    right=shifted("right", node_base),
-                   roots=np.concatenate([p.roots + b
-                                         for p, b in zip(parts, node_base)]),
+                   roots=shifted("roots", node_base),
                    counts=counts, cat=shifted("cat", cat_base),
                    cats_left=[c for p in parts for c in p.cats_left])
 
@@ -128,57 +130,6 @@ class Stack:
             raise ForestError("stacked forests must share their features "
                               "and tree count")
         self.nodes = Nodes.concat([f.nodes for f in self.forests])
-
-
-@dataclass
-class _Grower:
-    """Node lists training grows a forest's trees into."""
-
-    n_classes: int
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    counts: list[list[int]] = field(default_factory=list)
-    cat: list[int] = field(default_factory=list)
-    cats_left: list[np.ndarray] = field(default_factory=list)
-    roots: list[int] = field(default_factory=list)
-
-    def tree(self) -> int:
-        """Start a tree; returns the id its root will get."""
-        self.roots.append(len(self.feature))
-        return self.roots[-1]
-
-    def leaf(self, counts: list[int]) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(counts)
-        self.cat.append(-1)
-        return len(self.feature) - 1
-
-    def split(self, node: int, feature: int, threshold: float | None,
-              cats_left: list[float] | None) -> None:
-        """Turn leaf ``node`` into a split; its children are set later."""
-        self.feature[node] = feature
-        self.counts[node] = [0] * self.n_classes
-        if cats_left is None:
-            self.threshold[node] = threshold
-        else:
-            self.cat[node] = len(self.cats_left)
-            self.cats_left.append(np.asarray(cats_left, dtype=np.float64))
-
-    def nodes(self) -> Nodes:
-        return Nodes(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            roots=np.asarray(self.roots, dtype=np.int64),
-            counts=np.asarray(self.counts, dtype=np.int64).reshape(
-                -1, self.n_classes),
-            cat=np.asarray(self.cat, dtype=np.int64), cats_left=self.cats_left)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -237,46 +188,64 @@ def _best_split(B, y, counts, is_cat, min_leaf):
     return float(score[best]), c, mid if mid < b else a, None
 
 
-def _build_tree(X, yv, K, params, is_cat, rng, importance, n_total,
-                grow: _Grower) -> None:
-    d = X.shape[1]
+def _build_tree(X, yv, K, params, is_cat, rng, importance) -> Nodes:
+    """One tree, grown depth-first and left child first, as ``Nodes`` with
+    ids from 0; each split adds its impurity decrease to ``importance``."""
+    n_total, d = X.shape
     mtry = params.resolved_mtry(d)
-    grow.tree()
+    feature, threshold, right, cat, node_counts = [], [], [], [], []
+    cats_left = []
+    no_counts = np.zeros(K, dtype=np.int64)  # split nodes keep no counts
     if params.bootstrap:
-        root_idx = np.sort(rng.integers(0, X.shape[0], X.shape[0]))
+        root_idx = np.sort(rng.integers(0, n_total, n_total))
     else:
-        root_idx = np.arange(X.shape[0])
-    stack = [(root_idx, 0, None, False)]  # (sample idx, depth, parent, is_right)
+        root_idx = np.arange(n_total)
+    # (sample idx, their class counts, depth, parent if a right child else -1)
+    stack = [(root_idx, np.bincount(yv[root_idx], minlength=K), 0, -1)]
     while stack:
-        idx, depth, parent, is_right = stack.pop()
-        counts = np.bincount(yv[idx], minlength=K)
-        node_id = grow.leaf(counts.tolist())
-        if parent is not None:
-            (grow.right if is_right else grow.left)[parent] = node_id
+        idx, counts, depth, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(feature)
         n = idx.size
-        if n < 2 * params.min_leaf or (counts > 0).sum() < 2 or \
-                (params.max_depth is not None and depth >= params.max_depth):
+        best = None
+        if n >= 2 * params.min_leaf and (counts > 0).sum() >= 2 and \
+                (params.max_depth is None or depth < params.max_depth):
+            base = float((counts.astype(np.float64) ** 2).sum()) / n
+            cand = np.sort(rng.choice(d, size=mtry, replace=False))
+            best = _best_split(X[idx[:, None], cand], yv[idx], counts,
+                               is_cat[cand], params.min_leaf)
+            if best is not None and best[0] <= base:
+                best = None
+        f, t, codes = (-1, None, None) if best is None else \
+            (int(cand[best[1]]), best[2], best[3])
+        feature.append(f)
+        threshold.append(np.nan if t is None else t)
+        cat.append(-1 if codes is None else len(cats_left))
+        right.append(-1)
+        node_counts.append(counts if best is None else no_counts)
+        if best is None:
             continue
-        base = float((counts.astype(np.float64) ** 2).sum()) / n
-        cand = np.sort(rng.choice(d, size=mtry, replace=False))
-        best = _best_split(X[idx[:, None], cand], yv[idx], counts,
-                           is_cat[cand], params.min_leaf)
-        if best is None or best[0] <= base:
-            continue
-        f, threshold, cats_left = int(cand[best[1]]), best[2], best[3]
+        if codes is not None:
+            cats_left.append(np.asarray(codes, dtype=np.float64))
         col = X[idx, f]
-        mask = np.isin(col, cats_left) if cats_left else col <= threshold
+        mask = np.isin(col, codes) if codes else col <= t
         left_idx, right_idx = idx[mask], idx[~mask]
         cl = np.bincount(yv[left_idx], minlength=K)
-        cr = np.bincount(yv[right_idx], minlength=K)
-        decrease = (n / n_total) * _gini(counts) \
+        cr = counts - cl
+        importance[f] += (n / n_total) * _gini(counts) \
             - (left_idx.size / n_total) * _gini(cl) \
             - (right_idx.size / n_total) * _gini(cr)
-        importance[f] += decrease
-        grow.split(node_id, f, threshold, cats_left)
-        # push right first so the left child is materialized next (stable ids)
-        stack.append((right_idx, depth + 1, node_id, True))
-        stack.append((left_idx, depth + 1, node_id, False))
+        # push right first so the left child is the next node
+        stack.append((right_idx, cr, depth + 1, len(feature) - 1))
+        stack.append((left_idx, cl, depth + 1, -1))
+    feature = np.asarray(feature, dtype=np.int64)
+    return Nodes(feature=feature,
+                 threshold=np.asarray(threshold, dtype=np.float64),
+                 left=np.where(feature >= 0, np.arange(feature.size) + 1, -1),
+                 right=np.asarray(right, dtype=np.int64),
+                 roots=np.zeros(1, np.int64),
+                 counts=np.asarray(node_counts, dtype=np.int64),
+                 cat=np.asarray(cat, dtype=np.int64), cats_left=cats_left)
 
 
 def train(X, y, params: TrainParams | None = None,
@@ -304,14 +273,11 @@ def train(X, y, params: TrainParams | None = None,
     is_cat = np.isin(np.arange(X.shape[1]), list(categorical))
     importance = np.zeros(X.shape[1], dtype=np.float64)
     seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    grow = _Grower(K)
-    for ss in seeds:
-        rng = np.random.default_rng(ss)
-        _build_tree(X, yv, K, params, is_cat, rng, importance, X.shape[0],
-                    grow)
+    trees = [_build_tree(X, yv, K, params, is_cat, np.random.default_rng(ss),
+                         importance) for ss in seeds]
     return Forest(classes=classes, schema_id=schema_id, n_features=X.shape[1],
                   categorical=categorical, params=params,
-                  importance_raw=importance, nodes=grow.nodes())
+                  importance_raw=importance, nodes=Nodes.concat(trees))
 
 
 def _leaves(nodes: Nodes, X: np.ndarray, rows: np.ndarray,
@@ -449,6 +415,8 @@ def _check_nodes(nodes: Nodes, leaf_counts: np.ndarray, n_features: int,
 def from_dict(data: dict) -> Forest:
     """The forest ``to_dict`` saved as ``data``; a missing, unknown or
     wrongly typed field raises ForestError."""
+    if not isinstance(data, dict):
+        raise ForestError("a forest must be a JSON object")
     if data.get("format_version") != FORMAT_VERSION:
         raise ForestError("unsupported model format version")
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import HttpglassError, forest as rf
 from .capture import Direction
-from .corpus import LabeledConnection
+from .corpus import LabeledConnection, LabeledRecord
 from .features import (ALP_FALLBACK_LEN, SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD,
                        SCHEMA_TOR, STANDARD_LEN, TOR_LEN, alp_fallback_features,
                        record_categorical_indices, record_table)
@@ -39,18 +39,11 @@ class InferenceError(HttpglassError):
 
 
 @dataclass
-class RecordPrediction:
-    index: int
-    message_type: bool
-    labels: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class ConnectionResult:
     protocol: str
     iterations: int
     converged: bool
-    records: list[RecordPrediction]
+    records: list[LabeledRecord]
     connection_id: str = ""
 
 
@@ -250,8 +243,8 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
     for s, cid in zip(states, ids):
         by_index = dict(zip(s.h.index, s.h.labels))
-        recs = [RecordPrediction(index=i, message_type=i in by_index,
-                                 labels=by_index.get(i, {}))
+        recs = [LabeledRecord(index=i, message_type=i in by_index,
+                              labels=by_index.get(i, {}))
                 for i in range(len(s.conn.records))]
         results.append(ConnectionResult(protocol=s.protocol,
                                         iterations=s.iterations,
@@ -512,8 +505,15 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
     }
 
 
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise InferenceError(f"{name} must be a JSON object")
+    return value
+
+
 def bundle_from_dict(data: dict) -> ModelBundle:
-    if data.get("format_version") != BUNDLE_FORMAT_VERSION:
+    if _object(data, "a bundle").get("format_version") \
+            != BUNDLE_FORMAT_VERSION:
         raise InferenceError("unsupported bundle format version")
 
     def load(name, d):
@@ -529,13 +529,14 @@ def bundle_from_dict(data: dict) -> ModelBundle:
         problems={p: registry(p, include_etag) for p in PROTOCOLS},
         models={}, alp_fallback=load("alp_fallback", data["alp_fallback"]),
         default_protocol=data["default_protocol"])
-    for protocol, pd in data["protocols"].items():
+    for protocol, pd in _object(data["protocols"], "protocols").items():
+        pd = _object(pd, f"protocols.{protocol}")
         bundle.models[protocol] = ProtocolModels(
             message_type=load(f"{protocol}.message_type", pd["message_type"]),
-            single={pid: load(f"{protocol}.single.{pid}", d)
-                    for pid, d in pd["single"].items()},
-            enhanced={pid: load(f"{protocol}.enhanced.{pid}", d)
-                      for pid, d in pd["enhanced"].items()},
+            single={pid: load(f"{protocol}.single.{pid}", d) for pid, d in
+                    _object(pd["single"], f"{protocol}.single").items()},
+            enhanced={pid: load(f"{protocol}.enhanced.{pid}", d) for pid, d in
+                      _object(pd["enhanced"], f"{protocol}.enhanced").items()},
         )
     fallback = [bundle.default_protocol,
                 *(bundle.alp_fallback.classes if bundle.alp_fallback else [])]

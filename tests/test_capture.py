@@ -34,6 +34,18 @@ def test_pcap_round_trip(tmp_path):
     assert raw.start_time == pytest.approx(100.0)
 
 
+def test_pcap_microseconds_carry_into_seconds(tmp_path):
+    """A time whose microseconds round up to a whole second is written as
+    the next second: pcap readers expect usec below 1,000,000."""
+    path = tmp_path / "carry.pcap"
+    frame = build_tcp_frame(CLIENT, SERVER, 0, flags=TCP_FLAG_SYN)
+    write_pcap(str(path), [(1.9999996, frame), (3.25, frame)])
+    data = path.read_bytes()
+    second = 24 + 16 + len(frame)
+    assert struct.unpack_from("<II", data, 24) == (2, 0)
+    assert struct.unpack_from("<II", data, second) == (3, 250000)
+
+
 def test_pcap_two_connections(tmp_path):
     path = str(tmp_path / "two.pcap")
     frames = pcap_frames([b"aaa"], [b"bbb"], start_ts=10.0)

@@ -166,7 +166,34 @@ def _unknown_problem(data):
     enhanced["request.teapot"] = forest
 
 
-# each corruption and a part of the one error line it must give
+def _bundle_as_list(data):
+    return [data]
+
+
+def _protocols_as_list(data):
+    data["protocols"] = list(data["protocols"].values())
+
+
+def _protocol_as_list(data):
+    data["protocols"]["http1"] = list(data["protocols"]["http1"].values())
+
+
+def _single_as_list(data):
+    single = data["protocols"]["http1"]["single"]
+    data["protocols"]["http1"]["single"] = list(single.values())
+
+
+def _enhanced_as_list(data):
+    enhanced = data["protocols"]["http1"]["enhanced"]
+    data["protocols"]["http1"]["enhanced"] = list(enhanced.values())
+
+
+def _forest_as_list(data):
+    data["protocols"]["http1"]["single"]["request.method"] = [1]
+
+
+# each corruption and a part of the one error line it must give; a
+# corruption that returns a value replaces the whole JSON with it
 BAD_BUNDLES = {
     _format_1: "format version",
     _cyclic_child: "forest http1.single.",
@@ -174,7 +201,14 @@ BAD_BUNDLES = {
     _fallback_class_http3: "'http3'",
     _unknown_params_key: "forest http1.single.request.method is refused",
     _n_features_string: "forest http1.single.request.method is refused",
-    _unknown_problem: "unknown protocol or problem under 'http1'"}
+    _unknown_problem: "unknown protocol or problem under 'http1'",
+    _bundle_as_list: "a bundle must be a JSON object",
+    _protocols_as_list: "protocols must be a JSON object",
+    _protocol_as_list: "protocols.http1 must be a JSON object",
+    _single_as_list: "http1.single must be a JSON object",
+    _enhanced_as_list: "http1.enhanced must be a JSON object",
+    _forest_as_list: "forest http1.single.request.method is refused: "
+                     "a forest must be a JSON object"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_BUNDLES))
@@ -183,7 +217,7 @@ def test_bad_bundle_is_one_error_line(saved_bundle, corrupt, tmp_path,
     corpus, data = saved_bundle
     assert data["alp_fallback"] is not None  # the corpus mixes protocols
     data = copy.deepcopy(data)
-    corrupt(data)
+    data = corrupt(data) or data
     bundle = tmp_path / "bad.json"
     bundle.write_text(json.dumps(data))
     code, _, err = _run(capsys, "infer", "--corpus", corpus, "--bundle",
@@ -268,6 +302,18 @@ def test_corpus_of_another_schema_is_one_error_line(tmp_path, capsys):
                         str(tmp_path / "b.json"))
     assert code == 1
     assert err == "error: unsupported corpus schema version\n"
+
+
+@pytest.mark.parametrize("first_line", ["[1]", '{"manifest": [1]}', "1"],
+                         ids=["list", "manifest_list", "number"])
+def test_corpus_without_a_manifest_is_one_error_line(first_line, tmp_path,
+                                                      capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(first_line + "\n")
+    code, _, err = _run(capsys, "train", str(corpus), "--out",
+                        str(tmp_path / "b.json"))
+    assert code == 1
+    assert err == "error: line 1 is not a corpus manifest\n"
 
 
 def test_keyscan_command(tmp_path, capsys):
