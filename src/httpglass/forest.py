@@ -12,7 +12,8 @@ staying exact for integer class counts.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property
 from math import ceil, sqrt
 
 import numpy as np
@@ -116,20 +117,59 @@ class Forest:
     def n_trees(self) -> int:
         return len(self.nodes.roots)
 
+    @cached_property
+    def stack(self) -> Stack:
+        """The forest alone as a ``Stack``: its walk tables, built once."""
+        return Stack([self])
+
 
 @dataclass(eq=False)
 class Stack:
     """Forests over the same features, with as many trees each, pooled so
-    that one ``predict_scores`` walk scores rows meant for any of them."""
+    that one ``predict_scores`` walk scores rows meant for any of them.
 
-    forests: list[Forest]
+    The walk's tables are built once: each node's children, where a leaf's
+    children are itself; its split feature (0 at leaves) and numeric
+    threshold (NaN elsewhere); its categorical codes, a row of ``codes``
+    padded with NaN (the last row, all NaN, serves every other node); and
+    each leaf's class frequencies.  A stack keeps no reference to its
+    forests, so a forest can cache its own without a reference cycle.
+    """
+
+    forests: InitVar[list[Forest]]
+    n_features: int = field(init=False)
+    n_trees: int = field(init=False)
     nodes: Nodes = field(init=False)
+    child: np.ndarray = field(init=False)  # node i's right at 2i, left at 2i+1
+    feature: np.ndarray = field(init=False)
+    threshold: np.ndarray = field(init=False)
+    codes: np.ndarray | None = field(init=False)  # None: no categorical split
+    freqs: np.ndarray = field(init=False)  # (nodes, classes), 0 at splits
+    is_leaf: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if len({(f.n_features, f.n_trees) for f in self.forests}) != 1:
+    def __post_init__(self, forests):
+        shapes = {(f.n_features, f.n_trees) for f in forests}
+        if len(shapes) != 1:
             raise ForestError("stacked forests must share their features "
                               "and tree count")
-        self.nodes = Nodes.concat([f.nodes for f in self.forests])
+        self.n_features, self.n_trees = shapes.pop()
+        nodes = self.nodes = Nodes.concat([f.nodes for f in forests])
+        leaf = self.is_leaf = nodes.feature < 0
+        ids = np.arange(leaf.size)
+        self.child = np.column_stack([np.where(leaf, ids, nodes.right),
+                                      np.where(leaf, ids, nodes.left)]).ravel()
+        self.feature = np.where(leaf, 0, nodes.feature)
+        self.threshold = np.where(nodes.cat < 0, nodes.threshold, np.nan)
+        self.codes = None
+        if nodes.cats_left:
+            self.codes = np.full((len(nodes.cats_left) + 1,
+                                  max(1, *map(len, nodes.cats_left))),
+                                 np.nan)
+            for row, c in zip(self.codes, nodes.cats_left):
+                row[:len(c)] = c
+        counts = nodes.counts[leaf]
+        self.freqs = np.zeros(nodes.counts.shape, dtype=np.float64)
+        self.freqs[leaf] = counts / counts.sum(axis=1, keepdims=True)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -280,29 +320,25 @@ def train(X, y, params: TrainParams | None = None,
                   importance_raw=importance, nodes=Nodes.concat(trees))
 
 
-def _leaves(nodes: Nodes, X: np.ndarray, rows: np.ndarray,
+def _leaves(stack: Stack, X: np.ndarray, rows: np.ndarray,
             at: np.ndarray) -> np.ndarray:
     """Leaf reached from each (row of X, start node) pair.
 
-    All pairs descend together, one level per step, until each is at a leaf.
+    All pairs step together, with no compaction, until every one is at a
+    leaf: a pair at a leaf stays there.  A child's id exceeds its parent's
+    within the same tree (``from_dict`` checks that), so the walk ends.
     Numeric splits send x <= threshold left (NaN goes right); categorical
     splits send left only the values equal to one of the node's codes.
     """
-    at = at.copy()
-    active = np.flatnonzero(nodes.feature[at] >= 0)  # pairs not at a leaf
-    while active.size:
-        n = at[active]
-        x = X[rows[active], nodes.feature[n]]
-        go_left = x <= nodes.threshold[n]
-        cat = nodes.cat[n]
-        at_cat = np.flatnonzero(cat >= 0)
-        # few distinct categorical splits are active at once; codes are
-        # arbitrary floats, so each is tested by equality with its own codes
-        for c in set(cat[at_cat].tolist()):
-            sel = at_cat[cat[at_cat] == c]
-            go_left[sel] = (x[sel, None] == nodes.cats_left[c]).any(axis=1)
-        at[active] = np.where(go_left, nodes.left[n], nodes.right[n])
-        active = active[nodes.feature[at[active]] >= 0]
+    values = X.ravel()
+    row_base = rows * X.shape[1]
+    while not stack.is_leaf[at].all():
+        x = values[row_base + stack.feature[at]]
+        go_left = x <= stack.threshold[at]
+        if stack.codes is not None:
+            go_left |= (x[:, None] == stack.codes[stack.nodes.cat[at]]).any(
+                axis=1)
+        at = stack.child[2 * at + go_left]
     return at
 
 
@@ -314,8 +350,8 @@ def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(model, Forest):
-        model, which = Stack([model]), np.zeros(X.shape[0], dtype=np.int64)
-    n_features, n_trees = model.forests[0].n_features, model.forests[0].n_trees
+        model, which = model.stack, np.zeros(X.shape[0], dtype=np.int64)
+    n_features, n_trees = model.n_features, model.n_trees
     if X.shape[1] != n_features:
         raise ForestError(f"schema mismatch: expected {n_features} features, "
                           f"got {X.shape[1]}")
@@ -324,10 +360,8 @@ def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
     rows = np.repeat(np.arange(n_rows), n_trees)
     trees = np.asarray(which, dtype=np.int64)[:, None] * n_trees \
         + np.arange(n_trees)
-    nodes = model.nodes
-    counts = nodes.counts[_leaves(nodes, X, rows, nodes.roots[trees.ravel()])]
-    freqs = (counts / counts.sum(axis=1, keepdims=True)).reshape(
-        n_rows, n_trees, -1)
+    leaves = _leaves(model, X, rows, model.nodes.roots[trees.ravel()])
+    freqs = model.freqs[leaves].reshape(n_rows, n_trees, -1)
     total = np.zeros((n_rows, freqs.shape[2]), dtype=np.float64)
     for t in range(n_trees):  # summed in tree order: reproducible bit for bit
         total += freqs[:, t]
@@ -406,6 +440,8 @@ def _check_nodes(nodes: Nodes, leaf_counts: np.ndarray, n_features: int,
              f"split feature out of range for {n_features} features"),
             (((nodes.cat < -1) | (nodes.cat >= len(nodes.cats_left))).any(),
              "categorical split index out of range"),
+            (any(c.ndim != 1 for c in nodes.cats_left),
+             "each categorical split needs a flat list of codes"),
             (not np.isfinite(nodes.threshold[split & (nodes.cat < 0)]).all(),
              "numeric split without a finite threshold")]:
         if failed:
@@ -421,6 +457,11 @@ def from_dict(data: dict) -> Forest:
         raise ForestError("unsupported model format version")
     try:
         nd, classes = data["nodes"], data["classes"]
+        # predictions are indexed by class, and None is no label at all
+        if not isinstance(classes, list) or None in classes \
+                or len(set(classes)) != len(classes):
+            raise ForestError("classes must be a list of distinct values, "
+                              "none of them null")
         feature = np.asarray(nd["feature"], dtype=np.int64)
         nodes = Nodes(
             feature=feature,
@@ -443,5 +484,5 @@ def from_dict(data: dict) -> Forest:
             importance_raw=np.asarray(data["importance_raw"],
                                       dtype=np.float64),
             nodes=nodes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ForestError(f"malformed field ({exc!r})") from exc

@@ -91,6 +91,12 @@ class _Layout:
         self.column = {(pid, label): off + k for pid, off, labels in layout
                        for k, label in enumerate(labels)}
 
+    def mask(self, pid: str) -> np.ndarray:
+        """1 over problem ``pid``'s indicator span, 0 elsewhere."""
+        vec = np.zeros(self.width, dtype=np.float64)
+        vec[slice(*self.span[pid])] = 1.0
+        return vec
+
     def vector(self, labels: dict[str, str]) -> np.ndarray:
         vec = np.zeros(self.width, dtype=np.float64)
         for pid, label in labels.items():
@@ -176,7 +182,6 @@ class _Headers:
     base: np.ndarray              # base features, one row per header record
     directions: np.ndarray        # Direction code of each header record
     labels: list[dict[str, str]]  # ground truth (training) or predictions
-    vecs: np.ndarray | None = None  # context indicator vector per header
 
     @classmethod
     def of(cls, conn: Connection, table: np.ndarray, index: list[int],
@@ -185,14 +190,81 @@ class _Headers:
                               dtype=np.int64)
         return cls(index, table[index], directions, labels)
 
-    def enhanced_rows(self, pos: int, spans: list[tuple[int, int]],
-                      tor: bool) -> np.ndarray:
-        """Enhanced-model inputs of header ``pos``: its base features and a
-        context block, one row per target problem's indicator span."""
-        window = tor_enhanced_window(len(self.vecs), pos) if tor else None
-        ctx = _context(self.vecs, pos, spans, window)
-        base = np.broadcast_to(self.base[pos], (len(spans), self.base.shape[1]))
-        return np.hstack([base, ctx])
+
+# a Tor-mode context window, as offsets from its header
+_WINDOW = np.arange(-TOR_WINDOW, TOR_WINDOW + 1)
+
+
+class _Block:
+    """The header records of a protocol's connections as one array block,
+    from which the enhanced-model inputs of many headers are built at once.
+
+    Connection c's headers are the rows from ``start[c]`` of ``base`` and of
+    ``vecs``, the indicator vectors of their labels.  TOR_WINDOW zero rows
+    lie before, between and after the connections, so a Tor-mode window is
+    a fixed-width slice that never crosses into another connection.  In
+    standard mode the context is the connection's total, kept in ``totals``
+    as labels move.  The indicators are 0/1, so every float64 sum of them
+    is exact, whatever its order.
+
+    ``moved`` holds the tick of each header's last label move and
+    ``conn_moved`` that of each connection's, or -1; ``last_move`` reads
+    them over a header's window.
+    """
+
+    def __init__(self, headers: list[_Headers],
+                 labels: list[list[dict[str, str]]], layout: _Layout,
+                 tor: bool):
+        sizes = [len(h.index) for h in headers]
+        self.start = np.cumsum([TOR_WINDOW] + [n + TOR_WINDOW
+                                              for n in sizes[:-1]])
+        n_rows = int(self.start[-1]) + sizes[-1] + TOR_WINDOW
+        self.tor = tor
+        self.base = np.zeros((n_rows, headers[0].base.shape[1]))
+        self.vecs = np.zeros((n_rows, layout.width))
+        self.conn = np.zeros(n_rows, dtype=np.int64)
+        self.direction = np.full(n_rows, -1, dtype=np.int64)
+        for c, (h, labs, at) in enumerate(zip(headers, labels,
+                                              self.start.tolist())):
+            rows = slice(at, at + len(h.index))
+            self.base[rows], self.direction[rows] = h.base, h.directions
+            self.conn[rows] = c
+            if labs:
+                self.vecs[rows] = [layout.vector(lab) for lab in labs]
+        self.totals = np.array([self.vecs[at:at + n].sum(axis=0) for at, n
+                                in zip(self.start.tolist(), sizes)])
+        self.moved = np.full(n_rows, -1, dtype=np.int64)
+        self.conn_moved = np.full(len(headers), -1, dtype=np.int64)
+
+    def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
+             ) -> np.ndarray:
+        """Enhanced-model inputs: row i holds header ``heads[head_of[i]]``'s
+        base features and its context, less the header's own indicators
+        under the span mask ``masks[i]``."""
+        if self.tor:
+            ctx = self.vecs[heads[:, None] + _WINDOW].sum(axis=1)
+        else:
+            ctx = self.totals[self.conn[heads]]
+        g = heads[head_of]
+        return np.hstack([self.base[g], ctx[head_of] - self.vecs[g] * masks])
+
+    def last_move(self, heads: np.ndarray) -> np.ndarray:
+        """The tick of the last label move in each header's window."""
+        if self.tor:
+            return self.moved[heads[:, None] + _WINDOW].max(axis=1)
+        return self.conn_moved[self.conn[heads]]
+
+    def move(self, g: int, old: int | None, new: int | None, tick: int,
+             ) -> None:
+        """Header g's indicator moves from column ``old`` to ``new``."""
+        c = self.conn[g]
+        if old is not None:
+            self.vecs[g, old] = 0.0
+            self.totals[c, old] -= 1.0
+        if new is not None:
+            self.vecs[g, new] = 1.0
+            self.totals[c, new] += 1.0
+        self.moved[g] = self.conn_moved[c] = tick
 
 
 def _gather(headers: list[_Headers], p: ProblemSpec, labelled: bool = False,
@@ -286,67 +358,103 @@ def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
             for (j, pos), label in zip(owners, labels):
                 hs[j].labels[pos][p.id] = label
 
-    # iterative enhanced passes; records update sequentially within a pass so
-    # each classification sees the freshest predictions (this converges far
-    # faster than simultaneous updates).  A connection without headers or
-    # enhanced models has nothing to iterate, so it has converged.
+    # a connection without headers or enhanced models has nothing to
+    # iterate, so it has converged
     enhanced = [p for p in problems if p.id in models.enhanced]
     for s in members:
         s.converged = not (enhanced and s.h.index)
     active = [s for s in members if not s.converged] if max_iters > 1 else []
-    if not active:
-        return
+    if active:
+        _enhanced_passes(models, problems, active, max_iters, mode)
+
+
+# the class index of a label outside an enhanced model's classes, and of no
+# label at all
+_OUTSIDE, _UNLABELLED = -1, -2
+
+
+def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
+                     active: list[_ConnState], max_iters: int, mode: str,
+                     ) -> None:
+    """Iterative enhanced passes over connections with headers.
+
+    Records update sequentially within a pass, so each classification sees
+    the freshest predictions (this converges far faster than simultaneous
+    updates).  Each header position is one block: the rows of all
+    connections' headers there are built and scored at once, with one
+    ``predict_scores`` call over the stacked enhanced models.  A header is
+    scored only when a label in its context window (its whole connection in
+    standard mode) moved since its last scoring: a clean header's rows have
+    the same input and the same incumbent labels, so none could move.
+    """
+    enhanced = [p for p in problems if p.id in models.enhanced]
+    forests = [models.enhanced[p.id] for p in enhanced]
     layout = _Layout(problems)
-    spans = [layout.span[p.id] for p in enhanced]
-    # the enhanced models, stacked to be walked together: one predict call
-    # per header position, with a model index per row
-    stack = rf.Stack([models.enhanced[p.id] for p in enhanced])
-    # model indices by the direction code of the records they label
-    by_sender = {code: [k for k, p in enumerate(enhanced)
-                        if _SENDER[p.side] == code]
-                 for code in _SENDER.values()}
-    for s in active:
-        s.h.vecs = np.array([layout.vector(lab) for lab in s.h.labels])
-    while active:
-        for s in active:
-            s.converged = True  # until one of its labels moves in this pass
-        for pos in range(max(len(s.h.index) for s in active)):
-            jobs, blocks = [], []
-            for s in active:
-                if pos >= len(s.h.index):
-                    continue
-                ks = by_sender[int(s.h.directions[pos])]
-                if ks:
-                    jobs += [(s, k) for k in ks]
-                    blocks.append(s.h.enhanced_rows(
-                        pos, [spans[k] for k in ks], mode == "tor"))
-            if not jobs:
+    stack = rf.Stack(forests)
+    block = _Block([s.h for s in active], [s.h.labels for s in active],
+                   layout, mode == "tor")
+    masks = np.array([layout.mask(p.id) for p in enhanced])
+    # uses[g, k]: model k labels header g, a record sent by its side
+    uses = block.direction[:, None] == np.array(
+        [_SENDER[p.side] for p in enhanced])
+    has_model = uses.any(axis=1)
+    # the class index of each (header, model)'s current label
+    model_of = {p.id: k for k, p in enumerate(enhanced)}
+    class_index = [{c: i for i, c in enumerate(f.classes)}
+                   for f in forests]
+    current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
+    for s, at in zip(active, block.start.tolist()):
+        for g, lab in enumerate(s.h.labels, at):
+            for pid, label in lab.items():
+                k = model_of.get(pid)
+                if k is not None:
+                    current[g, k] = class_index[k].get(label, _OUTSIDE)
+    scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
+    sizes = np.array([len(s.h.index) for s in active])
+    live = np.arange(len(active))
+    tick = 0
+    while live.size:
+        for c in live.tolist():
+            active[c].converged = True  # until one of its labels moves
+        for pos in range(int(sizes[live].max())):
+            heads = block.start[live[sizes[live] > pos]] + pos
+            heads = heads[has_model[heads]
+                          & (scored[heads] <= block.last_move(heads))]
+            if not heads.size:
                 continue
-            scores = rf.predict_scores(stack, np.concatenate(blocks),
-                                       [k for _, k in jobs])
+            head_of, ks = np.nonzero(uses[heads])
+            scores = rf.predict_scores(
+                stack, block.rows(heads, head_of, masks[ks]), ks)
+            scored[heads] = tick
+            g = heads[head_of]
+            r = np.arange(len(ks))
+            best = scores.argmax(axis=1)
+            cur = current[g, ks]
             # a row's padding past its model's classes is zero and the row
-            # sums to 1, so the padding never holds the first maximum
-            bests = scores.argmax(axis=1).tolist()
+            # sums to 1, so the padding never holds the first maximum; a
+            # label outside the model's classes scores 0, and a record
+            # without one takes the best label at any margin
+            cur_score = np.where(cur >= 0, scores[r, np.maximum(cur, 0)], 0.0)
+            moves = (best != cur) & ((cur == _UNLABELLED) | (
+                scores[r, best] - cur_score > SWITCH_MARGIN))
             # every row is built already, and a connection's rows all sit in
             # this call, so labels and vectors can move right away
-            for (s, k), row, best in zip(jobs, scores, bests):
-                p, model = enhanced[k], stack.forests[k]
-                label = model.classes[best]
-                current = s.h.labels[pos].get(p.id)
-                if current == label:
-                    continue
-                if current is not None:
-                    cur_score = row[model.classes.index(current)] \
-                        if current in model.classes else 0.0
-                    if row[best] - cur_score <= SWITCH_MARGIN:
-                        continue
-                s.h.labels[pos][p.id] = label
-                s.h.vecs[pos] = layout.vector(s.h.labels[pos])
-                s.converged = False
-        for s in active:
-            s.iterations += 1
-        active = [s for s in active
-                  if not s.converged and s.iterations < max_iters]
+            for i in np.flatnonzero(moves).tolist():
+                gi, k, b = int(g[i]), int(ks[i]), int(best[i])
+                c = int(block.conn[gi])
+                labels = active[c].h.labels[gi - int(block.start[c])]
+                pid, label = enhanced[k].id, forests[k].classes[b]
+                block.move(gi, layout.column.get((pid, labels.get(pid))),
+                           layout.column.get((pid, label)), tick)
+                labels[pid] = label
+                current[gi, k] = b
+                active[c].converged = False
+            tick += 1
+        for c in live.tolist():
+            active[c].iterations += 1
+        live = np.array([c for c in live.tolist() if not active[c].converged
+                         and active[c].iterations < max_iters],
+                        dtype=np.int64)
 
 
 def aggregate_predictions(problems: list[ProblemSpec],
@@ -428,10 +536,9 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
 
         layout = _Layout(problems[protocol])
         if with_enhanced:
-            context = _cross_fit_context(
-                headers, problems[protocol], params, seed, cat, schema)
-            for h, labels in zip(headers, context):
-                h.vecs = np.array([layout.vector(lab) for lab in labels])
+            block = _Block(headers, _cross_fit_context(
+                headers, problems[protocol], params, seed, cat, schema),
+                layout, mode == "tor")
 
         for p in problems[protocol]:
             sX, owners = _gather(headers, p, labelled=True)
@@ -441,9 +548,10 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                     sX, sy, _child_params(params, seed, model_index),
                     categorical=cat, schema_id=f"{schema}/{p.id}")
                 if with_enhanced:
-                    eX = np.concatenate([headers[j].enhanced_rows(
-                        pos, [layout.span[p.id]], mode == "tor")
-                        for j, pos in owners])
+                    heads = np.array([block.start[j] + pos
+                                      for j, pos in owners])
+                    eX = block.rows(heads, np.arange(heads.size),
+                                    layout.mask(p.id))
                     pm.enhanced[p.id] = rf.train(
                         eX, sy,
                         _child_params(params, seed, model_index + 1),
@@ -511,32 +619,48 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _field(d: dict, key: str, name: str = "the bundle"):
+    try:
+        return d[key]
+    except KeyError:
+        raise InferenceError(f"{name} lacks the key {key!r}") from None
+
+
 def bundle_from_dict(data: dict) -> ModelBundle:
     if _object(data, "a bundle").get("format_version") \
             != BUNDLE_FORMAT_VERSION:
         raise InferenceError("unsupported bundle format version")
 
-    def load(name, d):
-        """The forest saved as ``d``, if any; a refused one is named."""
+    def load(name, d, optional=False):
+        """The forest saved as ``d``, or None for an optional one saved as
+        null; a refused one is named."""
+        if optional and d is None:
+            return None
         try:
-            return rf.from_dict(d) if d is not None else None
+            return rf.from_dict(d)
         except rf.ForestError as exc:
             raise InferenceError(f"forest {name} is refused: {exc}") from exc
 
-    include_etag = data["include_etag"]
+    include_etag = _field(data, "include_etag")
     bundle = ModelBundle(
-        mode=data["mode"], include_etag=include_etag,
+        mode=_field(data, "mode"), include_etag=include_etag,
         problems={p: registry(p, include_etag) for p in PROTOCOLS},
-        models={}, alp_fallback=load("alp_fallback", data["alp_fallback"]),
-        default_protocol=data["default_protocol"])
-    for protocol, pd in _object(data["protocols"], "protocols").items():
-        pd = _object(pd, f"protocols.{protocol}")
+        models={},
+        alp_fallback=load("alp_fallback", _field(data, "alp_fallback"), True),
+        default_protocol=_field(data, "default_protocol"))
+    for protocol, pd in _object(_field(data, "protocols"),
+                                "protocols").items():
+        name = f"protocols.{protocol}"
+        pd = _object(pd, name)
         bundle.models[protocol] = ProtocolModels(
-            message_type=load(f"{protocol}.message_type", pd["message_type"]),
+            message_type=load(f"{protocol}.message_type",
+                              _field(pd, "message_type", name), True),
             single={pid: load(f"{protocol}.single.{pid}", d) for pid, d in
-                    _object(pd["single"], f"{protocol}.single").items()},
+                    _object(_field(pd, "single", name),
+                            f"{protocol}.single").items()},
             enhanced={pid: load(f"{protocol}.enhanced.{pid}", d) for pid, d in
-                      _object(pd["enhanced"], f"{protocol}.enhanced").items()},
+                      _object(_field(pd, "enhanced", name),
+                              f"{protocol}.enhanced").items()},
         )
     fallback = [bundle.default_protocol,
                 *(bundle.alp_fallback.classes if bundle.alp_fallback else [])]
@@ -549,8 +673,9 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 def _check_schemas(bundle: ModelBundle) -> None:
     """Every forest must carry the schema id and width ``train_bundle`` gives
-    it for the bundle's mode; otherwise prediction would fail far from the
-    cause, or read features in the wrong places."""
+    it for the bundle's mode, and a message-type forest no class but 0 and 1;
+    otherwise prediction would fail far from the cause, or read features in
+    the wrong places."""
     if bundle.mode not in ("standard", "tor"):
         raise InferenceError(f"unknown bundle mode {bundle.mode!r}")
     schema = bundle.base_schema()
@@ -562,6 +687,10 @@ def _check_schemas(bundle: ModelBundle) -> None:
         if not known or not known.issuperset([*pm.single, *pm.enhanced]):
             raise InferenceError(f"bundle has models for an unknown protocol "
                                  f"or problem under {protocol!r}")
+        classes = pm.message_type.classes if pm.message_type else []
+        if any(c not in (0, 1) for c in classes):
+            raise InferenceError(f"forest {protocol}.message_type has classes "
+                                 f"{classes!r}; a message type is 0 or 1")
         context = enhanced_length(bundle.problems[protocol])
         expected.append((f"{protocol}.message_type", pm.message_type, schema,
                          width))

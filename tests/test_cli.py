@@ -192,6 +192,38 @@ def _forest_as_list(data):
     data["protocols"]["http1"]["single"]["request.method"] = [1]
 
 
+def _single_forest_null(data):
+    data["protocols"]["http1"]["single"]["request.method"] = None
+
+
+def _no_include_etag(data):
+    del data["include_etag"]
+
+
+def _no_mode(data):
+    del data["mode"]
+
+
+def _no_alp_fallback(data):
+    del data["alp_fallback"]
+
+
+def _no_default_protocol(data):
+    del data["default_protocol"]
+
+
+def _no_message_type(data):
+    del data["protocols"]["http1"]["message_type"]
+
+
+def _no_enhanced(data):
+    del data["protocols"]["http2"]["enhanced"]
+
+
+def _message_type_classes_ab(data):
+    data["protocols"]["http1"]["message_type"]["classes"] = ["a", "b"]
+
+
 # each corruption and a part of the one error line it must give; a
 # corruption that returns a value replaces the whole JSON with it
 BAD_BUNDLES = {
@@ -208,7 +240,17 @@ BAD_BUNDLES = {
     _single_as_list: "http1.single must be a JSON object",
     _enhanced_as_list: "http1.enhanced must be a JSON object",
     _forest_as_list: "forest http1.single.request.method is refused: "
-                     "a forest must be a JSON object"}
+                     "a forest must be a JSON object",
+    _single_forest_null: "forest http1.single.request.method is refused: "
+                         "a forest must be a JSON object",
+    _no_include_etag: "the bundle lacks the key 'include_etag'",
+    _no_mode: "the bundle lacks the key 'mode'",
+    _no_alp_fallback: "the bundle lacks the key 'alp_fallback'",
+    _no_default_protocol: "the bundle lacks the key 'default_protocol'",
+    _no_message_type: "protocols.http1 lacks the key 'message_type'",
+    _no_enhanced: "protocols.http2 lacks the key 'enhanced'",
+    _message_type_classes_ab: "forest http1.message_type has classes "
+                              "['a', 'b']"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_BUNDLES))

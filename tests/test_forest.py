@@ -436,6 +436,8 @@ def test_saved_forest_layout_round_trips_byte_for_byte():
     ("cat", 0, 1, "categorical"),
     ("threshold", 1, None, "threshold"),
     ("leaf_counts", 1, [0, 0, 0], "leaf_counts"),
+    ("cats_left", 0, 15.0, "flat list"),
+    ("feature", 1, 2**70, "malformed"),
 ])
 def test_corrupt_saved_forest_is_refused(field, index, value, problem):
     data = json.loads(_SAVED_FOREST)
@@ -476,6 +478,78 @@ def test_stacked_call_equals_each_forest():
         K = forests[k].n_classes
         assert np.array_equal(stacked[i, :K], alone[k][i])
         assert not stacked[i, K:].any()
+
+
+def scalar_scores(forests, x, k):
+    """Forest k's scores for row x, one tree at a time: follow left/right
+    from each root to a leaf, then average the leaves' class frequencies in
+    tree order, padded to the widest of the forests."""
+    width = max(f.n_classes for f in forests)
+    forest = forests[k]
+    nodes = forest.nodes
+    total = np.zeros(width)
+    for root in nodes.roots:
+        node = root
+        while nodes.feature[node] >= 0:
+            v, c = x[nodes.feature[node]], nodes.cat[node]
+            go_left = any(v == code for code in nodes.cats_left[c]) if c >= 0 \
+                else v <= nodes.threshold[node]
+            node = nodes.left[node] if go_left else nodes.right[node]
+        counts = np.zeros(width, dtype=np.int64)
+        counts[:forest.n_classes] = nodes.counts[node]
+        total += counts / counts.sum()
+    return total / forest.n_trees
+
+
+def test_stacked_walk_matches_scalar_walk():
+    """Every row scored for every forest of a stack (2, 3 and 4 classes,
+    and a forest with a tree that is one leaf) equals the scalar walk bit
+    for bit, with non-integer categorical codes, unseen codes and NaN in
+    numeric and categorical columns."""
+    rng = np.random.default_rng(14)
+    n, codes = 120, [-1.25, 0.5, 7.5, 22.0]
+    X = np.round(rng.normal(size=(n, 4)) * 3, 1)
+    X[:, 0] = rng.choice(codes, n)
+    forests = []
+    for k in (2, 3, 4):
+        signal = np.searchsorted(codes, X[:, 0]) + (X[:, 1] > 0)
+        y = [f"c{int(v)}" for v in (signal + rng.integers(0, 2, n)) % k]
+        forests.append(rf.train(X, y, rf.TrainParams(n_trees=5, seed=k),
+                                categorical={0}))
+    # one row of class b: most bootstrap draws miss it, leaving a lone leaf
+    forests.append(rf.train(X, ["a"] * (n - 1) + ["b"],
+                            rf.TrainParams(n_trees=5, seed=1),
+                            categorical={0}))
+    lone = forests[-1].nodes
+    assert (lone.feature[lone.roots] < 0).any()
+    assert (lone.feature[lone.roots] >= 0).any()
+    stack = rf.Stack(forests)
+    assert stack.codes is not None
+    Xt = np.round(rng.normal(size=(40, 4)) * 3, 1)
+    Xt[:, 0] = rng.choice(codes + [3.0, -1.0, np.nan], 40)
+    Xt[::5, 1] = np.nan
+    Xt[::7, 3] = np.nan
+    rows = np.repeat(Xt, len(forests), axis=0)
+    which = np.tile(np.arange(len(forests)), len(Xt))
+    got = rf.predict_scores(stack, rows, which)
+    for row, x, k in zip(got, rows, which):
+        want = scalar_scores(forests, x, k)
+        assert np.array_equal(row, want)
+    for k, forest in enumerate(forests):
+        alone = rf.predict_scores(forest, Xt)
+        for row, x in zip(alone, Xt):
+            assert np.array_equal(row, scalar_scores(forests, x, k)[
+                :forest.n_classes])
+
+
+@pytest.mark.parametrize("classes", [["a", "b", "a"], ["a", None, "c"],
+                                     "abc"])
+def test_saved_forest_with_unusable_classes_is_refused(classes):
+    """Predictions index the class list, and None means no label."""
+    data = json.loads(_SAVED_FOREST)
+    data["classes"] = classes
+    with pytest.raises(rf.ForestError, match="classes"):
+        rf.from_dict(data)
 
 
 def test_stack_needs_one_width_and_tree_count():

@@ -1,15 +1,21 @@
 """Iterative semantics classification: contexts, gating, and training."""
 
+import copy
 import json
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from httpglass import HttpglassError, forest as rf, inference
 from httpglass.corpus import SynthSpec, split_dataset, synthesize_corpus
 from httpglass.forest import TrainParams
 from httpglass.inference import (DEFAULT_PARAMS, PROTOCOLS, TOR_WINDOW,
-                                 InferenceError, aggregate_predictions,
+                                 InferenceError, ProtocolModels,
+                                 aggregate_predictions,
                                  build_enhanced_features, bundle_from_dict,
                                  bundle_to_dict, classify_alp,
                                  classify_corpus, indicator_layout,
@@ -34,6 +40,67 @@ def single_pass_classify(bundle, conn):
 def _outcome(res):
     return (res.protocol, res.iterations, res.converged,
             [(r.index, r.message_type, r.labels) for r in res.records])
+
+
+def reference_passes(models, problems, active, max_iters, mode):
+    """The enhanced passes one (connection, model) job at a time: each
+    connection's rows at a position are built from slice sums of its
+    indicator vectors, every row is scored, and each label is applied in
+    Python.  ``inference._enhanced_passes`` must give the same labels,
+    pass counts and flags."""
+    enhanced = [p for p in problems if p.id in models.enhanced]
+    layout = inference._Layout(problems)
+    spans = [layout.span[p.id] for p in enhanced]
+    stack = rf.Stack([models.enhanced[p.id] for p in enhanced])
+    by_sender = {code: [k for k, p in enumerate(enhanced)
+                        if inference._SENDER[p.side] == code]
+                 for code in inference._SENDER.values()}
+    vecs = {id(s): np.array([layout.vector(lab) for lab in s.h.labels])
+            for s in active}
+
+    def rows(s, pos, ks):
+        window = tor_enhanced_window(len(s.h.index), pos) \
+            if mode == "tor" else None
+        ctx = inference._context(vecs[id(s)], pos, [spans[k] for k in ks],
+                                 window)
+        base = np.broadcast_to(s.h.base[pos], (len(ks), s.h.base.shape[1]))
+        return np.hstack([base, ctx])
+
+    while active:
+        for s in active:
+            s.converged = True
+        for pos in range(max(len(s.h.index) for s in active)):
+            jobs, blocks = [], []
+            for s in active:
+                if pos >= len(s.h.index):
+                    continue
+                ks = by_sender[int(s.h.directions[pos])]
+                if ks:
+                    jobs += [(s, k) for k in ks]
+                    blocks.append(rows(s, pos, ks))
+            if not jobs:
+                continue
+            scores = rf.predict_scores(stack, np.concatenate(blocks),
+                                       [k for _, k in jobs])
+            for (s, k), row in zip(jobs, scores):
+                p = enhanced[k]
+                model = models.enhanced[p.id]
+                label = model.classes[int(row.argmax())]
+                current = s.h.labels[pos].get(p.id)
+                if current == label:
+                    continue
+                if current is not None:
+                    cur_score = row[model.classes.index(current)] \
+                        if current in model.classes else 0.0
+                    if row.max() - cur_score <= inference.SWITCH_MARGIN:
+                        continue
+                s.h.labels[pos][p.id] = label
+                vecs[id(s)][pos] = layout.vector(s.h.labels[pos])
+                s.converged = False
+        for s in active:
+            s.iterations += 1
+        active = [s for s in active
+                  if not s.converged and s.iterations < max_iters]
 
 
 def _layout_offset(problems, pid):
@@ -348,3 +415,152 @@ class TestFixedPoint:
             assert many.protocol == one.protocol
             assert [r.message_type for r in many.records] == \
                 [r.message_type for r in one.records]
+
+
+def _edited(bundle, conns):
+    """The bundle with two edits per protocol: its first enhanced model
+    lacks the label its single model gives most often, and its second
+    problem has an enhanced model but no single one, so its records start
+    the enhanced passes with no label."""
+    first = classify_corpus(bundle, conns, max_iters=1)
+    models = {}
+    for protocol, pm in bundle.models.items():
+        single, enhanced = dict(pm.single), dict(pm.enhanced)
+        pid, bare = sorted(enhanced)[:2]
+        labels = [r.labels[pid] for res in first for r in res.records
+                  if pid in r.labels]
+        common = max(sorted(set(labels)), key=labels.count)
+        forest = enhanced[pid]
+        enhanced[pid] = replace(forest, classes=[
+            "never-seen" if c == common else c for c in forest.classes])
+        del single[bare]
+        models[protocol] = ProtocolModels(pm.message_type, single, enhanced)
+    return replace(bundle, models=models)
+
+
+@pytest.fixture(scope="module")
+def oracle_worlds(small_world):
+    """Standard and Tor bundles, each as trained and as ``_edited``, and the
+    test connections, whose header counts differ."""
+    bundle, train, test = small_world
+    tor = train_bundle(train, mode="tor", params=PARAMS_FAST, seed=0)
+    conns = [lc.conn for lc in test]
+    return [bundle, tor, _edited(bundle, conns), _edited(tor, conns)], conns
+
+
+class TestGaussSeidelOracle:
+    @pytest.mark.parametrize("max_iters", [1, 2, 10])
+    def test_block_passes_match_the_reference(self, oracle_worlds, max_iters,
+                                              monkeypatch):
+        bundles, conns = oracle_worlds
+        for bundle in bundles:
+            got = classify_corpus(bundle, conns, max_iters)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_enhanced_passes", reference_passes)
+                want = classify_corpus(bundle, conns, max_iters)
+            assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
+            assert len({sum(r.message_type for r in res.records)
+                        for res in got}) > 1
+            if max_iters == 10:
+                assert any(res.iterations > 2 for res in got)
+
+    def test_edits_reach_the_passes(self, oracle_worlds):
+        """The edited bundles start some records with a label outside their
+        enhanced model's classes, and some with no label at all."""
+        bundles, conns = oracle_worlds
+        for bundle in bundles[2:]:
+            outside = unlabelled = False
+            for res in classify_corpus(bundle, conns, max_iters=1):
+                pm = bundle.models[res.protocol]
+                for r in res.records:
+                    for pid, f in pm.enhanced.items():
+                        if pid in r.labels:
+                            outside |= r.labels[pid] not in f.classes
+                        elif r.message_type and pid not in pm.single:
+                            unlabelled = True
+            assert outside and unlabelled
+
+    def test_clean_rows_are_not_scored(self, oracle_worlds, monkeypatch):
+        """Skipping headers whose window did not move since their last
+        scoring gives fewer rows to predict_scores and the same results."""
+        bundles, conns = oracle_worlds
+        predict = rf.predict_scores
+        counted = []
+
+        def counting(model, X, which=None):
+            counted[-1] += len(X)
+            return predict(model, X, which)
+
+        monkeypatch.setattr(rf, "predict_scores", counting)
+        for bundle in bundles[:2]:
+            counted.append(0)
+            got = classify_corpus(bundle, conns)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_enhanced_passes", reference_passes)
+                counted.append(0)
+                want = classify_corpus(bundle, conns)
+            assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
+            assert counted[-2] < counted[-1]
+
+
+@pytest.fixture(scope="module")
+def fuzz_world():
+    """A small trained bundle as JSON, and connections of both protocols."""
+    corpus = synthesize_corpus(SynthSpec(
+        seed=31, n_connections=8, protocol_mix={"http1": 0.5, "http2": 0.5},
+        transactions_range=(1, 2)))
+    bundle = train_bundle(corpus, params=TrainParams(n_trees=2, max_depth=4,
+                                                     min_leaf=2), seed=0)
+    return json.dumps(bundle_to_dict(bundle)), [lc.conn for lc in corpus]
+
+
+def _positions(node, out):
+    """Every (container, key) of the JSON ``node``, depth-first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append((node, key))
+        _positions(child, out)
+    return out
+
+
+def _mutate(data, index, op, value):
+    """Apply ``op`` at the position ``index`` (modulo their number) picks,
+    so that each key or element of the bundle is as likely as another."""
+    positions = _positions(data, [])
+    parent, key = positions[index % len(positions)]
+    node = parent[key]
+    if op == "set":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif op == "shift" and type(node) is int:
+        parent[key] = node + (value if type(value) is int else 1)
+    elif op == "cut" and isinstance(node, list):
+        del node[len(node) // 2:]
+    elif op == "grow" and isinstance(node, list) and node:
+        node.append(copy.deepcopy(node[-1]))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.just([]), st.just({}), st.lists(st.integers(-1, 4), max_size=3))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 1 << 20),
+                          st.sampled_from(["set", "delete", "shift", "cut",
+                                           "grow"]),
+                          _JSON_VALUES), min_size=1, max_size=4))
+def test_mutated_bundles_never_crash(fuzz_world, mutations):
+    """Mutated values, ids, lengths and deleted keys raise nothing but
+    HttpglassError from bundle load through classification."""
+    text, conns = fuzz_world
+    data = json.loads(text)
+    for mutation in mutations:
+        _mutate(data, *mutation)
+    try:
+        classify_corpus(bundle_from_dict(data), conns, max_iters=3)
+    except HttpglassError:
+        pass
