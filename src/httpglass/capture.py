@@ -9,6 +9,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from socket import inet_ntoa
 from typing import BinaryIO, Iterable
 
 from . import HttpglassError
@@ -139,6 +140,9 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
     return bytes(stream), segmap, gap, anomaly
 
 
+_TCP_HEADER = struct.Struct("!HHI4xBB")
+
+
 def _parse_frame(data: bytes):
     """Ethernet/IPv4/TCP decode; returns None for anything else."""
     if len(data) < 14:
@@ -162,20 +166,15 @@ def _parse_frame(data: bytes):
     proto = data[off + 9]
     if proto != 6:
         return None
-    src_ip = data[off + 12:off + 16]
-    dst_ip = data[off + 16:off + 20]
     tcp_off = off + ihl
     if len(data) < tcp_off + 20:
         return None
-    sport, dport = struct.unpack_from("!HH", data, tcp_off)
-    seq = struct.unpack_from("!I", data, tcp_off + 4)[0]
-    data_off = (data[tcp_off + 12] >> 4) * 4
-    flags = data[tcp_off + 13]
-    payload_start = tcp_off + data_off
-    payload_end = off + total_len
-    payload = data[payload_start:min(payload_end, len(data))]
-    src = (".".join(str(b) for b in src_ip), sport)
-    dst = (".".join(str(b) for b in dst_ip), dport)
+    # ports, sequence number, (ack skipped) data offset and flags
+    sport, dport, seq, data_off, flags = _TCP_HEADER.unpack_from(data, tcp_off)
+    payload_start = tcp_off + (data_off >> 4) * 4
+    payload = data[payload_start:min(off + total_len, len(data))]
+    src = (inet_ntoa(data[off + 12:off + 16]), sport)
+    dst = (inet_ntoa(data[off + 16:off + 20]), dport)
     return src, dst, seq, flags, payload
 
 

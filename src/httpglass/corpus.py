@@ -792,10 +792,21 @@ def save_corpus(path: str, corpus: list[LabeledConnection],
             fh.write(json.dumps(_conn_to_dict(lc), sort_keys=True) + "\n")
 
 
+def _int64(text: str) -> int:
+    """A JSON integer, refused outside int64 as no field can hold it."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"an integer is outside int64: {text[:24]}")
+    return value
+
+
 def load_corpus(path: str) -> list[LabeledConnection]:
     out = []
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline(), parse_int=_int64)
+        except ValueError as exc:
+            raise CorpusError(f"line 1: {type(exc).__name__}: {exc}") from exc
         manifest = header.get("manifest") if isinstance(header, dict) else None
         if not isinstance(manifest, dict):
             raise CorpusError("line 1 is not a corpus manifest")
@@ -804,7 +815,8 @@ def load_corpus(path: str) -> list[LabeledConnection]:
         for n, line in enumerate(fh, start=2):
             if line.strip():
                 try:
-                    out.append(_conn_from_dict(json.loads(line)))
+                    out.append(_conn_from_dict(json.loads(
+                        line, parse_int=_int64)))
                 except (CorpusError, KeyError, TypeError, ValueError) as exc:
                     raise CorpusError(
                         f"line {n}: {type(exc).__name__}: {exc}") from exc

@@ -69,27 +69,18 @@ class ModelBundle:
 
 # --- indicator-block layout ---
 
-def indicator_layout(problems: list[ProblemSpec]) -> list[tuple[str, int, tuple[str, ...]]]:
-    """(problem id, offset, labels) for each registry entry, in registry order."""
-    out = []
-    off = 0
-    for p in problems:
-        out.append((p.id, off, p.labels))
-        off += len(p.labels)
-    return out
-
-
 class _Layout:
-    """A protocol's indicator-block layout, computed once and reused for
+    """A protocol's indicator-block layout: each problem's labels take
+    contiguous columns, in registry order.  Computed once and reused for
     every record, problem and pass."""
 
     def __init__(self, problems: list[ProblemSpec]):
-        layout = indicator_layout(problems)
-        self.width = enhanced_length(problems)
-        self.span = {pid: (off, off + len(labels))
-                     for pid, off, labels in layout}
-        self.column = {(pid, label): off + k for pid, off, labels in layout
-                       for k, label in enumerate(labels)}
+        pairs = [(p.id, label) for p in problems for label in p.labels]
+        self.width = len(pairs)
+        self.column = {pair: k for k, pair in enumerate(pairs)}
+        self.span = {p.id: (self.column[p.id, p.labels[0]],
+                            self.column[p.id, p.labels[-1]] + 1)
+                     for p in problems}
 
     def mask(self, pid: str) -> np.ndarray:
         """1 over problem ``pid``'s indicator span, 0 elsewhere."""
@@ -98,61 +89,14 @@ class _Layout:
         return vec
 
     def vector(self, labels: dict[str, str]) -> np.ndarray:
+        """One-hot indicators of one record's labels; a label outside its
+        problem's set (the ``other`` class) contributes zeros."""
         vec = np.zeros(self.width, dtype=np.float64)
         for pid, label in labels.items():
             col = self.column.get((pid, label))
             if col is not None:
                 vec[col] = 1.0
         return vec
-
-
-def indicator_vector(problems: list[ProblemSpec], labels: dict[str, str],
-                     ) -> np.ndarray:
-    """Concatenated one-hot indicators for one record's predicted labels.
-
-    Labels outside a problem's set (the ``other`` class) and problems with no
-    prediction on this record contribute zeros.
-    """
-    return _Layout(problems).vector(labels)
-
-
-def _context(vecs: np.ndarray, target_pos: int,
-             target_spans: list[tuple[int, int]],
-             window: tuple[int, int] | None) -> np.ndarray:
-    """Context blocks of one header, one row per target problem's indicator
-    span [start, end)."""
-    lo, hi = window if window is not None else (0, len(vecs) - 1)
-    total = vecs[max(lo, 0):max(hi + 1, 0)].sum(0)
-    out = np.repeat(total[None], len(target_spans), axis=0)
-    if lo <= target_pos <= hi:
-        target = vecs[target_pos]
-        for row, (start, end) in zip(out, target_spans):
-            row[start:end] -= target[start:end]
-    return out
-
-
-def build_enhanced_features(problems: list[ProblemSpec],
-                            header_vectors: np.ndarray,
-                            target_pos: int, target_problem: str,
-                            window: tuple[int, int] | None = None,
-                            ) -> np.ndarray:
-    """Context block for one (record, problem) classification.
-
-    Sums the rows of ``header_vectors`` (predicted-label indicators, one per
-    header record); the target record's contribution to the target problem's
-    subcomponent is excluded.  ``window`` restricts the sum to header
-    positions [lo, hi] (Tor mode).
-    """
-    layout = _Layout(problems)
-    vecs = np.asarray(header_vectors, dtype=np.float64).reshape(
-        -1, layout.width)
-    return _context(vecs, target_pos, [layout.span[target_problem]],
-                    window)[0]
-
-
-def tor_enhanced_window(n_headers: int, pos: int) -> tuple[int, int]:
-    """Header-position bounds [lo, hi] of the Tor-mode context window."""
-    return max(0, pos - TOR_WINDOW), min(n_headers - 1, pos + TOR_WINDOW)
 
 
 # --- classification ---
@@ -172,69 +116,66 @@ def classify_alp(bundle: ModelBundle, conn: Connection) -> str:
 _SENDER = {Side.CLIENT: int(Direction.CLIENT_TO_SERVER),
            Side.SERVER: int(Direction.SERVER_TO_CLIENT)}
 
-
-@dataclass
-class _Headers:
-    """One connection's header records: rows of its record table and the
-    labels the per-problem models train on or predict."""
-
-    index: list[int]              # record index of each header record
-    base: np.ndarray              # base features, one row per header record
-    directions: np.ndarray        # Direction code of each header record
-    labels: list[dict[str, str]]  # ground truth (training) or predictions
-
-    @classmethod
-    def of(cls, conn: Connection, table: np.ndarray, index: list[int],
-           labels: list[dict[str, str]]) -> "_Headers":
-        directions = np.array([conn.records[i].direction for i in index],
-                              dtype=np.int64)
-        return cls(index, table[index], directions, labels)
-
-
 # a Tor-mode context window, as offsets from its header
 _WINDOW = np.arange(-TOR_WINDOW, TOR_WINDOW + 1)
 
 
 class _Block:
     """The header records of a protocol's connections as one array block,
-    from which the enhanced-model inputs of many headers are built at once.
+    which training, cross-fitting and both passes read and label.
 
-    Connection c's headers are the rows from ``start[c]`` of ``base`` and of
-    ``vecs``, the indicator vectors of their labels.  TOR_WINDOW zero rows
-    lie before, between and after the connections, so a Tor-mode window is
-    a fixed-width slice that never crosses into another connection.  In
-    standard mode the context is the connection's total, kept in ``totals``
-    as labels move.  The indicators are 0/1, so every float64 sum of them
-    is exact, whatever its order.
+    Connection c's headers are the ``size[c]`` rows from ``start[c]``, each
+    with its record ``index``, ``base`` features, ``direction`` code,
+    connection ``conn`` and ``labels`` dict (ground truth in training,
+    predictions in inference).  TOR_WINDOW padding rows (direction -1) lie
+    before, between and after the connections, so a Tor-mode window is a
+    fixed-width slice that never crosses into another connection.
 
-    ``moved`` holds the tick of each header's last label move and
-    ``conn_moved`` that of each connection's, or -1; ``last_move`` reads
-    them over a header's window.
+    ``context`` adds the enhanced models' input: ``vecs``, the indicator
+    vectors of a set of labels, and each connection's total, kept in
+    ``totals`` as labels move.  The indicators are 0/1, so every float64 sum
+    of them is exact, whatever its order.  ``moved`` holds the tick of each
+    header's last label move and ``conn_moved`` that of each connection's, or
+    -1; ``last_move`` reads them over a header's window.
     """
 
-    def __init__(self, headers: list[_Headers],
-                 labels: list[list[dict[str, str]]], layout: _Layout,
-                 tor: bool):
-        sizes = [len(h.index) for h in headers]
+    def __init__(self, conns: list[Connection], heads: list[list[int]],
+                 bases: list[np.ndarray],
+                 labels: list[list[dict[str, str]]], tor: bool):
+        self.size = np.array([len(idx) for idx in heads], dtype=np.int64)
         self.start = np.cumsum([TOR_WINDOW] + [n + TOR_WINDOW
-                                              for n in sizes[:-1]])
-        n_rows = int(self.start[-1]) + sizes[-1] + TOR_WINDOW
+                                              for n in self.size[:-1]])
+        n_rows = int(self.start[-1] + self.size[-1]) + TOR_WINDOW
         self.tor = tor
-        self.base = np.zeros((n_rows, headers[0].base.shape[1]))
-        self.vecs = np.zeros((n_rows, layout.width))
-        self.conn = np.zeros(n_rows, dtype=np.int64)
+        self.index = np.full(n_rows, -1, dtype=np.int64)
+        self.base = np.zeros((n_rows, bases[0].shape[1]))
         self.direction = np.full(n_rows, -1, dtype=np.int64)
-        for c, (h, labs, at) in enumerate(zip(headers, labels,
-                                              self.start.tolist())):
-            rows = slice(at, at + len(h.index))
-            self.base[rows], self.direction[rows] = h.base, h.directions
+        self.conn = np.full(n_rows, -1, dtype=np.int64)
+        self.labels: list[dict[str, str]] = [{} for _ in range(n_rows)]
+        for c, (conn, idx, base, labs, at) in enumerate(zip(
+                conns, heads, bases, labels, self.start.tolist())):
+            rows = slice(at, at + len(idx))
+            self.index[rows], self.base[rows] = idx, base
+            self.direction[rows] = [conn.records[i].direction for i in idx]
             self.conn[rows] = c
-            if labs:
-                self.vecs[rows] = [layout.vector(lab) for lab in labs]
-        self.totals = np.array([self.vecs[at:at + n].sum(axis=0) for at, n
-                                in zip(self.start.tolist(), sizes)])
-        self.moved = np.full(n_rows, -1, dtype=np.int64)
-        self.conn_moved = np.full(len(headers), -1, dtype=np.int64)
+            self.labels[rows] = labs
+
+    def sent(self, p: ProblemSpec, labelled: bool = False) -> np.ndarray:
+        """The rows of the headers p's side sends (with a label for p when
+        ``labelled``), in block order."""
+        rows = np.flatnonzero(self.direction == _SENDER[p.side])
+        if labelled:
+            rows = rows[np.array([p.id in self.labels[g]
+                                  for g in rows.tolist()], dtype=bool)]
+        return rows
+
+    def context(self, layout: _Layout, labels: list[dict[str, str]]) -> None:
+        """Index ``labels`` (one dict per row) as the enhanced models'
+        context."""
+        self.vecs = np.array([layout.vector(lab) for lab in labels])
+        self.totals = np.add.reduceat(self.vecs, self.start, axis=0)
+        self.moved = np.full(len(labels), -1, dtype=np.int64)
+        self.conn_moved = np.full(self.size.shape, -1, dtype=np.int64)
 
     def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
              ) -> np.ndarray:
@@ -267,28 +208,6 @@ class _Block:
         self.moved[g] = self.conn_moved[c] = tick
 
 
-def _gather(headers: list[_Headers], p: ProblemSpec, labelled: bool = False,
-            ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Base rows of the header records sent by p's side (with a label for p
-    when ``labelled``), and their (index into ``headers``, position)."""
-    picks = [[pos for pos in
-              np.flatnonzero(h.directions == _SENDER[p.side]).tolist()
-              if not labelled or p.id in h.labels[pos]] for h in headers]
-    owners = [(j, pos) for j, sel in enumerate(picks) for pos in sel]
-    if not owners:
-        return np.zeros((0, 0)), owners
-    return np.concatenate([h.base[sel] for h, sel in zip(headers, picks)]), owners
-
-
-@dataclass
-class _ConnState:
-    conn: Connection
-    protocol: str
-    h: _Headers | None = None
-    iterations: int = 1
-    converged: bool = False
-
-
 SWITCH_MARGIN = 0.05
 
 
@@ -303,33 +222,29 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     """
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
-    states = [_ConnState(conn, classify_alp(bundle, conn)) for conn in conns]
-    for protocol in PROTOCOLS:
-        members = [s for s in states if s.protocol == protocol]
-        if members:
-            _classify_protocol(bundle.models.get(protocol, ProtocolModels()),
-                               bundle.problems[protocol], members, max_iters,
-                               bundle.mode)
-
-    results = []
     ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
-    for s, cid in zip(states, ids):
-        by_index = dict(zip(s.h.index, s.h.labels))
-        recs = [LabeledRecord(index=i, message_type=i in by_index,
-                              labels=by_index.get(i, {}))
-                for i in range(len(s.conn.records))]
-        results.append(ConnectionResult(protocol=s.protocol,
-                                        iterations=s.iterations,
-                                        converged=s.converged, records=recs,
-                                        connection_id=cid))
+    results = [ConnectionResult(protocol=classify_alp(bundle, conn),
+                                iterations=1, converged=False, records=[],
+                                connection_id=cid)
+               for conn, cid in zip(conns, ids)]
+    for protocol in PROTOCOLS:
+        picked = [i for i, r in enumerate(results) if r.protocol == protocol]
+        if picked:
+            _classify_protocol(bundle.models.get(protocol, ProtocolModels()),
+                               bundle.problems[protocol],
+                               [conns[i] for i in picked],
+                               [results[i] for i in picked], max_iters,
+                               bundle.mode)
     return results
 
 
 def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
-                       members: list[_ConnState], max_iters: int, mode: str,
-                       ) -> None:
+                       conns: list[Connection],
+                       results: list[ConnectionResult], max_iters: int,
+                       mode: str) -> None:
     """Classify one protocol's connections in lockstep, so every model is
-    invoked in large batches; iteration state is tracked per connection.
+    invoked in large batches, and fill in their results; iteration state is
+    tracked per connection.
 
     During enhanced iterations a prediction only changes when the model
     prefers the new label by more than ``SWITCH_MARGIN``; this hysteresis
@@ -337,35 +252,43 @@ def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
     points.
     """
     # message types, in one batch
-    tables = [record_table(s.conn, mode) for s in members]
-    app = [[rec.index for rec in s.conn.records if rec.type_code == 23]
-           for s in members]
-    heads = [[] for _ in members]
+    tables = [record_table(conn, mode) for conn in conns]
+    app = [[rec.index for rec in conn.records if rec.type_code == 23]
+           for conn in conns]
+    heads = [[] for _ in conns]
     if models.message_type is not None and any(app):
         flags = iter(rf.predict_labels(models.message_type, np.concatenate(
             [table[idx] for table, idx in zip(tables, app)])))
         heads = [[i for i in idx if int(next(flags))] for idx in app]
-    for s, table, idx in zip(members, tables, heads):
-        s.h = _Headers.of(s.conn, table, idx, [{} for _ in idx])
+    block = _Block(conns, heads,
+                   [table[idx] for table, idx in zip(tables, heads)],
+                   [[{} for _ in idx] for idx in heads], mode == "tor")
     del tables  # only the header rows are needed from here on
 
     # first semantics pass, one batch per problem
-    hs = [s.h for s in members]
     for p in problems:
-        X, owners = _gather(hs, p)
-        if owners and p.id in models.single:
-            labels = rf.predict_labels(models.single[p.id], X)
-            for (j, pos), label in zip(owners, labels):
-                hs[j].labels[pos][p.id] = label
+        rows = block.sent(p)
+        if rows.size and p.id in models.single:
+            labels = rf.predict_labels(models.single[p.id], block.base[rows])
+            for g, label in zip(rows.tolist(), labels):
+                block.labels[g][p.id] = label
 
     # a connection without headers or enhanced models has nothing to
     # iterate, so it has converged
-    enhanced = [p for p in problems if p.id in models.enhanced]
-    for s in members:
-        s.converged = not (enhanced and s.h.index)
-    active = [s for s in members if not s.converged] if max_iters > 1 else []
-    if active:
-        _enhanced_passes(models, problems, active, max_iters, mode)
+    enhanced = any(p.id in models.enhanced for p in problems)
+    for res, n in zip(results, block.size.tolist()):
+        res.converged = not (enhanced and n)
+    if max_iters > 1 and not all(res.converged for res in results):
+        _enhanced_passes(models, problems, block, results, max_iters)
+
+    # each connection's records, its headers read from its row range
+    for conn, res, at, n in zip(conns, results, block.start.tolist(),
+                                block.size.tolist()):
+        labels = dict(zip(block.index[at:at + n].tolist(),
+                          block.labels[at:at + n]))
+        res.records = [LabeledRecord(index=i, message_type=i in labels,
+                                     labels=labels.get(i, {}))
+                       for i in range(len(conn.records))]
 
 
 # the class index of a label outside an enhanced model's classes, and of no
@@ -374,9 +297,9 @@ _OUTSIDE, _UNLABELLED = -1, -2
 
 
 def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
-                     active: list[_ConnState], max_iters: int, mode: str,
-                     ) -> None:
-    """Iterative enhanced passes over connections with headers.
+                     block: _Block, results: list[ConnectionResult],
+                     max_iters: int) -> None:
+    """Iterative enhanced passes over the connections not yet converged.
 
     Records update sequentially within a pass, so each classification sees
     the freshest predictions (this converges far faster than simultaneous
@@ -391,8 +314,7 @@ def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
     forests = [models.enhanced[p.id] for p in enhanced]
     layout = _Layout(problems)
     stack = rf.Stack(forests)
-    block = _Block([s.h for s in active], [s.h.labels for s in active],
-                   layout, mode == "tor")
+    block.context(layout, block.labels)
     masks = np.array([layout.mask(p.id) for p in enhanced])
     # uses[g, k]: model k labels header g, a record sent by its side
     uses = block.direction[:, None] == np.array(
@@ -403,19 +325,19 @@ def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
     class_index = [{c: i for i, c in enumerate(f.classes)}
                    for f in forests]
     current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
-    for s, at in zip(active, block.start.tolist()):
-        for g, lab in enumerate(s.h.labels, at):
-            for pid, label in lab.items():
-                k = model_of.get(pid)
-                if k is not None:
-                    current[g, k] = class_index[k].get(label, _OUTSIDE)
+    for g, lab in enumerate(block.labels):
+        for pid, label in lab.items():
+            k = model_of.get(pid)
+            if k is not None:
+                current[g, k] = class_index[k].get(label, _OUTSIDE)
     scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
-    sizes = np.array([len(s.h.index) for s in active])
-    live = np.arange(len(active))
+    sizes = block.size
+    live = np.array([c for c, res in enumerate(results) if not res.converged],
+                    dtype=np.int64)
     tick = 0
     while live.size:
         for c in live.tolist():
-            active[c].converged = True  # until one of its labels moves
+            results[c].converged = True  # until one of its labels moves
         for pos in range(int(sizes[live].max())):
             heads = block.start[live[sizes[live] > pos]] + pos
             heads = heads[has_model[heads]
@@ -441,19 +363,18 @@ def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
             # this call, so labels and vectors can move right away
             for i in np.flatnonzero(moves).tolist():
                 gi, k, b = int(g[i]), int(ks[i]), int(best[i])
-                c = int(block.conn[gi])
-                labels = active[c].h.labels[gi - int(block.start[c])]
+                labels = block.labels[gi]
                 pid, label = enhanced[k].id, forests[k].classes[b]
                 block.move(gi, layout.column.get((pid, labels.get(pid))),
                            layout.column.get((pid, label)), tick)
                 labels[pid] = label
                 current[gi, k] = b
-                active[c].converged = False
+                results[int(block.conn[gi])].converged = False
             tick += 1
         for c in live.tolist():
-            active[c].iterations += 1
-        live = np.array([c for c in live.tolist() if not active[c].converged
-                         and active[c].iterations < max_iters],
+            results[c].iterations += 1
+        live = np.array([c for c in live.tolist() if not results[c].converged
+                         and results[c].iterations < max_iters],
                         dtype=np.int64)
 
 
@@ -516,17 +437,18 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
             continue
         schema = bundle.base_schema()
 
-        mt_rows, mt_y, headers = [], [], []
+        mt_rows, mt_y, heads, bases, labels = [], [], [], [], []
         for lc in members:
             table = record_table(lc.conn, mode)
             flags = {lr.index: lr.message_type for lr in lc.records}
             app = [rec.index for rec in lc.conn.records if rec.type_code == 23]
             mt_rows.append(table[app])
             mt_y += [int(flags.get(i, False)) for i in app]
-            heads = [lr for lr in lc.records if lr.message_type]
-            headers.append(_Headers.of(lc.conn, table,
-                                       [lr.index for lr in heads],
-                                       [lr.labels for lr in heads]))
+            heads.append([lr.index for lr in lc.records if lr.message_type])
+            labels.append([lr.labels for lr in lc.records if lr.message_type])
+            bases.append(table[heads[-1]])
+        block = _Block([lc.conn for lc in members], heads, bases, labels,
+                       mode == "tor")
 
         if len(set(mt_y)) > 1:
             pm.message_type = rf.train(np.concatenate(mt_rows), mt_y,
@@ -536,21 +458,19 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
 
         layout = _Layout(problems[protocol])
         if with_enhanced:
-            block = _Block(headers, _cross_fit_context(
-                headers, problems[protocol], params, seed, cat, schema),
-                layout, mode == "tor")
+            block.context(layout, _cross_fit_context(
+                block, problems[protocol], params, seed, cat, schema))
 
         for p in problems[protocol]:
-            sX, owners = _gather(headers, p, labelled=True)
-            sy = [headers[j].labels[pos][p.id] for j, pos in owners]
+            rows = block.sent(p, labelled=True)
+            sy = [block.labels[g][p.id] for g in rows.tolist()]
             if len(set(sy)) > 1:
                 pm.single[p.id] = rf.train(
-                    sX, sy, _child_params(params, seed, model_index),
+                    block.base[rows], sy,
+                    _child_params(params, seed, model_index),
                     categorical=cat, schema_id=f"{schema}/{p.id}")
                 if with_enhanced:
-                    heads = np.array([block.start[j] + pos
-                                      for j, pos in owners])
-                    eX = block.rows(heads, np.arange(heads.size),
+                    eX = block.rows(rows, np.arange(rows.size),
                                     layout.mask(p.id))
                     pm.enhanced[p.id] = rf.train(
                         eX, sy,
@@ -560,32 +480,29 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     return bundle
 
 
-def _cross_fit_context(headers, problems, params, seed, cat, schema):
-    """Held-out first-pass predictions to serve as enhanced-training context.
+def _cross_fit_context(block, problems, params, seed, cat, schema):
+    """Held-out first-pass predictions to serve as enhanced-training context,
+    one label dict per row of ``block``.
 
-    Connections are split into two folds; each fold's header records are
-    relabeled by per-problem models trained on the other fold.  Records a
-    fold model cannot cover keep their ground-truth label.
+    Connections are split into two folds by parity; each fold's header
+    records are relabeled by per-problem models trained on the other fold.
+    Records a fold model cannot cover keep their ground-truth label.
     """
-    context = [[dict(lab) for lab in h.labels] for h in headers]
-    for fold in (0, 1):
-        train_members = [h for m, h in enumerate(headers) if m % 2 != fold]
-        predict_members = [m for m in range(len(headers)) if m % 2 == fold]
-        if not train_members or not predict_members:
-            continue
-        for k, p in enumerate(problems):
-            sX, owners = _gather(train_members, p, labelled=True)
-            sy = [train_members[j].labels[pos][p.id] for j, pos in owners]
-            if len(set(sy)) < 2:
+    context = [dict(lab) for lab in block.labels]
+    for k, p in enumerate(problems):
+        rows = block.sent(p, labelled=True)
+        parity = block.conn[rows] % 2
+        for fold in (0, 1):
+            fit, held = rows[parity != fold], rows[parity == fold]
+            sy = [block.labels[g][p.id] for g in fit.tolist()]
+            if not held.size or len(set(sy)) < 2:
                 continue
             child = _child_params(params, seed, 1000 + 10 * k + fold)
-            model = rf.train(sX, sy, child, categorical=cat,
+            model = rf.train(block.base[fit], sy, child, categorical=cat,
                              schema_id=f"{schema}/{p.id}/fold{fold}")
-            X, owners = _gather([headers[m] for m in predict_members], p,
-                                labelled=True)
-            if owners:
-                for (j, pos), label in zip(owners, rf.predict_labels(model, X)):
-                    context[predict_members[j]][pos][p.id] = label
+            for g, label in zip(held.tolist(),
+                                rf.predict_labels(model, block.base[held])):
+                context[g][p.id] = label
     return context
 
 

@@ -113,6 +113,3 @@ def enhanced_length(problems: list[ProblemSpec]) -> int:
     """Width of the enhanced (indicator-sum) feature block for a registry."""
     return sum(len(p.labels) for p in problems)
 
-
-def problems_for_side(problems: list[ProblemSpec], side: Side) -> list[ProblemSpec]:
-    return [p for p in problems if p.side == side]

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from httpglass import forest as rf
+from httpglass import forest as rf, inference
 from httpglass.capture import write_pcap
 from httpglass.cli import main as cli_main
 from httpglass.corpus import SynthSpec, split_dataset, synthesize_corpus
@@ -18,16 +18,15 @@ from httpglass.evalx import run_malware_experiment, run_semantics_experiment
 from httpglass.features import (MALWARE_STANDARD_LEN, STANDARD_LEN, TOR_LEN,
                                 assemble_record_sample, build_feature_vocab,
                                 enrich_malware_features,
-                                extract_malware_standard)
-from httpglass.inference import (build_enhanced_features, classify_corpus,
-                                 indicator_layout, indicator_vector,
-                                 train_bundle)
+                                extract_malware_standard, record_table)
+from httpglass.inference import classify_corpus, train_bundle
 from httpglass.keyscan import (PROFILE_NAMES, build_fixture,
                                expected_false_positives, pattern_span,
                                scan, scan_windows)
 from httpglass.registry import (ABSENT, PRESENT, enhanced_length, registry)
 
-from helpers import handshake_payloads, pcap_frames, tls_stream
+from helpers import (handshake_payloads, pcap_frames,
+                     synthetic_connection, tls_stream)
 from test_evalx import brute_force_f1
 from test_forest import _encode, _split_score, exhaustive_numeric_stump
 
@@ -232,20 +231,28 @@ def test_criterion_07_malware_enrichment_direction():
 
 
 def test_criterion_08_referer_aggregation_oracle():
+    """The production builder: a ``_Block`` of 7 requests, whose target's
+    Referer span must read [2, 4] from ``_Block.rows``."""
     problems = registry("http1")
-    vecs = []
-    for i in range(7):
-        vecs.append(indicator_vector(problems, {
-            "request.method": "GET",
-            "request.referer": PRESENT if i < 4 else ABSENT}))
-    ctx = build_enhanced_features(problems, vecs, target_pos=5,
-                                  target_problem="request.referer")
-    off, labels = next((o, ls) for pid, o, ls in indicator_layout(problems)
-                       if pid == "request.referer")
-    sub = ctx[off:off + len(labels)].tolist()
-    ok = sub == [2.0, 4.0] and labels == (ABSENT, PRESENT)
+    labels = [{"request.method": "GET",
+               "request.referer": PRESENT if i < 4 else ABSENT}
+              for i in range(7)]
+    conn = synthetic_connection([(200, 0)] * 7)
+    block = inference._Block([conn], [list(range(7))], [record_table(conn)],
+                             [labels], tor=False)
+    layout = inference._Layout(problems)
+    block.context(layout, block.labels)
+    target = np.array([block.start[0] + 5])  # an absent-Referer request
+    row = block.rows(target, np.array([0]), layout.mask("request.referer"))[0]
+    ctx = row[STANDARD_LEN:]
+    lo, hi = layout.span["request.referer"]
+    sub = ctx[lo:hi].tolist()
+    get = ctx[layout.column["request.method", "GET"]]
+    ok = (sub == [2.0, 4.0] and get == 7.0 and len(ctx) == layout.width
+          and layout.column["request.referer", ABSENT] == lo)
     _verdict(8, ok, f"7 requests, 4/6 non-target with Referer -> "
-                    f"subcomponent {sub} (expected [2.0, 4.0])")
+                    f"subcomponent {sub} (expected [2.0, 4.0]), "
+                    f"GET {get} (expected 7.0)")
 
 
 def test_criterion_09_keyscan_recall_and_false_positives():

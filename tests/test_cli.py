@@ -289,12 +289,17 @@ def _length_as_string(conn):
     conn["records"][0][2] = str(conn["records"][0][2])
 
 
+def _length_10_pow_400(conn):
+    conn["records"][0][2] = 10**400
+
+
 BAD_CORPORA = {
     _protocol_http3: "unknown protocol 'http3'",
     _label_index_999: "labels must be one per record",
     _labels_cut_to_3: "labels must be one per record",
     _extra_handshake_key: "TypeError: HandshakeMeta",
-    _length_as_string: "wrong type"}
+    _length_as_string: "wrong type",
+    _length_10_pow_400: "outside int64"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_CORPORA))

@@ -1,5 +1,7 @@
 """Label normalization, ground-truth alignment, synthesis, and persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,3 +241,31 @@ class TestPersistence:
             hs_a, hs_b = a.conn.handshake, b.conn.handshake
             assert hs_a.offered_cipher_suites == hs_b.offered_cipher_suites
             assert hs_a.alpn_selected == hs_b.alpn_selected
+
+    @pytest.mark.parametrize("value, refused", [
+        (2**63 - 1, False), (-2**63, False), (2**63, True), (-2**63 - 1, True),
+        (10**400, True)], ids=["max", "min", "max+1", "min-1", "10**400"])
+    def test_integers_outside_int64_are_refused(self, tmp_path, value,
+                                                refused):
+        """No field holds an integer outside int64: the features would
+        overflow float() far from the cause."""
+        corpus = synthesize_corpus(SynthSpec(seed=10, n_connections=2))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(str(path), corpus)
+        lines = path.read_text().splitlines()
+        conn = json.loads(lines[2])
+        conn["records"][0][2] = value
+        lines[2] = json.dumps(conn)
+        path.write_text("\n".join(lines) + "\n")
+        if refused:
+            with pytest.raises(CorpusError, match="line 3: .*outside int64"):
+                load_corpus(str(path))
+        else:
+            assert load_corpus(str(path))[1].conn.records[0].length == value
+
+    def test_manifest_integer_outside_int64_is_refused(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"manifest": {
+            "schema_version": 1, "n_connections": 2**70}}) + "\n")
+        with pytest.raises(CorpusError, match="line 1: .*outside int64"):
+            load_corpus(str(path))

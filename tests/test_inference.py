@@ -1,6 +1,7 @@
 """Iterative semantics classification: contexts, gating, and training."""
 
 import copy
+import hashlib
 import json
 from dataclasses import replace
 from datetime import timedelta
@@ -11,18 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httpglass import HttpglassError, forest as rf, inference
-from httpglass.corpus import SynthSpec, split_dataset, synthesize_corpus
+from httpglass.corpus import (SynthSpec, load_corpus, save_corpus,
+                              split_dataset, synthesize_corpus)
 from httpglass.forest import TrainParams
+from httpglass.features import record_table
 from httpglass.inference import (DEFAULT_PARAMS, PROTOCOLS, TOR_WINDOW,
                                  InferenceError, ProtocolModels,
-                                 aggregate_predictions,
-                                 build_enhanced_features, bundle_from_dict,
+                                 aggregate_predictions, bundle_from_dict,
                                  bundle_to_dict, classify_alp,
-                                 classify_corpus, indicator_layout,
-                                 indicator_vector, load_bundle, save_bundle,
-                                 tor_enhanced_window, train_bundle)
+                                 classify_corpus, load_bundle, save_bundle,
+                                 train_bundle)
 from httpglass.registry import (ABSENT, OTHER, PRESENT, Side,
                                 enhanced_length, registry)
+
+from helpers import synthetic_connection
 
 PROBS_H1 = registry("http1")
 PARAMS_FAST = TrainParams(n_trees=8, max_depth=10, min_leaf=2)
@@ -42,7 +45,23 @@ def _outcome(res):
             [(r.index, r.message_type, r.labels) for r in res.records])
 
 
-def reference_passes(models, problems, active, max_iters, mode):
+def _tor_window(n_headers, pos):
+    """Header-position bounds [lo, hi] of a Tor-mode context window."""
+    return max(0, pos - TOR_WINDOW), min(n_headers - 1, pos + TOR_WINDOW)
+
+
+def _context(vecs, pos, spans, window):
+    """Context blocks of header ``pos`` by slice sums, one row per target
+    span [start, end): the sum of ``vecs`` over the window [lo, hi] (all
+    headers when None), less the header's own indicators in the span."""
+    lo, hi = window if window is not None else (0, len(vecs) - 1)
+    out = np.repeat(vecs[lo:hi + 1].sum(0)[None], len(spans), axis=0)
+    for row, (start, end) in zip(out, spans):
+        row[start:end] -= vecs[pos, start:end]
+    return out
+
+
+def reference_passes(models, problems, block, members, max_iters):
     """The enhanced passes one (connection, model) job at a time: each
     connection's rows at a position are built from slice sums of its
     indicator vectors, every row is scored, and each label is applied in
@@ -55,38 +74,42 @@ def reference_passes(models, problems, active, max_iters, mode):
     by_sender = {code: [k for k, p in enumerate(enhanced)
                         if inference._SENDER[p.side] == code]
                  for code in inference._SENDER.values()}
-    vecs = {id(s): np.array([layout.vector(lab) for lab in s.h.labels])
-            for s in active}
+    # each connection's header rows, and their indicator vectors kept apart
+    heads = [range(at, at + n) for at, n in
+             zip(block.start.tolist(), block.size.tolist())]
+    vecs = [np.array([layout.vector(block.labels[g]) for g in rows]
+                     ).reshape(len(rows), layout.width) for rows in heads]
 
-    def rows(s, pos, ks):
-        window = tor_enhanced_window(len(s.h.index), pos) \
-            if mode == "tor" else None
-        ctx = inference._context(vecs[id(s)], pos, [spans[k] for k in ks],
-                                 window)
-        base = np.broadcast_to(s.h.base[pos], (len(ks), s.h.base.shape[1]))
+    def rows(c, pos, ks):
+        window = _tor_window(len(heads[c]), pos) if block.tor else None
+        ctx = _context(vecs[c], pos, [spans[k] for k in ks], window)
+        base = np.broadcast_to(block.base[heads[c][pos]],
+                               (len(ks), block.base.shape[1]))
         return np.hstack([base, ctx])
 
+    active = [c for c, s in enumerate(members) if not s.converged]
     while active:
-        for s in active:
-            s.converged = True
-        for pos in range(max(len(s.h.index) for s in active)):
+        for c in active:
+            members[c].converged = True
+        for pos in range(max(len(heads[c]) for c in active)):
             jobs, blocks = [], []
-            for s in active:
-                if pos >= len(s.h.index):
+            for c in active:
+                if pos >= len(heads[c]):
                     continue
-                ks = by_sender[int(s.h.directions[pos])]
+                ks = by_sender[int(block.direction[heads[c][pos]])]
                 if ks:
-                    jobs += [(s, k) for k in ks]
-                    blocks.append(rows(s, pos, ks))
+                    jobs += [(c, k) for k in ks]
+                    blocks.append(rows(c, pos, ks))
             if not jobs:
                 continue
             scores = rf.predict_scores(stack, np.concatenate(blocks),
                                        [k for _, k in jobs])
-            for (s, k), row in zip(jobs, scores):
+            for (c, k), row in zip(jobs, scores):
                 p = enhanced[k]
                 model = models.enhanced[p.id]
                 label = model.classes[int(row.argmax())]
-                current = s.h.labels[pos].get(p.id)
+                labels = block.labels[heads[c][pos]]
+                current = labels.get(p.id)
                 if current == label:
                     continue
                 if current is not None:
@@ -94,42 +117,61 @@ def reference_passes(models, problems, active, max_iters, mode):
                         if current in model.classes else 0.0
                     if row.max() - cur_score <= inference.SWITCH_MARGIN:
                         continue
-                s.h.labels[pos][p.id] = label
-                vecs[id(s)][pos] = layout.vector(s.h.labels[pos])
-                s.converged = False
-        for s in active:
-            s.iterations += 1
-        active = [s for s in active
-                  if not s.converged and s.iterations < max_iters]
+                labels[p.id] = label
+                vecs[c][pos] = layout.vector(labels)
+                members[c].converged = False
+        for c in active:
+            members[c].iterations += 1
+        active = [c for c in active if not members[c].converged
+                  and members[c].iterations < max_iters]
 
 
-def _layout_offset(problems, pid):
-    return {p: (off, labels) for p, off, labels in
-            indicator_layout(problems)}[pid]
+def _header_block(label_lists, tor=False, problems=PROBS_H1):
+    """A block of one client-sent header record per label dict, one
+    connection per list, indexed as context with its own labels."""
+    conns = [synthetic_connection([(100, 0)] * len(labs))
+             for labs in label_lists]
+    block = inference._Block(
+        conns, [list(range(len(labs))) for labs in label_lists],
+        [record_table(conn, "tor" if tor else "standard") for conn in conns],
+        label_lists, tor)
+    block.context(inference._Layout(problems), block.labels)
+    return block
+
+
+def _context_of(block, conn, pos, pid, problems=PROBS_H1):
+    """The context block of header ``pos`` of connection ``conn`` as the
+    ``pid`` model reads it from ``_Block.rows``."""
+    layout = inference._Layout(problems)
+    g = np.array([block.start[conn] + pos])
+    row = block.rows(g, np.array([0]), layout.mask(pid)[None])[0]
+    assert row.shape == (block.base.shape[1] + layout.width,)
+    return row[block.base.shape[1]:]
 
 
 class TestIndicators:
     def test_layout_is_contiguous_registry_order(self):
-        layout = indicator_layout(PROBS_H1)
-        assert [pid for pid, _, _ in layout] == [p.id for p in PROBS_H1]
+        layout = inference._Layout(PROBS_H1)
+        assert list(layout.span) == [p.id for p in PROBS_H1]
         off = 0
-        for pid, o, labels in layout:
-            assert o == off
-            off += len(labels)
-        assert off == enhanced_length(PROBS_H1) == 58
+        for p in PROBS_H1:
+            assert layout.span[p.id] == (off, off + len(p.labels))
+            assert [layout.column[p.id, label] for label in p.labels] == \
+                list(range(off, off + len(p.labels)))
+            off += len(p.labels)
+        assert off == layout.width == enhanced_length(PROBS_H1) == 58
 
     def test_vector_one_hot(self):
-        labels = {"request.method": "POST", "request.cookie": PRESENT}
-        v = indicator_vector(PROBS_H1, labels)
+        layout = inference._Layout(PROBS_H1)
+        v = layout.vector({"request.method": "POST",
+                           "request.cookie": PRESENT})
         assert v.sum() == 2.0
-        off, lset = _layout_offset(PROBS_H1, "request.method")
-        assert v[off + lset.index("POST")] == 1.0
-        off, lset = _layout_offset(PROBS_H1, "request.cookie")
-        assert v[off + lset.index(PRESENT)] == 1.0
+        assert v[layout.column["request.method", "POST"]] == 1.0
+        assert v[layout.column["request.cookie", PRESENT]] == 1.0
 
     def test_other_contributes_zero(self):
-        v = indicator_vector(PROBS_H1, {"request.method": OTHER,
-                                        "response.server": "no-such"})
+        v = inference._Layout(PROBS_H1).vector({"request.method": OTHER,
+                                                "response.server": "no-such"})
         assert v.sum() == 0.0
 
 
@@ -137,50 +179,60 @@ class TestEnhancedFeatures:
     def test_referer_worked_example(self):
         """Seven requests; four of the six non-target carry Referer.  The
         target's Referer subcomponent must be exactly [2, 4]."""
-        vecs = []
-        for i in range(7):
-            labels = {"request.method": "GET",
-                      "request.referer": PRESENT if i < 4 else ABSENT}
-            vecs.append(indicator_vector(PROBS_H1, labels))
-        target = 5  # an absent-Referer request
-        ctx = build_enhanced_features(PROBS_H1, vecs, target,
-                                      "request.referer")
-        off, lset = _layout_offset(PROBS_H1, "request.referer")
-        assert ctx[off:off + 2].tolist() == [2.0, 4.0]
+        labels = [{"request.method": "GET",
+                   "request.referer": PRESENT if i < 4 else ABSENT}
+                  for i in range(7)]
+        ctx = _context_of(_header_block([labels]), 0, 5, "request.referer")
+        layout = inference._Layout(PROBS_H1)
+        assert ctx[slice(*layout.span["request.referer"])].tolist() == \
+            [2.0, 4.0]
         # other problems keep the full 7-record sum
-        moff, mlset = _layout_offset(PROBS_H1, "request.method")
-        assert ctx[moff + mlset.index("GET")] == 7.0
+        assert ctx[layout.column["request.method", "GET"]] == 7.0
+
+    def test_standard_context_is_the_connection_total(self):
+        """A second connection's headers never enter the context."""
+        block = _header_block([[{"request.method": "GET"}] * 3,
+                               [{"request.method": "POST"}] * 20])
+        ctx = _context_of(block, 0, 1, "request.cookie")
+        layout = inference._Layout(PROBS_H1)
+        assert ctx[layout.column["request.method", "GET"]] == 3.0
+        assert ctx.sum() == 3.0
 
     def test_window_restriction(self):
-        vecs = [indicator_vector(PROBS_H1, {"request.method": "GET"})
-                for _ in range(20)]
-        ctx = build_enhanced_features(PROBS_H1, vecs, 10, "request.cookie",
-                                      window=(8, 12))
-        moff, mlset = _layout_offset(PROBS_H1, "request.method")
-        assert ctx[moff + mlset.index("GET")] == 5.0
-
-    def test_target_outside_window_not_subtracted(self):
-        vecs = [indicator_vector(PROBS_H1, {"request.method": "GET"})
-                for _ in range(10)]
-        ctx = build_enhanced_features(PROBS_H1, vecs, 0, "request.method",
-                                      window=(5, 9))
-        moff, mlset = _layout_offset(PROBS_H1, "request.method")
-        assert ctx[moff + mlset.index("GET")] == 5.0
+        assert _tor_gets(20, 10) == 11
 
     def test_width(self):
-        vecs = [np.zeros(enhanced_length(PROBS_H1))]
-        ctx = build_enhanced_features(PROBS_H1, vecs, 0, "request.method")
-        assert ctx.shape == (58,)
+        block = _header_block([[{}]])
+        assert _context_of(block, 0, 0, "request.method").tolist() == \
+            [0.0] * 58
+
+
+def _tor_gets(n, pos):
+    """The GET count in the Tor-mode context of header ``pos`` of a
+    connection of ``n`` GET requests, as the request.cookie model reads it:
+    the headers within TOR_WINDOW of the target, clipped at the ends."""
+    block = _header_block([[{"request.method": "GET"}] * n], tor=True)
+    ctx = _context_of(block, 0, pos, "request.cookie")
+    return ctx[inference._Layout(PROBS_H1).column["request.method", "GET"]]
 
 
 class TestTorWindow:
     def test_interior(self):
-        assert tor_enhanced_window(100, 50) == (45, 55)
+        assert _tor_gets(100, 50) == 11
 
     def test_edges(self):
-        assert tor_enhanced_window(100, 2) == (0, 7)
-        assert tor_enhanced_window(100, 98) == (93, 99)
-        assert tor_enhanced_window(3, 0) == (0, 2)
+        assert _tor_gets(100, 2) == 8
+        assert _tor_gets(100, 98) == 7
+        assert _tor_gets(3, 0) == 3
+
+    def test_window_stops_at_the_connection(self):
+        block = _header_block([[{"request.method": "GET"}] * 2,
+                               [{"request.method": "POST"}] * 2,
+                               [{"request.method": "GET"}] * 2], tor=True)
+        ctx = _context_of(block, 1, 0, "request.cookie")
+        layout = inference._Layout(PROBS_H1)
+        assert ctx[layout.column["request.method", "POST"]] == 2.0
+        assert ctx.sum() == 2.0
 
     def test_radius_constant(self):
         assert TOR_WINDOW == 5
@@ -355,6 +407,26 @@ class TestTraining:
         assert bundle_to_dict(a) == bundle_to_dict(b)
         c = train_bundle(corpus, params=PARAMS_FAST, seed=6)
         assert bundle_to_dict(a) != bundle_to_dict(c)
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("standard",
+         "3d1ded68cb22515e30e58498c3c59822793a298cf127c1c2c92c3393e97f2b8f"),
+        ("tor",
+         "4e946b5fda0c69f8d4283698a8791018193dd446fddda38404d52ea4685af0a6"),
+    ], ids=["standard", "tor"])
+    def test_trained_bundle_bytes_are_pinned(self, mode, digest):
+        """A seeded bundle of both protocols, with its ALPN fallback,
+        cross-fitted context and enhanced models, saves to the same bytes."""
+        corpus = synthesize_corpus(SynthSpec(
+            seed=41, n_connections=20,
+            protocol_mix={"http1": 0.5, "http2": 0.5},
+            transactions_range=(1, 3)))
+        bundle = train_bundle(corpus, mode=mode, params=TrainParams(
+            n_trees=3, min_leaf=2), seed=7)
+        assert bundle.alp_fallback is not None
+        assert all(pm.enhanced for pm in bundle.models.values())
+        saved = json.dumps(bundle_to_dict(bundle), sort_keys=True).encode()
+        assert hashlib.sha256(saved).hexdigest() == digest
 
     def test_bundle_round_trip(self, small_world, tmp_path):
         bundle, _, test = small_world
@@ -562,5 +634,39 @@ def test_mutated_bundles_never_crash(fuzz_world, mutations):
         _mutate(data, *mutation)
     try:
         classify_corpus(bundle_from_dict(data), conns, max_iters=3)
+    except HttpglassError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def corpus_fuzz_world(tmp_path_factory):
+    """A small corpus of both protocols as its JSONL lines, parsed, and a
+    path to write mutated copies to."""
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+    save_corpus(str(path), synthesize_corpus(SynthSpec(
+        seed=32, n_connections=6, protocol_mix={"http1": 0.5, "http2": 0.5},
+        transactions_range=(1, 2))))
+    return [json.loads(line) for line in path.read_text().splitlines()], path
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 1 << 20),
+                          st.sampled_from(["set", "delete", "shift", "cut",
+                                           "grow"]),
+                          _JSON_VALUES), min_size=1, max_size=4))
+def test_mutated_corpora_never_crash(corpus_fuzz_world, mutations):
+    """Mutated values, lengths and deleted keys or lines of a corpus raise
+    nothing but HttpglassError from load through training and
+    classification."""
+    lines, path = corpus_fuzz_world
+    data = copy.deepcopy(lines)
+    for mutation in mutations:
+        _mutate(data, *mutation)
+    path.write_text("".join(json.dumps(line) + "\n" for line in data))
+    try:
+        corpus = load_corpus(str(path))
+        bundle = train_bundle(corpus, params=TrainParams(
+            n_trees=2, max_depth=4, min_leaf=2), seed=0)
+        classify_corpus(bundle, [lc.conn for lc in corpus], max_iters=3)
     except HttpglassError:
         pass

@@ -3,8 +3,7 @@
 import pytest
 
 from httpglass.registry import (ABSENT, OTHER, PRESENT, Kind, ProblemSpec,
-                                Side, enhanced_length, problems_for_side,
-                                registry)
+                                Side, enhanced_length, registry)
 
 
 def test_canonical_order_http1():
@@ -47,8 +46,8 @@ def test_binary_problems_use_absent_present():
 
 def test_sides():
     probs = registry("http1")
-    client = [p.id for p in problems_for_side(probs, Side.CLIENT)]
-    server = [p.id for p in problems_for_side(probs, Side.SERVER)]
+    client = [p.id for p in probs if p.side == Side.CLIENT]
+    server = [p.id for p in probs if p.side == Side.SERVER]
     assert all(pid.startswith("request.") for pid in client)
     assert all(pid.startswith("response.") for pid in server)
     assert len(client) + len(server) == len(probs)
