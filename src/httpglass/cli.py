@@ -7,7 +7,9 @@ byte-identical across runs with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -36,7 +38,9 @@ def _parse_connections(pcap_path: str):
 
 
 def _open_out(path):
-    return open(path, "w") if path and path != "-" else sys.stdout
+    # "-" is standard output, which stays open for in-process callers
+    return open(path, "w") if path and path != "-" else \
+        contextlib.nullcontext(sys.stdout)
 
 
 def _load_any(args):
@@ -98,8 +102,7 @@ def cmd_infer(args) -> int:
     bundle = load_bundle(args.bundle)
     items = _load_any(args)
     results = classify_corpus(bundle, [c for _, c in items],
-                              max_iters=args.max_iters,
-                              connection_ids=[cid for cid, _ in items])
+                              max_iters=args.max_iters)
     with _open_out(args.out) as out:
         for (cid, conn), res in zip(items, results):
             for rp in res.records:
@@ -165,7 +168,6 @@ def cmd_keyscan(args) -> int:
     hits = keyscan.scan_file(args.input, profiles=profiles)
     with _open_out(args.out) as out:
         out.write(keyscan.emit_keys(hits))
-    import os
     size = os.path.getsize(args.input)
     for profile in (profiles or keyscan.PROFILE_NAMES):
         n = sum(1 for h in hits if h.profile == profile)

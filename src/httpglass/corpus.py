@@ -802,9 +802,11 @@ def _int64(text: str) -> int:
 
 def load_corpus(path: str) -> list[LabeledConnection]:
     out = []
-    with open(path) as fh:
+    # bytes, decoded line by line, so that invalid UTF-8 names its line
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline(), parse_int=_int64)
+            header = json.loads(fh.readline().decode("utf-8"),
+                                parse_int=_int64)
         except ValueError as exc:
             raise CorpusError(f"line 1: {type(exc).__name__}: {exc}") from exc
         manifest = header.get("manifest") if isinstance(header, dict) else None
@@ -816,7 +818,7 @@ def load_corpus(path: str) -> list[LabeledConnection]:
             if line.strip():
                 try:
                     out.append(_conn_from_dict(json.loads(
-                        line, parse_int=_int64)))
+                        line.decode("utf-8"), parse_int=_int64)))
                 except (CorpusError, KeyError, TypeError, ValueError) as exc:
                     raise CorpusError(
                         f"line {n}: {type(exc).__name__}: {exc}") from exc

@@ -138,10 +138,8 @@ def run_semantics_experiment(train: list[LabeledConnection],
         bundle = train_bundle(train, mode=mode, params=params,
                               include_etag=include_etag, seed=seed)
     conns = [lc.conn for lc in test]
-    ids = [lc.connection_id for lc in test]
-    single = classify_corpus(bundle, conns, max_iters=1, connection_ids=ids)
-    iterative = classify_corpus(bundle, conns, max_iters=max_iters,
-                                connection_ids=ids)
+    single = classify_corpus(bundle, conns, max_iters=1)
+    iterative = classify_corpus(bundle, conns, max_iters=max_iters)
 
     proto_cm = ConfusionMatrix.from_pairs(
         [lc.protocol for lc in test], [r.protocol for r in iterative],

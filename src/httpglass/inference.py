@@ -44,7 +44,6 @@ class ConnectionResult:
     iterations: int
     converged: bool
     records: list[LabeledRecord]
-    connection_id: str = ""
 
 
 @dataclass
@@ -213,7 +212,6 @@ SWITCH_MARGIN = 0.05
 
 def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     max_iters: int = MAX_ITERS_DEFAULT,
-                    connection_ids: list[str] | None = None,
                     ) -> list[ConnectionResult]:
     """Run the full iterative pipeline over a corpus.
 
@@ -222,11 +220,9 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     """
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
-    ids = connection_ids or [f"conn-{i}" for i in range(len(conns))]
     results = [ConnectionResult(protocol=classify_alp(bundle, conn),
-                                iterations=1, converged=False, records=[],
-                                connection_id=cid)
-               for conn, cid in zip(conns, ids)]
+                                iterations=1, converged=False, records=[])
+               for conn in conns]
     for protocol in PROTOCOLS:
         picked = [i for i, r in enumerate(results) if r.protocol == protocol]
         if picked:
@@ -631,5 +627,9 @@ def save_bundle(bundle: ModelBundle, path: str) -> None:
 
 
 def load_bundle(path: str) -> ModelBundle:
-    with open(path) as fh:
-        return bundle_from_dict(json.load(fh))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise InferenceError(f"the bundle is not JSON: {exc}") from exc
+    return bundle_from_dict(data)

@@ -1,29 +1,32 @@
 """Memory-dump scanning for TLS master secrets and Tor AES keys.
 
 Five byte-pattern profiles locate key material by the allocation context each
-TLS library leaves around it.  Patterns are byte regexes with lookahead
-capture: the consumed anchor is a few bytes, the key material is captured
-inside the lookahead, so overlapping occurrences are all reported.
+TLS library leaves around it.  Each pattern starts with, and consumes only,
+its profile's fixed literal, so ``re`` runs its fast literal search; a
+fixed-width lookbehind checks the bytes before the literal and a lookahead
+captures the key material.  No literal overlaps itself, so one ``finditer``
+reports every anchor, and a file is scanned in one pass over a memory map.
 """
 from __future__ import annotations
 
+import mmap
 import re
 from dataclasses import dataclass
 
 from . import HttpglassError
 
-WINDOW_SIZE = 4 * 1024 * 1024
-WINDOW_OVERLAP = 256  # >= the largest pattern span (76 bytes)
-
 _F = re.DOTALL
+_VERSION = rb"(?:\x02\x00|[\x00-\x03]\x03)\x00\x00"
+_LEN48 = rb"\x30\x00\x00\x00"
 
-# material_groups: capture group indices concatenated to form the key material
+# pattern group 1 is the key material; lead is the distance from the anchor
+# to the consumed literal, and span from the anchor to the end of the context
 _PROFILES = {
     "boringssl": {
         "pattern": re.compile(
-            rb"(\x02\x00|[\x00-\x03]\x03)\x00\x00"
-            rb"(?=.{2}.{2}\x30\x00\x00\x00(.{48})[\x00-\x20]\x00\x00\x00)", _F),
-        "material_groups": (2,),
+            _LEN48 + rb"(?<=" + _VERSION + rb".{4}" + _LEN48 + rb")"
+            rb"(?=(.{48})[\x00-\x20]\x00\x00\x00)", _F),
+        "lead": 8,
         "material_len": 48,
         "span": 64,
         # per-offset random-match probability: anchor bytes and fixed
@@ -32,36 +35,34 @@ _PROFILES = {
     },
     "nss": {
         "pattern": re.compile(
-            rb"\x11\x00\x00\x00"
-            rb"(?=(.{8}\x30\x00\x00\x00|.{4}.{8}\x30\x00\x00\x00.{4})(.{48}))",
-            _F),
-        "material_groups": (2,),
+            rb"\x11\x00\x00\x00(?=(?:.{8}" + _LEN48 + rb"|.{12}" + _LEN48
+            + rb".{4})(.{48}))", _F),
+        "lead": 0,
         "material_len": 48,
         "span": 72,
         "fp_per_offset": 2.0 / 2.0 ** 64,
     },
     "openssl": {
         "pattern": re.compile(
-            rb"(\x02\x00|[\x00-\x03]\x03)\x00\x00"
-            rb"(?=.{4}.{8}\x30\x00\x00\x00(.{48})[\x00-\x20]\x00\x00\x00)", _F),
-        "material_groups": (2,),
+            _LEN48 + rb"(?<=" + _VERSION + rb".{12}" + _LEN48 + rb")"
+            rb"(?=(.{48})[\x00-\x20]\x00\x00\x00)", _F),
+        "lead": 16,
         "material_len": 48,
         "span": 72,
         "fp_per_offset": 165.0 / 2.0 ** 96,
     },
     "schannel": {
         "pattern": re.compile(
-            rb"\x35\x6c\x73\x73"
-            rb"(?=(\x02\x00|[\x00-\x03]\x03)\x00\x00(.{4}.{8}.{4})(.{48}))", _F),
-        "material_groups": (3,),
+            rb"\x35\x6c\x73\x73(?=" + _VERSION + rb".{16}(.{48}))", _F),
+        "lead": 0,
         "material_len": 48,
         "span": 76,
         "fp_per_offset": 5.0 / 2.0 ** 64,
     },
     "tor_aes": {
         "pattern": re.compile(
-            rb"\x11\x01\x00\x00\x00\x00\x00\x00(?=(.{16})(.{16}))", _F),
-        "material_groups": (1, 2),
+            rb"\x11\x01\x00\x00\x00\x00\x00\x00(?=(.{32}))", _F),
+        "lead": 0,
         "material_len": 32,
         "span": 40,
         "fp_per_offset": 1.0 / 2.0 ** 64,
@@ -98,65 +99,26 @@ def _check_profiles(profiles) -> tuple[str, ...]:
     return out
 
 
-def scan(buffer: bytes, profiles=None, base_offset: int = 0) -> list[KeyHit]:
-    """All pattern hits in a buffer, ordered by (offset, profile).
-
-    Every occurrence is reported, including matches whose anchors overlap:
-    the search restarts one byte past each anchor start.
-    """
+def scan(buffer, profiles=None) -> list[KeyHit]:
+    """Every anchor in a bytes-like buffer, ordered by (offset, profile)."""
     hits = []
     for name in _check_profiles(profiles):
         spec = _PROFILES[name]
-        pos = 0
-        while True:
-            m = spec["pattern"].search(buffer, pos)
-            if m is None:
-                break
-            material = b"".join(m.group(g) for g in spec["material_groups"])
-            hits.append(KeyHit(profile=name, offset=base_offset + m.start(),
-                               material=material))
-            pos = m.start() + 1
+        hits += [KeyHit(name, m.start() - spec["lead"], m.group(1))
+                 for m in spec["pattern"].finditer(buffer)]
     hits.sort(key=lambda h: (h.offset, h.profile))
     return hits
 
 
-def scan_windows(read_chunk, profiles=None, window_size: int = WINDOW_SIZE,
-                 overlap: int = WINDOW_OVERLAP) -> list[KeyHit]:
-    """Scan a byte source window by window with overlap.
-
-    ``read_chunk(offset, size)`` returns up to ``size`` bytes at ``offset``.
-    Hits are deduplicated by (offset, profile), so the overlap region cannot
-    double-report.
-    """
-    if overlap >= window_size:
-        raise KeyscanError("overlap must be smaller than the window size")
-    seen = set()
-    hits = []
-    offset = 0
-    while True:
-        chunk = read_chunk(offset, window_size)
-        if not chunk:
-            break
-        for hit in scan(chunk, profiles, base_offset=offset):
-            key = (hit.offset, hit.profile)
-            if key not in seen:
-                seen.add(key)
-                hits.append(hit)
-        if len(chunk) < window_size:
-            break
-        offset += window_size - overlap
-    hits.sort(key=lambda h: (h.offset, h.profile))
-    return hits
-
-
-def scan_file(path: str, profiles=None, window_size: int = WINDOW_SIZE,
-              overlap: int = WINDOW_OVERLAP) -> list[KeyHit]:
+def scan_file(path: str, profiles=None) -> list[KeyHit]:
+    """Scan a file in one pass over a read-only memory map."""
     with open(path, "rb") as fh:
-        def read_chunk(offset, size):
-            fh.seek(offset)
-            return fh.read(size)
-        return scan_windows(read_chunk, profiles=profiles,
-                            window_size=window_size, overlap=overlap)
+        try:
+            dump = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap refuses an empty file
+            return []
+        with dump:
+            return scan(dump, profiles)
 
 
 def emit_keys(hits: list[KeyHit]) -> str:

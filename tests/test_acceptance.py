@@ -22,7 +22,7 @@ from httpglass.features import (MALWARE_STANDARD_LEN, STANDARD_LEN, TOR_LEN,
 from httpglass.inference import classify_corpus, train_bundle
 from httpglass.keyscan import (PROFILE_NAMES, build_fixture,
                                expected_false_positives, pattern_span,
-                               scan, scan_windows)
+                               scan, scan_file)
 from httpglass.registry import (ABSENT, PRESENT, enhanced_length, registry)
 
 from helpers import (handshake_payloads, pcap_frames,
@@ -255,19 +255,18 @@ def test_criterion_08_referer_aggregation_oracle():
                     f"GET {get} (expected 7.0)")
 
 
-def test_criterion_09_keyscan_recall_and_false_positives():
+def test_criterion_09_keyscan_recall_and_false_positives(tmp_path):
     rng = np.random.default_rng(90)
-    window, overlap = 4096, 256
+    stride = 4096 - 256
     recall_ok = True
     for profile in PROFILE_NAMES:
         mat_len = 32 if profile == "tor_aes" else 48
         span = pattern_span(profile)
-        stride = window - overlap
         planted = []
         occupied = []
         buf = bytearray(rng.bytes(110 * 1000))
-        # 20 plants straddling window boundaries, then 80 spaced plants
-        # nudged clear of them
+        # 20 plants straddling multiples of the stride, then 80 spaced
+        # plants nudged clear of them
         offsets = [k * stride - span // 2 for k in range(1, 21)]
         occupied = [(o, o + span) for o in offsets]
         for i in range(80):
@@ -282,9 +281,9 @@ def test_criterion_09_keyscan_recall_and_false_positives():
             fixture = build_fixture(profile, material, rng)
             buf[offset:offset + len(fixture)] = fixture
             planted.append((offset, material))
-        data = bytes(buf)
-        hits = scan_windows(lambda o, s: data[o:o + s], profiles=[profile],
-                            window_size=window, overlap=overlap)
+        dump = tmp_path / f"{profile}.bin"
+        dump.write_bytes(bytes(buf))
+        hits = scan_file(str(dump), profiles=[profile])
         found = {(h.offset, h.material) for h in hits}
         recall_ok &= all(p in found for p in planted)
 
@@ -299,7 +298,7 @@ def test_criterion_09_keyscan_recall_and_false_positives():
         fp_ok &= n_fp <= bound
     ok = recall_ok and fp_ok
     _verdict(9, ok, f"100/100 planted secrets recovered per profile "
-                    f"(incl. window straddles); false positives on 100 MiB "
+                    f"through scan_file; false positives on 100 MiB "
                     f"random: {fp_counts} (each <= 10x expectation)")
 
 

@@ -377,6 +377,18 @@ def test_keyscan_command(tmp_path, capsys):
     assert "random-data expectation" in err
 
 
+def test_keyscan_command_on_an_empty_file_leaves_stdout_open(tmp_path,
+                                                              capsys):
+    """The default ``--out -`` writes to standard output without closing it,
+    so a second in-process command can still write there."""
+    dump = tmp_path / "empty.bin"
+    dump.write_bytes(b"")
+    for _ in range(2):
+        code, out, err = _run(capsys, "keyscan", str(dump))
+        assert code == 0 and out == ""
+        assert "openssl: 0 hits" in err
+
+
 def test_importance_command(tmp_path, capsys):
     corpus = str(tmp_path / "c.jsonl")
     bundle = str(tmp_path / "b.json")

@@ -263,6 +263,15 @@ class TestPersistence:
         else:
             assert load_corpus(str(path))[1].conn.records[0].length == value
 
+    def test_invalid_utf8_after_line_1_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(str(path), synthesize_corpus(SynthSpec(seed=10,
+                                                           n_connections=3)))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\x80\n")
+        with pytest.raises(CorpusError, match="line 5: UnicodeDecodeError"):
+            load_corpus(str(path))
+
     def test_manifest_integer_outside_int64_is_refused(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"manifest": {

@@ -440,6 +440,14 @@ class TestTraining:
         assert [(r.message_type, r.labels) for r in a.records] == \
             [(r.message_type, r.labels) for r in b.records]
 
+    @pytest.mark.parametrize("content", [b"not a bundle\n",
+                                         b"\xff\xfe\x80\x00{}"],
+                             ids=["text", "binary"])
+    def test_a_file_that_is_not_json_is_refused(self, tmp_path, content):
+        path = tmp_path / "bundle.json"
+        path.write_bytes(content)
+        with pytest.raises(InferenceError, match="the bundle is not JSON"):
+            load_bundle(str(path))
 
     def test_bundle_json_round_trips_byte_for_byte(self, small_world):
         bundle, _, _ = small_world

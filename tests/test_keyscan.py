@@ -1,15 +1,53 @@
 """Key-material memory scanning."""
 
+import re
+
 import numpy as np
 import pytest
 
 from httpglass.keyscan import (PROFILE_NAMES, KeyHit, KeyscanError,
                                build_fixture, emit_keys, emit_nss_keylog,
                                expected_false_positives, pattern_span, scan,
-                               scan_file, scan_windows)
+                               scan_file)
 
 SECRET48 = bytes(range(48))
 SECRET32 = bytes(range(32))
+
+# The reference: each profile's pattern anchored at the start of its span,
+# tried at every offset, with the capture groups that form the material.
+_F = re.DOTALL
+REFERENCE = {
+    "boringssl": (re.compile(
+        rb"(\x02\x00|[\x00-\x03]\x03)\x00\x00"
+        rb"(?=.{2}.{2}\x30\x00\x00\x00(.{48})[\x00-\x20]\x00\x00\x00)", _F),
+        (2,)),
+    "nss": (re.compile(
+        rb"\x11\x00\x00\x00"
+        rb"(?=(.{8}\x30\x00\x00\x00|.{4}.{8}\x30\x00\x00\x00.{4})(.{48}))",
+        _F), (2,)),
+    "openssl": (re.compile(
+        rb"(\x02\x00|[\x00-\x03]\x03)\x00\x00"
+        rb"(?=.{4}.{8}\x30\x00\x00\x00(.{48})[\x00-\x20]\x00\x00\x00)", _F),
+        (2,)),
+    "schannel": (re.compile(
+        rb"\x35\x6c\x73\x73"
+        rb"(?=(\x02\x00|[\x00-\x03]\x03)\x00\x00(.{4}.{8}.{4})(.{48}))", _F),
+        (3,)),
+    "tor_aes": (re.compile(
+        rb"\x11\x01\x00\x00\x00\x00\x00\x00(?=(.{16})(.{16}))", _F),
+        (1, 2)),
+}
+
+# the bytes of the five literals and of the version and length fields, and
+# the first byte past each byte class (04, 21)
+DENSE = bytes([0x00, 0x01, 0x02, 0x03, 0x04, 0x10, 0x11, 0x20, 0x21, 0x30,
+               0x35, 0x6c, 0x73])
+# the profiles' fixed 4-byte fields and their near misses: buffers made
+# mostly of them hold many anchors, overlapping ones among them
+WORDS = [b"\x02\x00\x00\x00", b"\x03\x03\x00\x00", b"\x04\x03\x00\x00",
+         b"\x30\x00\x00\x00", b"\x20\x00\x00\x00", b"\x21\x00\x00\x00",
+         b"\x11\x00\x00\x00", b"\x11\x01\x00\x00", b"\x00\x00\x00\x00",
+         b"\x35\x6c\x73\x73"]
 
 
 def _material(profile):
@@ -101,43 +139,6 @@ def test_overlapping_spans_both_reported():
     assert offs[4] == secret_a + b"\x10\x00\x00\x00"
 
 
-def test_scan_windows_straddles_boundary():
-    rng = np.random.default_rng(2)
-    fixture = build_fixture("openssl", SECRET48, rng)
-    window = 1024
-    # plant the fixture across the first window boundary
-    start = window - 30
-    buf = bytearray(b"\x99" * 4000)
-    buf[start:start + len(fixture)] = fixture
-    data = bytes(buf)
-
-    def read_chunk(offset, size):
-        return data[offset:offset + size]
-
-    hits = scan_windows(read_chunk, profiles=["openssl"],
-                        window_size=window, overlap=256)
-    assert [h.offset for h in hits] == [start]
-    assert hits[0].material == SECRET48
-
-
-def test_scan_windows_dedupes_overlap_region():
-    rng = np.random.default_rng(3)
-    fixture = build_fixture("tor_aes", SECRET32, rng)
-    window = 512
-    start = window - 300  # fully inside the overlap of windows 0 and 1
-    buf = bytearray(b"\x77" * 1500)
-    buf[start:start + len(fixture)] = fixture
-    data = bytes(buf)
-    hits = scan_windows(lambda o, s: data[o:o + s], profiles=["tor_aes"],
-                        window_size=window, overlap=400)
-    assert len(hits) == 1
-
-
-def test_scan_windows_invalid_overlap():
-    with pytest.raises(KeyscanError):
-        scan_windows(lambda o, s: b"", window_size=100, overlap=100)
-
-
 def test_scan_file_matches_scan(tmp_path):
     rng = np.random.default_rng(4)
     parts = []
@@ -147,7 +148,7 @@ def test_scan_file_matches_scan(tmp_path):
     data = b"".join(parts)
     path = tmp_path / "dump.bin"
     path.write_bytes(data)
-    from_file = scan_file(str(path), window_size=300, overlap=128)
+    from_file = scan_file(str(path))
     direct = scan(data)
     planted = {(h.offset, h.profile, h.material) for h in direct}
     assert {(h.offset, h.profile, h.material) for h in from_file} == planted
@@ -214,3 +215,41 @@ def test_nul_bytes_do_not_terminate_matching():
 def test_unknown_profile_rejected():
     with pytest.raises(KeyscanError):
         scan(b"", profiles=["made_up"])
+
+
+def _reference_hits(buf, profile):
+    pattern, groups = REFERENCE[profile]
+    return [(o, b"".join(m.group(g) for g in groups))
+            for o in range(len(buf))
+            for m in [pattern.match(buf, o)] if m]
+
+
+def test_scan_equals_the_per_offset_reference():
+    """On dense buffers with overlapping plants, every profile reports exactly
+    the offsets, and the material, where its reference pattern matches."""
+    rng = np.random.default_rng(11)
+    dense = np.frombuffer(DENSE, dtype=np.uint8)
+    for _ in range(300):
+        n_words = int(rng.integers(15, 80))
+        buf = bytearray(rng.choice(dense, 4 * n_words))
+        for k in np.flatnonzero(rng.random(n_words) < 0.9):
+            buf[4 * k:4 * k + 4] = WORDS[rng.integers(len(WORDS))]
+        start = int(rng.integers(0, 40))
+        for _ in range(int(rng.integers(0, 4))):
+            profile = PROFILE_NAMES[rng.integers(len(PROFILE_NAMES))]
+            material = rng.choice(dense, len(_material(profile))).tobytes()
+            fixture = build_fixture(profile, material, rng)
+            buf[start:start + len(fixture)] = fixture
+            start += int(rng.integers(1, 48))  # the next plant overlaps
+        buf = bytes(buf)
+        for profile in PROFILE_NAMES:
+            assert [(h.offset, h.material)
+                    for h in scan(buf, [profile])] == \
+                _reference_hits(buf, profile)
+
+
+def test_scan_file_of_an_empty_file(tmp_path):
+    dump = tmp_path / "empty.bin"
+    dump.write_bytes(b"")
+    assert scan_file(str(dump)) == []
+
