@@ -103,7 +103,10 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
     ``segments`` is a list of (seq, payload, packet_index) in arrival order.
     Returns (stream, segment_map, gap_flag, overlap_anomaly).  Duplicate bytes
     are dropped (first-seen wins), and reassembly stops at the first unfilled
-    gap; remaining bytes are discarded with the gap flag set.
+    gap; remaining bytes are discarded with the gap flag set.  The segment
+    map tiles the stream: its segments start at offset 0, follow each other
+    without holes up to the stream's end, are never empty and name each
+    packet at most once.
     """
     if not segments:
         return b"", [], False, False

@@ -103,20 +103,22 @@ def cmd_infer(args) -> int:
     items = _load_any(args)
     results = classify_corpus(bundle, [c for _, c in items],
                               max_iters=args.max_iters)
+    # each line is the json.dumps(..., sort_keys=True) of one (record,
+    # problem); the keys around "label" and "problem" are formatted once
     with _open_out(args.out) as out:
         for (cid, conn), res in zip(items, results):
+            head = (f'{{"connection": {json.dumps(cid)}, '
+                    f'"converged": {json.dumps(res.converged)}, "direction": ')
             for rp in res.records:
                 if not rp.message_type:
                     continue
-                direction = int(conn.records[rp.index].direction)
+                prefix = (f"{head}{int(conn.records[rp.index].direction)}, "
+                          f'"iteration_count": {res.iterations}, "label": ')
+                suffix = (f', "record": {rp.index}, "schema_version": '
+                          f'{OUTPUT_SCHEMA_VERSION}, "score": null}}\n')
                 for problem, label in sorted(rp.labels.items()):
-                    out.write(json.dumps(
-                        {"schema_version": OUTPUT_SCHEMA_VERSION,
-                         "connection": cid, "record": rp.index,
-                         "direction": direction, "problem": problem,
-                         "label": label, "score": None,
-                         "iteration_count": res.iterations,
-                         "converged": res.converged}, sort_keys=True) + "\n")
+                    out.write(f"{prefix}{json.dumps(label)}, "
+                              f'"problem": {json.dumps(problem)}{suffix}')
     return 0
 
 
@@ -310,9 +312,12 @@ def main(argv=None) -> int:
             and not args.corpus:
         print("error: semantics eval needs --corpus", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
-    except (HttpglassError, OSError, ValueError, KeyError) as exc:
+    except (HttpglassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

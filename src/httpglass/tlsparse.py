@@ -1,20 +1,23 @@
 """TLS record-layer and handshake-metadata parsing.
 
-Streams are cut into records per direction, packets are attributed to every
-record they carry bytes of, and records from both directions are interleaved
-by the capture timestamp of each record's first byte.
+Each direction's stream is cut into records in one pass.  A record's packets
+are the run of reassembled segments its bytes span, and records from both
+directions are interleaved by the capture timestamp of each record's first
+byte.  Hello metadata comes from each direction's leading hello messages.
 """
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .capture import Direction, RawConnection, Segment
+from .capture import Direction, RawConnection
 
 RECORD_TYPES = (20, 21, 22, 23)
 MAX_RECORD_LEN = (1 << 14) + 2048
 RECORD_HEADER_LEN = 5
+_HEADER = struct.Struct("!BBxH")  # type, version major, length
 
 # GREASE code points (0x0a0a, 0x1a1a, ... 0xfafa); collapsed to one synthetic
 # code so a hello with several GREASE values still contributes one feature
@@ -82,78 +85,44 @@ def collapse_grease(codes: list[int]) -> list[int]:
     return out
 
 
-def _records_for_direction(raw: RawConnection, direction: Direction):
-    """Cut one direction's stream into (offset, type, length, truncated) tuples."""
-    stream = raw.stream(direction)
-    out = []
-    off = 0
-    n = len(stream)
-    while off + RECORD_HEADER_LEN <= n:
-        type_code = stream[off]
-        ver_hi = stream[off + 1]
-        length = struct.unpack_from("!H", stream, off + 3)[0]
-        if type_code not in RECORD_TYPES or ver_hi != 0x03 or length > MAX_RECORD_LEN:
-            if off == 0:
-                return None  # stream does not start with a plausible record
-            break  # trailing garbage after valid records; stop this direction
-        end = off + RECORD_HEADER_LEN + length
-        truncated = end > n
-        out.append((off, type_code, length, truncated))
-        if truncated:
-            break
-        off = end
-    if off == 0 and not out and n > 0:
-        return None
-    return out
-
-
-def _attribute_packets(segments: list[Segment], starts: list[int],
-                       span_start: int, span_end: int):
-    """Packets carrying any byte of [span_start, span_end) in stream order,
-    and the packet carrying byte span_start.
-
-    ``segments`` are sorted and do not overlap (as ``reassemble`` emits
-    them); ``starts`` holds their stream offsets.
-    """
-    hits = {}  # a packet may contribute several segments; count it once
-    first = None
-    i = max(bisect_right(starts, span_start) - 1, 0)
-    while i < len(segments) and segments[i].stream_offset < span_end:
-        seg = segments[i]
-        if seg.stream_offset + seg.length > span_start:
-            hits[seg.packet_index] = None
-            if seg.stream_offset <= span_start:
-                first = seg.packet_index
-        i += 1
-    return list(hits), first
-
-
 def parse_tls_records(raw: RawConnection) -> Connection | None:
     """Parse both streams into TLS records; None if the connection is not TLS.
 
     A connection with data in some direction that does not begin with a
-    plausible record header is excluded entirely.
+    plausible record header is excluded entirely.  Each direction's segments
+    must tile its stream, as ``reassemble`` emits them: they start at offset
+    0, follow each other without holes up to the stream's end, and name each
+    packet at most once.  So a record's packets are the run of segments its
+    bytes span.
     """
     entries = []
+    hello_payloads = []
     for direction in (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT):
-        recs = _records_for_direction(raw, direction)
-        if recs is None:
-            return None
-        stream_len = len(raw.stream(direction))
+        stream = raw.stream(direction)
         segments = raw.segments(direction)
         starts = [seg.stream_offset for seg in segments]
-        for off, type_code, length, truncated in recs:
-            span_end = min(off + RECORD_HEADER_LEN + length, stream_len)
-            pkt_idxs, first = _attribute_packets(segments, starts, off,
-                                                 span_end)
-            if not pkt_idxs:
-                continue
-            sizes = [raw.packets[i].payload_len for i in pkt_idxs]
-            pushes = sum(1 for i in pkt_idxs if raw.packets[i].push_flag)
-            first_ts = raw.packets[first].timestamp
-            entries.append((first_ts, direction, off, type_code, length,
-                            len(pkt_idxs), pushes, sum(sizes) / len(sizes),
-                            truncated))
+        pkts = [raw.packets[seg.packet_index] for seg in segments]
+        pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
+        sizes = list(accumulate((p.payload_len for p in pkts), initial=0))
+        handshake = []
+        off, n = 0, len(stream)
+        while off + RECORD_HEADER_LEN <= n:
+            type_code, ver_hi, length = _HEADER.unpack_from(stream, off)
+            if type_code not in RECORD_TYPES or ver_hi != 0x03 \
+                    or length > MAX_RECORD_LEN:
+                break  # trailing garbage after valid records
+            end = off + RECORD_HEADER_LEN + length
+            lo = bisect_right(starts, off) - 1  # holds the first byte
+            hi = bisect_left(starts, end)
+            entries.append((pkts[lo].timestamp, direction, off, type_code,
+                            length, hi - lo, pushes[hi] - pushes[lo],
+                            (sizes[hi] - sizes[lo]) / (hi - lo), end > n))
+            if type_code == 22 and end <= n:
+                handshake.append(stream[off + RECORD_HEADER_LEN:end])
+            off = end
+        if off == 0 and n > 0:
+            return None  # the stream does not start with a plausible record
+        hello_payloads.append(b"".join(handshake))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     records = [
         TlsRecordMeta(index=i, type_code=t, length=ln, direction=d,
@@ -161,21 +130,12 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
                       first_byte_ts=ts, stream_offset=off, truncated=tr)
         for i, (ts, d, off, t, ln, pc, pu, avg, tr) in enumerate(entries)
     ]
-    conn = Connection(raw=raw, records=records, handshake=HandshakeMeta())
-    conn.handshake = parse_handshake_meta(conn)
-    return conn
-
-
-def _handshake_payload(conn: Connection, direction: Direction) -> bytes:
-    """Concatenated payload of one direction's whole handshake records, in
-    stream order (``conn.records`` is in first-byte timestamp order)."""
-    stream = conn.raw.stream(direction)
-    recs = sorted((r for r in conn.records if r.direction == direction
-                   and r.type_code == 22 and not r.truncated),
-                  key=lambda r: r.stream_offset)
-    return b"".join(stream[r.stream_offset + RECORD_HEADER_LEN:
-                           r.stream_offset + RECORD_HEADER_LEN + r.length]
-                    for r in recs)
+    # the record-layer version of the first handshake record in time order
+    version = next((struct.unpack_from("!H", raw.stream(r.direction),
+                                       r.stream_offset + 1)[0]
+                    for r in records if r.type_code == 22), 0)
+    return Connection(raw=raw, records=records,
+                      handshake=parse_handshake_meta(*hello_payloads, version))
 
 
 def _iter_handshake_messages(payload: bytes):
@@ -256,27 +216,29 @@ def _parse_server_hello(body: bytes, meta: HandshakeMeta) -> None:
                     meta.alpn_selected = selected[0]
 
 
-def parse_handshake_meta(conn: Connection) -> HandshakeMeta:
-    """Extract client/server hello metadata; on malformed bodies only the
-    record-layer version survives with the anomaly flag set."""
-    meta = HandshakeMeta()
-    raw = conn.raw
-    for rec in conn.records:
-        if rec.type_code == 22:
-            # record-layer version from the header bytes
-            stream = raw.stream(rec.direction)
-            if rec.stream_offset + 3 <= len(stream):
-                meta.version = struct.unpack_from("!H", stream, rec.stream_offset + 1)[0]
-            break
+def parse_handshake_meta(client: bytes, server: bytes,
+                         version: int) -> HandshakeMeta:
+    """Hello metadata from each direction's handshake payload.
+
+    ``client`` and ``server`` join the bodies of a direction's whole
+    handshake records in stream order; ``version`` is the record-layer
+    version.  Only the leading hellos count: each walk stops at the first
+    message that is not a ClientHello (client) or a ServerHello (server), as
+    nothing after them is a plaintext hello.  Of consecutive hellos the last
+    wins (the retry case).  A malformed hello sets ``anomaly`` and clears
+    every field but ``version``, which keeps the ClientHello's version once
+    that hello has parsed.
+    """
+    meta = HandshakeMeta(version=version)
     try:
-        client_payload = _handshake_payload(conn, Direction.CLIENT_TO_SERVER)
-        for msg_type, body in _iter_handshake_messages(client_payload):
-            if msg_type == 1:  # keep the last client_hello (retry case)
-                _parse_client_hello(body, meta)
-        server_payload = _handshake_payload(conn, Direction.SERVER_TO_CLIENT)
-        for msg_type, body in _iter_handshake_messages(server_payload):
-            if msg_type == 2:
-                _parse_server_hello(body, meta)
+        for msg_type, body in _iter_handshake_messages(client):
+            if msg_type != 1:
+                break
+            _parse_client_hello(body, meta)
+        for msg_type, body in _iter_handshake_messages(server):
+            if msg_type != 2:
+                break
+            _parse_server_hello(body, meta)
     except (IndexError, ValueError, struct.error):
         meta.anomaly = True
         meta.offered_cipher_suites = []

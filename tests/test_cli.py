@@ -81,7 +81,10 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
     code, _, _ = _run(capsys, "infer", "--corpus", corpus, "--bundle", bundle,
                       "--out", preds)
     assert code == 0
-    rows = [json.loads(l) for l in open(preds)]
+    lines = open(preds).read().splitlines()
+    # each line is byte-identical to the sorted-key dump of its object
+    assert lines == [json.dumps(json.loads(l), sort_keys=True) for l in lines]
+    rows = [json.loads(l) for l in lines]
     assert rows
     for row in rows[:20]:
         assert set(row) == {"schema_version", "connection", "record",
@@ -317,6 +320,18 @@ def test_bad_corpus_is_one_error_line(saved_bundle, corrupt, tmp_path,
     assert code == 1
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
     assert BAD_CORPORA[corrupt] in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval"])
+def test_negative_seed_is_one_error_line(saved_bundle, command, tmp_path,
+                                         capsys):
+    corpus, _ = saved_bundle
+    argv = {"synth": ["synth"], "train": ["train", corpus],
+            "eval": ["eval", "--corpus", corpus]}[command]
+    code, _, err = _run(capsys, *argv, "--seed", "-1",
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "error: --seed must be >= 0\n"
 
 
 def test_unknown_keyscan_profile_is_one_error_line(tmp_path, capsys):

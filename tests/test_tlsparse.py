@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction, Segment, load_pcap, write_pcap
+from httpglass.capture import Direction, load_pcap, write_pcap
 from httpglass.tlsparse import (GREASE_COLLAPSED, RECORD_HEADER_LEN,
-                                _attribute_packets, collapse_grease,
-                                build_client_hello, build_server_hello,
-                                parse_tls_records, record_header)
+                                collapse_grease, build_client_hello,
+                                build_server_hello, parse_tls_records,
+                                record_header)
 
 from helpers import handshake_payloads, pcap_frames, tls_stream
 
@@ -93,24 +93,6 @@ def _brute_attribution(segments, span_start, span_end):
     return hits, first
 
 
-def test_attribution_sweep_matches_brute_force():
-    """Sorted, non-overlapping segments with holes; spans anywhere,
-    including empty ones, ones past the end and ones inside a hole."""
-    rng = np.random.default_rng(20)
-    for _ in range(200):
-        segments, off = [], int(rng.integers(0, 5))
-        for k in range(int(rng.integers(0, 30))):
-            length = int(rng.integers(1, 12))
-            segments.append(Segment(off, length, int(rng.integers(0, 10))))
-            off += length + int(rng.choice([0, 0, 0, 3]))
-        starts = [seg.stream_offset for seg in segments]
-        for _ in range(20):
-            a = int(rng.integers(0, off + 5))
-            b = a + int(rng.integers(0, 60))
-            assert _attribute_packets(segments, starts, a, b) == \
-                _brute_attribution(segments, a, b)
-
-
 def test_attribution_of_records_over_many_packets(tmp_path):
     """Records cut into many small packets, several records per packet."""
     rng = np.random.default_rng(21)
@@ -180,6 +162,54 @@ def test_handshake_meta_no_alpn(tmp_path):
     conn = _load_single(tmp_path, [ch], [sh])
     assert conn.handshake.alpn_offered == []
     assert conn.handshake.alpn_selected is None
+
+
+def test_last_of_consecutive_client_hellos_wins(tmp_path):
+    """The retry case; the second hello also spans two records."""
+    first = build_client_hello([0x1301], [0, 16], alpn=["http/1.1"])
+    second = build_client_hello([0x1302, 0x1303], [0, 16, 43], alpn=["h2"])
+    ch = tls_stream([(22, first + second[:20]), (22, second[20:])])
+    _, sh = handshake_payloads()
+    hs = _load_single(tmp_path, [ch], [sh]).handshake
+    assert not hs.anomaly
+    assert hs.offered_cipher_suites == [0x1302, 0x1303]
+    assert hs.advertised_extensions == [0, 16, 43]
+    assert hs.alpn_offered == ["h2"]
+
+
+def test_hello_after_another_handshake_message_is_ignored(tmp_path):
+    """Only the leading hellos count: a ClientHello after a type-11
+    (certificate) message is not read."""
+    first = build_client_hello([0x1301], [0, 16], alpn=["http/1.1"])
+    later = build_client_hello([0x1302], [0, 43], alpn=["h2"])
+    other = b"\x0b" + (3).to_bytes(3, "big") + b"abc"
+    ch = tls_stream([(22, first + other + later)])
+    _, sh = handshake_payloads()
+    hs = _load_single(tmp_path, [ch], [sh]).handshake
+    assert not hs.anomaly
+    assert hs.offered_cipher_suites == [0x1301]
+    assert hs.advertised_extensions == [0, 16]
+    assert hs.alpn_offered == ["http/1.1"]
+
+
+@pytest.mark.parametrize("cut,version", [(1, 0x0301), (36, 0x0302)])
+def test_truncated_client_hello_is_an_anomaly(tmp_path, cut, version):
+    """A hello body cut short clears every field but ``version``, which
+    keeps what it held: the record-layer version, or the hello's own once
+    the body got that far."""
+    body = build_client_hello([0x1301], [0, 16], alpn=["h2"],
+                              version=0x0302)[4:4 + cut]
+    msg = b"\x01" + len(body).to_bytes(3, "big") + body
+    ch = record_header(22, len(msg), version=0x0301) + msg
+    _, sh = handshake_payloads()
+    hs = _load_single(tmp_path, [ch], [sh]).handshake
+    assert hs.anomaly
+    assert hs.offered_cipher_suites == []
+    assert hs.advertised_extensions == []
+    assert hs.alpn_offered == []
+    assert hs.alpn_selected is None
+    assert hs.selected_cipher_suite is None
+    assert hs.version == version
 
 
 def test_grease_collapse_in_hello(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import PcapError, load_pcap, write_pcap
+from httpglass.capture import Direction, PcapError, load_pcap, write_pcap
 from httpglass.corpus import (SynthSpec, ground_truth_session,
                               ingest_ground_truth, synthesize_corpus)
 from httpglass.features import SCHEMA_STANDARD, feature_names, record_table
@@ -78,7 +78,8 @@ def _valid_pcap(path):
        cut=st.none() | st.integers(0, 1 << 20))
 def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
     """Byte flips and truncation raise nothing but PcapError anywhere from
-    pcap ingest to the record tables."""
+    pcap ingest to the record tables, and every stream stays tiled by its
+    segments, as ``parse_tls_records`` requires."""
     path = str(tmp_path / "fuzz.pcap")
     data = bytearray(_valid_pcap(path))
     for pos, mask in flips:
@@ -92,6 +93,14 @@ def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
     except PcapError:
         return
     for raw in raws:
+        for direction in Direction:
+            segments = raw.segments(direction)
+            ends = [0] + [seg.stream_offset + seg.length for seg in segments]
+            assert [seg.stream_offset for seg in segments] == ends[:-1]
+            assert ends[-1] == len(raw.stream(direction))
+            assert all(seg.length >= 1 for seg in segments)
+            indices = [seg.packet_index for seg in segments]
+            assert len(set(indices)) == len(indices)
         conn = parse_tls_records(raw)
         if conn is not None:
             record_table(conn, "standard")
