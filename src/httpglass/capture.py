@@ -1,16 +1,28 @@
 """Packet capture ingestion: pcap parsing, connection grouping, TCP reassembly.
 
-Only classic pcap (not pcapng) with Ethernet link type is supported.  The
-endpoint that sends the first SYN (or, absent any SYN, the first packet) is
-treated as the client for direction assignment.
+Only classic pcap (not pcapng) with Ethernet link type is supported, in
+either byte order and with microsecond or nanosecond timestamps.  The file is
+memory-mapped read-only and read as columns: Python walks only the 16-byte
+record headers, then the Ethernet, 802.1Q, IPv4 and TCP fields of every frame
+are gathered with numpy, and each payload is a slice of the map.  Frames that
+are too short, not IPv4 after at most one 802.1Q tag, or not TCP are skipped;
+a truncated record header or body ends the capture.
+
+The endpoint that sends the first SYN without ACK (or, absent any, the
+flow's first packet) is treated as the client for direction assignment.  Each
+direction is reassembled from its ISN + 1; with no SYN it starts at the
+earliest sequence number, read modulo 2**32 around its first segment's.
 """
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from socket import inet_ntoa
-from typing import BinaryIO, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from . import HttpglassError
 
@@ -86,32 +98,29 @@ _SEQ_MASK = 0xFFFFFFFF  # TCP sequence numbers are 32-bit
 _HALF_SEQ = 1 << 31
 
 
-@dataclass
-class _FlowState:
-    first_sender: tuple  # (ip, port) of the flow's first packet
-    first_ts: float
-    last_ts: float
-    syn_sender: tuple | None = None  # sender of the first SYN without ACK
-    isn: dict = field(default_factory=dict)  # endpoint -> SYN seq
-    data: list = field(default_factory=list)  # (ts, src, payload, flags, seq)
-
-
 def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = None,
                ) -> tuple[bytes, list[Segment], bool, bool]:
     """Reassemble one direction of a TCP stream.
 
-    ``segments`` is a list of (seq, payload, packet_index) in arrival order.
-    Returns (stream, segment_map, gap_flag, overlap_anomaly).  Duplicate bytes
-    are dropped (first-seen wins), and reassembly stops at the first unfilled
-    gap; remaining bytes are discarded with the gap flag set.  The segment
-    map tiles the stream: its segments start at offset 0, follow each other
-    without holes up to the stream's end, are never empty and name each
-    packet at most once.
+    ``segments`` is a list of (seq, payload, packet_index) in arrival order;
+    a payload is any bytes-like object.  Returns (stream, segment_map,
+    gap_flag, overlap_anomaly).  Duplicate bytes are dropped (first-seen
+    wins), and reassembly stops at the first unfilled gap; remaining bytes
+    are discarded with the gap flag set.  The segment map tiles the stream:
+    its segments start at offset 0, follow each other without holes up to
+    the stream's end, are never empty and name each packet at most once.
+
+    Without ``base_seq`` the stream starts at the earliest seq, read modulo
+    2**32 around the first segment's, so a capture with no SYN whose
+    sequence numbers cross 2**32 still reassembles whole.
     """
     if not segments:
         return b"", [], False, False
     if base_seq is None:
-        base_seq = min(seq for seq, _, _ in segments)
+        # the earliest seq, read modulo 2**32 around the first segment's
+        first = segments[0][0]
+        base_seq = (first + min(((seq - first + _HALF_SEQ) & _SEQ_MASK)
+                                - _HALF_SEQ for seq, _, _ in segments)) & _SEQ_MASK
     # offsets from base_seq mod 2**32, signed so bytes before base_seq stay
     # duplicates; the stable sort keeps first-seen order among equal offsets
     ordered = sorted(
@@ -143,70 +152,172 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
     return bytes(stream), segmap, gap, anomaly
 
 
-_TCP_HEADER = struct.Struct("!HHI4xBB")
+def _record_heads(capture) -> tuple[list[int], str, float]:
+    """Check the global header, then walk the 16-byte record headers.
 
-
-def _parse_frame(data: bytes):
-    """Ethernet/IPv4/TCP decode; returns None for anything else."""
-    if len(data) < 14:
-        return None
-    ethertype = struct.unpack_from("!H", data, 12)[0]
-    off = 14
-    if ethertype == 0x8100:  # single 802.1Q tag
-        if len(data) < 18:
-            return None
-        ethertype = struct.unpack_from("!H", data, 16)[0]
-        off = 18
-    if ethertype != 0x0800:
-        return None
-    if len(data) < off + 20:
-        return None
-    ver_ihl = data[off]
-    if ver_ihl >> 4 != 4:
-        return None
-    ihl = (ver_ihl & 0x0F) * 4
-    total_len = struct.unpack_from("!H", data, off + 2)[0]
-    proto = data[off + 9]
-    if proto != 6:
-        return None
-    tcp_off = off + ihl
-    if len(data) < tcp_off + 20:
-        return None
-    # ports, sequence number, (ack skipped) data offset and flags
-    sport, dport, seq, data_off, flags = _TCP_HEADER.unpack_from(data, tcp_off)
-    payload_start = tcp_off + (data_off >> 4) * 4
-    payload = data[payload_start:min(off + total_len, len(data))]
-    src = (inet_ntoa(data[off + 12:off + 16]), sport)
-    dst = (inet_ntoa(data[off + 16:off + 20]), dport)
-    return src, dst, seq, flags, payload
-
-
-def _read_pcap_records(fh: BinaryIO):
-    header = fh.read(24)
-    if len(header) < 24:
+    Returns the offset of each whole record's header, the file's byte order
+    and its timestamp divisor.  The walk stops at a truncated record header
+    or body.
+    """
+    if len(capture) < 24:
         raise PcapError("truncated pcap global header")
-    magic = struct.unpack("<I", header[:4])[0]
+    magic = struct.unpack_from("<I", capture)[0]
     if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
         endian = "<"
     else:
-        magic = struct.unpack(">I", header[:4])[0]
+        magic = struct.unpack_from(">I", capture)[0]
         if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
             endian = ">"
         else:
             raise PcapError("not a classic pcap file (bad magic)")
-    ts_div = 1e9 if magic == PCAP_MAGIC_NS else 1e6
-    linktype = struct.unpack(endian + "I", header[20:24])[0]
+    linktype = struct.unpack_from(endian + "I", capture, 20)[0]
     if linktype != LINKTYPE_ETHERNET:
         raise PcapError(f"unsupported link type {linktype}")
-    while True:
-        rec = fh.read(16)
-        if len(rec) < 16:
-            return  # end of file, or a truncated record header
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(endian + "IIII", rec)
-        data = fh.read(incl_len)
-        if len(data) < incl_len:
-            return  # truncated record body
-        yield ts_sec + ts_frac / ts_div, data
+    incl_len = struct.Struct(endian + "I").unpack_from
+    size, pos = len(capture), 24
+    heads = []
+    while pos + 16 <= size:
+        end = pos + 16 + incl_len(capture, pos + 8)[0]
+        if end > size:
+            break
+        heads.append(pos)
+        pos = end
+    return heads, endian, 1e9 if magic == PCAP_MAGIC_NS else 1e6
+
+
+def _gather(data: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each offset, one row per frame.  Offsets are
+    clipped to the map; the length masks drop rows that ran past a frame."""
+    return data.take(at[:, None] + np.arange(width), mode="clip")
+
+
+def _field(block: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The big-endian unsigned field in bytes ``lo:hi`` of each row."""
+    value = block[:, lo].astype(np.int64)
+    for k in range(lo + 1, hi):
+        value = value << 8 | block[:, k]
+    return value
+
+
+def _decode_frames(capture):
+    """Columns of the IPv4/TCP frames: (ts, src, dst, seq, flags,
+    payload_at, payload_len), in file order.
+
+    Frames that are short, not IPv4 after at most one 802.1Q tag, or not
+    TCP are dropped.  Endpoints are ``ip << 16 | port``.  The TCP header
+    starts ``ihl * 4`` bytes into the IPv4 header and the payload
+    ``data_off * 4`` bytes into the TCP header, as the fields say, with no
+    floor of 20.  The payload ends at the IPv4 total length or at the end of
+    the frame, whichever comes first, and may be empty.
+    """
+    heads, endian, ts_div = _record_heads(capture)
+    data = np.frombuffer(capture, np.uint8)
+    heads = np.array(heads, np.int64)
+    # ts_sec, ts_frac, incl_len, orig_len of every record
+    record = _gather(data, heads, 16).view(endian + "u4")
+    start = heads + 16
+    length = record[:, 2].astype(np.int64)
+    # float64 sec + frac / ts_div: bit-identical to the same sum in Python
+    ts = record[:, 0] + record[:, 1] / ts_div
+    eth = _gather(data, start, 18)
+    vlan = _field(eth, 12, 14) == 0x8100
+    off = np.where(vlan, 18, 14)
+    ethertype = np.where(vlan, _field(eth, 16, 18), _field(eth, 12, 14))
+    ip = _gather(data, start + off, 20)
+    tcp_off = off + (ip[:, 0] & 0x0F) * 4
+    tcp = _gather(data, start + tcp_off, 14)
+    del data  # the map can close only when no view of it is left
+    keep = ((length >= tcp_off + 20) & (ethertype == 0x0800)
+            & (ip[:, 0] >> 4 == 4) & (ip[:, 9] == 6))
+    start, length, ts, off, tcp_off, ip, tcp = (
+        a[keep] for a in (start, length, ts, off, tcp_off, ip, tcp))
+    payload_at = start + tcp_off + (tcp[:, 12] >> 4) * 4
+    payload_end = start + np.minimum(off + _field(ip, 2, 4), length)
+    return (ts, _field(ip, 12, 16) << 16 | _field(tcp, 0, 2),
+            _field(ip, 16, 20) << 16 | _field(tcp, 2, 4), _field(tcp, 4, 8),
+            tcp[:, 13], payload_at, np.maximum(payload_end - payload_at, 0))
+
+
+def _first_per_flow(flow: np.ndarray, rows: np.ndarray, n_flows: int):
+    """Per flow, the first of ``rows`` (frame indices) that lies in it, or -1."""
+    flows, at = np.unique(flow[rows], return_index=True)
+    first = np.full(n_flows, -1, np.int64)
+    first[flows] = rows[at]
+    return first
+
+
+def _endpoint(key: int) -> tuple[str, int]:
+    return inet_ntoa((key >> 16).to_bytes(4, "big")), key & 0xFFFF
+
+
+def _connections(capture) -> list[RawConnection]:
+    ts, src, dst, seq, flags, payload_at, payload_len = _decode_frames(capture)
+    if not len(ts):
+        return []
+    # a flow is an unordered endpoint pair; flows are numbered by first frame
+    pairs = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
+    _, first, inverse = np.unique(pairs, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    n_flows = len(order)
+    rank = np.empty(n_flows, np.int64)
+    rank[order] = np.arange(n_flows)
+    flow = rank[inverse.reshape(-1)]
+    first = first[order]
+    last = _first_per_flow(flow, np.arange(len(flow))[::-1], n_flows)  # reversed
+    # the client sent the flow's first SYN without ACK, or else its first frame
+    syn = flags & _SYN != 0
+    syn_sender = _first_per_flow(flow, np.flatnonzero(syn & (flags & _ACK == 0)),
+                                 n_flows)
+    client = np.where(syn_sender >= 0, src[syn_sender], src[first])
+    server = np.where(client == pairs[first, 0], pairs[first, 1],
+                      pairs[first, 0])
+    # an endpoint's ISN is the seq of the last SYN it sent
+    syn_rows = np.flatnonzero(syn)[::-1]
+    bases = []
+    for end in (client, server):
+        rows = syn_rows[src[syn_rows] == end[flow[syn_rows]]]
+        isn = _first_per_flow(flow, rows, n_flows)
+        bases.append([None if row < 0 else (s + 1) & _SEQ_MASK for row, s in
+                      zip(isn.tolist(), seq[isn].tolist())])
+
+    # data packets, grouped by flow and in file order within each
+    rows = np.flatnonzero(payload_len)
+    rows = rows[np.argsort(flow[rows], kind="stable")]
+    data_flow = flow[rows]
+    bounds = np.searchsorted(data_flow, np.arange(n_flows + 1)).tolist()
+    from_client = (src[rows] == client[data_flow]).tolist()
+    from_server = (src[rows] == server[data_flow]).tolist()
+    directions = [Direction.CLIENT_TO_SERVER if c else Direction.SERVER_TO_CLIENT
+                  for c in from_client]
+    push = (flags[rows] & _PSH != 0).tolist()
+    times, seqs, ats, lens = (a[rows].tolist()
+                              for a in (ts, seq, payload_at, payload_len))
+    view = memoryview(capture)
+    connections = []
+    for k, (c, s, t0, dur) in enumerate(zip(
+            client.tolist(), server.tolist(), ts[first].tolist(),
+            (ts[last] - ts[first]).tolist())):
+        a, b = bounds[k], bounds[k + 1]
+        packets = list(map(PacketMeta, times[a:b], directions[a:b], lens[a:b],
+                           push[a:b], seqs[a:b]))
+        # a self-connection (client == server) gives each side every segment
+        raw_c, raw_s = [], []
+        for i, j in enumerate(range(a, b)):
+            segment = (seqs[j], view[ats[j]:ats[j] + lens[j]], i)
+            if from_client[j]:
+                raw_c.append(segment)
+            if from_server[j]:
+                raw_s.append(segment)
+        cs, cmap, gap_c, an_c = reassemble(raw_c, bases[0][k])
+        ss, smap, gap_s, an_s = reassemble(raw_s, bases[1][k])
+        connections.append(RawConnection(
+            five_tuple=(*_endpoint(c), *_endpoint(s), "tcp"),
+            packets=packets, client_stream=cs, server_stream=ss,
+            duration=dur, client_segments=cmap, server_segments=smap,
+            gap_client=gap_c, gap_server=gap_s,
+            overlap_anomaly=an_c or an_s, start_time=t0))
+    return connections
 
 
 def load_pcap(path: str) -> list[RawConnection]:
@@ -216,53 +327,13 @@ def load_pcap(path: str) -> list[RawConnection]:
     its direction once, after the whole capture is read, so a SYN seen after
     data still decides which endpoint is the client.
     """
-    flows: dict[tuple, _FlowState] = {}
     with open(path, "rb") as fh:
-        for ts, data in _read_pcap_records(fh):
-            parsed = _parse_frame(data)
-            if parsed is None:
-                continue
-            src, dst, seq, flags, payload = parsed
-            key = (min(src, dst), max(src, dst))
-            state = flows.get(key)
-            if state is None:
-                state = flows[key] = _FlowState(src, ts, ts)
-            state.last_ts = ts
-            if flags & _SYN:
-                state.isn[src] = seq
-                if not flags & _ACK and state.syn_sender is None:
-                    state.syn_sender = src
-            if payload:
-                state.data.append((ts, src, payload, flags, seq))
-    connections = []
-    for (a, b), state in flows.items():
-        client = state.syn_sender or state.first_sender
-        server = b if client == a else a
-        packets = []
-        # a self-connection (client == server) shares one list, so each side
-        # reassembles every segment of the flow
-        raw_segs = {client: [], server: []}
-        for idx, (ts, src, payload, flags, seq) in enumerate(state.data):
-            direction = (Direction.CLIENT_TO_SERVER if src == client
-                         else Direction.SERVER_TO_CLIENT)
-            packets.append(PacketMeta(ts, direction, len(payload),
-                                      bool(flags & _PSH), seq))
-            raw_segs[src].append((seq, payload, idx))
-        base_c = (state.isn[client] + 1) & _SEQ_MASK if client in state.isn else None
-        base_s = (state.isn[server] + 1) & _SEQ_MASK if server in state.isn else None
-        cs, cmap, gap_c, an_c = reassemble(raw_segs[client], base_c)
-        ss, smap, gap_s, an_s = reassemble(raw_segs[server], base_s)
-        connections.append(RawConnection(
-            five_tuple=(client[0], client[1], server[0], server[1], "tcp"),
-            packets=packets,
-            client_stream=cs, server_stream=ss,
-            duration=state.last_ts - state.first_ts,
-            client_segments=cmap, server_segments=smap,
-            gap_client=gap_c, gap_server=gap_s,
-            overlap_anomaly=an_c or an_s,
-            start_time=state.first_ts,
-        ))
-    return connections
+        try:
+            capture = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap refuses an empty file
+            raise PcapError("truncated pcap global header") from None
+    with capture:  # every payload view dies with _connections' frame
+        return _connections(capture)
 
 
 def write_pcap(path: str, frames: Iterable[tuple[float, bytes]]) -> None:

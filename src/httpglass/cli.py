@@ -315,6 +315,12 @@ def main(argv=None) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 2
+    if getattr(args, "max_depth", 0) < 0:
+        print("error: --max-depth must be >= 0", file=sys.stderr)
+        return 2
+    if getattr(args, "top", 1) < 1:
+        print("error: --top must be >= 1", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (HttpglassError, OSError) as exc:

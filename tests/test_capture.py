@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import (Direction, PcapError, build_tcp_frame,
-                               load_pcap, reassemble, write_pcap,
-                               TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN)
+from httpglass.capture import (PCAP_MAGIC_NS, PCAP_MAGIC_US, Direction,
+                               PcapError, build_tcp_frame, load_pcap,
+                               reassemble, write_pcap, TCP_FLAG_ACK,
+                               TCP_FLAG_PSH, TCP_FLAG_SYN)
 
-from helpers import CLIENT, SERVER, pcap_frames
+from helpers import CLIENT, SERVER, pcap_frames, reference_load_pcap
 
 
 def test_pcap_round_trip(tmp_path):
@@ -172,5 +173,153 @@ def test_sequence_wraparound(tmp_path, isn):
             CLIENT, SERVER, seq, payload, flags=TCP_FLAG_ACK | TCP_FLAG_PSH)))
     write_pcap(path, frames)
     (raw,) = load_pcap(path)
+    assert raw.client_stream == b"".join(chunks)
+    assert not raw.gap_client
+
+
+def test_reassemble_without_syn_across_wraparound():
+    """With no SYN the stream starts at the earliest seq modulo 2**32, so
+    the bytes sent before the wrap are kept, not dropped as duplicates."""
+    chunks = [bytes([65 + k]) * 100 for k in range(4)]
+    segs = [((0xFFFFFF80 + 100 * k) & 0xFFFFFFFF, c, k)
+            for k, c in enumerate(chunks)]
+    stream, segmap, gap, anomaly = reassemble(segs)
+    assert stream == b"".join(chunks)
+    assert not gap and not anomaly
+    assert [s.packet_index for s in segmap] == [0, 1, 2, 3]
+    # the earliest seq is found whichever segment arrives first
+    stream, _, gap, _ = reassemble(segs[2:] + segs[:2])
+    assert stream == b"".join(chunks) and not gap
+
+
+def _load_both(path):
+    """``load_pcap``, checked against the per-frame reference reader."""
+    raws = load_pcap(path)
+    assert raws == reference_load_pcap(path)
+    return raws
+
+
+# a SYN handshake, then client "hello ", server "reply bytes", client "world"
+_FLOW = pcap_frames([b"hello ", b"world"], [b"reply bytes"])
+
+
+def _vlan_tagged(frame):
+    return frame[:12] + b"\x81\x00\x00\x07" + frame[12:]
+
+
+def _ip_options(frame):
+    """The frame with a 24-byte IPv4 header (ihl 6): four option bytes."""
+    total_len = struct.unpack_from("!H", frame, 16)[0]
+    return (frame[:14] + b"\x46" + frame[15:16]
+            + struct.pack("!H", total_len + 4) + frame[18:34]
+            + b"\x01\x01\x01\x00" + frame[34:])
+
+
+# the ARP ethertype and the UDP protocol number over bytes that would
+# otherwise decode as an IPv4/TCP frame of the flow
+_ARP = (lambda f: f[:12] + b"\x08\x06" + f[14:])(
+    build_tcp_frame(CLIENT, SERVER, 7, b"not ip"))
+_UDP = (lambda f: f[:23] + b"\x11" + f[24:])(
+    build_tcp_frame(CLIENT, SERVER, 7, b"not tcp"))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda fr: fr[:3] + [(fr[3][0], _vlan_tagged(fr[3][1]))]
+                 + fr[4:], id="802.1q"),
+    pytest.param(lambda fr: fr[:2] + [(fr[2][0], _ip_options(fr[2][1]))]
+                 + fr[3:], id="ip-options"),
+    pytest.param(lambda fr: fr[:3] + [(fr[2][0], _ARP), (fr[2][0], _UDP)]
+                 + fr[3:], id="arp-and-udp")])
+def test_frame_paths(tmp_path, edit):
+    """A VLAN tag and IPv4 options are decoded through; ARP and UDP frames
+    between the TCP frames are skipped."""
+    path = str(tmp_path / "edit.pcap")
+    write_pcap(path, edit(list(_FLOW)))
+    (raw,) = _load_both(path)
+    assert raw.client_stream == b"hello world"
+    assert raw.server_stream == b"reply bytes"
+    assert [p.payload_len for p in raw.packets] == [6, 11, 5]
+    write_pcap(path, _FLOW)
+    assert [raw] == load_pcap(path)
+
+
+def _reencode(data, endian, nanos):
+    """A little-endian microsecond pcap in another byte order or with the
+    nanosecond magic (and 123 ns added to every timestamp)."""
+    fields = struct.unpack_from("<IHHiIII", data)
+    out = [struct.pack(endian + "IHHiIII",
+                       PCAP_MAGIC_NS if nanos else PCAP_MAGIC_US, *fields[1:])]
+    pos = 24
+    while pos < len(data):
+        sec, frac, incl_len, orig_len = struct.unpack_from("<IIII", data, pos)
+        if nanos:
+            frac = frac * 1000 + 123
+        out += [struct.pack(endian + "IIII", sec, frac, incl_len, orig_len),
+                data[pos + 16:pos + 16 + incl_len]]
+        pos += 16 + incl_len
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("endian, nanos", [(">", False), ("<", True),
+                                           (">", True)])
+def test_big_endian_and_nanosecond_pcaps(tmp_path, endian, nanos):
+    path = tmp_path / "flow.pcap"
+    write_pcap(str(path), _FLOW)
+    (want,) = load_pcap(str(path))
+    path.write_bytes(_reencode(path.read_bytes(), endian, nanos))
+    (raw,) = _load_both(str(path))
+    assert (raw.client_stream, raw.server_stream) == \
+        (b"hello world", b"reply bytes")
+    shift = 123e-9 if nanos else 0.0
+    assert [p.timestamp for p in raw.packets] == pytest.approx(
+        [p.timestamp + shift for p in want.packets], rel=0, abs=1e-9)
+    assert raw.start_time == pytest.approx(want.start_time + shift, abs=1e-9)
+
+
+def test_empty_pcap_is_a_pcap_error(tmp_path):
+    path = tmp_path / "empty.pcap"
+    path.write_bytes(b"")
+    for load in (load_pcap, reference_load_pcap):
+        with pytest.raises(PcapError):
+            load(str(path))
+
+
+@pytest.mark.parametrize("cut", [3, len(_FLOW[-1][1]) + 8],
+                         ids=["body", "header"])
+def test_truncated_record_keeps_earlier_frames(tmp_path, cut):
+    """A record cut in its body or its header ends the capture there; the
+    frames before it still load."""
+    path = tmp_path / "cut.pcap"
+    write_pcap(str(path), _FLOW)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - cut])  # into the "world" record
+    (raw,) = _load_both(str(path))
+    assert raw.client_stream == b"hello "
+    assert raw.server_stream == b"reply bytes"
+
+
+def test_self_connection_gives_each_side_every_segment(tmp_path):
+    """When both endpoints are the same, every data packet is client to
+    server and both streams hold all of them, as the reference reader has
+    it."""
+    path = str(tmp_path / "self.pcap")
+    write_pcap(path, [
+        (1.0, build_tcp_frame(CLIENT, CLIENT, 9, flags=TCP_FLAG_SYN)),
+        (1.1, build_tcp_frame(CLIENT, CLIENT, 10, b"abc")),
+        (1.2, build_tcp_frame(CLIENT, CLIENT, 13, b"def"))])
+    (raw,) = _load_both(path)
+    assert raw.five_tuple == (*CLIENT, *CLIENT, "tcp")
+    assert raw.client_stream == raw.server_stream == b"abcdef"
+    assert {p.direction for p in raw.packets} == {Direction.CLIENT_TO_SERVER}
+
+
+def test_syn_less_capture_across_wraparound(tmp_path):
+    """A capture that starts mid-connection, with no SYN, and whose client
+    sequence numbers cross 2**32 loads whole."""
+    path = str(tmp_path / "nosyn.pcap")
+    chunks = [bytes([65 + k]) * 100 for k in range(4)]
+    write_pcap(path, [(1.0 + k, build_tcp_frame(
+        CLIENT, SERVER, 0xFFFFFF80 + 100 * k, c)) for k, c in enumerate(chunks)])
+    (raw,) = _load_both(path)
     assert raw.client_stream == b"".join(chunks)
     assert not raw.gap_client

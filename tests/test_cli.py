@@ -334,6 +334,28 @@ def test_negative_seed_is_one_error_line(saved_bundle, command, tmp_path,
     assert err == "error: --seed must be >= 0\n"
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("train", "--max-depth", "-1"), ("eval", "--max-depth", "-1"),
+    ("importance", "--top", "0"), ("importance", "--top", "-1")])
+def test_out_of_range_option_is_one_error_line(saved_bundle, command, option,
+                                               value, tmp_path, capsys):
+    """A negative --max-depth or a --top below 1 is refused before the
+    command runs: exit 2, one error line and no output file."""
+    corpus, data = saved_bundle
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    argv = {"train": ["train", corpus],
+            "eval": ["eval", "--corpus", corpus],
+            "importance": ["importance", "--bundle", str(bundle),
+                           "--problem", "request.method"]}[command]
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, *argv, option, value, "--out", str(out))
+    assert code == 2
+    bound = "0" if option == "--max-depth" else "1"
+    assert err == f"error: {option} must be >= {bound}\n"
+    assert not out.exists()
+
+
 def test_unknown_keyscan_profile_is_one_error_line(tmp_path, capsys):
     dump = tmp_path / "dump.bin"
     dump.write_bytes(bytes(64))

@@ -14,7 +14,7 @@ from httpglass.registry import registry
 from httpglass.tlsparse import parse_tls_records
 
 from helpers import (handshake_payloads, pcap_frames, planted_pcap_frames,
-                     tls_stream)
+                     reference_load_pcap, tls_stream)
 
 # pcap stores microseconds, so times come back rounded to 1 us
 DURATION_COL = feature_names(SCHEMA_STANDARD).index("duration")
@@ -37,6 +37,7 @@ def test_planted_connections_come_back(tmp_path, isn, etag):
     path = str(tmp_path / "planted.pcap")
     write_pcap(path, frames)
     raws = load_pcap(path)
+    assert raws == reference_load_pcap(path)
     assert sorted(raw.five_tuple for raw in raws) == sorted(planted)
     for raw in raws:
         lc = planted[raw.five_tuple]
@@ -78,7 +79,8 @@ def _valid_pcap(path):
        cut=st.none() | st.integers(0, 1 << 20))
 def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
     """Byte flips and truncation raise nothing but PcapError anywhere from
-    pcap ingest to the record tables, and every stream stays tiled by its
+    pcap ingest to the record tables, ``load_pcap`` agrees with the
+    per-frame reference reader, and every stream stays tiled by its
     segments, as ``parse_tls_records`` requires."""
     path = str(tmp_path / "fuzz.pcap")
     data = bytearray(_valid_pcap(path))
@@ -91,7 +93,10 @@ def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
     try:
         raws = load_pcap(path)
     except PcapError:
+        with pytest.raises(PcapError):
+            reference_load_pcap(path)
         return
+    assert raws == reference_load_pcap(path)
     for raw in raws:
         for direction in Direction:
             segments = raw.segments(direction)
