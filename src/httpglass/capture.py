@@ -11,7 +11,9 @@ a truncated record header or body ends the capture.
 The endpoint that sends the first SYN without ACK (or, absent any, the
 flow's first packet) is treated as the client for direction assignment.  Each
 direction is reassembled from its ISN + 1; with no SYN it starts at the
-earliest sequence number, read modulo 2**32 around its first segment's.
+earliest sequence number, read modulo 2**32 around its first segment's.  Data
+carried on a SYN (TCP Fast Open) starts at the SYN's seq + 1, as the SYN
+itself takes one sequence number.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from socket import inet_ntoa
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +42,7 @@ class Direction(IntEnum):
     SERVER_TO_CLIENT = 1
 
 
-@dataclass(frozen=True)
-class PacketMeta:
+class PacketMeta(NamedTuple):
     """Metadata for one data-bearing TCP packet."""
 
     timestamp: float
@@ -50,45 +51,23 @@ class PacketMeta:
     push_flag: bool
     seq: int
 
-    def __post_init__(self):
-        if self.payload_len < 0:
-            raise ValueError("payload_len must be >= 0")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous run of reassembled stream bytes attributed to one packet."""
-
-    stream_offset: int
-    length: int
-    packet_index: int
-
 
 @dataclass
 class RawConnection:
-    """One observed TCP connection with reassembled per-direction streams."""
+    """One observed TCP connection with reassembled per-direction streams
+    and their (stream offset, packet index) segment maps."""
 
     five_tuple: tuple
     packets: list[PacketMeta]
     client_stream: bytes
     server_stream: bytes
     duration: float
-    client_segments: list[Segment] = field(default_factory=list)
-    server_segments: list[Segment] = field(default_factory=list)
+    client_segments: list[tuple[int, int]] = field(default_factory=list)
+    server_segments: list[tuple[int, int]] = field(default_factory=list)
     gap_client: bool = False
     gap_server: bool = False
     overlap_anomaly: bool = False
     start_time: float = 0.0
-
-    def segments(self, direction: Direction) -> list[Segment]:
-        if direction == Direction.CLIENT_TO_SERVER:
-            return self.client_segments
-        return self.server_segments
-
-    def stream(self, direction: Direction) -> bytes:
-        if direction == Direction.CLIENT_TO_SERVER:
-            return self.client_stream
-        return self.server_stream
 
 
 # TCP flag bits
@@ -99,16 +78,17 @@ _HALF_SEQ = 1 << 31
 
 
 def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = None,
-               ) -> tuple[bytes, list[Segment], bool, bool]:
+               ) -> tuple[bytes, list[tuple[int, int]], bool, bool]:
     """Reassemble one direction of a TCP stream.
 
     ``segments`` is a list of (seq, payload, packet_index) in arrival order;
     a payload is any bytes-like object.  Returns (stream, segment_map,
     gap_flag, overlap_anomaly).  Duplicate bytes are dropped (first-seen
-    wins), and reassembly stops at the first unfilled gap; remaining bytes
-    are discarded with the gap flag set.  The segment map tiles the stream:
-    its segments start at offset 0, follow each other without holes up to
-    the stream's end, are never empty and name each packet at most once.
+    wins; bytes before ``base_seq`` are never compared), and reassembly
+    stops at the first unfilled gap; remaining bytes are discarded with the
+    gap flag set.  The segment map is a list of (stream offset, packet
+    index) pairs that tiles the stream: the offsets start at 0, strictly
+    increase and stay below the stream's length, and no packet repeats.
 
     Without ``base_seq`` the stream starts at the earliest seq, read modulo
     2**32 around the first segment's, so a capture with no SYN whose
@@ -127,7 +107,7 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
         ((((seq - base_seq + _HALF_SEQ) & _SEQ_MASK) - _HALF_SEQ, payload, pkt_idx)
          for seq, payload, pkt_idx in segments), key=lambda s: s[0])
     stream = bytearray()
-    segmap: list[Segment] = []
+    segmap: list[tuple[int, int]] = []
     expected = 0
     gap = False
     anomaly = False
@@ -141,12 +121,12 @@ def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = No
         skip = expected - off
         if skip > 0:
             # overlap region: first-seen bytes already in the stream win
-            prior = bytes(stream[off:expected])
-            if prior != payload[:skip]:
+            lo = max(off, 0)
+            if stream[lo:expected] != payload[lo - off:skip]:
                 anomaly = True
         new = payload[skip:]
         if new:
-            segmap.append(Segment(len(stream), len(new), pkt_idx))
+            segmap.append((len(stream), pkt_idx))
             stream.extend(new)
             expected = end
     return bytes(stream), segmap, gap, anomaly
@@ -291,6 +271,8 @@ def _connections(capture) -> list[RawConnection]:
     directions = [Direction.CLIENT_TO_SERVER if c else Direction.SERVER_TO_CLIENT
                   for c in from_client]
     push = (flags[rows] & _PSH != 0).tolist()
+    # a SYN's own sequence number comes before the data it carries
+    starts = ((seq[rows] + syn[rows]) & _SEQ_MASK).tolist()
     times, seqs, ats, lens = (a[rows].tolist()
                               for a in (ts, seq, payload_at, payload_len))
     view = memoryview(capture)
@@ -304,7 +286,7 @@ def _connections(capture) -> list[RawConnection]:
         # a self-connection (client == server) gives each side every segment
         raw_c, raw_s = [], []
         for i, j in enumerate(range(a, b)):
-            segment = (seqs[j], view[ats[j]:ats[j] + lens[j]], i)
+            segment = (starts[j], view[ats[j]:ats[j] + lens[j]], i)
             if from_client[j]:
                 raw_c.append(segment)
             if from_server[j]:

@@ -23,6 +23,7 @@ from .features import (SCHEMA_STANDARD, SCHEMA_TOR, feature_names,
                        record_table)
 from .inference import (DEFAULT_PARAMS, classify_corpus, load_bundle,
                         save_bundle, train_bundle)
+from .registry import PROTOCOLS
 from .tlsparse import parse_tls_records
 
 OUTPUT_SCHEMA_VERSION = 1
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("importance", parents=[common()],
                        help="top Gini importances of a bundle model")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--protocol", choices=("http1", "http2"), default="http1")
+    p.add_argument("--protocol", choices=PROTOCOLS, default="http1")
     p.add_argument("--problem", required=True)
     p.add_argument("--stage", choices=("single", "enhanced"), default="single")
     p.add_argument("--top", type=int, default=10)
@@ -300,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "infer" and not (args.pcap or args.corpus):
-        print("error: infer needs --pcap or --corpus", file=sys.stderr)
+    if args.command == "infer" and bool(args.pcap) == bool(args.corpus):
+        print("error: infer needs one of --pcap and --corpus", file=sys.stderr)
         return 2
     if args.command == "eval" and args.experiment == "malware" and \
             not (args.bundle and args.benign and args.malicious):

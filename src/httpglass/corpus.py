@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import HttpglassError
-from .capture import Direction, PacketMeta, RawConnection, Segment
+from .capture import Direction, PacketMeta, RawConnection
 from .tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
                        build_client_hello, build_server_hello, record_header,
                        EXT_ALPN, GREASE_COLLAPSED)
@@ -467,8 +467,7 @@ class _ConnBuilder:
                 timestamp=self.ts, direction=direction, payload_len=size,
                 push_flag=push, seq=pos))
             if self.emit_streams:
-                self.segmaps[direction].append(
-                    Segment(pos, size, len(self.packets) - 1))
+                self.segmaps[direction].append((pos, len(self.packets) - 1))
             pos += size
             self.ts += 0.001
         pushes = pkt_count if push_all else 1
@@ -778,6 +777,8 @@ def _check_conn(lc: LabeledConnection, d: dict) -> None:
              "a field has the wrong type")]:
         if failed:
             raise CorpusError(message)
+    if any(p.payload_len < 0 for p in lc.conn.raw.packets):
+        raise CorpusError("payload_len must be >= 0")
 
 
 def save_corpus(path: str, corpus: list[LabeledConnection],

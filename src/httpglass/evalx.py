@@ -19,7 +19,7 @@ from .features import (build_feature_vocab, enrich_malware_features,
                        malware_categorical_indices, SCHEMA_MALWARE_STANDARD)
 from .inference import (ModelBundle, aggregate_predictions, classify_corpus,
                         train_bundle)
-from .registry import OTHER, registry
+from .registry import OTHER, PROTOCOLS, registry
 
 # Table 4 reference points from the original study, recorded for context in
 # malware reports (desk-scale synthetic runs are not expected to match them)
@@ -143,7 +143,7 @@ def run_semantics_experiment(train: list[LabeledConnection],
 
     proto_cm = ConfusionMatrix.from_pairs(
         [lc.protocol for lc in test], [r.protocol for r in iterative],
-        labels=["http1", "http2"])
+        labels=PROTOCOLS)
 
     mt_truth, mt_pred = [], []
     for lc, res in zip(test, iterative):
@@ -155,7 +155,7 @@ def run_semantics_experiment(train: list[LabeledConnection],
     mt_cm = ConfusionMatrix.from_pairs(mt_truth, mt_pred, labels=[0, 1])
 
     problems_report = {}
-    for protocol in ("http1", "http2"):
+    for protocol in PROTOCOLS:
         members = [(lc, s, it) for lc, s, it in zip(test, single, iterative)
                    if lc.protocol == protocol]
         if not members:

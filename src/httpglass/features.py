@@ -151,7 +151,7 @@ def record_table(conn: Connection, mode: str = "standard") -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def record_categorical_indices(mode: str = "standard") -> frozenset[int]:
+def record_categorical_indices() -> frozenset[int]:
     """Positions of categorical features (type_code, direction) per window slot."""
     idxs = []
     for slot in range(WINDOW_SLOTS):

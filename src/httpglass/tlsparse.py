@@ -1,7 +1,7 @@
 """TLS record-layer and handshake-metadata parsing.
 
 Each direction's stream is cut into records in one pass.  A record's packets
-are the run of reassembled segments its bytes span, and records from both
+are the (stream offset, packet) pairs its bytes span, and records from both
 directions are interleaved by the capture timestamp of each record's first
 byte.  Hello metadata comes from each direction's leading hello messages.
 """
@@ -11,6 +11,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .capture import Direction, RawConnection
 
@@ -27,8 +28,7 @@ GREASE_COLLAPSED = 0x0A0A
 EXT_ALPN = 16
 
 
-@dataclass(frozen=True)
-class TlsRecordMeta:
+class TlsRecordMeta(NamedTuple):
     """Per-record metadata; every data feature derives from these fields."""
 
     index: int
@@ -89,19 +89,19 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     """Parse both streams into TLS records; None if the connection is not TLS.
 
     A connection with data in some direction that does not begin with a
-    plausible record header is excluded entirely.  Each direction's segments
-    must tile its stream, as ``reassemble`` emits them: they start at offset
-    0, follow each other without holes up to the stream's end, and name each
-    packet at most once.  So a record's packets are the run of segments its
-    bytes span.
+    plausible record header is excluded entirely.  Each direction's segment
+    map must tile its stream, as ``reassemble`` emits it: the (stream
+    offset, packet index) pairs start at offset 0, their offsets strictly
+    increase and stay below the stream's length, and no packet appears
+    twice.  So a record's packets are the run of pairs its bytes span.
     """
     entries = []
     hello_payloads = []
-    for direction in (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT):
-        stream = raw.stream(direction)
-        segments = raw.segments(direction)
-        starts = [seg.stream_offset for seg in segments]
-        pkts = [raw.packets[seg.packet_index] for seg in segments]
+    streams = (raw.client_stream, raw.server_stream)
+    for direction, stream, segments in zip(
+            Direction, streams, (raw.client_segments, raw.server_segments)):
+        starts = [off for off, _ in segments]
+        pkts = [raw.packets[i] for _, i in segments]
         pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
         sizes = list(accumulate((p.payload_len for p in pkts), initial=0))
         handshake = []
@@ -131,7 +131,7 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
         for i, (ts, d, off, t, ln, pc, pu, avg, tr) in enumerate(entries)
     ]
     # the record-layer version of the first handshake record in time order
-    version = next((struct.unpack_from("!H", raw.stream(r.direction),
+    version = next((struct.unpack_from("!H", streams[r.direction],
                                        r.stream_offset + 1)[0]
                     for r in records if r.type_code == 22), 0)
     return Connection(raw=raw, records=records,

@@ -8,8 +8,8 @@ import numpy as np
 
 from httpglass.capture import (LINKTYPE_ETHERNET, PCAP_MAGIC_NS, PCAP_MAGIC_US,
                                Direction, PacketMeta, PcapError, RawConnection,
-                               Segment, TCP_FLAG_ACK, TCP_FLAG_PSH,
-                               TCP_FLAG_SYN, build_tcp_frame, reassemble)
+                               TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN,
+                               build_tcp_frame, reassemble)
 from httpglass.tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
                                 build_client_hello, build_server_hello,
                                 record_header)
@@ -23,20 +23,24 @@ def tls_stream(messages):
     return b"".join(record_header(t, len(p)) + p for t, p in messages)
 
 
-def pcap_frames(client_payloads, server_payloads, start_ts=100.0):
+def pcap_frames(client_payloads, server_payloads, start_ts=100.0,
+                syn_data=b""):
     """Interleave client/server payload chunks into a SYN-handshaked flow.
 
     ``client_payloads``/``server_payloads`` are lists of byte chunks; packets
     alternate client-first, one chunk per packet, 10 ms apart, PSH on every
-    data packet.
+    data packet.  ``syn_data`` rides on the client's SYN (TCP Fast Open), so
+    the client's stream starts with it.
     """
     frames = []
     ts = start_ts
-    frames.append((ts, build_tcp_frame(CLIENT, SERVER, 0, flags=TCP_FLAG_SYN)))
+    frames.append((ts, build_tcp_frame(CLIENT, SERVER, 0, syn_data,
+                                       flags=TCP_FLAG_SYN)))
     ts += 0.001
     frames.append((ts, build_tcp_frame(SERVER, CLIENT, 0,
-                                       flags=TCP_FLAG_SYN | TCP_FLAG_ACK, ack=1)))
-    cseq, sseq = 1, 1
+                                       flags=TCP_FLAG_SYN | TCP_FLAG_ACK,
+                                       ack=1 + len(syn_data))))
+    cseq, sseq = 1 + len(syn_data), 1
     ci, si = 0, 0
     while ci < len(client_payloads) or si < len(server_payloads):
         if ci < len(client_payloads):
@@ -70,6 +74,7 @@ def planted_pcap_frames(corpus, isn):
         client = (f"10.1.{i >> 8}.{i & 255}", 30000 + i)
         planted[client + SERVER + ("tcp",)] = lc
         raw = lc.conn.raw
+        streams = (raw.client_stream, raw.server_stream)
         start = raw.packets[0].timestamp
         frames += [
             (start, build_tcp_frame(client, SERVER, isn, flags=TCP_FLAG_SYN)),
@@ -80,12 +85,25 @@ def planted_pcap_frames(corpus, isn):
             src, dst = ((client, SERVER)
                         if pkt.direction == Direction.CLIENT_TO_SERVER
                         else (SERVER, client))
-            payload = raw.stream(pkt.direction)[pkt.seq:pkt.seq + pkt.payload_len]
+            payload = streams[pkt.direction][pkt.seq:pkt.seq + pkt.payload_len]
             flags = TCP_FLAG_ACK | (TCP_FLAG_PSH if pkt.push_flag else 0)
             frames.append((pkt.timestamp, build_tcp_frame(
                 src, dst, isn + 1 + pkt.seq, payload, flags=flags)))
     frames.sort(key=lambda f: f[0])  # stable: each flow keeps its own order
     return frames, planted
+
+
+def assert_tiles(stream, segments):
+    """The (offset, packet index) pairs tile ``stream``: the offsets start
+    at 0, strictly increase and stay below its length, and no packet
+    repeats."""
+    offsets = [off for off, _ in segments]
+    assert bool(offsets) == bool(stream)
+    if offsets:
+        assert offsets[0] == 0 and offsets[-1] < len(stream)
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    indices = [i for _, i in segments]
+    assert len(set(indices)) == len(indices)
 
 
 def handshake_payloads(alpn_offered=("h2", "http/1.1"), alpn_selected="h2",
@@ -234,7 +252,9 @@ def reference_load_pcap(path):
                          else Direction.SERVER_TO_CLIENT)
             packets.append(PacketMeta(ts, direction, len(payload),
                                       bool(flags & TCP_FLAG_PSH), seq))
-            raw_segs[src].append((seq, payload, idx))
+            # data on a SYN starts after the SYN's own sequence number
+            start = (seq + 1) & 0xFFFFFFFF if flags & TCP_FLAG_SYN else seq
+            raw_segs[src].append((start, payload, idx))
         isn = state.isn
         base_c = (isn[client] + 1) & 0xFFFFFFFF if client in isn else None
         base_s = (isn[server] + 1) & 0xFFFFFFFF if server in isn else None

@@ -12,7 +12,10 @@ from httpglass.capture import (PCAP_MAGIC_NS, PCAP_MAGIC_US, Direction,
                                reassemble, write_pcap, TCP_FLAG_ACK,
                                TCP_FLAG_PSH, TCP_FLAG_SYN)
 
-from helpers import CLIENT, SERVER, pcap_frames, reference_load_pcap
+from httpglass.tlsparse import parse_tls_records
+
+from helpers import (CLIENT, SERVER, assert_tiles, handshake_payloads,
+                     pcap_frames, reference_load_pcap, tls_stream)
 
 
 def test_pcap_round_trip(tmp_path):
@@ -83,8 +86,7 @@ def test_reassemble_in_order():
         [(100, b"abc", 0), (103, b"def", 1)])
     assert stream == b"abcdef"
     assert not gap and not anomaly
-    assert [(s.stream_offset, s.length, s.packet_index) for s in segmap] == \
-        [(0, 3, 0), (3, 3, 1)]
+    assert segmap == [(0, 0), (3, 1)]
 
 
 def test_reassemble_out_of_order():
@@ -99,7 +101,7 @@ def test_reassemble_duplicate_dropped():
         [(100, b"abc", 0), (100, b"abc", 1), (103, b"def", 2)])
     assert stream == b"abcdef"
     assert not anomaly
-    assert [s.packet_index for s in segmap] == [0, 2]
+    assert segmap == [(0, 0), (3, 2)]
 
 
 def test_reassemble_overlap_consistent():
@@ -114,6 +116,19 @@ def test_reassemble_overlap_conflict_flags_anomaly():
         [(100, b"abcd", 0), (102, b"XYef", 1)])
     assert stream == b"abcdef"  # first-seen bytes win
     assert anomaly
+
+
+def test_reassemble_checks_overlaps_inside_the_stream_only():
+    """Bytes before ``base_seq`` are dropped unchecked: they are not in the
+    stream, so they cannot conflict with it."""
+    stream, segmap, gap, anomaly = reassemble(
+        [(998, b"xyab", 0), (1002, b"cd", 1)], 1000)
+    assert (stream, segmap, gap, anomaly) == \
+        (b"abcd", [(0, 0), (2, 1)], False, False)
+    # a conflict inside the stream is still flagged
+    stream, _, _, anomaly = reassemble(
+        [(998, b"xyab", 0), (999, b"qaXd", 1)], 1000)
+    assert stream == b"abd" and anomaly
 
 
 def test_reassemble_gap_truncates():
@@ -140,19 +155,15 @@ def test_reassemble_permutation_invariant(chunks, rnd):
     stream, segmap, gap, anomaly = reassemble(shuffled, base_seq=1000)
     assert stream == expected
     assert not gap and not anomaly
-    assert sum(s.length for s in segmap) == len(expected)
+    assert segmap == [(seq - 1000, i) for seq, _, i in segs]
 
 
 def test_segment_map_covers_stream(tmp_path):
     path = str(tmp_path / "seg.pcap")
     write_pcap(path, pcap_frames([b"12345", b"678"], []))
     raw = load_pcap(path)[0]
-    covered = sorted((s.stream_offset, s.stream_offset + s.length)
-                     for s in raw.client_segments)
-    assert covered[0][0] == 0
-    assert covered[-1][1] == len(raw.client_stream)
-    for (a, b), (c, d) in zip(covered, covered[1:]):
-        assert b == c
+    assert raw.client_segments == [(0, 0), (5, 1)]
+    assert_tiles(raw.client_stream, raw.client_segments)
 
 
 @pytest.mark.parametrize("isn", [0xFFFFFF00, 0xFFFFFFFF])
@@ -164,7 +175,7 @@ def test_sequence_wraparound(tmp_path, isn):
     stream, segmap, gap, anomaly = reassemble(segs, base)
     assert stream == b"".join(chunks)
     assert not gap and not anomaly
-    assert [s.stream_offset for s in segmap] == [100 * k for k in range(8)]
+    assert segmap == [(100 * k, k) for k in range(8)]
 
     path = str(tmp_path / "wrap.pcap")
     frames = [(1.0, build_tcp_frame(CLIENT, SERVER, isn, flags=TCP_FLAG_SYN))]
@@ -186,7 +197,7 @@ def test_reassemble_without_syn_across_wraparound():
     stream, segmap, gap, anomaly = reassemble(segs)
     assert stream == b"".join(chunks)
     assert not gap and not anomaly
-    assert [s.packet_index for s in segmap] == [0, 1, 2, 3]
+    assert segmap == [(100 * k, k) for k in range(4)]
     # the earliest seq is found whichever segment arrives first
     stream, _, gap, _ = reassemble(segs[2:] + segs[:2])
     assert stream == b"".join(chunks) and not gap
@@ -323,3 +334,21 @@ def test_syn_less_capture_across_wraparound(tmp_path):
     (raw,) = _load_both(path)
     assert raw.client_stream == b"".join(chunks)
     assert not raw.gap_client
+
+
+def test_data_on_a_syn_starts_after_its_sequence_number(tmp_path):
+    """Data carried on a SYN (TCP Fast Open) starts at the SYN's seq + 1,
+    so a ClientHello sent on the SYN keeps its first byte and the
+    connection parses as TLS."""
+    ch, sh = handshake_payloads()
+    app = tls_stream([(23, b"q" * 90)])
+    path = str(tmp_path / "tfo.pcap")
+    write_pcap(path, pcap_frames([app], [sh], syn_data=ch))
+    (raw,) = _load_both(path)
+    assert raw.client_stream == ch + app
+    assert raw.client_segments == [(0, 0), (len(ch), 1)]
+    assert not (raw.gap_client or raw.gap_server or raw.overlap_anomaly)
+    conn = parse_tls_records(raw)
+    assert conn is not None
+    assert conn.handshake.alpn_offered == ["h2", "http/1.1"]
+    assert [r.type_code for r in conn.records] == [22, 23, 22]

@@ -296,13 +296,18 @@ def _length_10_pow_400(conn):
     conn["records"][0][2] = 10**400
 
 
+def _payload_len_negative(conn):
+    conn["packets"][0][2] = -1
+
+
 BAD_CORPORA = {
     _protocol_http3: "unknown protocol 'http3'",
     _label_index_999: "labels must be one per record",
     _labels_cut_to_3: "labels must be one per record",
     _extra_handshake_key: "TypeError: HandshakeMeta",
     _length_as_string: "wrong type",
-    _length_10_pow_400: "outside int64"}
+    _length_10_pow_400: "outside int64",
+    _payload_len_negative: "CorpusError: payload_len must be >= 0"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_CORPORA))
@@ -353,6 +358,23 @@ def test_out_of_range_option_is_one_error_line(saved_bundle, command, option,
     assert code == 2
     bound = "0" if option == "--max-depth" else "1"
     assert err == f"error: {option} must be >= {bound}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_infer_needs_one_input(saved_bundle, sample_pcap, both, tmp_path,
+                               capsys):
+    """infer reads one input: given neither --pcap nor --corpus, or both,
+    it exits 2 with one error line and writes nothing."""
+    corpus, data = saved_bundle
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    inputs = ["--pcap", sample_pcap, "--corpus", corpus] if both else []
+    out = tmp_path / "p.jsonl"
+    code, _, err = _run(capsys, "infer", *inputs, "--bundle", str(bundle),
+                        "--out", str(out))
+    assert code == 2
+    assert err == "error: infer needs one of --pcap and --corpus\n"
     assert not out.exists()
 
 

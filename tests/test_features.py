@@ -92,9 +92,8 @@ def test_assemble_modes():
 
 
 def test_categorical_indices():
-    idx = record_categorical_indices("standard")
-    assert idx == frozenset(s * 6 + k for s in range(11) for k in (3, 5))
-    assert record_categorical_indices("tor") == idx
+    assert record_categorical_indices() == \
+        frozenset(s * 6 + k for s in range(11) for k in (3, 5))
     assert malware_categorical_indices() == frozenset({MALWARE_STANDARD_LEN - 1})
 
 

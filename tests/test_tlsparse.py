@@ -80,16 +80,17 @@ def test_first_byte_timestamps(tmp_path):
         [conn.raw.packets[2].timestamp] * 2
 
 
-def _brute_attribution(segments, span_start, span_end):
-    """Every segment tested against the span, in stream order."""
+def _brute_attribution(segments, stream_len, span_start, span_end):
+    """Every (offset, packet index) run tested against the span, in stream
+    order; a run ends where the next starts, the last at the stream's end."""
     hits, first = [], None
-    for seg in segments:
-        if seg.stream_offset < span_end and \
-                seg.stream_offset + seg.length > span_start:
-            if seg.packet_index not in hits:
-                hits.append(seg.packet_index)
-            if seg.stream_offset <= span_start:
-                first = seg.packet_index
+    ends = [off for off, _ in segments[1:]] + [stream_len]
+    for (off, idx), end in zip(segments, ends):
+        if off < span_end and end > span_start:
+            if idx not in hits:
+                hits.append(idx)
+            if off <= span_start:
+                first = idx
     return hits, first
 
 
@@ -108,10 +109,12 @@ def test_attribution_of_records_over_many_packets(tmp_path):
         conn = _load_single(tmp_path, [ch] + streams[0], [sh] + streams[1])
         assert sum(r.pkt_count > 2 for r in conn.records) > 5
         raw = conn.raw
+        raw_streams = (raw.client_stream, raw.server_stream)
+        segmaps = (raw.client_segments, raw.server_segments)
         for r in conn.records:
-            stream_len = len(raw.stream(r.direction))
+            stream_len = len(raw_streams[r.direction])
             end = min(r.stream_offset + RECORD_HEADER_LEN + r.length, stream_len)
-            hits, first = _brute_attribution(raw.segments(r.direction),
+            hits, first = _brute_attribution(segmaps[r.direction], stream_len,
                                              r.stream_offset, end)
             sizes = [raw.packets[i].payload_len for i in hits]
             assert r.pkt_count == len(hits)

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction, PcapError, load_pcap, write_pcap
+from httpglass.capture import PcapError, load_pcap, write_pcap
 from httpglass.corpus import (SynthSpec, ground_truth_session,
                               ingest_ground_truth, synthesize_corpus)
 from httpglass.features import SCHEMA_STANDARD, feature_names, record_table
 from httpglass.registry import registry
 from httpglass.tlsparse import parse_tls_records
 
-from helpers import (handshake_payloads, pcap_frames, planted_pcap_frames,
-                     reference_load_pcap, tls_stream)
+from helpers import (assert_tiles, handshake_payloads, pcap_frames,
+                     planted_pcap_frames, reference_load_pcap, tls_stream)
 
 # pcap stores microseconds, so times come back rounded to 1 us
 DURATION_COL = feature_names(SCHEMA_STANDARD).index("duration")
@@ -63,11 +63,14 @@ def test_planted_connections_come_back(tmp_path, isn, etag):
             [(r.index, r.message_type, r.labels) for r in lc.records]
 
 
-def _valid_pcap(path):
+def _valid_pcap(path, on_syn):
+    """A TLS flow; with ``on_syn`` its ClientHello rides on the SYN."""
     ch, sh = handshake_payloads()
+    app = tls_stream([(20, b"\x01"), (23, b"q" * 90)])
     write_pcap(path, pcap_frames(
-        [ch, tls_stream([(20, b"\x01"), (23, b"q" * 90)])],
-        [sh, tls_stream([(23, b"r" * 200)]), tls_stream([(23, b"s" * 40)])]))
+        [app] if on_syn else [ch, app],
+        [sh, tls_stream([(23, b"r" * 200)]), tls_stream([(23, b"s" * 40)])],
+        syn_data=ch if on_syn else b""))
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -76,14 +79,15 @@ def _valid_pcap(path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flips=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)),
                       min_size=1, max_size=8),
-       cut=st.none() | st.integers(0, 1 << 20))
-def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
-    """Byte flips and truncation raise nothing but PcapError anywhere from
-    pcap ingest to the record tables, ``load_pcap`` agrees with the
-    per-frame reference reader, and every stream stays tiled by its
-    segments, as ``parse_tls_records`` requires."""
+       cut=st.none() | st.integers(0, 1 << 20), on_syn=st.booleans())
+def test_malformed_pcaps_never_crash(tmp_path, flips, cut, on_syn):
+    """Byte flips and truncation, of a capture with or without data on its
+    SYN, raise nothing but PcapError anywhere from pcap ingest to the
+    record tables, ``load_pcap`` agrees with the per-frame reference
+    reader, and every stream stays tiled by its segment map, as
+    ``parse_tls_records`` requires."""
     path = str(tmp_path / "fuzz.pcap")
-    data = bytearray(_valid_pcap(path))
+    data = bytearray(_valid_pcap(path, on_syn))
     for pos, mask in flips:
         data[pos % len(data)] ^= mask
     if cut is not None:
@@ -98,14 +102,8 @@ def test_malformed_pcaps_never_crash(tmp_path, flips, cut):
         return
     assert raws == reference_load_pcap(path)
     for raw in raws:
-        for direction in Direction:
-            segments = raw.segments(direction)
-            ends = [0] + [seg.stream_offset + seg.length for seg in segments]
-            assert [seg.stream_offset for seg in segments] == ends[:-1]
-            assert ends[-1] == len(raw.stream(direction))
-            assert all(seg.length >= 1 for seg in segments)
-            indices = [seg.packet_index for seg in segments]
-            assert len(set(indices)) == len(indices)
+        assert_tiles(raw.client_stream, raw.client_segments)
+        assert_tiles(raw.server_stream, raw.server_segments)
         conn = parse_tls_records(raw)
         if conn is not None:
             record_table(conn, "standard")
