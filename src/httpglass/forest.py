@@ -128,24 +128,36 @@ class Stack:
     """Forests over the same features, with as many trees each, pooled so
     that one ``predict_scores`` walk scores rows meant for any of them.
 
-    The walk's tables are built once: each node's children, where a leaf's
-    children are itself; its split feature (0 at leaves) and numeric
-    threshold (NaN elsewhere); its categorical codes, a row of ``codes``
-    padded with NaN (the last row, all NaN, serves every other node); and
-    each leaf's class frequencies.  A stack keeps no reference to its
-    forests, so a forest can cache its own without a reference cycle.
+    The walk reads a compact input rather than X: the ``columns`` of X that
+    numeric splits read, then one membership column per distinct (feature,
+    code set) test of the categorical splits, 0 where the row's value equals
+    one of the test's ``codes`` and 1 elsewhere.  A split's compact feature
+    indexes that input, and a categorical split's threshold is 0.5, so every
+    step of the walk is the same numeric compare and each test is made once
+    per call, not once per step.
+
+    The walk's tables are built once and indexed by slot: node i sits at
+    slot 2i, and holds its entries at slots 2i and 2i + 1, so a step adds its
+    compare to the slot.  They are each node's child slots (its right child
+    read at 2i, its left at 2i + 1; a leaf's children are itself), its
+    compact feature (0 at leaves), its threshold (NaN at leaves) and whether
+    it splits.  Each leaf's class frequencies are indexed by node.  A stack
+    keeps no reference to its forests, so a forest can cache its own without
+    a reference cycle.
     """
 
     forests: InitVar[list[Forest]]
     n_features: int = field(init=False)
     n_trees: int = field(init=False)
-    nodes: Nodes = field(init=False)
-    child: np.ndarray = field(init=False)  # node i's right at 2i, left at 2i+1
+    roots: np.ndarray = field(init=False)  # forest k's trees: k*T to (k+1)*T
+    child: np.ndarray = field(init=False)
     feature: np.ndarray = field(init=False)
     threshold: np.ndarray = field(init=False)
+    splits: np.ndarray = field(init=False)
+    columns: np.ndarray = field(init=False)  # of X, read by numeric splits
+    gather: np.ndarray = field(init=False)  # columns, then each test's feature
     codes: np.ndarray | None = field(init=False)  # None: no categorical split
     freqs: np.ndarray = field(init=False)  # (nodes, classes), 0 at splits
-    is_leaf: np.ndarray = field(init=False)
 
     def __post_init__(self, forests):
         shapes = {(f.n_features, f.n_trees) for f in forests}
@@ -153,23 +165,54 @@ class Stack:
             raise ForestError("stacked forests must share their features "
                               "and tree count")
         self.n_features, self.n_trees = shapes.pop()
-        nodes = self.nodes = Nodes.concat([f.nodes for f in forests])
-        leaf = self.is_leaf = nodes.feature < 0
+        nodes = Nodes.concat([f.nodes for f in forests])
+        self.roots = nodes.roots
+        leaf = nodes.feature < 0
         ids = np.arange(leaf.size)
-        self.child = np.column_stack([np.where(leaf, ids, nodes.right),
-                                      np.where(leaf, ids, nodes.left)]).ravel()
-        self.feature = np.where(leaf, 0, nodes.feature)
-        self.threshold = np.where(nodes.cat < 0, nodes.threshold, np.nan)
+        self.child = 2 * np.column_stack([np.where(leaf, ids, nodes.right),
+                                          np.where(leaf, ids, nodes.left)]
+                                         ).ravel()
+        numeric = ~leaf & (nodes.cat < 0)
+        # (np.unique would import numpy.ma, about 1 MB, on its first call)
+        read = np.zeros(self.n_features, dtype=bool)
+        read[nodes.feature[numeric]] = True
+        self.columns = np.flatnonzero(read)
+        feature = np.zeros(leaf.size, dtype=np.int64)
+        feature[numeric] = np.searchsorted(self.columns,
+                                           nodes.feature[numeric])
+        threshold = np.where(numeric, nodes.threshold, np.nan)
+        # a NaN code never equals a value, so it leaves a test unchanged
+        tests = {}  # (feature, distinct codes) -> membership column
+        for node in np.flatnonzero(~leaf & ~numeric).tolist():
+            codes = nodes.cats_left[nodes.cat[node]]
+            key = (int(nodes.feature[node]),
+                   tuple(sorted(set(codes[~np.isnan(codes)].tolist()))))
+            feature[node] = self.columns.size + tests.setdefault(key,
+                                                                 len(tests))
+            threshold[node] = 0.5
+        self.feature = np.repeat(feature, 2)
+        self.threshold = np.repeat(threshold, 2)
+        self.splits = np.repeat(~leaf, 2)
+        self.gather = np.append(self.columns, np.array([f for f, _ in tests],
+                                                       dtype=np.int64))
         self.codes = None
-        if nodes.cats_left:
-            self.codes = np.full((len(nodes.cats_left) + 1,
-                                  max(1, *map(len, nodes.cats_left))),
-                                 np.nan)
-            for row, c in zip(self.codes, nodes.cats_left):
+        if tests:
+            self.codes = np.full((len(tests), max(1, *(len(c) for _, c in
+                                                      tests))), np.nan)
+            for row, (_, c) in zip(self.codes, tests):
                 row[:len(c)] = c
         counts = nodes.counts[leaf]
         self.freqs = np.zeros(nodes.counts.shape, dtype=np.float64)
         self.freqs[leaf] = counts / counts.sum(axis=1, keepdims=True)
+
+    def compact(self, X: np.ndarray) -> np.ndarray:
+        """The walk's input for the rows of X: its numeric columns, then its
+        membership columns."""
+        W = X[:, self.gather]
+        if self.codes is not None:
+            tested = W[:, self.columns.size:]
+            tested[...] = ~(tested[:, :, None] == self.codes).any(axis=2)
+        return W
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -320,26 +363,24 @@ def train(X, y, params: TrainParams | None = None,
                   importance_raw=importance, nodes=Nodes.concat(trees))
 
 
-def _leaves(stack: Stack, X: np.ndarray, rows: np.ndarray,
+def _leaves(stack: Stack, W: np.ndarray, rows: np.ndarray,
             at: np.ndarray) -> np.ndarray:
-    """Leaf reached from each (row of X, start node) pair.
+    """Leaf reached from each (row of the compact input W, start node) pair.
 
     All pairs step together, with no compaction, until every one is at a
     leaf: a pair at a leaf stays there.  A child's id exceeds its parent's
     within the same tree (``from_dict`` checks that), so the walk ends.
-    Numeric splits send x <= threshold left (NaN goes right); categorical
-    splits send left only the values equal to one of the node's codes.
+    Every split sends w <= threshold left and the rest, NaN included, right;
+    at a categorical split w is the row's membership column, 0 for a value
+    equal to one of the codes, so only those values go left.
     """
-    values = X.ravel()
-    row_base = rows * X.shape[1]
-    while not stack.is_leaf[at].all():
-        x = values[row_base + stack.feature[at]]
-        go_left = x <= stack.threshold[at]
-        if stack.codes is not None:
-            go_left |= (x[:, None] == stack.codes[stack.nodes.cat[at]]).any(
-                axis=1)
-        at = stack.child[2 * at + go_left]
-    return at
+    values = W.ravel()
+    row_base = rows * W.shape[1]
+    slot = 2 * at
+    while np.count_nonzero(stack.splits[slot]):
+        slot = stack.child[slot + (values[row_base + stack.feature[slot]]
+                                   <= stack.threshold[slot])]
+    return slot // 2
 
 
 def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
@@ -349,23 +390,40 @@ def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
     that forest's scores in its first n_classes columns, zeros after.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n_rows = X.shape[0]
     if isinstance(model, Forest):
-        model, which = model.stack, np.zeros(X.shape[0], dtype=np.int64)
+        model, which = model.stack, np.zeros(n_rows, dtype=np.int64)
+    else:
+        which = _forest_of_rows(model, which, n_rows)
     n_features, n_trees = model.n_features, model.n_trees
     if X.shape[1] != n_features:
         raise ForestError(f"schema mismatch: expected {n_features} features, "
                           f"got {X.shape[1]}")
     # (row, tree) pairs, row-major; forest k's trees are roots[k*T:(k+1)*T]
-    n_rows = X.shape[0]
     rows = np.repeat(np.arange(n_rows), n_trees)
-    trees = np.asarray(which, dtype=np.int64)[:, None] * n_trees \
-        + np.arange(n_trees)
-    leaves = _leaves(model, X, rows, model.nodes.roots[trees.ravel()])
-    freqs = model.freqs[leaves].reshape(n_rows, n_trees, -1)
+    trees = which[:, None] * n_trees + np.arange(n_trees)
+    leaves = _leaves(model, model.compact(X), rows,
+                     model.roots[trees.ravel()])
+    freqs = model.freqs[leaves].reshape(n_rows, n_trees, model.freqs.shape[1])
     total = np.zeros((n_rows, freqs.shape[2]), dtype=np.float64)
     for t in range(n_trees):  # summed in tree order: reproducible bit for bit
         total += freqs[:, t]
     return total / n_trees
+
+
+def _forest_of_rows(stack: Stack, which, n_rows: int) -> np.ndarray:
+    """``which`` as one forest index per row, refused unless each names one
+    of the stack's forests."""
+    try:
+        which = np.asarray(which, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ForestError("a Stack needs each row's forest index") from exc
+    n_forests = stack.roots.size // stack.n_trees
+    if which.shape != (n_rows,) or (n_rows and not (
+            0 <= which.min() and which.max() < n_forests)):
+        raise ForestError(f"need one forest index per row, each below "
+                          f"{n_forests}")
+    return which
 
 
 def predict_labels(forest: Forest, X) -> list:

@@ -101,13 +101,23 @@ class _Layout:
 # --- classification ---
 
 def classify_alp(bundle: ModelBundle, conn: Connection) -> str:
-    alpn = conn.handshake.alpn_selected
-    if alpn in _ALPN_MAP:
-        return _ALPN_MAP[alpn]
-    if bundle.alp_fallback is None:
-        return bundle.default_protocol
-    return rf.predict_labels(bundle.alp_fallback,
-                             alp_fallback_features(conn)[None])[0]
+    return _protocols(bundle, [conn])[0]
+
+
+def _protocols(bundle: ModelBundle, conns: list[Connection]) -> list[str]:
+    """Each connection's protocol: the one its ALPN names, else the bundle's
+    fallback forest's label (one call scores every such connection), else
+    the bundle's default."""
+    protocols = [_ALPN_MAP.get(conn.handshake.alpn_selected) for conn in conns]
+    unknown = [i for i, p in enumerate(protocols) if p is None]
+    if unknown and bundle.alp_fallback is not None:
+        labels = rf.predict_labels(bundle.alp_fallback, np.stack(
+            [alp_fallback_features(conns[i]) for i in unknown]))
+    else:
+        labels = [bundle.default_protocol] * len(unknown)
+    for i, label in zip(unknown, labels):
+        protocols[i] = label
+    return protocols
 
 
 # direction code of the records each side sends (plain ints: numpy compares
@@ -220,9 +230,9 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     """
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
-    results = [ConnectionResult(protocol=classify_alp(bundle, conn),
-                                iterations=1, converged=False, records=[])
-               for conn in conns]
+    results = [ConnectionResult(protocol=protocol, iterations=1,
+                                converged=False, records=[])
+               for protocol in _protocols(bundle, conns)]
     for protocol in PROTOCOLS:
         picked = [i for i, r in enumerate(results) if r.protocol == protocol]
         if picked:
@@ -504,9 +514,11 @@ def _cross_fit_context(block, problems, params, seed, cat, schema):
 
 # --- persistence ---
 
-def bundle_to_dict(bundle: ModelBundle) -> dict:
+def bundle_to_dict(bundle: ModelBundle, forest=rf.to_dict) -> dict:
+    """The bundle's JSON layout, with ``forest(f)`` in place of each forest
+    ``f``."""
     def opt(f):
-        return rf.to_dict(f) if f is not None else None
+        return forest(f) if f is not None else None
 
     return {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -517,8 +529,9 @@ def bundle_to_dict(bundle: ModelBundle) -> dict:
         "protocols": {
             protocol: {
                 "message_type": opt(pm.message_type),
-                "single": {pid: rf.to_dict(f) for pid, f in sorted(pm.single.items())},
-                "enhanced": {pid: rf.to_dict(f)
+                "single": {pid: forest(f)
+                           for pid, f in sorted(pm.single.items())},
+                "enhanced": {pid: forest(f)
                              for pid, f in sorted(pm.enhanced.items())},
             }
             for protocol, pm in sorted(bundle.models.items())
@@ -622,8 +635,24 @@ def _check_schemas(bundle: ModelBundle) -> None:
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:
+    """Write the bytes of ``json.dumps(bundle_to_dict(bundle),
+    sort_keys=True)``, one forest at a time: each is converted and encoded
+    in one ``json.dumps`` call (the C encoder; ``json.dump`` runs the pure
+    Python one), so only one forest's dict is alive at once."""
+    def write(fh, value):
+        if isinstance(value, rf.Forest):
+            fh.write(json.dumps(rf.to_dict(value), sort_keys=True))
+        elif isinstance(value, dict):
+            fh.write("{")
+            for i, key in enumerate(sorted(value)):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                write(fh, value[key])
+            fh.write("}")
+        else:
+            fh.write(json.dumps(value))
+
     with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle), fh, sort_keys=True)
+        write(fh, bundle_to_dict(bundle, forest=lambda f: f))
 
 
 def load_bundle(path: str) -> ModelBundle:

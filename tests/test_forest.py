@@ -563,6 +563,141 @@ def test_stack_needs_one_width_and_tree_count():
                               rf.TrainParams(n_trees=3, seed=0))])
 
 
+def test_zero_rows_score_to_an_empty_array():
+    rng = np.random.default_rng(15)
+    X, y = random_dataset(rng, d_max=4)
+    forest = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
+    empty = np.zeros((0, X.shape[1]))
+    assert rf.predict_scores(forest, empty).shape == (0, forest.n_classes)
+    assert rf.predict_labels(forest, empty) == []
+    stack = rf.Stack([forest, forest])
+    assert rf.predict_scores(stack, empty, []).shape == (0, forest.n_classes)
+
+
+@pytest.mark.parametrize("which", [None, [0, 2], [0, -1], [0], [0, 0, 1],
+                                   "ab"],
+                         ids=["missing", "past-the-end", "negative", "short",
+                              "long", "text"])
+def test_stack_refuses_a_bad_forest_index(which):
+    rng = np.random.default_rng(16)
+    X, y = random_dataset(rng, d_max=4)
+    forest = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
+    with pytest.raises(rf.ForestError, match="forest index"):
+        rf.predict_scores(rf.Stack([forest, forest]), X[:2], which)
+
+
+# features 1, 4 and 6 are categorical; numeric splits may read any feature
+_D, _CATEGORICAL = 8, (1, 4, 6)
+_CODES = (-1.25, 0.0, 7.5, 22.0)
+# code sets drawn from a small pool, so tests repeat across trees and
+# forests; (7.5, 0.0) and (0.0, 0.0, 7.5) are the test of (0.0, 7.5)
+_CODE_SETS = ((0.0,), (0.0, 7.5), (7.5, 0.0), (0.0, 0.0, 7.5), (-1.25, 22.0),
+              (22.0,), ())
+_THRESHOLDS = (-3.0, -0.5, 0.0, 0.25, 7.5, 21.9)
+_VALUES = (_CODES + _THRESHOLDS + (3.0, -1.0, 100.0, np.nan, np.inf, -np.inf)
+           + tuple(np.nextafter(v, s) for v in _CODES + _THRESHOLDS
+                   for s in (-np.inf, np.inf)))
+
+
+def _random_tree(rng, kind, n_classes, max_depth):
+    """One tree as ``Nodes``, depth-first and left child first: splits of
+    ``kind`` ("numeric", "categorical" or "mixed"; "leaves" has none) down
+    to ``max_depth``, and a random positive count at each leaf."""
+    feature, threshold, right, cat, counts, cats_left = [], [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        right.append(-1)
+        if kind == "leaves" or depth == max_depth or rng.random() < 0.25:
+            feature.append(-1)
+            threshold.append(np.nan)
+            cat.append(-1)
+            leaf = rng.integers(0, 3, n_classes)
+            leaf[rng.integers(n_classes)] += 1
+            counts.append(leaf)
+            return
+        if kind == "categorical" or (kind == "mixed" and rng.random() < 0.5):
+            feature.append(int(rng.choice(_CATEGORICAL)))
+            threshold.append(np.nan)
+            cat.append(len(cats_left))
+            cats_left.append(np.array(
+                _CODE_SETS[rng.integers(len(_CODE_SETS))], dtype=np.float64))
+        else:
+            feature.append(int(rng.integers(_D)))
+            threshold.append(float(rng.choice(_THRESHOLDS)))
+            cat.append(-1)
+        counts.append(np.zeros(n_classes, dtype=np.int64))
+        grow(depth + 1)
+        right[node] = len(feature)
+        grow(depth + 1)
+
+    grow(0)
+    feature = np.array(feature)
+    return rf.Nodes(feature=feature, threshold=np.array(threshold),
+                    left=np.where(feature >= 0, np.arange(feature.size) + 1,
+                                  -1),
+                    right=np.array(right), roots=np.zeros(1, np.int64),
+                    counts=np.array(counts, dtype=np.int64),
+                    cat=np.array(cat), cats_left=cats_left)
+
+
+def _test_of(nodes, node):
+    codes = nodes.cats_left[nodes.cat[node]]
+    return int(nodes.feature[node]), frozenset(codes.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.sampled_from(["numeric", "categorical", "mixed", "leaves"]),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=4))
+def test_random_stacks_match_the_scalar_walk(seed, kinds, n_trees):
+    """Stacks of hand-built forests (numeric-only, categorical-only, mixed
+    and leaves-only, with membership tests repeated across trees and
+    forests) score every row as the scalar walk does, bit for bit, on rows
+    of codes, unseen codes, values next to a code or threshold, NaN and
+    ±inf; and the stack holds one membership column per distinct (feature,
+    code set) test, which each categorical split reads."""
+    rng = np.random.default_rng(seed)
+    forests = []
+    for kind in kinds:
+        K = int(rng.integers(1, 5))
+        forests.append(rf.Forest(
+            classes=[f"c{k}" for k in range(K)], schema_id="random",
+            n_features=_D, categorical=frozenset(_CATEGORICAL),
+            params=rf.TrainParams(n_trees=n_trees),
+            importance_raw=np.zeros(_D),
+            nodes=rf.Nodes.concat([_random_tree(rng, kind, K, 4)
+                                   for _ in range(n_trees)])))
+    stack = rf.Stack(forests)
+
+    n_columns = stack.columns.size
+    tests = [(int(f), frozenset(c[~np.isnan(c)].tolist())) for f, c in zip(
+        stack.gather[n_columns:],
+        stack.codes if stack.codes is not None else [])]
+    base, wanted = 0, set()
+    for forest in forests:
+        nodes = forest.nodes
+        for node in np.flatnonzero(nodes.cat >= 0).tolist():
+            wanted.add(_test_of(nodes, node))
+            assert stack.threshold[2 * (base + node)] == 0.5
+            assert tests[stack.feature[2 * (base + node)] - n_columns] == \
+                _test_of(nodes, node)
+        numeric = np.flatnonzero((nodes.feature >= 0) & (nodes.cat < 0))
+        slots = 2 * (base + numeric)
+        assert np.array_equal(stack.columns[stack.feature[slots]],
+                              nodes.feature[numeric])
+        base += nodes.feature.size
+    assert len(tests) == len(set(tests)) and set(tests) == wanted
+
+    n = 30
+    X = rng.choice(_VALUES, size=(n, _D))
+    which = rng.integers(0, len(forests), n)
+    got = rf.predict_scores(stack, X, which)
+    for row, x, k in zip(got, X, which):
+        assert np.array_equal(row, scalar_scores(forests, x, k))
+
+
 def test_gini_importance_identifies_signal_feature():
     rng = np.random.default_rng(8)
     n = 300

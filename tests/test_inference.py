@@ -258,6 +258,27 @@ class TestClassification:
             if lc.conn.handshake.alpn_selected is not None:
                 assert classify_alp(bundle, lc.conn) == lc.protocol
 
+    def test_protocol_fallback_is_one_call_per_corpus(self, small_world,
+                                                      monkeypatch):
+        """Every connection without a known ALPN is scored by one fallback
+        call, and gets the protocol ``classify_alp`` gives it alone."""
+        bundle, _, test = small_world
+        conns = [lc.conn for lc in test]
+        unknown = [c for c in conns if c.handshake.alpn_selected is None]
+        assert bundle.alp_fallback is not None and len(unknown) > 1
+        rows, predict = [], rf.predict_labels
+
+        def counted(forest, X):
+            if forest is bundle.alp_fallback:
+                rows.append(len(X))
+            return predict(forest, X)
+
+        monkeypatch.setattr(rf, "predict_labels", counted)
+        results = classify_corpus(bundle, conns, max_iters=1)
+        assert rows == [len(unknown)]
+        assert [r.protocol for r in results] == \
+            [classify_alp(bundle, c) for c in conns]
+
     def test_message_type_and_side_gating(self, small_world):
         bundle, _, test = small_world
         for lc in test[:8]:
@@ -427,6 +448,25 @@ class TestTraining:
         assert all(pm.enhanced for pm in bundle.models.values())
         saved = json.dumps(bundle_to_dict(bundle), sort_keys=True).encode()
         assert hashlib.sha256(saved).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, mix", [
+        ("standard", {"http1": 0.5, "http2": 0.5}),
+        ("tor", {"http1": 0.5, "http2": 0.5}),
+        ("standard", {"http1": 1.0}),
+    ], ids=["standard", "tor", "no-fallback"])
+    def test_saved_bytes_are_the_sorted_dump(self, tmp_path, mode, mix):
+        """``save_bundle`` writes forest by forest the bytes of one sorted
+        dump, with null forests and an unseen protocol's empty maps."""
+        corpus = synthesize_corpus(SynthSpec(seed=42, n_connections=16,
+                                             protocol_mix=mix,
+                                             transactions_range=(1, 3)))
+        bundle = train_bundle(corpus, mode=mode, params=TrainParams(
+            n_trees=2, min_leaf=2), seed=3)
+        assert (bundle.alp_fallback is None) == (len(mix) == 1)
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, str(path))
+        assert path.read_text() == json.dumps(bundle_to_dict(bundle),
+                                              sort_keys=True)
 
     def test_bundle_round_trip(self, small_world, tmp_path):
         bundle, _, test = small_world
