@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -105,7 +106,10 @@ def cmd_infer(args) -> int:
     results = classify_corpus(bundle, [c for _, c in items],
                               max_iters=args.max_iters)
     # each line is the json.dumps(..., sort_keys=True) of one (record,
-    # problem); the keys around "label" and "problem" are formatted once
+    # problem); the keys around "label" and "problem" are formatted once,
+    # and each distinct label and problem is encoded once (typed: 1, 1.0
+    # and True are equal but encode apart)
+    encode = functools.lru_cache(maxsize=None, typed=True)(json.dumps)
     with _open_out(args.out) as out:
         for (cid, conn), res in zip(items, results):
             head = (f'{{"connection": {json.dumps(cid)}, '
@@ -118,8 +122,8 @@ def cmd_infer(args) -> int:
                 suffix = (f', "record": {rp.index}, "schema_version": '
                           f'{OUTPUT_SCHEMA_VERSION}, "score": null}}\n')
                 for problem, label in sorted(rp.labels.items()):
-                    out.write(f"{prefix}{json.dumps(label)}, "
-                              f'"problem": {json.dumps(problem)}{suffix}')
+                    out.write(f"{prefix}{encode(label)}, "
+                              f'"problem": {encode(problem)}{suffix}')
     return 0
 
 

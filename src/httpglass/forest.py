@@ -125,8 +125,10 @@ class Forest:
 
 @dataclass(eq=False)
 class Stack:
-    """Forests over the same features, with as many trees each, pooled so
-    that one ``predict_scores`` walk scores rows meant for any of them.
+    """Forests with as many trees each, pooled so that one
+    ``predict_scores`` walk scores rows meant for any of them.  Rows are as
+    wide as the widest forest; a narrower forest reads only its leading
+    columns, so what lies past its width does not change its scores.
 
     The walk reads a compact input rather than X: the ``columns`` of X that
     numeric splits read, then one membership column per distinct (feature,
@@ -160,11 +162,11 @@ class Stack:
     freqs: np.ndarray = field(init=False)  # (nodes, classes), 0 at splits
 
     def __post_init__(self, forests):
-        shapes = {(f.n_features, f.n_trees) for f in forests}
-        if len(shapes) != 1:
-            raise ForestError("stacked forests must share their features "
-                              "and tree count")
-        self.n_features, self.n_trees = shapes.pop()
+        trees = {f.n_trees for f in forests}
+        if len(trees) != 1:
+            raise ForestError("stacked forests must have as many trees each")
+        self.n_trees = trees.pop()
+        self.n_features = max(f.n_features for f in forests)
         nodes = Nodes.concat([f.nodes for f in forests])
         self.roots = nodes.roots
         leaf = nodes.feature < 0
@@ -208,10 +210,15 @@ class Stack:
     def compact(self, X: np.ndarray) -> np.ndarray:
         """The walk's input for the rows of X: its numeric columns, then its
         membership columns."""
-        W = X[:, self.gather]
+        W = np.take(X, self.gather, axis=1)  # C order: _leaves ravels it
         if self.codes is not None:
             tested = W[:, self.columns.size:]
-            tested[...] = ~(tested[:, :, None] == self.codes).any(axis=2)
+            # one compare per code column: a (rows, tests, codes) compare and
+            # its any() cost several times more
+            equal = tested == self.codes[:, 0]
+            for codes in self.codes.T[1:]:
+                equal |= tested == codes
+            tested[...] = ~equal
         return W
 
 

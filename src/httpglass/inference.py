@@ -97,6 +97,11 @@ class _Layout:
                 vec[col] = 1.0
         return vec
 
+    def vectors(self, labels: list[dict[str, str]]) -> np.ndarray:
+        """One ``vector`` per label dict, as the rows of one array."""
+        return np.array([self.vector(lab) for lab in labels]
+                        ).reshape(len(labels), self.width)
+
 
 # --- classification ---
 
@@ -130,8 +135,8 @@ _WINDOW = np.arange(-TOR_WINDOW, TOR_WINDOW + 1)
 
 
 class _Block:
-    """The header records of a protocol's connections as one array block,
-    which training, cross-fitting and both passes read and label.
+    """The header records of a set of connections as one array block, which
+    training, cross-fitting and both passes read and label.
 
     Connection c's headers are the ``size[c]`` rows from ``start[c]``, each
     with its record ``index``, ``base`` features, ``direction`` code,
@@ -140,24 +145,26 @@ class _Block:
     before, between and after the connections, so a Tor-mode window is a
     fixed-width slice that never crosses into another connection.
 
-    ``context`` adds the enhanced models' input: ``vecs``, the indicator
-    vectors of a set of labels, and each connection's total, kept in
-    ``totals`` as labels move.  The indicators are 0/1, so every float64 sum
-    of them is exact, whatever its order.  ``moved`` holds the tick of each
-    header's last label move and ``conn_moved`` that of each connection's, or
-    -1; ``last_move`` reads them over a header's window.
+    ``context`` adds the enhanced models' input: ``vecs``, one indicator
+    vector per row, and each connection's total, kept in ``totals`` as
+    labels move.  The indicators are 0/1, so every float64 sum of them is
+    exact, whatever its order.  ``moved`` holds the tick of each header's
+    last label move and ``conn_moved`` that of each connection's, or -1;
+    ``last_move`` reads them over a header's window.
     """
 
     def __init__(self, conns: list[Connection], heads: list[list[int]],
                  bases: list[np.ndarray],
                  labels: list[list[dict[str, str]]], tor: bool):
         self.size = np.array([len(idx) for idx in heads], dtype=np.int64)
-        self.start = np.cumsum([TOR_WINDOW] + [n + TOR_WINDOW
-                                              for n in self.size[:-1]])
-        n_rows = int(self.start[-1] + self.size[-1]) + TOR_WINDOW
+        # each connection's headers and the padding after them
+        ends = np.cumsum(self.size + TOR_WINDOW)
+        self.start = ends - self.size
+        n_rows = TOR_WINDOW + (int(ends[-1]) if ends.size else 0)
         self.tor = tor
         self.index = np.full(n_rows, -1, dtype=np.int64)
-        self.base = np.zeros((n_rows, bases[0].shape[1]))
+        self.base = np.zeros((n_rows, max((b.shape[1] for b in bases),
+                                          default=0)))
         self.direction = np.full(n_rows, -1, dtype=np.int64)
         self.conn = np.full(n_rows, -1, dtype=np.int64)
         self.labels: list[dict[str, str]] = [{} for _ in range(n_rows)]
@@ -178,12 +185,12 @@ class _Block:
                                   for g in rows.tolist()], dtype=bool)]
         return rows
 
-    def context(self, layout: _Layout, labels: list[dict[str, str]]) -> None:
-        """Index ``labels`` (one dict per row) as the enhanced models'
-        context."""
-        self.vecs = np.array([layout.vector(lab) for lab in labels])
-        self.totals = np.add.reduceat(self.vecs, self.start, axis=0)
-        self.moved = np.full(len(labels), -1, dtype=np.int64)
+    def context(self, vecs: np.ndarray) -> None:
+        """Index ``vecs`` (one indicator vector per row) as the enhanced
+        models' context."""
+        self.vecs = vecs
+        self.totals = np.add.reduceat(vecs, self.start, axis=0)
+        self.moved = np.full(len(vecs), -1, dtype=np.int64)
         self.conn_moved = np.full(self.size.shape, -1, dtype=np.int64)
 
     def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
@@ -223,69 +230,66 @@ SWITCH_MARGIN = 0.05
 def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                     max_iters: int = MAX_ITERS_DEFAULT,
                     ) -> list[ConnectionResult]:
-    """Run the full iterative pipeline over a corpus.
+    """Run the full iterative pipeline over a corpus, classifying every
+    connection in lockstep so that every model is invoked in large batches.
 
-    Each protocol's connections are classified on their own, since no model,
-    label or context vector crosses protocols (see ``_classify_protocol``).
+    The headers of all connections, whatever their protocol, form one
+    ``_Block``.  Message types and the first pass make one call per protocol
+    and problem; the enhanced passes then run once over the whole block.  No
+    model, label or context vector crosses protocols: a header is scored
+    only by its own protocol's models, on its own connection's context.
     """
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
     results = [ConnectionResult(protocol=protocol, iterations=1,
                                 converged=False, records=[])
                for protocol in _protocols(bundle, conns)]
-    for protocol in PROTOCOLS:
-        picked = [i for i, r in enumerate(results) if r.protocol == protocol]
-        if picked:
-            _classify_protocol(bundle.models.get(protocol, ProtocolModels()),
-                               bundle.problems[protocol],
-                               [conns[i] for i in picked],
-                               [results[i] for i in picked], max_iters,
-                               bundle.mode)
-    return results
+    models = {protocol: bundle.models.get(protocol, ProtocolModels())
+              for protocol in PROTOCOLS}
 
+    # message types, one batch per protocol; only the header rows of its
+    # record tables are kept
+    heads, bases = [[] for _ in conns], [None for _ in conns]
+    for protocol, pm in models.items():
+        picked = [c for c, res in enumerate(results)
+                  if res.protocol == protocol]
+        tables = [record_table(conns[c], bundle.mode) for c in picked]
+        app = [[rec.index for rec in conns[c].records if rec.type_code == 23]
+               for c in picked]
+        if pm.message_type is not None and any(app):
+            flags = iter(rf.predict_labels(pm.message_type, np.concatenate(
+                [table[idx] for table, idx in zip(tables, app)])))
+            for c, table, idx in zip(picked, tables, app):
+                heads[c] = [i for i in idx if int(next(flags))]
+        for c, table in zip(picked, tables):
+            bases[c] = table[heads[c]]
+        del tables
+    block = _Block(conns, heads, bases, [[{} for _ in idx] for idx in heads],
+                   bundle.mode == "tor")
+    del bases
+    # each row's protocol, as its index in PROTOCOLS (-1 on padding rows)
+    of_row = np.array([PROTOCOLS.index(res.protocol) for res in results]
+                      + [-1])[block.conn]
 
-def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
-                       conns: list[Connection],
-                       results: list[ConnectionResult], max_iters: int,
-                       mode: str) -> None:
-    """Classify one protocol's connections in lockstep, so every model is
-    invoked in large batches, and fill in their results; iteration state is
-    tracked per connection.
-
-    During enhanced iterations a prediction only changes when the model
-    prefers the new label by more than ``SWITCH_MARGIN``; this hysteresis
-    suppresses oscillation between near-tied labels without affecting fixed
-    points.
-    """
-    # message types, in one batch
-    tables = [record_table(conn, mode) for conn in conns]
-    app = [[rec.index for rec in conn.records if rec.type_code == 23]
-           for conn in conns]
-    heads = [[] for _ in conns]
-    if models.message_type is not None and any(app):
-        flags = iter(rf.predict_labels(models.message_type, np.concatenate(
-            [table[idx] for table, idx in zip(tables, app)])))
-        heads = [[i for i in idx if int(next(flags))] for idx in app]
-    block = _Block(conns, heads,
-                   [table[idx] for table, idx in zip(tables, heads)],
-                   [[{} for _ in idx] for idx in heads], mode == "tor")
-    del tables  # only the header rows are needed from here on
-
-    # first semantics pass, one batch per problem
-    for p in problems:
-        rows = block.sent(p)
-        if rows.size and p.id in models.single:
-            labels = rf.predict_labels(models.single[p.id], block.base[rows])
-            for g, label in zip(rows.tolist(), labels):
-                block.labels[g][p.id] = label
+    # first semantics pass, one batch per protocol and problem
+    for code, (protocol, pm) in enumerate(models.items()):
+        for p in bundle.problems[protocol]:
+            rows = block.sent(p)
+            rows = rows[of_row[rows] == code]
+            if rows.size and p.id in pm.single:
+                labels = rf.predict_labels(pm.single[p.id], block.base[rows])
+                for g, label in zip(rows.tolist(), labels):
+                    block.labels[g][p.id] = label
 
     # a connection without headers or enhanced models has nothing to
     # iterate, so it has converged
-    enhanced = any(p.id in models.enhanced for p in problems)
+    enhanced = {protocol: any(p.id in pm.enhanced
+                              for p in bundle.problems[protocol])
+                for protocol, pm in models.items()}
     for res, n in zip(results, block.size.tolist()):
-        res.converged = not (enhanced and n)
+        res.converged = not (enhanced[res.protocol] and n)
     if max_iters > 1 and not all(res.converged for res in results):
-        _enhanced_passes(models, problems, block, results, max_iters)
+        _enhanced_passes(bundle, block, of_row, results, max_iters)
 
     # each connection's records, its headers read from its row range
     for conn, res, at, n in zip(conns, results, block.start.tolist(),
@@ -295,6 +299,7 @@ def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
         res.records = [LabeledRecord(index=i, message_type=i in labels,
                                      labels=labels.get(i, {}))
                        for i in range(len(conn.records))]
+    return results
 
 
 # the class index of a label outside an enhanced model's classes, and of no
@@ -302,40 +307,66 @@ def _classify_protocol(models: ProtocolModels, problems: list[ProblemSpec],
 _OUTSIDE, _UNLABELLED = -1, -2
 
 
-def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
-                     block: _Block, results: list[ConnectionResult],
-                     max_iters: int) -> None:
+def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
+                     results: list[ConnectionResult], max_iters: int) -> None:
     """Iterative enhanced passes over the connections not yet converged.
 
     Records update sequentially within a pass, so each classification sees
     the freshest predictions (this converges far faster than simultaneous
-    updates).  Each header position is one block: the rows of all
-    connections' headers there are built and scored at once, with one
-    ``predict_scores`` call over the stacked enhanced models.  A header is
-    scored only when a label in its context window (its whole connection in
-    standard mode) moved since its last scoring: a clean header's rows have
-    the same input and the same incumbent labels, so none could move.
+    updates), and during a pass a prediction only changes when the model
+    prefers the new label by more than ``SWITCH_MARGIN``; this hysteresis
+    suppresses oscillation between near-tied labels without affecting fixed
+    points.
+
+    Each header position is one block: the rows of all connections' headers
+    there, of every protocol, are built and scored at once, with one
+    ``predict_scores`` call over the stacked enhanced models of every
+    protocol.  A row's context takes its own protocol's ``_Layout`` in the
+    columns after the base features; past that layout's width it is zero,
+    and its protocol's forests never read there.  A header is scored only
+    when a label in its context window (its whole connection in standard
+    mode) moved since its last scoring: a clean header's rows have the same
+    input and the same incumbent labels, so none could move.
     """
-    enhanced = [p for p in problems if p.id in models.enhanced]
-    forests = [models.enhanced[p.id] for p in enhanced]
-    layout = _Layout(problems)
+    iterated = {res.protocol for res in results if not res.converged}
+    layouts = [_Layout(bundle.problems[protocol])
+               if protocol in iterated else None for protocol in PROTOCOLS]
+    # every iterated protocol's enhanced models, as (protocol index, problem)
+    enhanced = [(code, p) for code, protocol in enumerate(PROTOCOLS)
+                if protocol in iterated for p in bundle.problems[protocol]
+                if p.id in bundle.models[protocol].enhanced]
+    forests = [bundle.models[PROTOCOLS[code]].enhanced[p.id]
+               for code, p in enhanced]
     stack = rf.Stack(forests)
-    block.context(layout, block.labels)
-    masks = np.array([layout.mask(p.id) for p in enhanced])
-    # uses[g, k]: model k labels header g, a record sent by its side
-    uses = block.direction[:, None] == np.array(
-        [_SENDER[p.side] for p in enhanced])
+    width = max(layout.width for layout in layouts if layout is not None)
+    masks = np.zeros((len(enhanced), width))
+    for mask, (code, p) in zip(masks, enhanced):
+        mask[slice(*layouts[code].span[p.id])] = 1.0
+    # uses[g, k]: model k labels header g, a record of its protocol sent by
+    # its side
+    sender = np.array([_SENDER[p.side] for _, p in enhanced])
+    protocol = np.array([code for code, _ in enhanced])
+    uses = (block.direction[:, None] == sender) & (of_row[:, None] == protocol)
     has_model = uses.any(axis=1)
-    # the class index of each (header, model)'s current label
-    model_of = {p.id: k for k, p in enumerate(enhanced)}
+    # each row's indicators, and the class index of each (header, model)'s
+    # current label
+    model_of = {(code, p.id): k for k, (code, p) in enumerate(enhanced)}
     class_index = [{c: i for i, c in enumerate(f.classes)}
                    for f in forests]
+    vecs = np.zeros((len(uses), width))
     current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
-    for g, lab in enumerate(block.labels):
+    for g, (code, lab) in enumerate(zip(of_row.tolist(), block.labels)):
+        layout = layouts[code] if lab else None  # padding rows have no label
+        if layout is None:
+            continue
         for pid, label in lab.items():
-            k = model_of.get(pid)
+            col = layout.column.get((pid, label))
+            if col is not None:
+                vecs[g, col] = 1.0
+            k = model_of.get((code, pid))
             if k is not None:
                 current[g, k] = class_index[k].get(label, _OUTSIDE)
+    block.context(vecs)
     scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
     sizes = block.size
     live = np.array([c for c, res in enumerate(results) if not res.converged],
@@ -370,9 +401,11 @@ def _enhanced_passes(models: ProtocolModels, problems: list[ProblemSpec],
             for i in np.flatnonzero(moves).tolist():
                 gi, k, b = int(g[i]), int(ks[i]), int(best[i])
                 labels = block.labels[gi]
-                pid, label = enhanced[k].id, forests[k].classes[b]
-                block.move(gi, layout.column.get((pid, labels.get(pid))),
-                           layout.column.get((pid, label)), tick)
+                code, p = enhanced[k]
+                pid, label = p.id, forests[k].classes[b]
+                column = layouts[code].column
+                block.move(gi, column.get((pid, labels.get(pid))),
+                           column.get((pid, label)), tick)
                 labels[pid] = label
                 current[gi, k] = b
                 results[int(block.conn[gi])].converged = False
@@ -464,8 +497,8 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
 
         layout = _Layout(problems[protocol])
         if with_enhanced:
-            block.context(layout, _cross_fit_context(
-                block, problems[protocol], params, seed, cat, schema))
+            block.context(layout.vectors(_cross_fit_context(
+                block, problems[protocol], params, seed, cat, schema)))
 
         for p in problems[protocol]:
             rows = block.sent(p, labelled=True)
@@ -599,9 +632,9 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 def _check_schemas(bundle: ModelBundle) -> None:
     """Every forest must carry the schema id and width ``train_bundle`` gives
-    it for the bundle's mode, and a message-type forest no class but 0 and 1;
-    otherwise prediction would fail far from the cause, or read features in
-    the wrong places."""
+    it for the bundle's mode, a message-type forest no class but 0 and 1,
+    and every enhanced forest as many trees; otherwise prediction would fail
+    far from the cause, or read features in the wrong places."""
     if bundle.mode not in ("standard", "tor"):
         raise InferenceError(f"unknown bundle mode {bundle.mode!r}")
     schema = bundle.base_schema()
@@ -632,6 +665,13 @@ def _check_schemas(bundle: ModelBundle) -> None:
                 f"forest {name} has schema {f.schema_id!r} with "
                 f"{f.n_features} features; a {bundle.mode!r} bundle needs "
                 f"{schema_id!r} with {n_features}")
+    # one stacked walk scores every enhanced forest, so they need as many
+    # trees each
+    trees = sorted({f.n_trees for pm in bundle.models.values()
+                    for f in pm.enhanced.values()})
+    if len(trees) > 1:
+        raise InferenceError(f"the enhanced forests have {trees} trees; "
+                             f"they need as many each")
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -94,6 +94,8 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     offset, packet index) pairs start at offset 0, their offsets strictly
     increase and stay below the stream's length, and no packet appears
     twice.  So a record's packets are the run of pairs its bytes span.
+    The returned connection's ``raw`` holds no streams or segment maps, as
+    a connection loaded from a corpus does.
     """
     entries = []
     hello_payloads = []
@@ -134,7 +136,11 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     version = next((struct.unpack_from("!H", streams[r.direction],
                                        r.stream_offset + 1)[0]
                     for r in records if r.type_code == 22), 0)
-    return Connection(raw=raw, records=records,
+    # nothing reads the payload after record cutting, so the connection
+    # keeps none: its streams die with the caller's RawConnection
+    return Connection(raw=replace(raw, client_stream=b"", server_stream=b"",
+                                  client_segments=[], server_segments=[]),
+                      records=records,
                       handshake=parse_handshake_meta(*hello_payloads, version))
 
 

@@ -241,7 +241,7 @@ def test_criterion_08_referer_aggregation_oracle():
     block = inference._Block([conn], [list(range(7))], [record_table(conn)],
                              [labels], tor=False)
     layout = inference._Layout(problems)
-    block.context(layout, block.labels)
+    block.context(layout.vectors(block.labels))
     target = np.array([block.start[0] + 5])  # an absent-Referer request
     row = block.rows(target, np.array([0]), layout.mask("request.referer"))[0]
     ctx = row[STANDARD_LEN:]

@@ -378,6 +378,23 @@ def test_infer_needs_one_input(saved_bundle, sample_pcap, both, tmp_path,
     assert not out.exists()
 
 
+def test_infer_on_a_capture_without_tls_writes_nothing(saved_bundle,
+                                                      tmp_path, capsys):
+    """A capture whose only connection is not TLS gives an empty output and
+    exit 0."""
+    _, data = saved_bundle
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(data))
+    pcap = str(tmp_path / "plain.pcap")
+    write_pcap(pcap, pcap_frames([b"GET / HTTP/1.1\r\n\r\n"],
+                                 [b"HTTP/1.1 200 OK\r\n\r\n"]))
+    out = tmp_path / "p.jsonl"
+    code, _, err = _run(capsys, "infer", "--pcap", pcap, "--bundle",
+                        str(bundle), "--out", str(out))
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == b""
+
+
 def test_unknown_keyscan_profile_is_one_error_line(tmp_path, capsys):
     dump = tmp_path / "dump.bin"
     dump.write_bytes(bytes(64))

@@ -552,15 +552,36 @@ def test_saved_forest_with_unusable_classes_is_refused(classes):
         rf.from_dict(data)
 
 
-def test_stack_needs_one_width_and_tree_count():
+def test_stack_needs_one_tree_count_and_pads_narrow_forests():
+    """Unequal tree counts are refused.  Forests of different widths stack:
+    rows padded to the widest forest score bit for bit as each forest
+    scores them alone, whatever the padding holds, and a row narrower than
+    the stack is refused."""
     rng = np.random.default_rng(13)
     X, y = random_dataset(rng, d_max=4)
     a = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
     with pytest.raises(rf.ForestError):
         rf.Stack([a, rf.train(X, y, rf.TrainParams(n_trees=4, seed=0))])
-    with pytest.raises(rf.ForestError):
-        rf.Stack([a, rf.train(np.hstack([X, X]), y,
-                              rf.TrainParams(n_trees=3, seed=0))])
+    n, d = X.shape
+    wide = np.hstack([X, np.round(rng.normal(size=(n, 3)) * 3, 1)])
+    wide[:, d] = rng.integers(0, 3, n) * 7.5  # categorical codes
+    y_wide = [f"c{int(v)}" for v in (wide[:, d] / 7.5 + (wide[:, -1] > 0))]
+    b = rf.train(wide, y_wide, rf.TrainParams(n_trees=3, seed=1),
+                 categorical=frozenset({0, d}))
+    assert (b.nodes.feature >= d).any()
+    stack = rf.Stack([a, b])
+    assert stack.n_features == d + 3
+    which = rng.integers(0, 2, n)
+    rows = wide.copy()
+    rows[which == 0, d:] = rng.choice([np.nan, -1e300, 7.5, 1e300],
+                                      size=(int((which == 0).sum()), 3))
+    stacked = rf.predict_scores(stack, rows, which)
+    for k, (forest, own) in enumerate(((a, X), (b, wide))):
+        mine = which == k
+        assert np.array_equal(stacked[mine, :forest.n_classes],
+                              rf.predict_scores(forest, own[mine]))
+    with pytest.raises(rf.ForestError, match="schema mismatch"):
+        rf.predict_scores(stack, X, np.zeros(n, dtype=np.int64))
 
 
 def test_zero_rows_score_to_an_empty_array():

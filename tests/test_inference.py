@@ -16,12 +16,12 @@ from httpglass.corpus import (SynthSpec, load_corpus, save_corpus,
                               split_dataset, synthesize_corpus)
 from httpglass.forest import TrainParams
 from httpglass.features import record_table
-from httpglass.inference import (DEFAULT_PARAMS, PROTOCOLS, TOR_WINDOW,
-                                 InferenceError, ProtocolModels,
-                                 aggregate_predictions, bundle_from_dict,
-                                 bundle_to_dict, classify_alp,
-                                 classify_corpus, load_bundle, save_bundle,
-                                 train_bundle)
+from httpglass.inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT,
+                                 PROTOCOLS, TOR_WINDOW, InferenceError,
+                                 ProtocolModels, aggregate_predictions,
+                                 bundle_from_dict, bundle_to_dict,
+                                 classify_alp, classify_corpus, load_bundle,
+                                 save_bundle, train_bundle)
 from httpglass.registry import (ABSENT, OTHER, PRESENT, Side,
                                 enhanced_length, registry)
 
@@ -65,8 +65,9 @@ def reference_passes(models, problems, block, members, max_iters):
     """The enhanced passes one (connection, model) job at a time: each
     connection's rows at a position are built from slice sums of its
     indicator vectors, every row is scored, and each label is applied in
-    Python.  ``inference._enhanced_passes`` must give the same labels,
-    pass counts and flags."""
+    Python.  Run on one protocol's block by ``reference_classify``; the
+    one loop of ``classify_corpus`` must give the same labels, pass counts
+    and flags."""
     enhanced = [p for p in problems if p.id in models.enhanced]
     layout = inference._Layout(problems)
     spans = [layout.span[p.id] for p in enhanced]
@@ -126,6 +127,32 @@ def reference_passes(models, problems, block, members, max_iters):
                   and members[c].iterations < max_iters]
 
 
+def reference_classify(bundle, conns, max_iters):
+    """``classify_corpus`` with the enhanced passes of ``reference_passes``,
+    one protocol at a time.  The first pass is ``classify_corpus``'s at
+    max_iters=1; each protocol's headers then form a block of their own,
+    whose label dicts are the results' own, so the passes label them in
+    place."""
+    results = classify_corpus(bundle, conns, max_iters=1)
+    for protocol in PROTOCOLS:
+        picked = [c for c, res in enumerate(results)
+                  if res.protocol == protocol]
+        members = [results[c] for c in picked]
+        if max_iters == 1 or all(res.converged for res in members):
+            continue
+        heads = [[r.index for r in res.records if r.message_type]
+                 for res in members]
+        block = inference._Block(
+            [conns[c] for c in picked], heads,
+            [record_table(conns[c], bundle.mode)[idx]
+             for c, idx in zip(picked, heads)],
+            [[res.records[i].labels for i in idx]
+             for res, idx in zip(members, heads)], bundle.mode == "tor")
+        reference_passes(bundle.models[protocol], bundle.problems[protocol],
+                         block, members, max_iters)
+    return results
+
+
 def _header_block(label_lists, tor=False, problems=PROBS_H1):
     """A block of one client-sent header record per label dict, one
     connection per list, indexed as context with its own labels."""
@@ -135,7 +162,7 @@ def _header_block(label_lists, tor=False, problems=PROBS_H1):
         conns, [list(range(len(labs))) for labs in label_lists],
         [record_table(conn, "tor" if tor else "standard") for conn in conns],
         label_lists, tor)
-    block.context(inference._Layout(problems), block.labels)
+    block.context(inference._Layout(problems).vectors(block.labels))
     return block
 
 
@@ -372,19 +399,27 @@ class TestClassification:
         for res in classify_corpus(bundle, [lc.conn for lc in test]):
             assert (res.iterations, res.converged) == (1, True)
 
-    def test_protocols_are_classified_on_their_own(self, small_world):
+    def test_protocols_are_classified_on_their_own(self, oracle_worlds,
+                                                   monkeypatch):
         """A mixed corpus gets, record for record, the results each
-        protocol's connections get alone."""
-        bundle, _, test = small_world
-        conns = [lc.conn for lc in test]
-        mixed = classify_corpus(bundle, conns)
-        assert {res.protocol for res in mixed} == set(PROTOCOLS)
-        for protocol in PROTOCOLS:
-            picked = [(conn, res) for conn, res in zip(conns, mixed)
-                      if res.protocol == protocol]
-            alone = classify_corpus(bundle, [conn for conn, _ in picked])
-            assert [_outcome(res) for res in alone] == \
-                [_outcome(res) for _, res in picked]
+        protocol's connections get alone, and scores as many rows in fewer
+        stacked calls: one per header position, not one per protocol and
+        position."""
+        bundles, conns = oracle_worlds
+        counted = _counting_stacked_calls(monkeypatch)
+        for bundle in bundles:
+            counted.append([0, 0])
+            mixed = classify_corpus(bundle, conns)
+            assert {res.protocol for res in mixed} == set(PROTOCOLS)
+            counted.append([0, 0])
+            for protocol in PROTOCOLS:
+                picked = [(conn, res) for conn, res in zip(conns, mixed)
+                          if res.protocol == protocol]
+                alone = classify_corpus(bundle, [conn for conn, _ in picked])
+                assert [_outcome(res) for res in alone] == \
+                    [_outcome(res) for _, res in picked]
+            (calls, rows), (calls_alone, rows_alone) = counted[-2:]
+            assert calls < calls_alone and rows == rows_alone
 
     def test_aggregate_predictions_counts(self, small_world):
         bundle, _, test = small_world
@@ -517,6 +552,17 @@ class TestTraining:
             bundle_from_dict(data)
 
 
+    def test_unequal_enhanced_tree_counts_are_refused(self, small_world):
+        """Both protocols' enhanced forests share one stacked walk, so a
+        bundle whose forests differ in tree count is refused at load."""
+        bundle, _, _ = small_world
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        for forest in data["protocols"]["http2"]["enhanced"].values():
+            del forest["nodes"]["roots"][-1]
+        with pytest.raises(InferenceError, match=r"\[7, 8\] trees"):
+            bundle_from_dict(data)
+
+
 class TestFixedPoint:
     def test_single_transaction_connections_converge(self):
         """With one transaction per connection the context is just the peer
@@ -568,17 +614,31 @@ def oracle_worlds(small_world):
     return [bundle, tor, _edited(bundle, conns), _edited(tor, conns)], conns
 
 
+def _counting_stacked_calls(monkeypatch):
+    """Count the calls and rows that ``predict_scores`` scores for a Stack
+    (the enhanced passes), into the last entry of the list returned."""
+    predict = rf.predict_scores
+    counted = []
+
+    def counting(model, X, which=None):
+        if isinstance(model, rf.Stack):
+            counted[-1][0] += 1
+            counted[-1][1] += len(X)
+        return predict(model, X, which)
+
+    monkeypatch.setattr(rf, "predict_scores", counting)
+    return counted
+
+
 class TestGaussSeidelOracle:
     @pytest.mark.parametrize("max_iters", [1, 2, 10])
-    def test_block_passes_match_the_reference(self, oracle_worlds, max_iters,
-                                              monkeypatch):
+    def test_block_passes_match_the_reference(self, oracle_worlds, max_iters):
         bundles, conns = oracle_worlds
         for bundle in bundles:
             got = classify_corpus(bundle, conns, max_iters)
-            with monkeypatch.context() as m:
-                m.setattr(inference, "_enhanced_passes", reference_passes)
-                want = classify_corpus(bundle, conns, max_iters)
+            want = reference_classify(bundle, conns, max_iters)
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
+            assert {res.protocol for res in got} == set(PROTOCOLS)
             assert len({sum(r.message_type for r in res.records)
                         for res in got}) > 1
             if max_iters == 10:
@@ -604,23 +664,35 @@ class TestGaussSeidelOracle:
         """Skipping headers whose window did not move since their last
         scoring gives fewer rows to predict_scores and the same results."""
         bundles, conns = oracle_worlds
-        predict = rf.predict_scores
-        counted = []
-
-        def counting(model, X, which=None):
-            counted[-1] += len(X)
-            return predict(model, X, which)
-
-        monkeypatch.setattr(rf, "predict_scores", counting)
-        for bundle in bundles[:2]:
-            counted.append(0)
+        counted = _counting_stacked_calls(monkeypatch)
+        for bundle in bundles:
+            counted.append([0, 0])
             got = classify_corpus(bundle, conns)
-            with monkeypatch.context() as m:
-                m.setattr(inference, "_enhanced_passes", reference_passes)
-                counted.append(0)
-                want = classify_corpus(bundle, conns)
+            counted.append([0, 0])
+            want = reference_classify(bundle, conns, MAX_ITERS_DEFAULT)
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
-            assert counted[-2] < counted[-1]
+            assert counted[-2][1] < counted[-1][1]
+
+    @pytest.mark.parametrize("max_iters", [1, 10])
+    def test_empty_and_headerless_corpora(self, oracle_worlds, max_iters):
+        """The one block takes an empty corpus and connections without
+        headers, alone or among others: these have converged after one
+        pass, and the others get the results they get without them."""
+        bundles, conns = oracle_worlds
+        bare = [synthetic_connection([(100, 0), (200, 1)],
+                                     type_codes=[22, 22]),
+                synthetic_connection([])]
+        for bundle in bundles[:2]:
+            assert classify_corpus(bundle, [], max_iters) == []
+            alone = classify_corpus(bundle, bare, max_iters)
+            assert [(len(res.records), res.iterations, res.converged)
+                    for res in alone] == [(2, 1, True), (0, 1, True)]
+            assert not any(r.message_type for r in alone[0].records)
+            mixed = classify_corpus(bundle, bare[:1] + conns + bare[1:],
+                                    max_iters)
+            assert [_outcome(r) for r in mixed] == [_outcome(r) for r in (
+                alone[:1] + classify_corpus(bundle, conns, max_iters)
+                + alone[1:])]
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,14 @@
 """TLS record cutting, packet attribution, and hello parsing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httpglass.capture import Direction, load_pcap, write_pcap
+from httpglass.features import record_table
 from httpglass.tlsparse import (GREASE_COLLAPSED, RECORD_HEADER_LEN,
                                 collapse_grease, build_client_hello,
                                 build_server_hello, parse_tls_records,
@@ -106,9 +109,11 @@ def test_attribution_of_records_over_many_packets(tmp_path):
             cuts = np.cumsum(rng.integers(1, 40, size=len(body)))
             cuts = [0] + [int(c) for c in cuts if c < len(body)] + [len(body)]
             streams.append([body[a:b] for a, b in zip(cuts, cuts[1:])])
-        conn = _load_single(tmp_path, [ch] + streams[0], [sh] + streams[1])
+        path = str(tmp_path / "t.pcap")
+        write_pcap(path, pcap_frames([ch] + streams[0], [sh] + streams[1]))
+        (raw,) = load_pcap(path)
+        conn = parse_tls_records(raw)
         assert sum(r.pkt_count > 2 for r in conn.records) > 5
-        raw = conn.raw
         raw_streams = (raw.client_stream, raw.server_stream)
         segmaps = (raw.client_segments, raw.server_segments)
         for r in conn.records:
@@ -121,6 +126,40 @@ def test_attribution_of_records_over_many_packets(tmp_path):
             assert r.push_count == sum(raw.packets[i].push_flag for i in hits)
             assert r.avg_pkt_size == sum(sizes) / len(sizes)
             assert r.first_byte_ts == raw.packets[first].timestamp
+
+
+def test_parsed_connection_keeps_no_payload(tmp_path):
+    """A parsed connection's raw holds no streams or segment maps, as one
+    loaded from a corpus does; the RawConnection parsed keeps its own, and
+    the records, handshake and record tables are those it gives."""
+    ch, sh = handshake_payloads(alpn_selected="http/1.1")
+    path = str(tmp_path / "t.pcap")
+    write_pcap(path, pcap_frames(
+        [ch, tls_stream([(23, b"q" * 150)])],
+        [sh, tls_stream([(23, b"r" * 900), (23, b"s" * 40)])]))
+    (raw,) = load_pcap(path)
+    kept = replace(raw)
+    conn = parse_tls_records(raw)
+    assert (conn.raw.client_stream, conn.raw.server_stream,
+            conn.raw.client_segments, conn.raw.server_segments) == \
+        (b"", b"", [], [])
+    assert raw == kept and raw.client_stream and raw.server_segments
+    assert replace(conn.raw, client_stream=raw.client_stream,
+                   server_stream=raw.server_stream,
+                   client_segments=raw.client_segments,
+                   server_segments=raw.server_segments) == raw
+    assert [(r.type_code, r.length, r.direction) for r in conn.records] == [
+        (22, len(ch) - 5, Direction.CLIENT_TO_SERVER),
+        (22, len(sh) - 5, Direction.SERVER_TO_CLIENT),
+        (23, 150, Direction.CLIENT_TO_SERVER),
+        (23, 900, Direction.SERVER_TO_CLIENT),
+        (23, 40, Direction.SERVER_TO_CLIENT)]
+    assert conn.handshake.alpn_selected == "http/1.1"
+    assert conn.handshake.alpn_offered == ["h2", "http/1.1"]
+    whole = replace(conn, raw=raw)
+    for mode in ("standard", "tor"):
+        assert np.array_equal(record_table(conn, mode),
+                              record_table(whole, mode))
 
 
 def test_non_tls_rejected(tmp_path):
