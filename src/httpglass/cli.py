@@ -20,11 +20,10 @@ from . import evalx, forest as rf, keyscan
 from .capture import load_pcap
 from .corpus import (SynthSpec, ground_truth_session, load_corpus, save_corpus,
                      split_dataset, synthesize_corpus)
-from .features import (SCHEMA_STANDARD, SCHEMA_TOR, feature_names,
-                       record_table)
+from .features import MODES, feature_names, record_table
 from .inference import (DEFAULT_PARAMS, classify_corpus, load_bundle,
                         save_bundle, train_bundle)
-from .registry import PROTOCOLS
+from .registry import PROTOCOLS, Layout
 from .tlsparse import parse_tls_records
 
 OUTPUT_SCHEMA_VERSION = 1
@@ -55,7 +54,7 @@ def _load_any(args):
 
 def cmd_extract(args) -> int:
     conns = _parse_connections(args.pcap)
-    schema = SCHEMA_TOR if args.mode == "tor" else SCHEMA_STANDARD
+    schema, _ = MODES[args.mode]
     csv = args.format == "csv"
     with _open_out(args.out) as out:
         if csv:
@@ -198,8 +197,9 @@ def cmd_importance(args) -> int:
               file=sys.stderr)
         return 1
     imp = rf.gini_importance(model)
-    base = feature_names(bundle.base_schema())
-    names = base + [f"semantics[{i}]" for i in range(len(imp) - len(base))]
+    names = feature_names(bundle.base_schema())
+    if len(imp) > len(names):  # an enhanced model's context columns
+        names += Layout(bundle.problems[args.protocol]).names()
     order = np.argsort(-imp)[:args.top]
     with _open_out(args.out) as out:
         for i in order:
@@ -239,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[common()],
                        help="pcap -> per-record feature dump")
-    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
+    p.add_argument("--mode", choices=tuple(MODES), default="standard")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("pcap")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common(), train_common()],
                        help="labeled corpus -> model bundle")
-    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
+    p.add_argument("--mode", choices=tuple(MODES), default="standard")
     p.add_argument("corpus")
     p.set_defaults(func=cmd_train)
 
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval",
                        parents=[common(), train_common()],
                        help="run an experiment and report metrics")
-    p.add_argument("--mode", choices=("standard", "tor"), default="standard")
+    p.add_argument("--mode", choices=tuple(MODES), default="standard")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--experiment", choices=("semantics", "malware"),
                    default="semantics")

@@ -19,7 +19,7 @@ from .features import (build_feature_vocab, enrich_malware_features,
                        malware_categorical_indices, SCHEMA_MALWARE_STANDARD)
 from .inference import (ModelBundle, aggregate_predictions, classify_corpus,
                         train_bundle)
-from .registry import OTHER, PROTOCOLS, registry
+from .registry import OTHER, PROTOCOLS, Layout, registry
 
 # Table 4 reference points from the original study, recorded for context in
 # malware reports (desk-scale synthetic runs are not expected to match them)
@@ -281,8 +281,7 @@ def run_malware_experiment(benign: list[LabeledConnection],
         "standard": (Xs_tr, Xs_te, feature_names(SCHEMA_MALWARE_STANDARD, vocab)),
         "enriched": (Xe_tr, Xe_te,
                      feature_names(SCHEMA_MALWARE_STANDARD, vocab)
-                     + [f"semantics[{p.id}={l}]" for p in problems
-                        for l in p.labels]),
+                     + Layout(problems).names()),
     }
     for name, (Xtr, Xte, names) in feature_sets.items():
         model = rf.train(Xtr, y_tr, replace(params, seed=seed), categorical=cat,

@@ -42,6 +42,10 @@ SCHEMA_TOR = "record-v1-tor"
 SCHEMA_MALWARE_STANDARD = "malware-v1-standard"
 SCHEMA_ALP_FALLBACK = "alp-fallback-v1"
 
+# each feature mode's record schema id and base width
+MODES = {"standard": (SCHEMA_STANDARD, STANDARD_LEN),
+         "tor": (SCHEMA_TOR, TOR_LEN)}
+
 ALP_FALLBACK_LEN = 20
 
 
@@ -124,13 +128,12 @@ def extract_connection_features(conn: Connection) -> np.ndarray:
 def assemble_record_sample(conn: Connection, i: int, mode: str = "standard",
                            ) -> RecordFeatureVector:
     """Row i of ``record_table(conn, mode)``, built from its neighbours only."""
-    window = extract_window_features(conn, i)
-    if mode == "tor":
-        return RecordFeatureVector(window, SCHEMA_TOR)
-    if mode != "standard":
+    if mode not in MODES:
         raise FeatureError(f"unknown mode {mode!r}")
-    values = np.concatenate([window, extract_connection_features(conn)])
-    return RecordFeatureVector(values, SCHEMA_STANDARD)
+    values = extract_window_features(conn, i)
+    if mode == "standard":
+        values = np.concatenate([values, extract_connection_features(conn)])
+    return RecordFeatureVector(values, MODES[mode][0])
 
 
 def record_table(conn: Connection, mode: str = "standard") -> np.ndarray:
@@ -140,7 +143,7 @@ def record_table(conn: Connection, mode: str = "standard") -> np.ndarray:
     being padded row i + k; the connection block is computed once and repeated
     on every row (standard mode).
     """
-    if mode not in ("standard", "tor"):
+    if mode not in MODES:
         raise FeatureError(f"unknown mode {mode!r}")
     n = len(conn.records)
     slots = _padded_slots(conn, -WINDOW_RADIUS, n + WINDOW_RADIUS)

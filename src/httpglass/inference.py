@@ -16,12 +16,12 @@ import numpy as np
 from . import HttpglassError, forest as rf
 from .capture import Direction
 from .corpus import LabeledConnection, LabeledRecord
-from .features import (ALP_FALLBACK_LEN, SCHEMA_ALP_FALLBACK, SCHEMA_STANDARD,
-                       SCHEMA_TOR, STANDARD_LEN, TOR_LEN, alp_fallback_features,
-                       record_categorical_indices, record_table)
+from .features import (ALP_FALLBACK_LEN, MODES, SCHEMA_ALP_FALLBACK,
+                       alp_fallback_features, record_categorical_indices,
+                       record_table)
 # the row view stays importable here: bench/spans.py traces it by this name
 from .features import assemble_record_sample  # noqa: F401
-from .registry import (PROTOCOLS, ProblemSpec, Side, enhanced_length,
+from .registry import (PROTOCOLS, Layout, ProblemSpec, Side, enhanced_length,
                        registry)
 from .tlsparse import Connection
 
@@ -63,51 +63,10 @@ class ModelBundle:
     default_protocol: str = "http1"
 
     def base_schema(self) -> str:
-        return SCHEMA_TOR if self.mode == "tor" else SCHEMA_STANDARD
-
-
-# --- indicator-block layout ---
-
-class _Layout:
-    """A protocol's indicator-block layout: each problem's labels take
-    contiguous columns, in registry order.  Computed once and reused for
-    every record, problem and pass."""
-
-    def __init__(self, problems: list[ProblemSpec]):
-        pairs = [(p.id, label) for p in problems for label in p.labels]
-        self.width = len(pairs)
-        self.column = {pair: k for k, pair in enumerate(pairs)}
-        self.span = {p.id: (self.column[p.id, p.labels[0]],
-                            self.column[p.id, p.labels[-1]] + 1)
-                     for p in problems}
-
-    def mask(self, pid: str) -> np.ndarray:
-        """1 over problem ``pid``'s indicator span, 0 elsewhere."""
-        vec = np.zeros(self.width, dtype=np.float64)
-        vec[slice(*self.span[pid])] = 1.0
-        return vec
-
-    def vector(self, labels: dict[str, str]) -> np.ndarray:
-        """One-hot indicators of one record's labels; a label outside its
-        problem's set (the ``other`` class) contributes zeros."""
-        vec = np.zeros(self.width, dtype=np.float64)
-        for pid, label in labels.items():
-            col = self.column.get((pid, label))
-            if col is not None:
-                vec[col] = 1.0
-        return vec
-
-    def vectors(self, labels: list[dict[str, str]]) -> np.ndarray:
-        """One ``vector`` per label dict, as the rows of one array."""
-        return np.array([self.vector(lab) for lab in labels]
-                        ).reshape(len(labels), self.width)
+        return MODES[self.mode][0]
 
 
 # --- classification ---
-
-def classify_alp(bundle: ModelBundle, conn: Connection) -> str:
-    return _protocols(bundle, [conn])[0]
-
 
 def _protocols(bundle: ModelBundle, conns: list[Connection]) -> list[str]:
     """Each connection's protocol: the one its ALPN names, else the bundle's
@@ -321,7 +280,7 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
     Each header position is one block: the rows of all connections' headers
     there, of every protocol, are built and scored at once, with one
     ``predict_scores`` call over the stacked enhanced models of every
-    protocol.  A row's context takes its own protocol's ``_Layout`` in the
+    protocol.  A row's context takes its own protocol's ``Layout`` in the
     columns after the base features; past that layout's width it is zero,
     and its protocol's forests never read there.  A header is scored only
     when a label in its context window (its whole connection in standard
@@ -329,7 +288,7 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
     input and the same incumbent labels, so none could move.
     """
     iterated = {res.protocol for res in results if not res.converged}
-    layouts = [_Layout(bundle.problems[protocol])
+    layouts = [Layout(bundle.problems[protocol])
                if protocol in iterated else None for protocol in PROTOCOLS]
     # every iterated protocol's enhanced models, as (protocol index, problem)
     enhanced = [(code, p) for code, protocol in enumerate(PROTOCOLS)
@@ -341,31 +300,28 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
     width = max(layout.width for layout in layouts if layout is not None)
     masks = np.zeros((len(enhanced), width))
     for mask, (code, p) in zip(masks, enhanced):
-        mask[slice(*layouts[code].span[p.id])] = 1.0
+        mask[:layouts[code].width] = layouts[code].mask(p.id)
     # uses[g, k]: model k labels header g, a record of its protocol sent by
     # its side
     sender = np.array([_SENDER[p.side] for _, p in enhanced])
     protocol = np.array([code for code, _ in enhanced])
     uses = (block.direction[:, None] == sender) & (of_row[:, None] == protocol)
     has_model = uses.any(axis=1)
-    # each row's indicators, and the class index of each (header, model)'s
-    # current label
-    model_of = {(code, p.id): k for k, (code, p) in enumerate(enhanced)}
-    class_index = [{c: i for i, c in enumerate(f.classes)}
-                   for f in forests]
+    # each row's indicators in its protocol's leading columns
     vecs = np.zeros((len(uses), width))
+    for code, layout in enumerate(layouts):
+        if layout is not None:
+            rows = np.flatnonzero(of_row == code)
+            vecs[rows, :layout.width] = layout.vectors(
+                [block.labels[g] for g in rows.tolist()])
+    # the class index of each (header, model)'s current label
     current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
-    for g, (code, lab) in enumerate(zip(of_row.tolist(), block.labels)):
-        layout = layouts[code] if lab else None  # padding rows have no label
-        if layout is None:
-            continue
-        for pid, label in lab.items():
-            col = layout.column.get((pid, label))
-            if col is not None:
-                vecs[g, col] = 1.0
-            k = model_of.get((code, pid))
-            if k is not None:
-                current[g, k] = class_index[k].get(label, _OUTSIDE)
+    for k, ((_, p), forest) in enumerate(zip(enhanced, forests)):
+        index = {c: i for i, c in enumerate(forest.classes)}
+        rows = np.flatnonzero(uses[:, k])
+        current[rows, k] = [index.get(block.labels[g][p.id], _OUTSIDE)
+                            if p.id in block.labels[g] else _UNLABELLED
+                            for g in rows.tolist()]
     block.context(vecs)
     scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
     sizes = block.size
@@ -420,12 +376,8 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
 def aggregate_predictions(problems: list[ProblemSpec],
                           result: ConnectionResult) -> np.ndarray:
     """Connection-level sum of predicted indicator vectors (Section 5 enrichment)."""
-    layout = _Layout(problems)
-    total = np.zeros(layout.width, dtype=np.float64)
-    for rec in result.records:
-        if rec.message_type:
-            total += layout.vector(rec.labels)
-    return total
+    return Layout(problems).vectors([rec.labels for rec in result.records
+                                     if rec.message_type]).sum(axis=0)
 
 
 # --- training ---
@@ -447,7 +399,7 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     first-pass predictions (two folds), so the enhanced models see the noisy
     count distributions they will receive when iterating.
     """
-    if mode not in ("standard", "tor"):
+    if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}")
     params = params or DEFAULT_PARAMS
     problems = {p: registry(p, include_etag) for p in PROTOCOLS}
@@ -495,7 +447,7 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                                        categorical=cat, schema_id=schema)
         model_index += 1
 
-        layout = _Layout(problems[protocol])
+        layout = Layout(problems[protocol])
         if with_enhanced:
             block.context(layout.vectors(_cross_fit_context(
                 block, problems[protocol], params, seed, cat, schema)))
@@ -635,10 +587,9 @@ def _check_schemas(bundle: ModelBundle) -> None:
     it for the bundle's mode, a message-type forest no class but 0 and 1,
     and every enhanced forest as many trees; otherwise prediction would fail
     far from the cause, or read features in the wrong places."""
-    if bundle.mode not in ("standard", "tor"):
+    if not isinstance(bundle.mode, str) or bundle.mode not in MODES:
         raise InferenceError(f"unknown bundle mode {bundle.mode!r}")
-    schema = bundle.base_schema()
-    width = TOR_LEN if bundle.mode == "tor" else STANDARD_LEN
+    schema, width = MODES[bundle.mode]
     expected = [("alp_fallback", bundle.alp_fallback, SCHEMA_ALP_FALLBACK,
                  ALP_FALLBACK_LEN)]
     for protocol, pm in bundle.models.items():

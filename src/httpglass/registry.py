@@ -1,4 +1,5 @@
-"""Inference problem registry: label sets per protocol.
+"""Inference problem registry: label sets per protocol, and their indicator
+layout.
 
 Multiclass problems carry an explicit ordered label set; out-of-set ground
 truth is trained as the reserved ``other`` class, which never contributes to
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 OTHER = "other"
 ABSENT = "absent"
@@ -113,3 +116,37 @@ def enhanced_length(problems: list[ProblemSpec]) -> int:
     """Width of the enhanced (indicator-sum) feature block for a registry."""
     return sum(len(p.labels) for p in problems)
 
+
+class Layout:
+    """A registry's indicator-block layout: each problem's labels take
+    contiguous columns, in registry order.  The one map from labels to
+    indicator columns, for training context, the enhanced passes, the
+    malware enrichment and feature names."""
+
+    def __init__(self, problems: list[ProblemSpec]):
+        pairs = [(p.id, label) for p in problems for label in p.labels]
+        self.width = len(pairs)
+        self.column = {pair: k for k, pair in enumerate(pairs)}
+        self.span = {p.id: (self.column[p.id, p.labels[0]],
+                            self.column[p.id, p.labels[-1]] + 1)
+                     for p in problems}
+
+    def mask(self, pid: str) -> np.ndarray:
+        """1 over problem ``pid``'s indicator span, 0 elsewhere."""
+        vec = np.zeros(self.width, dtype=np.float64)
+        vec[slice(*self.span[pid])] = 1.0
+        return vec
+
+    def vectors(self, labels: list[dict[str, str]]) -> np.ndarray:
+        """One row of one-hot indicators per label dict; a label outside its
+        problem's set (the ``other`` class) contributes zeros."""
+        cells = [(i, col) for i, lab in enumerate(labels)
+                 for col in map(self.column.get, lab.items())
+                 if col is not None]
+        vecs = np.zeros((len(labels), self.width), dtype=np.float64)
+        vecs[[i for i, _ in cells], [col for _, col in cells]] = 1.0
+        return vecs
+
+    def names(self) -> list[str]:
+        """Each column's feature name, in column order."""
+        return [f"semantics[{pid}={label}]" for pid, label in self.column]

@@ -23,7 +23,8 @@ from httpglass.inference import classify_corpus, train_bundle
 from httpglass.keyscan import (PROFILE_NAMES, build_fixture,
                                expected_false_positives, pattern_span,
                                scan, scan_file)
-from httpglass.registry import (ABSENT, PRESENT, enhanced_length, registry)
+from httpglass.registry import (ABSENT, PRESENT, Layout, enhanced_length,
+                                registry)
 
 from helpers import (handshake_payloads, pcap_frames,
                      synthetic_connection, tls_stream)
@@ -240,7 +241,7 @@ def test_criterion_08_referer_aggregation_oracle():
     conn = synthetic_connection([(200, 0)] * 7)
     block = inference._Block([conn], [list(range(7))], [record_table(conn)],
                              [labels], tor=False)
-    layout = inference._Layout(problems)
+    layout = Layout(problems)
     block.context(layout.vectors(block.labels))
     target = np.array([block.start[0] + 5])  # an absent-Referer request
     row = block.rows(target, np.array([0]), layout.mask("request.referer"))[0]

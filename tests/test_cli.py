@@ -9,7 +9,9 @@ from httpglass.capture import write_pcap
 from httpglass.cli import main
 from httpglass.corpus import load_corpus
 from httpglass.evalx import render_semantics_report
+from httpglass.features import SCHEMA_STANDARD, feature_names
 from httpglass.keyscan import build_fixture
+from httpglass.registry import Layout, registry
 
 from helpers import handshake_payloads, pcap_frames, tls_stream
 
@@ -481,6 +483,24 @@ def test_importance_command(tmp_path, capsys):
     for line in lines:
         weight, name = line.split(" ", 1)
         assert float(weight) >= 0.0
+
+
+def test_importance_names_enhanced_context_columns(saved_bundle, tmp_path,
+                                                   capsys):
+    """An enhanced model's context columns carry the names the malware
+    enrichment gives them: ``semantics[<problem>=<label>]``."""
+    _, data = saved_bundle
+    bundle = str(tmp_path / "b.json")
+    json.dump(data, open(bundle, "w"))
+    code, out, _ = _run(capsys, "importance", "--bundle", bundle,
+                        "--protocol", "http2", "--problem", "response.server",
+                        "--stage", "enhanced", "--top", "1000")
+    assert code == 0
+    names = [line.split(" ", 1)[1] for line in out.splitlines()]
+    expected = (feature_names(SCHEMA_STANDARD)
+                + Layout(registry("http2")).names())
+    assert sorted(names) == sorted(expected)
+    assert "semantics[response.server=gws]" in names
 
 
 def test_determinism_across_runs(tmp_path, capsys):

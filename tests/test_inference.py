@@ -20,9 +20,9 @@ from httpglass.inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT,
                                  PROTOCOLS, TOR_WINDOW, InferenceError,
                                  ProtocolModels, aggregate_predictions,
                                  bundle_from_dict, bundle_to_dict,
-                                 classify_alp, classify_corpus, load_bundle,
-                                 save_bundle, train_bundle)
-from httpglass.registry import (ABSENT, OTHER, PRESENT, Side,
+                                 classify_corpus, load_bundle, save_bundle,
+                                 train_bundle)
+from httpglass.registry import (ABSENT, OTHER, PRESENT, Layout, Side,
                                 enhanced_length, registry)
 
 from helpers import synthetic_connection
@@ -69,7 +69,7 @@ def reference_passes(models, problems, block, members, max_iters):
     one loop of ``classify_corpus`` must give the same labels, pass counts
     and flags."""
     enhanced = [p for p in problems if p.id in models.enhanced]
-    layout = inference._Layout(problems)
+    layout = Layout(problems)
     spans = [layout.span[p.id] for p in enhanced]
     stack = rf.Stack([models.enhanced[p.id] for p in enhanced])
     by_sender = {code: [k for k, p in enumerate(enhanced)
@@ -78,8 +78,7 @@ def reference_passes(models, problems, block, members, max_iters):
     # each connection's header rows, and their indicator vectors kept apart
     heads = [range(at, at + n) for at, n in
              zip(block.start.tolist(), block.size.tolist())]
-    vecs = [np.array([layout.vector(block.labels[g]) for g in rows]
-                     ).reshape(len(rows), layout.width) for rows in heads]
+    vecs = [layout.vectors([block.labels[g] for g in rows]) for rows in heads]
 
     def rows(c, pos, ks):
         window = _tor_window(len(heads[c]), pos) if block.tor else None
@@ -119,7 +118,7 @@ def reference_passes(models, problems, block, members, max_iters):
                     if row.max() - cur_score <= inference.SWITCH_MARGIN:
                         continue
                 labels[p.id] = label
-                vecs[c][pos] = layout.vector(labels)
+                vecs[c][pos] = layout.vectors([labels])[0]
                 members[c].converged = False
         for c in active:
             members[c].iterations += 1
@@ -162,14 +161,14 @@ def _header_block(label_lists, tor=False, problems=PROBS_H1):
         conns, [list(range(len(labs))) for labs in label_lists],
         [record_table(conn, "tor" if tor else "standard") for conn in conns],
         label_lists, tor)
-    block.context(inference._Layout(problems).vectors(block.labels))
+    block.context(Layout(problems).vectors(block.labels))
     return block
 
 
 def _context_of(block, conn, pos, pid, problems=PROBS_H1):
     """The context block of header ``pos`` of connection ``conn`` as the
     ``pid`` model reads it from ``_Block.rows``."""
-    layout = inference._Layout(problems)
+    layout = Layout(problems)
     g = np.array([block.start[conn] + pos])
     row = block.rows(g, np.array([0]), layout.mask(pid)[None])[0]
     assert row.shape == (block.base.shape[1] + layout.width,)
@@ -178,7 +177,7 @@ def _context_of(block, conn, pos, pid, problems=PROBS_H1):
 
 class TestIndicators:
     def test_layout_is_contiguous_registry_order(self):
-        layout = inference._Layout(PROBS_H1)
+        layout = Layout(PROBS_H1)
         assert list(layout.span) == [p.id for p in PROBS_H1]
         off = 0
         for p in PROBS_H1:
@@ -187,18 +186,20 @@ class TestIndicators:
                 list(range(off, off + len(p.labels)))
             off += len(p.labels)
         assert off == layout.width == enhanced_length(PROBS_H1) == 58
+        assert layout.names() == [f"semantics[{p.id}={label}]"
+                                  for p in PROBS_H1 for label in p.labels]
 
     def test_vector_one_hot(self):
-        layout = inference._Layout(PROBS_H1)
-        v = layout.vector({"request.method": "POST",
-                           "request.cookie": PRESENT})
+        layout = Layout(PROBS_H1)
+        v = layout.vectors([{"request.method": "POST",
+                             "request.cookie": PRESENT}])[0]
         assert v.sum() == 2.0
         assert v[layout.column["request.method", "POST"]] == 1.0
         assert v[layout.column["request.cookie", PRESENT]] == 1.0
 
     def test_other_contributes_zero(self):
-        v = inference._Layout(PROBS_H1).vector({"request.method": OTHER,
-                                                "response.server": "no-such"})
+        v = Layout(PROBS_H1).vectors([{"request.method": OTHER,
+                                       "response.server": "no-such"}])[0]
         assert v.sum() == 0.0
 
 
@@ -210,7 +211,7 @@ class TestEnhancedFeatures:
                    "request.referer": PRESENT if i < 4 else ABSENT}
                   for i in range(7)]
         ctx = _context_of(_header_block([labels]), 0, 5, "request.referer")
-        layout = inference._Layout(PROBS_H1)
+        layout = Layout(PROBS_H1)
         assert ctx[slice(*layout.span["request.referer"])].tolist() == \
             [2.0, 4.0]
         # other problems keep the full 7-record sum
@@ -221,7 +222,7 @@ class TestEnhancedFeatures:
         block = _header_block([[{"request.method": "GET"}] * 3,
                                [{"request.method": "POST"}] * 20])
         ctx = _context_of(block, 0, 1, "request.cookie")
-        layout = inference._Layout(PROBS_H1)
+        layout = Layout(PROBS_H1)
         assert ctx[layout.column["request.method", "GET"]] == 3.0
         assert ctx.sum() == 3.0
 
@@ -240,7 +241,7 @@ def _tor_gets(n, pos):
     the headers within TOR_WINDOW of the target, clipped at the ends."""
     block = _header_block([[{"request.method": "GET"}] * n], tor=True)
     ctx = _context_of(block, 0, pos, "request.cookie")
-    return ctx[inference._Layout(PROBS_H1).column["request.method", "GET"]]
+    return ctx[Layout(PROBS_H1).column["request.method", "GET"]]
 
 
 class TestTorWindow:
@@ -257,7 +258,7 @@ class TestTorWindow:
                                [{"request.method": "POST"}] * 2,
                                [{"request.method": "GET"}] * 2], tor=True)
         ctx = _context_of(block, 1, 0, "request.cookie")
-        layout = inference._Layout(PROBS_H1)
+        layout = Layout(PROBS_H1)
         assert ctx[layout.column["request.method", "POST"]] == 2.0
         assert ctx.sum() == 2.0
 
@@ -283,12 +284,13 @@ class TestClassification:
         bundle, _, test = small_world
         for lc in test:
             if lc.conn.handshake.alpn_selected is not None:
-                assert classify_alp(bundle, lc.conn) == lc.protocol
+                assert inference._protocols(bundle, [lc.conn])[0] == \
+                    lc.protocol
 
     def test_protocol_fallback_is_one_call_per_corpus(self, small_world,
                                                       monkeypatch):
         """Every connection without a known ALPN is scored by one fallback
-        call, and gets the protocol ``classify_alp`` gives it alone."""
+        call, and gets the protocol ``_protocols`` gives it alone."""
         bundle, _, test = small_world
         conns = [lc.conn for lc in test]
         unknown = [c for c in conns if c.handshake.alpn_selected is None]
@@ -304,7 +306,7 @@ class TestClassification:
         results = classify_corpus(bundle, conns, max_iters=1)
         assert rows == [len(unknown)]
         assert [r.protocol for r in results] == \
-            [classify_alp(bundle, c) for c in conns]
+            [inference._protocols(bundle, [c])[0] for c in conns]
 
     def test_message_type_and_side_gating(self, small_world):
         bundle, _, test = small_world
