@@ -130,9 +130,11 @@ def cmd_eval(args) -> int:
     if args.experiment == "semantics":
         corpus = load_corpus(args.corpus)
         train, test = split_dataset(corpus, policy=args.split, seed=args.seed)
+        bundle = train_bundle(train, mode=args.mode,
+                              params=_train_params(args),
+                              include_etag=args.include_etag, seed=args.seed)
         report = evalx.run_semantics_experiment(
-            train, test, mode=args.mode, params=_train_params(args),
-            include_etag=args.include_etag, seed=args.seed,
+            bundle, train, test,
             filter_misclassified=args.filter_misclassified)
         text = evalx.render_semantics_report(report)
     else:

@@ -440,8 +440,6 @@ class _ConnBuilder:
         self.records: list[TlsRecordMeta] = []
         self.streams = {Direction.CLIENT_TO_SERVER: bytearray(),
                         Direction.SERVER_TO_CLIENT: bytearray()}
-        self.segmaps = {Direction.CLIENT_TO_SERVER: [],
-                        Direction.SERVER_TO_CLIENT: []}
         self.emit_streams = emit_streams
 
     def add_record(self, type_code: int, direction: Direction, length: int,
@@ -466,8 +464,6 @@ class _ConnBuilder:
             self.packets.append(PacketMeta(
                 timestamp=self.ts, direction=direction, payload_len=size,
                 push_flag=push, seq=pos))
-            if self.emit_streams:
-                self.segmaps[direction].append((pos, len(self.packets) - 1))
             pos += size
             self.ts += 0.001
         pushes = pkt_count if push_all else 1
@@ -478,7 +474,7 @@ class _ConnBuilder:
             stream_offset=offset))
         return self.records[-1]
 
-    def finish(self, handshake: HandshakeMeta, conn_id: str) -> Connection:
+    def finish(self, handshake: HandshakeMeta) -> Connection:
         duration = (self.packets[-1].timestamp - self.packets[0].timestamp
                     if self.packets else 0.0)
         raw = RawConnection(
@@ -486,10 +482,7 @@ class _ConnBuilder:
             packets=self.packets,
             client_stream=bytes(self.streams[Direction.CLIENT_TO_SERVER]),
             server_stream=bytes(self.streams[Direction.SERVER_TO_CLIENT]),
-            duration=duration,
-            client_segments=self.segmaps[Direction.CLIENT_TO_SERVER],
-            server_segments=self.segmaps[Direction.SERVER_TO_CLIENT],
-            start_time=self.start_ts,
+            duration=duration, start_time=self.start_ts,
         )
         return Connection(raw=raw, records=self.records, handshake=handshake)
 
@@ -604,7 +597,7 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
         labeled.append(LabeledRecord(crecs[0].index, True, req_lab))
         labeled.append(LabeledRecord(srecs[0].index, True, resp_lab))
 
-    conn = builder.finish(hs, f"synth-{conn_index}")
+    conn = builder.finish(hs)
     label_by_index = {lr.index: lr for lr in labeled}
     full = [label_by_index.get(r.index, LabeledRecord(r.index, False, {}))
             for r in conn.records]

@@ -17,8 +17,7 @@ from .corpus import LabeledConnection
 from .features import (build_feature_vocab, enrich_malware_features,
                        extract_malware_standard, feature_names,
                        malware_categorical_indices, SCHEMA_MALWARE_STANDARD)
-from .inference import (ModelBundle, aggregate_predictions, classify_corpus,
-                        train_bundle)
+from .inference import ModelBundle, aggregate_predictions, classify_corpus
 from .registry import OTHER, PROTOCOLS, Layout, registry
 
 # Table 4 reference points from the original study, recorded for context in
@@ -124,19 +123,14 @@ def _connection_eval_sets(lc: LabeledConnection, result,
             if gt[idx].message_type and pred[idx].message_type]
 
 
-def run_semantics_experiment(train: list[LabeledConnection],
+def run_semantics_experiment(bundle: ModelBundle,
+                             train: list[LabeledConnection],
                              test: list[LabeledConnection],
-                             mode: str = "standard",
-                             params: rf.TrainParams | None = None,
-                             include_etag: bool = False, seed: int = 0,
                              max_iters: int = 10,
-                             filter_misclassified: bool = False,
-                             bundle: ModelBundle | None = None) -> dict:
-    """Train (or reuse) a bundle and report single-pass vs iterative metrics
-    per problem, plus message-type, protocol, and convergence statistics."""
-    if bundle is None:
-        bundle = train_bundle(train, mode=mode, params=params,
-                              include_etag=include_etag, seed=seed)
+                             filter_misclassified: bool = False) -> dict:
+    """Report a bundle's single-pass vs iterative metrics on ``test`` per
+    problem, plus message-type, protocol, and convergence statistics;
+    ``train`` is the corpus it was trained on, counted in the report."""
     conns = [lc.conn for lc in test]
     single = classify_corpus(bundle, conns, max_iters=1)
     iterative = classify_corpus(bundle, conns, max_iters=max_iters)
@@ -160,7 +154,7 @@ def run_semantics_experiment(train: list[LabeledConnection],
                    if lc.protocol == protocol]
         if not members:
             continue
-        for p in registry(protocol, include_etag):
+        for p in bundle.problems[protocol]:
             valid = set(p.labels) | {OTHER}
             pairs = {"single_pass": [], "iterative": []}
             for lc, s, it in members:
@@ -198,7 +192,7 @@ def run_semantics_experiment(train: list[LabeledConnection],
 
     iters = [r.iterations for r in iterative]
     return {
-        "mode": mode,
+        "mode": bundle.mode,
         "filter_misclassified": filter_misclassified,
         "n_train": len(train), "n_test": len(test),
         "protocol": {"accuracy": accuracy(proto_cm),

@@ -539,15 +539,21 @@ def from_dict(data: dict) -> Forest:
             cats_left=[np.asarray(c, dtype=np.float64)
                        for c in nd["cats_left"]])
         leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
-        _check_nodes(nodes, leaf_counts, data["n_features"], len(classes))
+        # exactly an int: 174.0 passes every comparison with 174 but sizes
+        # no array, and a bool is no width
+        n_features = data["n_features"]
+        if type(n_features) is not int:
+            raise ForestError("n_features must be an integer")
+        _check_nodes(nodes, leaf_counts, n_features, len(classes))
         nodes.counts[feature < 0] = leaf_counts
+        importance = np.asarray(data["importance_raw"], dtype=np.float64)
+        if importance.shape != (n_features,):
+            raise ForestError("importance_raw needs one value per feature")
         return Forest(
             classes=classes, schema_id=data["schema_id"],
-            n_features=data["n_features"],
+            n_features=n_features,
             categorical=frozenset(data["categorical"]),
             params=TrainParams(**data["params"]),
-            importance_raw=np.asarray(data["importance_raw"],
-                                      dtype=np.float64),
-            nodes=nodes)
+            importance_raw=importance, nodes=nodes)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ForestError(f"malformed field ({exc!r})") from exc

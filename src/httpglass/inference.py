@@ -99,21 +99,23 @@ class _Block:
 
     Connection c's headers are the ``size[c]`` rows from ``start[c]``, each
     with its record ``index``, ``base`` features, ``direction`` code,
-    connection ``conn`` and ``labels`` dict (ground truth in training,
-    predictions in inference).  TOR_WINDOW padding rows (direction -1) lie
-    before, between and after the connections, so a Tor-mode window is a
-    fixed-width slice that never crosses into another connection.
+    ``protocol`` (its index in PROTOCOLS), connection ``conn`` and
+    ``labels`` dict (ground truth in training, predictions in inference).
+    TOR_WINDOW padding rows (direction and protocol -1) lie before, between
+    and after the connections, so a Tor-mode window is a fixed-width slice
+    that never crosses into another connection.
 
     ``context`` adds the enhanced models' input: ``vecs``, one indicator
-    vector per row, and each connection's total, kept in ``totals`` as
-    labels move.  The indicators are 0/1, so every float64 sum of them is
-    exact, whatever its order.  ``moved`` holds the tick of each header's
-    last label move and ``conn_moved`` that of each connection's, or -1;
-    ``last_move`` reads them over a header's window.
+    vector per row in its own protocol's layout, and each connection's
+    total, kept in ``totals`` as labels move.  The indicators are 0/1, so
+    every float64 sum of them is exact, whatever its order.  ``moved`` holds
+    the tick of each header's last label move and ``conn_moved`` that of
+    each connection's, or -1; ``last_move`` reads them over a header's
+    window.
     """
 
-    def __init__(self, conns: list[Connection], heads: list[list[int]],
-                 bases: list[np.ndarray],
+    def __init__(self, conns: list[Connection], protocols: list[str],
+                 heads: list[list[int]], bases: list[np.ndarray],
                  labels: list[list[dict[str, str]]], tor: bool):
         self.size = np.array([len(idx) for idx in heads], dtype=np.int64)
         # each connection's headers and the padding after them
@@ -125,31 +127,41 @@ class _Block:
         self.base = np.zeros((n_rows, max((b.shape[1] for b in bases),
                                           default=0)))
         self.direction = np.full(n_rows, -1, dtype=np.int64)
+        self.protocol = np.full(n_rows, -1, dtype=np.int64)
         self.conn = np.full(n_rows, -1, dtype=np.int64)
         self.labels: list[dict[str, str]] = [{} for _ in range(n_rows)]
-        for c, (conn, idx, base, labs, at) in enumerate(zip(
-                conns, heads, bases, labels, self.start.tolist())):
+        for c, (conn, protocol, idx, base, labs, at) in enumerate(zip(
+                conns, protocols, heads, bases, labels, self.start.tolist())):
             rows = slice(at, at + len(idx))
             self.index[rows], self.base[rows] = idx, base
             self.direction[rows] = [conn.records[i].direction for i in idx]
+            self.protocol[rows] = PROTOCOLS.index(protocol)
             self.conn[rows] = c
             self.labels[rows] = labs
 
     def sent(self, p: ProblemSpec, labelled: bool = False) -> np.ndarray:
-        """The rows of the headers p's side sends (with a label for p when
-        ``labelled``), in block order."""
-        rows = np.flatnonzero(self.direction == _SENDER[p.side])
+        """The rows p's models label: the headers p's side sends in p's
+        protocol (with a label for p when ``labelled``), in block order."""
+        rows = np.flatnonzero((self.direction == _SENDER[p.side])
+                              & (self.protocol == PROTOCOLS.index(p.protocol)))
         if labelled:
             rows = rows[np.array([p.id in self.labels[g]
                                   for g in rows.tolist()], dtype=bool)]
         return rows
 
-    def context(self, vecs: np.ndarray) -> None:
-        """Index ``vecs`` (one indicator vector per row) as the enhanced
-        models' context."""
-        self.vecs = vecs
-        self.totals = np.add.reduceat(vecs, self.start, axis=0)
-        self.moved = np.full(len(vecs), -1, dtype=np.int64)
+    def context(self, labels: list[dict[str, str]],
+                layouts: dict[str, Layout]) -> None:
+        """Index the enhanced models' context: each row's ``labels`` dict as
+        indicators in its own protocol's layout (of ``layouts``), zero past
+        that layout's width and on the rows of other protocols."""
+        self.vecs = np.zeros((len(labels), max(layout.width for layout
+                                               in layouts.values())))
+        for protocol, layout in layouts.items():
+            rows = np.flatnonzero(self.protocol == PROTOCOLS.index(protocol))
+            self.vecs[rows, :layout.width] = layout.vectors(
+                [labels[g] for g in rows.tolist()])
+        self.totals = np.add.reduceat(self.vecs, self.start, axis=0)
+        self.moved = np.full(len(labels), -1, dtype=np.int64)
         self.conn_moved = np.full(self.size.shape, -1, dtype=np.int64)
 
     def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
@@ -223,18 +235,14 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
         for c, table in zip(picked, tables):
             bases[c] = table[heads[c]]
         del tables
-    block = _Block(conns, heads, bases, [[{} for _ in idx] for idx in heads],
-                   bundle.mode == "tor")
+    block = _Block(conns, [res.protocol for res in results], heads, bases,
+                   [[{} for _ in idx] for idx in heads], bundle.mode == "tor")
     del bases
-    # each row's protocol, as its index in PROTOCOLS (-1 on padding rows)
-    of_row = np.array([PROTOCOLS.index(res.protocol) for res in results]
-                      + [-1])[block.conn]
 
     # first semantics pass, one batch per protocol and problem
-    for code, (protocol, pm) in enumerate(models.items()):
+    for protocol, pm in models.items():
         for p in bundle.problems[protocol]:
             rows = block.sent(p)
-            rows = rows[of_row[rows] == code]
             if rows.size and p.id in pm.single:
                 labels = rf.predict_labels(pm.single[p.id], block.base[rows])
                 for g, label in zip(rows.tolist(), labels):
@@ -248,7 +256,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     for res, n in zip(results, block.size.tolist()):
         res.converged = not (enhanced[res.protocol] and n)
     if max_iters > 1 and not all(res.converged for res in results):
-        _enhanced_passes(bundle, block, of_row, results, max_iters)
+        _enhanced_passes(bundle, block, results, max_iters)
 
     # each connection's records, its headers read from its row range
     for conn, res, at, n in zip(conns, results, block.start.tolist(),
@@ -266,7 +274,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
 _OUTSIDE, _UNLABELLED = -1, -2
 
 
-def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
+def _enhanced_passes(bundle: ModelBundle, block: _Block,
                      results: list[ConnectionResult], max_iters: int) -> None:
     """Iterative enhanced passes over the connections not yet converged.
 
@@ -288,41 +296,29 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
     input and the same incumbent labels, so none could move.
     """
     iterated = {res.protocol for res in results if not res.converged}
-    layouts = [Layout(bundle.problems[protocol])
-               if protocol in iterated else None for protocol in PROTOCOLS]
-    # every iterated protocol's enhanced models, as (protocol index, problem)
-    enhanced = [(code, p) for code, protocol in enumerate(PROTOCOLS)
-                if protocol in iterated for p in bundle.problems[protocol]
+    layouts = {protocol: Layout(bundle.problems[protocol])
+               for protocol in PROTOCOLS if protocol in iterated}
+    # every iterated protocol's enhanced models
+    enhanced = [p for protocol in layouts for p in bundle.problems[protocol]
                 if p.id in bundle.models[protocol].enhanced]
-    forests = [bundle.models[PROTOCOLS[code]].enhanced[p.id]
-               for code, p in enhanced]
+    forests = [bundle.models[p.protocol].enhanced[p.id] for p in enhanced]
     stack = rf.Stack(forests)
-    width = max(layout.width for layout in layouts if layout is not None)
-    masks = np.zeros((len(enhanced), width))
-    for mask, (code, p) in zip(masks, enhanced):
-        mask[:layouts[code].width] = layouts[code].mask(p.id)
-    # uses[g, k]: model k labels header g, a record of its protocol sent by
-    # its side
-    sender = np.array([_SENDER[p.side] for _, p in enhanced])
-    protocol = np.array([code for code, _ in enhanced])
-    uses = (block.direction[:, None] == sender) & (of_row[:, None] == protocol)
-    has_model = uses.any(axis=1)
-    # each row's indicators in its protocol's leading columns
-    vecs = np.zeros((len(uses), width))
-    for code, layout in enumerate(layouts):
-        if layout is not None:
-            rows = np.flatnonzero(of_row == code)
-            vecs[rows, :layout.width] = layout.vectors(
-                [block.labels[g] for g in rows.tolist()])
-    # the class index of each (header, model)'s current label
+    block.context(block.labels, layouts)
+    # masks[k]: model k's span; uses[g, k]: model k labels header g;
+    # current[g, k]: the class index of its label there
+    masks = np.zeros((len(enhanced), block.vecs.shape[1]))
+    uses = np.zeros((len(block.labels), len(enhanced)), dtype=bool)
     current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
-    for k, ((_, p), forest) in enumerate(zip(enhanced, forests)):
+    for k, (p, forest) in enumerate(zip(enhanced, forests)):
+        layout = layouts[p.protocol]
+        masks[k, :layout.width] = layout.mask(p.id)
+        rows = block.sent(p)
+        uses[rows, k] = True
         index = {c: i for i, c in enumerate(forest.classes)}
-        rows = np.flatnonzero(uses[:, k])
         current[rows, k] = [index.get(block.labels[g][p.id], _OUTSIDE)
                             if p.id in block.labels[g] else _UNLABELLED
                             for g in rows.tolist()]
-    block.context(vecs)
+    has_model = uses.any(axis=1)
     scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
     sizes = block.size
     live = np.array([c for c, res in enumerate(results) if not res.converged],
@@ -357,9 +353,9 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block, of_row: np.ndarray,
             for i in np.flatnonzero(moves).tolist():
                 gi, k, b = int(g[i]), int(ks[i]), int(best[i])
                 labels = block.labels[gi]
-                code, p = enhanced[k]
+                p = enhanced[k]
                 pid, label = p.id, forests[k].classes[b]
-                column = layouts[code].column
+                column = layouts[p.protocol].column
                 block.move(gi, column.get((pid, labels.get(pid))),
                            column.get((pid, label)), tick)
                 labels[pid] = label
@@ -406,7 +402,14 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     bundle = ModelBundle(mode=mode, include_etag=include_etag,
                          problems=problems, models={})
     cat = record_categorical_indices()
-    model_index = 0
+
+    def fit(X, y, index: int, schema_id: str) -> rf.Forest:
+        """The bundle's forest number ``index``, seeded from (seed, index);
+        a record schema's window slots have categorical columns, the
+        protocol fallback's record lengths none."""
+        categorical = cat if schema_id != SCHEMA_ALP_FALLBACK else frozenset()
+        return rf.train(X, y, _child_params(params, seed, index),
+                        categorical=categorical, schema_id=schema_id)
 
     protocols_seen = sorted({lc.protocol for lc in train})
     if not protocols_seen:
@@ -414,10 +417,9 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     bundle.default_protocol = protocols_seen[0]
     if len(protocols_seen) > 1:
         X = np.stack([alp_fallback_features(lc.conn) for lc in train])
-        y = [lc.protocol for lc in train]
-        bundle.alp_fallback = rf.train(X, y, _child_params(params, seed, model_index),
-                                       schema_id=SCHEMA_ALP_FALLBACK)
-    model_index += 1
+        bundle.alp_fallback = fit(X, [lc.protocol for lc in train], 0,
+                                  SCHEMA_ALP_FALLBACK)
+    model_index = 1
 
     for protocol in PROTOCOLS:
         members = [lc for lc in train if lc.protocol == protocol]
@@ -438,40 +440,35 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
             heads.append([lr.index for lr in lc.records if lr.message_type])
             labels.append([lr.labels for lr in lc.records if lr.message_type])
             bases.append(table[heads[-1]])
-        block = _Block([lc.conn for lc in members], heads, bases, labels,
-                       mode == "tor")
+        block = _Block([lc.conn for lc in members], [protocol] * len(members),
+                       heads, bases, labels, mode == "tor")
 
         if len(set(mt_y)) > 1:
-            pm.message_type = rf.train(np.concatenate(mt_rows), mt_y,
-                                       _child_params(params, seed, model_index),
-                                       categorical=cat, schema_id=schema)
+            pm.message_type = fit(np.concatenate(mt_rows), mt_y, model_index,
+                                  schema)
         model_index += 1
 
         layout = Layout(problems[protocol])
         if with_enhanced:
-            block.context(layout.vectors(_cross_fit_context(
-                block, problems[protocol], params, seed, cat, schema)))
+            block.context(_cross_fit_context(block, problems[protocol], fit,
+                                             schema), {protocol: layout})
 
         for p in problems[protocol]:
             rows = block.sent(p, labelled=True)
             sy = [block.labels[g][p.id] for g in rows.tolist()]
             if len(set(sy)) > 1:
-                pm.single[p.id] = rf.train(
-                    block.base[rows], sy,
-                    _child_params(params, seed, model_index),
-                    categorical=cat, schema_id=f"{schema}/{p.id}")
+                pm.single[p.id] = fit(block.base[rows], sy, model_index,
+                                      f"{schema}/{p.id}")
                 if with_enhanced:
                     eX = block.rows(rows, np.arange(rows.size),
                                     layout.mask(p.id))
-                    pm.enhanced[p.id] = rf.train(
-                        eX, sy,
-                        _child_params(params, seed, model_index + 1),
-                        categorical=cat, schema_id=f"{schema}/{p.id}/enhanced")
+                    pm.enhanced[p.id] = fit(eX, sy, model_index + 1,
+                                            f"{schema}/{p.id}/enhanced")
             model_index += 2
     return bundle
 
 
-def _cross_fit_context(block, problems, params, seed, cat, schema):
+def _cross_fit_context(block, problems, fit, schema):
     """Held-out first-pass predictions to serve as enhanced-training context,
     one label dict per row of ``block``.
 
@@ -484,13 +481,12 @@ def _cross_fit_context(block, problems, params, seed, cat, schema):
         rows = block.sent(p, labelled=True)
         parity = block.conn[rows] % 2
         for fold in (0, 1):
-            fit, held = rows[parity != fold], rows[parity == fold]
-            sy = [block.labels[g][p.id] for g in fit.tolist()]
+            other, held = rows[parity != fold], rows[parity == fold]
+            sy = [block.labels[g][p.id] for g in other.tolist()]
             if not held.size or len(set(sy)) < 2:
                 continue
-            child = _child_params(params, seed, 1000 + 10 * k + fold)
-            model = rf.train(block.base[fit], sy, child, categorical=cat,
-                             schema_id=f"{schema}/{p.id}/fold{fold}")
+            model = fit(block.base[other], sy, 1000 + 10 * k + fold,
+                        f"{schema}/{p.id}/fold{fold}")
             for g, label in zip(held.tolist(),
                                 rf.predict_labels(model, block.base[held])):
                 context[g][p.id] = label

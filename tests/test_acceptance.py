@@ -120,8 +120,7 @@ def test_criterion_04_separable_corpus_single_pass():
     params = rf.TrainParams(n_trees=40, max_depth=None, min_leaf=1,
                             features_per_split=120)
     bundle = train_bundle(train, params=params, with_enhanced=False, seed=0)
-    report = run_semantics_experiment(train, test, params=params,
-                                      bundle=bundle, max_iters=1)
+    report = run_semantics_experiment(bundle, train, test, max_iters=1)
     f1s = {key: e["single_pass"]["f1"]
            for key, e in report["problems"].items() if e["status"] == "ok"}
     worst_key = min(f1s, key=f1s.get)
@@ -151,9 +150,8 @@ def iterative_reports():
         corpus = synthesize_corpus(spec)
         train, test = split_dataset(corpus, policy="by_fraction", seed=0)
         bundle = train_bundle(train, mode="tor", params=params, seed=seed)
-        reports.append(run_semantics_experiment(
-            train, test, mode="tor", params=params, bundle=bundle,
-            max_iters=10))
+        reports.append(run_semantics_experiment(bundle, train, test,
+                                                max_iters=10))
     return reports
 
 
@@ -239,10 +237,10 @@ def test_criterion_08_referer_aggregation_oracle():
                "request.referer": PRESENT if i < 4 else ABSENT}
               for i in range(7)]
     conn = synthetic_connection([(200, 0)] * 7)
-    block = inference._Block([conn], [list(range(7))], [record_table(conn)],
-                             [labels], tor=False)
+    block = inference._Block([conn], ["http1"], [list(range(7))],
+                             [record_table(conn)], [labels], tor=False)
     layout = Layout(problems)
-    block.context(layout.vectors(block.labels))
+    block.context(block.labels, {"http1": layout})
     target = np.array([block.start[0] + 5])  # an absent-Referer request
     row = block.rows(target, np.array([0]), layout.mask("request.referer"))[0]
     ctx = row[STANDARD_LEN:]

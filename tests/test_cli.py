@@ -164,6 +164,16 @@ def _n_features_string(data):
     forest["n_features"] = str(forest["n_features"])
 
 
+def _n_features_float(data):
+    forest = data["protocols"]["http1"]["single"]["request.method"]
+    forest["n_features"] = float(forest["n_features"])
+
+
+def _importance_too_long(data):
+    forest = data["protocols"]["http1"]["single"]["request.method"]
+    forest["importance_raw"].append(0.0)
+
+
 def _unknown_problem(data):
     enhanced = data["protocols"]["http1"]["enhanced"]
     forest = copy.deepcopy(enhanced["request.method"])
@@ -238,6 +248,8 @@ BAD_BUNDLES = {
     _fallback_class_http3: "'http3'",
     _unknown_params_key: "forest http1.single.request.method is refused",
     _n_features_string: "forest http1.single.request.method is refused",
+    _n_features_float: "forest http1.single.request.method is refused",
+    _importance_too_long: "forest http1.single.request.method is refused",
     _unknown_problem: "unknown protocol or problem under 'http1'",
     _bundle_as_list: "a bundle must be a JSON object",
     _protocols_as_list: "protocols must be a JSON object",

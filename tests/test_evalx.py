@@ -104,9 +104,9 @@ def report():
         transactions_range=(1, 3)))
     train, test = split_dataset(corpus, policy="by_fraction",
                                 fraction=0.7, seed=0)
-    return run_semantics_experiment(
-        train, test, params=TrainParams(n_trees=10, max_depth=12,
-                                        min_leaf=2), max_iters=5)
+    bundle = train_bundle(train, params=TrainParams(n_trees=10, max_depth=12,
+                                                    min_leaf=2))
+    return run_semantics_experiment(bundle, train, test, max_iters=5)
 
 
 class TestSemanticsExperiment:
@@ -140,11 +140,10 @@ class TestSemanticsExperiment:
             seed=32, n_connections=30, protocol_mix={"http1": 1.0}))
         train, test = split_dataset(corpus, policy="by_fraction",
                                     fraction=0.7, seed=0)
-        params = TrainParams(n_trees=8, max_depth=10, min_leaf=2)
-        plain = run_semantics_experiment(train, test, params=params,
-                                         max_iters=2)
-        filtered = run_semantics_experiment(train, test, params=params,
-                                            max_iters=2,
+        bundle = train_bundle(train, params=TrainParams(
+            n_trees=8, max_depth=10, min_leaf=2))
+        plain = run_semantics_experiment(bundle, train, test, max_iters=2)
+        filtered = run_semantics_experiment(bundle, train, test, max_iters=2,
                                             filter_misclassified=True)
 
         def n_records(rep):

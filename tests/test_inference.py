@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httpglass import HttpglassError, forest as rf, inference
+from httpglass.capture import Direction
 from httpglass.corpus import (SynthSpec, load_corpus, save_corpus,
                               split_dataset, synthesize_corpus)
 from httpglass.forest import TrainParams
@@ -142,7 +143,7 @@ def reference_classify(bundle, conns, max_iters):
         heads = [[r.index for r in res.records if r.message_type]
                  for res in members]
         block = inference._Block(
-            [conns[c] for c in picked], heads,
+            [conns[c] for c in picked], [protocol] * len(picked), heads,
             [record_table(conns[c], bundle.mode)[idx]
              for c, idx in zip(picked, heads)],
             [[res.records[i].labels for i in idx]
@@ -157,11 +158,13 @@ def _header_block(label_lists, tor=False, problems=PROBS_H1):
     connection per list, indexed as context with its own labels."""
     conns = [synthetic_connection([(100, 0)] * len(labs))
              for labs in label_lists]
+    protocol = problems[0].protocol
     block = inference._Block(
-        conns, [list(range(len(labs))) for labs in label_lists],
+        conns, [protocol] * len(conns),
+        [list(range(len(labs))) for labs in label_lists],
         [record_table(conn, "tor" if tor else "standard") for conn in conns],
         label_lists, tor)
-    block.context(Layout(problems).vectors(block.labels))
+    block.context(block.labels, {protocol: Layout(problems)})
     return block
 
 
@@ -173,6 +176,52 @@ def _context_of(block, conn, pos, pid, problems=PROBS_H1):
     row = block.rows(g, np.array([0]), layout.mask(pid)[None])[0]
     assert row.shape == (block.base.shape[1] + layout.width,)
     return row[block.base.shape[1]:]
+
+
+@pytest.mark.parametrize("tor", [False, True])
+def test_block_addresses_rows_by_protocol_and_side(tor):
+    """Two http1 and two http2 connections with client and server headers:
+    ``sent(p)`` is exactly the rows p's side sends in p's protocol, and
+    ``context`` lays each header out in its own protocol's layout, zero
+    past that layout's width and on the padding rows."""
+    protocols = ["http1", "http2", "http2", "http1"]
+    problems = {protocol: registry(protocol) for protocol in PROTOCOLS}
+    layouts = {protocol: Layout(problems[protocol]) for protocol in PROTOCOLS}
+    sender = {Side.CLIENT: Direction.CLIENT_TO_SERVER,
+              Side.SERVER: Direction.SERVER_TO_CLIENT}
+    conns, label_lists = [], []
+    for c, protocol in enumerate(protocols):
+        directions = [Direction.CLIENT_TO_SERVER,
+                      Direction.SERVER_TO_CLIENT] * (c + 1)
+        conns.append(synthetic_connection(
+            [(100 + 7 * i, d) for i, d in enumerate(directions)]))
+        label_lists.append([{p.id: p.labels[(c + i) % len(p.labels)]
+                             for p in problems[protocol]
+                             if sender[p.side] == d}
+                            for i, d in enumerate(directions)])
+    mode = "tor" if tor else "standard"
+    block = inference._Block(
+        conns, protocols, [list(range(len(labs))) for labs in label_lists],
+        [record_table(conn, mode) for conn in conns], label_lists, tor)
+    heads = np.flatnonzero(block.conn >= 0).tolist()
+    assert len(heads) == 20
+    for protocol in PROTOCOLS:
+        for p in problems[protocol]:
+            assert block.sent(p).tolist() == [
+                g for g in heads if protocols[block.conn[g]] == protocol
+                and conns[block.conn[g]].records[block.index[g]].direction
+                == sender[p.side]]
+    block.context(block.labels, layouts)
+    width = max(layout.width for layout in layouts.values())
+    assert block.vecs.shape == (len(block.labels), width)
+    for g in heads:
+        layout = layouts[protocols[block.conn[g]]]
+        vec = layout.vectors([label_lists[block.conn[g]][block.index[g]]])[0]
+        assert block.vecs[g].tolist() == \
+            vec.tolist() + [0.0] * (width - layout.width)
+    padding = block.conn < 0
+    assert padding.sum() == (len(conns) + 1) * TOR_WINDOW
+    assert not block.vecs[padding].any()
 
 
 class TestIndicators:
