@@ -187,11 +187,7 @@ def cmd_keyscan(args) -> int:
 
 def cmd_importance(args) -> int:
     bundle = load_bundle(args.bundle)
-    pm = bundle.models.get(args.protocol)
-    if pm is None:
-        print(f"error: bundle has no models for {args.protocol}",
-              file=sys.stderr)
-        return 1
+    pm = bundle.models[args.protocol]
     model = pm.message_type if args.problem == "message_type" else \
         (pm.enhanced if args.stage == "enhanced" else pm.single).get(args.problem)
     if model is None:

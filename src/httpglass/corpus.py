@@ -749,7 +749,7 @@ _ROW_TYPES = {"packets": (_N, _I, _I, _I, _I), "records": (_I,) * 6 + (_N, _N)}
 def _check_conn(lc: LabeledConnection, d: dict) -> None:
     """Refuse a loaded connection that training or classification could not
     use, which would otherwise fail far from the cause."""
-    n = len(lc.conn.records)
+    n, hs = len(lc.conn.records), lc.conn.handshake
     for failed, message in [
             (lc.protocol not in PROTOCOLS,
              f"unknown protocol {lc.protocol!r}"),
@@ -761,7 +761,13 @@ def _check_conn(lc: LabeledConnection, d: dict) -> None:
                  for column, t in zip(zip(*d[name]), types))
              or not {type(d["start_time"]), type(d["duration"])} <= _N
              or type(lc.connection_id) is not str
-             or type(lc.conn.handshake.alpn_selected) not in (str, type(None))
+             or not all(type(v) is list and all(type(x) is t for x in v)
+                        for v, t in [(hs.offered_cipher_suites, int),
+                                     (hs.advertised_extensions, int),
+                                     (hs.alpn_offered, str)])
+             or type(hs.selected_cipher_suite) not in (int, type(None))
+             or type(hs.alpn_selected) not in (str, type(None))
+             or type(hs.version) is not int
              or any(type(lr.index) is not int
                     or type(lr.message_type) is not bool
                     or type(lr.labels) is not dict

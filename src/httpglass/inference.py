@@ -21,8 +21,7 @@ from .features import (ALP_FALLBACK_LEN, MODES, SCHEMA_ALP_FALLBACK,
                        record_table)
 # the row view stays importable here: bench/spans.py traces it by this name
 from .features import assemble_record_sample  # noqa: F401
-from .registry import (PROTOCOLS, Layout, ProblemSpec, Side, enhanced_length,
-                       registry)
+from .registry import PROTOCOLS, Layout, ProblemSpec, Side, registry
 from .tlsparse import Connection
 
 BUNDLE_FORMAT_VERSION = 2
@@ -215,13 +214,11 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     results = [ConnectionResult(protocol=protocol, iterations=1,
                                 converged=False, records=[])
                for protocol in _protocols(bundle, conns)]
-    models = {protocol: bundle.models.get(protocol, ProtocolModels())
-              for protocol in PROTOCOLS}
 
     # message types, one batch per protocol; only the header rows of its
     # record tables are kept
     heads, bases = [[] for _ in conns], [None for _ in conns]
-    for protocol, pm in models.items():
+    for protocol, pm in bundle.models.items():
         picked = [c for c, res in enumerate(results)
                   if res.protocol == protocol]
         tables = [record_table(conns[c], bundle.mode) for c in picked]
@@ -240,7 +237,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     del bases
 
     # first semantics pass, one batch per protocol and problem
-    for protocol, pm in models.items():
+    for protocol, pm in bundle.models.items():
         for p in bundle.problems[protocol]:
             rows = block.sent(p)
             if rows.size and p.id in pm.single:
@@ -250,11 +247,8 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
 
     # a connection without headers or enhanced models has nothing to
     # iterate, so it has converged
-    enhanced = {protocol: any(p.id in pm.enhanced
-                              for p in bundle.problems[protocol])
-                for protocol, pm in models.items()}
     for res, n in zip(results, block.size.tolist()):
-        res.converged = not (enhanced[res.protocol] and n)
+        res.converged = not (bundle.models[res.protocol].enhanced and n)
     if max_iters > 1 and not all(res.converged for res in results):
         _enhanced_passes(bundle, block, results, max_iters)
 
@@ -267,11 +261,6 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                                      labels=labels.get(i, {}))
                        for i in range(len(conn.records))]
     return results
-
-
-# the class index of a label outside an enhanced model's classes, and of no
-# label at all
-_OUTSIDE, _UNLABELLED = -1, -2
 
 
 def _enhanced_passes(bundle: ModelBundle, block: _Block,
@@ -305,19 +294,22 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
     stack = rf.Stack(forests)
     block.context(block.labels, layouts)
     # masks[k]: model k's span; uses[g, k]: model k labels header g;
-    # current[g, k]: the class index of its label there
+    # current[g, k]: the class index of its label there, which the first
+    # pass set (the loader holds the model's classes to its single model's);
+    # columns[k][c]: the indicator column of model k's class c, or None
     masks = np.zeros((len(enhanced), block.vecs.shape[1]))
     uses = np.zeros((len(block.labels), len(enhanced)), dtype=bool)
-    current = np.full(uses.shape, _UNLABELLED, dtype=np.int64)
+    current = np.zeros(uses.shape, dtype=np.int64)
+    columns = []
     for k, (p, forest) in enumerate(zip(enhanced, forests)):
         layout = layouts[p.protocol]
         masks[k, :layout.width] = layout.mask(p.id)
         rows = block.sent(p)
         uses[rows, k] = True
         index = {c: i for i, c in enumerate(forest.classes)}
-        current[rows, k] = [index.get(block.labels[g][p.id], _OUTSIDE)
-                            if p.id in block.labels[g] else _UNLABELLED
+        current[rows, k] = [index[block.labels[g][p.id]]
                             for g in rows.tolist()]
+        columns.append([layout.column.get((p.id, c)) for c in forest.classes])
     has_model = uses.any(axis=1)
     scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
     sizes = block.size
@@ -342,23 +334,15 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
             best = scores.argmax(axis=1)
             cur = current[g, ks]
             # a row's padding past its model's classes is zero and the row
-            # sums to 1, so the padding never holds the first maximum; a
-            # label outside the model's classes scores 0, and a record
-            # without one takes the best label at any margin
-            cur_score = np.where(cur >= 0, scores[r, np.maximum(cur, 0)], 0.0)
-            moves = (best != cur) & ((cur == _UNLABELLED) | (
-                scores[r, best] - cur_score > SWITCH_MARGIN))
+            # sums to 1, so the padding never holds the first maximum
+            moves = (best != cur) & (scores[r, best] - scores[r, cur]
+                                     > SWITCH_MARGIN)
             # every row is built already, and a connection's rows all sit in
             # this call, so labels and vectors can move right away
             for i in np.flatnonzero(moves).tolist():
                 gi, k, b = int(g[i]), int(ks[i]), int(best[i])
-                labels = block.labels[gi]
-                p = enhanced[k]
-                pid, label = p.id, forests[k].classes[b]
-                column = layouts[p.protocol].column
-                block.move(gi, column.get((pid, labels.get(pid))),
-                           column.get((pid, label)), tick)
-                labels[pid] = label
+                block.move(gi, columns[k][int(cur[i])], columns[k][b], tick)
+                block.labels[gi][enhanced[k].id] = forests[k].classes[b]
                 current[gi, k] = b
                 results[int(block.conn[gi])].converged = False
             tick += 1
@@ -579,25 +563,39 @@ def bundle_from_dict(data: dict) -> ModelBundle:
 
 
 def _check_schemas(bundle: ModelBundle) -> None:
-    """Every forest must carry the schema id and width ``train_bundle`` gives
-    it for the bundle's mode, a message-type forest no class but 0 and 1,
-    and every enhanced forest as many trees; otherwise prediction would fail
-    far from the cause, or read features in the wrong places."""
+    """The bundle must have the shape ``train_bundle`` writes: an entry for
+    every protocol, every forest with the schema id and width training
+    gives it for the bundle's mode, a message-type forest no class but 0
+    and 1, every enhanced forest the single forest of its problem with the
+    same classes, and as many trees as each other enhanced forest;
+    otherwise prediction would fail far from the cause, or read features in
+    the wrong places."""
     if not isinstance(bundle.mode, str) or bundle.mode not in MODES:
         raise InferenceError(f"unknown bundle mode {bundle.mode!r}")
+    if sorted(bundle.models) != sorted(PROTOCOLS):
+        raise InferenceError(f"the bundle has models for "
+                             f"{sorted(bundle.models)!r}; it needs an entry "
+                             f"for each of {list(PROTOCOLS)!r}")
     schema, width = MODES[bundle.mode]
     expected = [("alp_fallback", bundle.alp_fallback, SCHEMA_ALP_FALLBACK,
                  ALP_FALLBACK_LEN)]
     for protocol, pm in bundle.models.items():
-        known = {p.id for p in bundle.problems.get(protocol, [])}
-        if not known or not known.issuperset([*pm.single, *pm.enhanced]):
+        known = {p.id for p in bundle.problems[protocol]}
+        if not known.issuperset([*pm.single, *pm.enhanced]):
             raise InferenceError(f"bundle has models for an unknown protocol "
                                  f"or problem under {protocol!r}")
         classes = pm.message_type.classes if pm.message_type else []
         if any(c not in (0, 1) for c in classes):
             raise InferenceError(f"forest {protocol}.message_type has classes "
                                  f"{classes!r}; a message type is 0 or 1")
-        context = enhanced_length(bundle.problems[protocol])
+        # the enhanced passes start from the single forest's labels
+        for pid, f in pm.enhanced.items():
+            single = pm.single.get(pid)
+            if single is None or single.classes != f.classes:
+                raise InferenceError(
+                    f"forest {protocol}.enhanced.{pid} needs a single forest "
+                    f"{protocol}.single.{pid} with its classes {f.classes!r}")
+        context = Layout(bundle.problems[protocol]).width
         expected.append((f"{protocol}.message_type", pm.message_type, schema,
                          width))
         expected += [(f"{protocol}.single.{pid}", f, f"{schema}/{pid}", width)

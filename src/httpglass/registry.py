@@ -112,11 +112,6 @@ def registry(protocol: str, include_etag: bool = False) -> list[ProblemSpec]:
     return problems
 
 
-def enhanced_length(problems: list[ProblemSpec]) -> int:
-    """Width of the enhanced (indicator-sum) feature block for a registry."""
-    return sum(len(p.labels) for p in problems)
-
-
 class Layout:
     """A registry's indicator-block layout: each problem's labels take
     contiguous columns, in registry order.  The one map from labels to

@@ -23,8 +23,7 @@ from httpglass.inference import classify_corpus, train_bundle
 from httpglass.keyscan import (PROFILE_NAMES, build_fixture,
                                expected_false_positives, pattern_span,
                                scan, scan_file)
-from httpglass.registry import (ABSENT, PRESENT, Layout, enhanced_length,
-                                registry)
+from httpglass.registry import ABSENT, PRESENT, Layout, registry
 
 from helpers import (handshake_payloads, pcap_frames,
                      synthetic_connection, tls_stream)
@@ -41,8 +40,8 @@ def test_criterion_01_feature_dimensionality():
     corpus = synthesize_corpus(SynthSpec(seed=1, n_connections=1000))
     conns = [lc.conn for lc in corpus]
     vocab = build_feature_vocab(conns)
-    enh = {"http1": enhanced_length(registry("http1")),
-           "http2": enhanced_length(registry("http2"))}
+    enh = {"http1": Layout(registry("http1")).width,
+           "http2": Layout(registry("http2")).width}
     t0 = time.monotonic()
     ok = True
     for lc in corpus:

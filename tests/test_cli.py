@@ -239,6 +239,19 @@ def _message_type_classes_ab(data):
     data["protocols"]["http1"]["message_type"]["classes"] = ["a", "b"]
 
 
+def _no_http2(data):
+    del data["protocols"]["http2"]
+
+
+def _enhanced_without_single(data):
+    del data["protocols"]["http1"]["single"]["response.server"]
+
+
+def _enhanced_classes_differ(data):
+    data["protocols"]["http1"]["enhanced"]["response.server"]["classes"][
+        0] = "teapot"
+
+
 # each corruption and a part of the one error line it must give; a
 # corruption that returns a value replaces the whole JSON with it
 BAD_BUNDLES = {
@@ -267,7 +280,14 @@ BAD_BUNDLES = {
     _no_message_type: "protocols.http1 lacks the key 'message_type'",
     _no_enhanced: "protocols.http2 lacks the key 'enhanced'",
     _message_type_classes_ab: "forest http1.message_type has classes "
-                              "['a', 'b']"}
+                              "['a', 'b']",
+    _no_http2: "the bundle has models for ['http1']; it needs an entry for "
+               "each of ['http1', 'http2']",
+    _enhanced_without_single: "forest http1.enhanced.response.server needs "
+                              "a single forest http1.single.response.server",
+    _enhanced_classes_differ: "forest http1.enhanced.response.server needs "
+                              "a single forest http1.single.response.server "
+                              "with its classes ['teapot', "}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_BUNDLES))
@@ -302,6 +322,14 @@ def _extra_handshake_key(conn):
     conn["handshake"]["handshake"] = {}
 
 
+def _suites_as_int(conn):
+    conn["handshake"]["offered_cipher_suites"] = 5
+
+
+def _extension_as_string(conn):
+    conn["handshake"]["advertised_extensions"][0] = "x"
+
+
 def _length_as_string(conn):
     conn["records"][0][2] = str(conn["records"][0][2])
 
@@ -319,6 +347,8 @@ BAD_CORPORA = {
     _label_index_999: "labels must be one per record",
     _labels_cut_to_3: "labels must be one per record",
     _extra_handshake_key: "TypeError: HandshakeMeta",
+    _suites_as_int: "wrong type",
+    _extension_as_string: "wrong type",
     _length_as_string: "wrong type",
     _length_10_pow_400: "outside int64",
     _payload_len_negative: "CorpusError: payload_len must be >= 0"}
@@ -513,6 +543,26 @@ def test_importance_names_enhanced_context_columns(saved_bundle, tmp_path,
                 + Layout(registry("http2")).names())
     assert sorted(names) == sorted(expected)
     assert "semantics[response.server=gws]" in names
+
+
+def test_importance_without_a_model_is_one_error_line(saved_bundle, tmp_path,
+                                                      capsys):
+    """An http1-only bundle has no http2 models, and no bundle has a model
+    for an unknown problem: either is one error line and exit 1."""
+    corpus, _ = saved_bundle
+    lines = open(corpus).read().splitlines()
+    http1 = tmp_path / "http1.jsonl"
+    http1.write_text("".join(line + "\n" for line in lines if
+                             json.loads(line).get("protocol") != "http2"))
+    bundle = str(tmp_path / "b.json")
+    assert _run(capsys, "train", str(http1), "--trees", "2", "--out",
+                bundle)[0] == 0
+    for protocol, problem in [("http2", "request.method"),
+                              ("http1", "request.teapot")]:
+        code, out, err = _run(capsys, "importance", "--bundle", bundle,
+                              "--protocol", protocol, "--problem", problem)
+        assert (code, out) == (1, "")
+        assert err == f"error: no single model for {problem}\n"
 
 
 def test_determinism_across_runs(tmp_path, capsys):

@@ -19,12 +19,10 @@ from httpglass.forest import TrainParams
 from httpglass.features import record_table
 from httpglass.inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT,
                                  PROTOCOLS, TOR_WINDOW, InferenceError,
-                                 ProtocolModels, aggregate_predictions,
-                                 bundle_from_dict, bundle_to_dict,
-                                 classify_corpus, load_bundle, save_bundle,
-                                 train_bundle)
-from httpglass.registry import (ABSENT, OTHER, PRESENT, Layout, Side,
-                                enhanced_length, registry)
+                                 aggregate_predictions, bundle_from_dict,
+                                 bundle_to_dict, classify_corpus, load_bundle,
+                                 save_bundle, train_bundle)
+from httpglass.registry import ABSENT, OTHER, PRESENT, Layout, Side, registry
 
 from helpers import synthetic_connection
 
@@ -234,7 +232,7 @@ class TestIndicators:
             assert [layout.column[p.id, label] for label in p.labels] == \
                 list(range(off, off + len(p.labels)))
             off += len(p.labels)
-        assert off == layout.width == enhanced_length(PROBS_H1) == 58
+        assert off == layout.width == 58
         assert layout.names() == [f"semantics[{p.id}={label}]"
                                   for p in PROBS_H1 for label in p.labels]
 
@@ -554,6 +552,23 @@ class TestTraining:
         assert path.read_text() == json.dumps(bundle_to_dict(bundle),
                                               sort_keys=True)
 
+    @pytest.mark.parametrize("mix", [{"http1": 0.5, "http2": 0.5},
+                                     {"http1": 1.0}], ids=["mixed", "http1"])
+    @pytest.mark.parametrize("include_etag", [False, True],
+                             ids=["no-etag", "etag"])
+    @pytest.mark.parametrize("mode", ["standard", "tor"])
+    def test_every_trained_bundle_passes_the_loader(self, mode, include_etag,
+                                                    mix):
+        """The loader refuses every shape training never writes, so each
+        bundle training writes must load back unchanged."""
+        corpus = synthesize_corpus(SynthSpec(
+            seed=43, n_connections=12, protocol_mix=mix,
+            include_etag=include_etag, transactions_range=(1, 3)))
+        bundle = train_bundle(corpus, mode=mode, params=TrainParams(
+            n_trees=2, min_leaf=2), include_etag=include_etag, seed=1)
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        assert bundle_to_dict(bundle_from_dict(data)) == data
+
     def test_bundle_round_trip(self, small_world, tmp_path):
         bundle, _, test = small_world
         path = str(tmp_path / "bundle.json")
@@ -634,35 +649,13 @@ class TestFixedPoint:
                 [r.message_type for r in one.records]
 
 
-def _edited(bundle, conns):
-    """The bundle with two edits per protocol: its first enhanced model
-    lacks the label its single model gives most often, and its second
-    problem has an enhanced model but no single one, so its records start
-    the enhanced passes with no label."""
-    first = classify_corpus(bundle, conns, max_iters=1)
-    models = {}
-    for protocol, pm in bundle.models.items():
-        single, enhanced = dict(pm.single), dict(pm.enhanced)
-        pid, bare = sorted(enhanced)[:2]
-        labels = [r.labels[pid] for res in first for r in res.records
-                  if pid in r.labels]
-        common = max(sorted(set(labels)), key=labels.count)
-        forest = enhanced[pid]
-        enhanced[pid] = replace(forest, classes=[
-            "never-seen" if c == common else c for c in forest.classes])
-        del single[bare]
-        models[protocol] = ProtocolModels(pm.message_type, single, enhanced)
-    return replace(bundle, models=models)
-
-
 @pytest.fixture(scope="module")
 def oracle_worlds(small_world):
-    """Standard and Tor bundles, each as trained and as ``_edited``, and the
-    test connections, whose header counts differ."""
+    """Standard and Tor bundles and the test connections, whose header
+    counts differ."""
     bundle, train, test = small_world
     tor = train_bundle(train, mode="tor", params=PARAMS_FAST, seed=0)
-    conns = [lc.conn for lc in test]
-    return [bundle, tor, _edited(bundle, conns), _edited(tor, conns)], conns
+    return [bundle, tor], [lc.conn for lc in test]
 
 
 def _counting_stacked_calls(monkeypatch):
@@ -695,22 +688,6 @@ class TestGaussSeidelOracle:
             if max_iters == 10:
                 assert any(res.iterations > 2 for res in got)
 
-    def test_edits_reach_the_passes(self, oracle_worlds):
-        """The edited bundles start some records with a label outside their
-        enhanced model's classes, and some with no label at all."""
-        bundles, conns = oracle_worlds
-        for bundle in bundles[2:]:
-            outside = unlabelled = False
-            for res in classify_corpus(bundle, conns, max_iters=1):
-                pm = bundle.models[res.protocol]
-                for r in res.records:
-                    for pid, f in pm.enhanced.items():
-                        if pid in r.labels:
-                            outside |= r.labels[pid] not in f.classes
-                        elif r.message_type and pid not in pm.single:
-                            unlabelled = True
-            assert outside and unlabelled
-
     def test_clean_rows_are_not_scored(self, oracle_worlds, monkeypatch):
         """Skipping headers whose window did not move since their last
         scoring gives fewer rows to predict_scores and the same results."""
@@ -733,7 +710,7 @@ class TestGaussSeidelOracle:
         bare = [synthetic_connection([(100, 0), (200, 1)],
                                      type_codes=[22, 22]),
                 synthetic_connection([])]
-        for bundle in bundles[:2]:
+        for bundle in bundles:
             assert classify_corpus(bundle, [], max_iters) == []
             alone = classify_corpus(bundle, bare, max_iters)
             assert [(len(res.records), res.iterations, res.converged)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from httpglass.registry import (ABSENT, OTHER, PRESENT, Kind, ProblemSpec,
-                                Side, enhanced_length, registry)
+from httpglass.registry import (ABSENT, OTHER, PRESENT, Kind, Layout,
+                                ProblemSpec, Side, registry)
 
 
 def test_canonical_order_http1():
@@ -31,10 +31,10 @@ def test_label_set_sizes():
 
 
 def test_enhanced_length_defaults():
-    assert enhanced_length(registry("http1")) == 58
-    assert enhanced_length(registry("http2")) == 64
-    assert enhanced_length(registry("http1", include_etag=True)) == 60
-    assert enhanced_length(registry("http2", include_etag=True)) == 66
+    assert Layout(registry("http1")).width == 58
+    assert Layout(registry("http2")).width == 64
+    assert Layout(registry("http1", include_etag=True)).width == 60
+    assert Layout(registry("http2", include_etag=True)).width == 66
 
 
 def test_binary_problems_use_absent_present():
