@@ -89,10 +89,14 @@ def cmd_train(args) -> int:
     if trained == 0:
         print("error: no problem model could be trained", file=sys.stderr)
         return 1
+    seen = {lc.protocol for lc in corpus}
     for protocol, pm in sorted(bundle.models.items()):
         missing = [p.id for p in bundle.problems[protocol]
                    if p.id not in pm.single]
-        if missing:
+        if protocol not in seen:
+            print(f"warning: {protocol}: skipped (the corpus has no "
+                  f"{protocol} connection)", file=sys.stderr)
+        elif missing:
             print(f"warning: {protocol}: skipped (too few labels): "
                   f"{', '.join(missing)}", file=sys.stderr)
     save_bundle(bundle, args.out)

@@ -255,32 +255,32 @@ def run_malware_experiment(benign: list[LabeledConnection],
     def featurize(group):
         conns = [lc.conn for lc, _ in group]
         results = classify_corpus(bundle, conns)
-        std = np.stack([extract_malware_standard(c, vocab) for c in conns])
         enr = np.stack([
-            enrich_malware_features(row, aggregate_predictions(problems, res))
-            for row, res in zip(std, results)])
+            enrich_malware_features(extract_malware_standard(c, vocab),
+                                    aggregate_predictions(problems, res))
+            for c, res in zip(conns, results)])
         y = [label for _, label in group]
-        return std, enr, y
+        return enr, y
 
-    Xs_tr, Xe_tr, y_tr = featurize(train_set)
-    Xs_te, Xe_te, y_te = featurize(test_set)
+    Xtr, y_tr = featurize(train_set)
+    Xte, y_te = featurize(test_set)
     if len(set(y_tr)) < 2:
         raise EvalError("both classes must appear in the training split")
 
-    cat = malware_categorical_indices()
     report = {"paper_reference_f1": PAPER_REFERENCE_MALWARE_F1,
               "n_train": len(train_set), "n_test": len(test_set),
               "enrich_protocol": "http1"}
-    feature_sets = {
-        "standard": (Xs_tr, Xs_te, feature_names(SCHEMA_MALWARE_STANDARD, vocab)),
-        "enriched": (Xe_tr, Xe_te,
-                     feature_names(SCHEMA_MALWARE_STANDARD, vocab)
-                     + Layout(problems).names()),
-    }
-    for name, (Xtr, Xte, names) in feature_sets.items():
-        model = rf.train(Xtr, y_tr, replace(params, seed=seed), categorical=cat,
-                         schema_id=f"malware-{name}")
-        pred = rf.predict_labels(model, Xte)
+    names = feature_names(SCHEMA_MALWARE_STANDARD, vocab)
+    # an enriched row is a standard row and then its inferred sums, so
+    # both forests grow in one call on the enriched table
+    widths = {"standard": len(names), "enriched": Xtr.shape[1]}
+    names += Layout(problems).names()
+    models = rf.grow(Xtr, [
+        rf.View(np.arange(len(y_tr)), np.arange(width), y_tr,
+                replace(params, seed=seed), malware_categorical_indices(),
+                f"malware-{name}") for name, width in widths.items()])
+    for (name, width), model in zip(widths.items(), models):
+        pred = rf.predict_labels(model, Xte[:, :width])
         cm = ConfusionMatrix.from_pairs(y_te, pred,
                                         labels=["benign", "malicious"])
         imp = rf.gini_importance(model)

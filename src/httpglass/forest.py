@@ -8,7 +8,8 @@ membership instead of one-hot encoding.
 
 Split quality maximizes sum(left_counts^2)/n_left + sum(right_counts^2)/n_right,
 which orders splits identically to minimizing weighted Gini impurity while
-staying exact for integer class counts.
+staying exact for integer class counts.  ``grow`` trains many forests on one
+table at once, each tree as it would grow alone.
 """
 from __future__ import annotations
 
@@ -222,152 +223,424 @@ class Stack:
         return W
 
 
-def _gini(counts: np.ndarray) -> float:
-    p = counts / counts.sum()
-    return float(1.0 - (p ** 2).sum())
+@dataclass(frozen=True, eq=False)
+class View:
+    """One forest for ``grow`` to train on its shared table: the table
+    ``rows`` it reads, one per label in ``y``, and the table ``columns`` it
+    reads, so that its own feature j is table column ``columns[j]``;
+    ``categorical`` holds its own feature indices."""
+
+    rows: np.ndarray
+    columns: np.ndarray
+    y: list
+    params: TrainParams
+    categorical: frozenset[int] = frozenset()
+    schema_id: str = "unspecified"
 
 
-def _best_split(B, y, counts, is_cat, min_leaf):
-    """Best cut of a node over all its candidate columns at once.
+class _Tree:
+    """A tree while it grows: its forest's index, its RNG, its depth-first
+    stack of open nodes, and its node lists in node order.  Class counts
+    are lists, one per node (None at a split); ``splits`` holds (feature,
+    counts, left child's counts) of each split."""
 
-    ``B`` holds the node's rows of its candidate features, ``y`` their class
-    indices.  Runs of equal values in each column are groups: numeric groups
-    in value order, categorical ones by the share of the reference class
-    (class 1 for binary problems, else the node's majority class), then by
-    code.  Every cut between groups leaving ``min_leaf`` rows a side is
-    scored, and the first maximum in (column, cut) order wins.  Returns
-    (score, column, threshold or None, left codes or None), or None when no
-    cut is allowed; a numeric threshold is the midpoint of the values around
-    the cut.
-    """
-    n, m = B.shape
-    K = counts.size
-    order = np.argsort(B, axis=0)
-    S = B[order, np.arange(m)].T  # (columns, rows), ascending
-    new = np.ones((m, n), dtype=bool)
-    np.not_equal(S[:, 1:], S[:, :-1], out=new[:, 1:])
-    col = np.nonzero(new)[0]  # column of each group, groups in column order
-    val = S[new]
-    gid = np.cumsum(new) - 1
-    cnt = np.bincount(gid * K + y[order].T.ravel(),
-                      minlength=col.size * K).reshape(-1, K)
-    if is_cat.any():
-        ref = 1 if K == 2 else int(np.argmax(counts))
-        prop = np.where(is_cat[col], cnt[:, ref] / cnt.sum(axis=1), 0.0)
-        perm = np.lexsort((val, prop, col))
-        cnt, val = cnt[perm], val[perm]
-    # every column holds all n rows, so column c's prefix starts at c * counts
-    left = cnt.cumsum(axis=0) - col[:, None] * counts
-    nl = left.sum(axis=1)
-    # a column's last group leaves no rows right, so it is never a cut
-    cut = np.flatnonzero((nl >= min_leaf) & (n - nl >= min_leaf))
-    if cut.size == 0:
+    __slots__ = ("forest", "rng", "stack", "feature", "threshold", "right",
+                 "cat", "counts", "cats_left", "splits")
+
+    def __init__(self, forest: int, rng, root: np.ndarray, counts: list):
+        self.forest, self.rng = forest, rng
+        # (samples, class counts, classes present, depth, parent if a right
+        # child else -1)
+        self.stack = [(root, counts, len(counts) - counts.count(0), 0, -1)]
+        self.feature, self.threshold, self.right, self.cat = [], [], [], []
+        self.counts, self.cats_left, self.splits = [], [], []
+
+    def open_node(self, params: TrainParams, d: int, mtry: int):
+        """Pop open nodes, keeping each one the split gate refuses as a
+        leaf, until one may split; returns (node id, samples, counts,
+        classes present, depth, candidate features drawn from the tree's
+        RNG), or None once the tree is grown."""
+        while self.stack:
+            samples, counts, present, depth, parent = self.stack.pop()
+            node = len(self.feature)
+            if parent >= 0:
+                self.right[parent] = node
+            self.feature.append(-1)
+            self.threshold.append(np.nan)
+            self.right.append(-1)
+            self.cat.append(-1)
+            self.counts.append(counts)
+            if samples.size >= 2 * params.min_leaf and present >= 2 and \
+                    (params.max_depth is None or depth < params.max_depth):
+                cand = self.rng.choice(d, size=mtry, replace=False)
+                cand.sort()
+                return node, samples, counts, present, depth, cand
+        self.rng = self.stack = None
         return None
-    left, nl = left[cut], nl[cut]
-    right = counts - left
-    score = (left ** 2).sum(axis=1) / nl + (right ** 2).sum(axis=1) / (n - nl)
-    best = int(np.argmax(score))
-    g = int(cut[best])
-    c = int(col[g])
-    if is_cat[c]:
-        codes = val[np.searchsorted(col, c):g + 1]
-        return float(score[best]), c, None, sorted(codes.tolist())
+
+    def split(self, node: int, feature: int, threshold, codes, depth: int,
+              left, right) -> None:
+        """Make ``node`` a split; ``left`` and ``right`` are its children's
+        (samples, counts, classes present)."""
+        self.feature[node] = feature
+        self.splits.append((feature, self.counts[node], left[1]))
+        self.counts[node] = None
+        if codes is None:
+            self.threshold[node] = threshold
+        else:
+            self.cat[node] = len(self.cats_left)
+            self.cats_left.append(np.asarray(codes, dtype=np.float64))
+        # push right first so the left child is the next node
+        self.stack.append((*right, depth + 1, node))
+        self.stack.append((*left, depth + 1, -1))
+
+    def nodes(self, n_classes: int) -> Nodes:
+        feature = np.asarray(self.feature, dtype=np.int64)
+        zero = [0] * n_classes
+        return Nodes(
+            feature=feature,
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.where(feature >= 0, np.arange(feature.size) + 1, -1),
+            right=np.asarray(self.right, dtype=np.int64),
+            roots=np.zeros(1, np.int64),
+            counts=np.asarray([zero if c is None else c for c in self.counts],
+                              dtype=np.int64).reshape(-1, n_classes),
+            cat=np.asarray(self.cat, dtype=np.int64),
+            cats_left=self.cats_left)
+
+
+def grow(X, views: list[View]) -> list[Forest]:
+    """Train one forest per view of the table X, growing the trees of all
+    of them in lockstep.
+
+    Each tree grows depth-first, left child first, drawing its bootstrap and
+    each node's candidate features from its own RNG, as if it grew alone.
+    At each step every unfinished tree opens its next node that may split
+    (saving the ones the split gate refuses as leaves on the way), one
+    split search scores all those nodes and partitions the rows of those
+    that split.  A forest is put together once its last tree is grown, its
+    importances summed in (tree, node) order, so every forest is what
+    growing its trees one at a time would give, bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ForestError("X must be 2-dimensional")
+    if not np.isfinite(X).all():
+        raise ForestError("X holds NaN or infinite values")
+    if not views:
+        return []
+    specs, live = [], []
+    # the samples of all views, numbered one after another: a node holds
+    # the numbers of its rows, whose table rows and class indices these map
+    table_row, label, offset = [], [], 0
+    for f, view in enumerate(views):
+        rows = np.asarray(view.rows, dtype=np.int64)
+        columns = np.asarray(view.columns, dtype=np.int64)
+        n, d = rows.size, columns.size
+        if len(view.y) != n:
+            raise ForestError("X and y length mismatch")
+        if n < 1:
+            raise ForestError("need at least one sample")
+        for i in view.categorical:
+            if not 0 <= i < d:
+                raise ForestError(f"categorical index {i} out of range")
+        classes = sorted(set(view.y))
+        index = {c: k for k, c in enumerate(classes)}
+        yv = np.asarray([index[v] for v in view.y], dtype=np.int64)
+        table_row.append(rows)
+        label.append(yv)
+        is_cat = np.zeros(d, dtype=bool)
+        is_cat[list(view.categorical)] = True
+        params = view.params
+        trees = []
+        for ss in np.random.SeedSequence(params.seed).spawn(params.n_trees):
+            rng = np.random.default_rng(ss)
+            root = np.sort(rng.integers(0, n, n)) if params.bootstrap \
+                else np.arange(n)
+            trees.append(_Tree(f, rng, root + offset, np.bincount(
+                yv[root], minlength=len(classes)).tolist()))
+        live += trees
+        specs.append((view, classes, columns, is_cat,
+                      params.resolved_mtry(d), trees))
+        offset += n
+    table_row = np.concatenate(table_row)
+    label = np.concatenate(label)
+
+    forests = [None] * len(views)
+    unfinished = [view.params.n_trees for view in views]
+    while live:
+        opened, nodes = [], []
+        for tree in live:
+            view, classes, columns, is_cat, mtry, trees = specs[tree.forest]
+            found = tree.open_node(view.params, columns.size, mtry)
+            if found is not None:
+                node, samples, counts, present, depth, cand = found
+                opened.append((tree, node, depth, cand))
+                nodes.append((samples, counts, present, cand, columns,
+                              is_cat, view.params.min_leaf))
+                continue
+            unfinished[tree.forest] -= 1
+            if not unfinished[tree.forest]:
+                forests[tree.forest] = _forest(view, classes, trees)
+                trees.clear()
+        live = [tree for tree, *_ in opened]
+        for (tree, node, depth, cand), split in zip(
+                opened, _search(X, table_row, label, nodes)):
+            if split is not None:
+                j, threshold, codes, left, right = split
+                tree.split(node, int(cand[j]), threshold, codes, depth,
+                           left, right)
+    return forests
+
+
+def _forest(view: View, classes: list, trees: list[_Tree]) -> Forest:
+    """The forest of a view's grown trees."""
+    K = len(classes)
+    importance = np.zeros(len(view.columns), dtype=np.float64)
+    splits = [s for tree in trees for s in tree.splits]
+    if splits:
+        feature, counts, left = zip(*splits)
+        # in (tree, node) order, as growing the trees one at a time would
+        np.add.at(importance, np.asarray(feature), _gini_decrease(
+            np.asarray(counts).reshape(-1, K), np.asarray(left).reshape(-1, K),
+            len(view.y)))
+    return Forest(classes=classes, schema_id=view.schema_id,
+                  n_features=len(view.columns),
+                  categorical=frozenset(int(i) for i in view.categorical),
+                  params=view.params, importance_raw=importance,
+                  nodes=Nodes.concat([tree.nodes(K) for tree in trees]))
+
+
+def _gini_decrease(counts, left, n_total) -> np.ndarray:
+    """Each split's Gini impurity decrease, weighted by its share of the
+    ``n_total`` training rows, from its class counts and its left child's."""
+    def weighted_gini(c):
+        n = c.sum(axis=1, keepdims=True)
+        return (n[:, 0] / n_total) * (1.0 - ((c / n) ** 2).sum(axis=1))
+
+    return weighted_gini(counts) - weighted_gini(left) \
+        - weighted_gini(counts - left)
+
+
+# The most count-table cells (rows x candidate columns x (classes + 1)) one
+# split search takes at once, unless the table has more cells; a node with
+# more is searched alone.  The search's memory grows with it: about 20
+# bytes per (row, column) cell and 3 per count cell, measured with
+# tracemalloc on the bench's ``train`` workload.  There, at this size, the
+# command peaks about 1 % above growing one tree at a time (seed 2: 2.09
+# against 2.07 MB); twice the size adds 4 % more.  A larger table lets
+# chunks grow with it, so the search holds at most a few times the table's
+# own bytes: training one criterion-5 bundle (Tor mode, 40 deep trees per
+# forest) then makes 6,348 searches instead of 19,980.
+_CHUNK_CELLS = 16384
+
+
+def _search(X, table_row, label, nodes):
+    """Each node's best split, or None: the nodes in chunks of at most
+    ``_CHUNK_CELLS`` count cells or as many as X has, whichever is more (a
+    larger node alone), largest nodes first so that a chunk pads little."""
+    out = [None] * len(nodes)
+    order = sorted(range(len(nodes)), key=lambda i: -nodes[i][0].size)
+    at = 0
+    while at < len(order):
+        # the first node is the chunk's largest
+        n_max, columns, classes, end = nodes[order[at]][0].size, 0, 0, at
+        while end < len(order):
+            _, _, present, cand, *_ = nodes[order[end]]
+            if end > at and n_max * (columns + cand.size) * (max(
+                    classes, present) + 1) > max(_CHUNK_CELLS, X.size):
+                break
+            columns, classes, end = columns + cand.size, max(classes,
+                                                             present), end + 1
+        chunk = order[at:end]
+        for i, split in zip(chunk, _search_chunk(
+                X, table_row, label, [nodes[i] for i in chunk])):
+            out[i] = split
+        at = end
+    return out
+
+
+def _search_chunk(X, table_row, label, nodes):
+    """The best split of each node, or None when no cut is allowed or none
+    beats the node.
+
+    A node is (its samples, their class counts, the classes present, its
+    candidate features, its forest's table columns and which of them are
+    categorical, min_leaf).
+    Each (node, candidate column) is a segment of the node's values.  Runs
+    of equal values in a segment are groups: numeric groups in value order,
+    categorical ones by the share of the reference class (class 1 for
+    binary problems, else the node's majority class), then by value.  Every
+    cut between groups leaving ``min_leaf`` rows a side is scored by
+    sum(left^2)/n_left + sum(right^2)/n_right over the class counts, and a
+    node's first maximum in (column, cut) order wins if it beats the node's
+    own sum(counts^2)/n strictly.  A numeric threshold is the midpoint of
+    the values around the cut (the lower one if the midpoint rounds onto the
+    upper); a categorical split sends the codes of the groups up to the cut
+    left.
+
+    Returns per node None or (candidate index, threshold or None, left codes
+    or None, (samples, counts, classes present) of the left child, and of
+    the right).
+    """
+    k = len(nodes)
+    ns = np.array([s.size for s, *_ in nodes], dtype=np.int64)
+    n_max = int(ns[0])
+    wide = np.zeros((k, max(len(c) for _, c, *_ in nodes)), dtype=np.int64)
+    for row, (_, c, *_) in zip(wide, nodes):
+        row[:len(c)] = c
+    # each node's classes renumbered in order among those it holds, so the
+    # count table is only as wide as the most classes one node holds; the
+    # padding that fills each node's rows up to the chunk's largest node
+    # is one more class, K, which sorts last and never makes a cut
+    present = wide > 0
+    code = np.cumsum(present, axis=1) - 1
+    K = int(code[:, -1].max()) + 1
+    counts = np.zeros((k, K + 1), dtype=np.int64)
+    held = np.nonzero(present)
+    counts[held[0], code[held]] = wide[held]
+    counts[:, K] = n_max - ns
+    square = (counts[:, :K] ** 2).sum(axis=1)
+    widths = [cand.size for _, _, _, cand, _, _, _ in nodes]
+    seg_node = np.repeat(np.arange(k), widths)
+    seg_first = np.cumsum([0] + widths)  # each node's first segment
+    seg_col = np.concatenate([cols[cand] for _, _, _, cand, cols, _, _
+                              in nodes])
+    seg_cat = np.concatenate([cat[cand] for _, _, _, cand, _, cat, _
+                              in nodes])
+    min_leaf = np.array([m for *_, m in nodes], dtype=np.int64)
+    # each node's samples, padded with its first one (of its own forest)
+    samples = np.repeat([s[:1] for s, *_ in nodes], n_max, axis=1)
+    inside = np.arange(n_max) < ns[:, None]
+    samples[inside] = np.concatenate([s for s, *_ in nodes])
+    # each sample's class in its node's numbering
+    classes = code[np.arange(k)[:, None], label[samples]]
+    classes[~inside] = K
+    classes = classes.astype(np.min_scalar_type(K))
+    # (flat takes: about twice as fast as 2-d fancy indexing here)
+    index = table_row[samples][seg_node]
+    index *= X.shape[1]
+    index += seg_col[:, None]
+    B = X.take(index)
+    del index
+    # -0.0 and 0.0 are one value: without this, which of them a group
+    # saves as its threshold or code would depend on the sort
+    B += 0.0
+    B[~inside[seg_node]] = np.inf  # the padding sorts last in its segment
+    at = np.argsort(B, axis=1)
+    at += (np.arange(seg_node.size) * n_max)[:, None]
+    v = B.take(at)
+    del B
+    # each sorted value's place in ``samples``; kept, to part a split's rows
+    at += ((seg_node - np.arange(seg_node.size)) * n_max)[:, None]
+    v = v.ravel()
+    # segment s holds values s * n_max to (s + 1) * n_max; ``new`` marks
+    # where each group starts
+    new = np.empty(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    new[::n_max] = True
+    first = np.flatnonzero(new)
+    val = v[first]
+    del v
+    G = val.size
+    gseg = first // n_max
+    gnode = seg_node[gseg]
+    key = np.cumsum(new)  # each value's group, from 1
+    seg_g0 = key[::n_max] - 1  # each segment's first group
+    # each group's class counts
+    key -= 1
+    key *= K + 1
+    key += classes.take(at).ravel()
+    cnt = np.bincount(key, minlength=G * (K + 1)).reshape(G, K + 1)
+    del key
+    rank = None  # each group's place in cut order, when it moved
+    cat = np.flatnonzero(seg_cat[gseg])
+    if cat.size:  # reorder each categorical segment's groups
+        # a binary node holds both classes, so class 1 keeps its number
+        ref = np.where([len(c) == 2 for _, c, *_ in nodes], 1,
+                       counts[:, :K].argmax(axis=1))[gnode[cat]]
+        cat_cnt = cnt[cat]
+        share = np.where(cat_cnt[:, K] > 0, 2.0,  # the padding stays last
+                         cat_cnt[np.arange(cat.size), ref] / cat_cnt.sum(
+                             axis=1))
+        perm = np.lexsort((val[cat], share, gseg[cat]))
+        cnt[cat], val[cat] = cat_cnt[perm], val[cat[perm]]
+        del cat_cnt
+        rank = np.arange(G)
+        rank[cat[perm]] = cat
+    # the class counts left of each cut: a running sum over all groups,
+    # restarted at each segment by taking the previous segment's total off
+    # its first group
+    cnt[seg_g0[1:]] -= counts[seg_node[:-1]]
+    left = np.cumsum(cnt, axis=0, out=cnt)
+    nl = left.sum(axis=1)
+    nr = ns[gnode] - nl
+    sum_l = np.einsum("ij,ij->i", left, left)
+    # sum(right^2) = sum((counts - left)^2), in exact integers; a segment's
+    # last group (and its padding) leaves no rows right, and is never a cut
+    sum_r = np.einsum("ij,ij->i", left, counts[gnode])
+    sum_r *= -2
+    sum_r += square[gnode] + sum_l
+    score = sum_l / nl + sum_r / np.maximum(nr, 1)
+    score[(nl < min_leaf[gnode]) | (nr < min_leaf[gnode])] = -np.inf
+    # each node's first maximum: groups run in (node, column, cut) order
+    top = np.maximum.reduceat(score, seg_g0[seg_first[:-1]])
+    hit = np.flatnonzero(score == top[gnode])
+    hit = hit[np.searchsorted(gnode[hit], np.arange(k))]
+    split = top > square / ns
+    out = [None] * k
+    if not split.any():
+        return out
+    node, g = np.flatnonzero(split), hit[split]
+    seg = gseg[g]
+    nn, nleft = ns[node], nl[g]
+    # each split's segment, element by element: its sample, and whether its
+    # group is at or before the cut
+    pos = np.arange(nn.sum()) - np.repeat(np.cumsum(nn) - nn, nn)
+    element = np.repeat(seg * n_max, nn) + pos
+    moved = samples.take(at.take(element))
+    # a segment's first value starts its first group
+    group = np.cumsum(new[element])
+    group += np.repeat(seg_g0[seg] - group[pos == 0], nn)
+    goes_left = (group if rank is None else rank[group]) <= np.repeat(g, nn)
+    to_left, to_right = moved[goes_left], moved[~goes_left]
+    # the children's counts, back in their forests' class numbers
+    cl, cr = np.zeros((2, node.size, wide.shape[1]), dtype=np.int64)
+    r, c = np.nonzero(present[node])
+    cl[r, c] = left[g[r], code[node[r], c]]
+    cr[r, c] = wide[node[r], c] - cl[r, c]
     a, b = val[g], val[g + 1]
     mid = (a + b) / 2.0
     # neighbouring doubles can round their midpoint up onto b
-    return float(score[best]), c, mid if mid < b else a, None
-
-
-def _build_tree(X, yv, K, params, is_cat, rng, importance) -> Nodes:
-    """One tree, grown depth-first and left child first, as ``Nodes`` with
-    ids from 0; each split adds its impurity decrease to ``importance``."""
-    n_total, d = X.shape
-    mtry = params.resolved_mtry(d)
-    feature, threshold, right, cat, node_counts = [], [], [], [], []
-    cats_left = []
-    no_counts = np.zeros(K, dtype=np.int64)  # split nodes keep no counts
-    if params.bootstrap:
-        root_idx = np.sort(rng.integers(0, n_total, n_total))
-    else:
-        root_idx = np.arange(n_total)
-    # (sample idx, their class counts, depth, parent if a right child else -1)
-    stack = [(root_idx, np.bincount(yv[root_idx], minlength=K), 0, -1)]
-    while stack:
-        idx, counts, depth, parent = stack.pop()
-        if parent >= 0:
-            right[parent] = len(feature)
-        n = idx.size
-        best = None
-        if n >= 2 * params.min_leaf and (counts > 0).sum() >= 2 and \
-                (params.max_depth is None or depth < params.max_depth):
-            base = float((counts.astype(np.float64) ** 2).sum()) / n
-            cand = np.sort(rng.choice(d, size=mtry, replace=False))
-            best = _best_split(X[idx[:, None], cand], yv[idx], counts,
-                               is_cat[cand], params.min_leaf)
-            if best is not None and best[0] <= base:
-                best = None
-        f, t, codes = (-1, None, None) if best is None else \
-            (int(cand[best[1]]), best[2], best[3])
-        feature.append(f)
-        threshold.append(np.nan if t is None else t)
-        cat.append(-1 if codes is None else len(cats_left))
-        right.append(-1)
-        node_counts.append(counts if best is None else no_counts)
-        if best is None:
-            continue
-        if codes is not None:
-            cats_left.append(np.asarray(codes, dtype=np.float64))
-        col = X[idx, f]
-        mask = np.isin(col, codes) if codes else col <= t
-        left_idx, right_idx = idx[mask], idx[~mask]
-        cl = np.bincount(yv[left_idx], minlength=K)
-        cr = counts - cl
-        importance[f] += (n / n_total) * _gini(counts) \
-            - (left_idx.size / n_total) * _gini(cl) \
-            - (right_idx.size / n_total) * _gini(cr)
-        # push right first so the left child is the next node
-        stack.append((right_idx, cr, depth + 1, len(feature) - 1))
-        stack.append((left_idx, cl, depth + 1, -1))
-    feature = np.asarray(feature, dtype=np.int64)
-    return Nodes(feature=feature,
-                 threshold=np.asarray(threshold, dtype=np.float64),
-                 left=np.where(feature >= 0, np.arange(feature.size) + 1, -1),
-                 right=np.asarray(right, dtype=np.int64),
-                 roots=np.zeros(1, np.int64),
-                 counts=np.asarray(node_counts, dtype=np.int64),
-                 cat=np.asarray(cat, dtype=np.int64), cats_left=cats_left)
+    threshold = np.where(mid < b, mid, a).tolist()
+    at_l = at_r = 0
+    for s, sg, gi, t, n_l, n_r, lc, rc in zip(
+            node.tolist(), seg.tolist(), g.tolist(), threshold,
+            nleft.tolist(), (nn - nleft).tolist(), cl.tolist(), cr.tolist()):
+        width = len(nodes[s][1])  # the node's forest's classes
+        lc, rc = lc[:width], rc[:width]
+        codes = None
+        if seg_cat[sg]:
+            codes, t = sorted(val[seg_g0[sg]:gi + 1].tolist()), None
+        out[s] = (sg - int(seg_first[s]), t, codes,
+                  (to_left[at_l:at_l + n_l], lc, width - lc.count(0)),
+                  (to_right[at_r:at_r + n_r].copy(), rc,
+                   width - rc.count(0)))
+        at_l, at_r = at_l + n_l, at_r + n_r
+    return out
 
 
 def train(X, y, params: TrainParams | None = None,
           categorical: frozenset[int] | set[int] = frozenset(),
           schema_id: str = "unspecified") -> Forest:
-    """Train a forest on (X, y); y may hold arbitrary sortable labels."""
-    params = params or TrainParams()
+    """Train a forest on (X, y), alone: ``grow`` with one view of all of X;
+    y may hold arbitrary sortable labels."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ForestError("X must be 2-dimensional")
-    if len(y) != X.shape[0]:
-        raise ForestError("X and y length mismatch")
-    if X.shape[0] < 1:
-        raise ForestError("need at least one sample")
-    if not np.isfinite(X).all():
-        raise ForestError("X holds NaN or infinite values")
-    classes = sorted(set(y))
-    class_index = {c: k for k, c in enumerate(classes)}
-    yv = np.asarray([class_index[v] for v in y], dtype=np.int64)
-    K = len(classes)
-    categorical = frozenset(int(i) for i in categorical)
-    for i in categorical:
-        if not 0 <= i < X.shape[1]:
-            raise ForestError(f"categorical index {i} out of range")
-    is_cat = np.isin(np.arange(X.shape[1]), list(categorical))
-    importance = np.zeros(X.shape[1], dtype=np.float64)
-    seeds = np.random.SeedSequence(params.seed).spawn(params.n_trees)
-    trees = [_build_tree(X, yv, K, params, is_cat, np.random.default_rng(ss),
-                         importance) for ss in seeds]
-    return Forest(classes=classes, schema_id=schema_id, n_features=X.shape[1],
-                  categorical=categorical, params=params,
-                  importance_raw=importance, nodes=Nodes.concat(trees))
+    return grow(X, [View(np.arange(X.shape[0]), np.arange(X.shape[1]), y,
+                         params or TrainParams(), frozenset(categorical),
+                         schema_id)])[0]
 
 
 def _leaves(stack: Stack, W: np.ndarray, rows: np.ndarray,

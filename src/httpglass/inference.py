@@ -163,15 +163,19 @@ class _Block:
         self.moved = np.full(len(labels), -1, dtype=np.int64)
         self.conn_moved = np.full(self.size.shape, -1, dtype=np.int64)
 
+    def window(self, heads: np.ndarray) -> np.ndarray:
+        """Each header's context: the indicator sums over its window (its
+        whole connection in standard mode), its own included."""
+        if self.tor:
+            return self.vecs[heads[:, None] + _WINDOW].sum(axis=1)
+        return self.totals[self.conn[heads]]
+
     def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
              ) -> np.ndarray:
         """Enhanced-model inputs: row i holds header ``heads[head_of[i]]``'s
         base features and its context, less the header's own indicators
         under the span mask ``masks[i]``."""
-        if self.tor:
-            ctx = self.vecs[heads[:, None] + _WINDOW].sum(axis=1)
-        else:
-            ctx = self.totals[self.conn[heads]]
+        ctx = self.window(heads)
         g = heads[head_of]
         return np.hstack([self.base[g], ctx[head_of] - self.vecs[g] * masks])
 
@@ -378,6 +382,11 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     applied at inference time.  The context labels come from held-out
     first-pass predictions (two folds), so the enhanced models see the noisy
     count distributions they will receive when iterating.
+
+    Each ``rf.grow`` call trains the forests that share a table: the
+    protocol fallback; then per protocol its message-type forest, its fold
+    and single forests (all on the header block's base features), and its
+    enhanced forests (all on one table of base features and context).
     """
     if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}")
@@ -387,13 +396,18 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
                          problems=problems, models={})
     cat = record_categorical_indices()
 
-    def fit(X, y, index: int, schema_id: str) -> rf.Forest:
+    def view(rows, y, index: int, schema_id: str, columns) -> rf.View:
         """The bundle's forest number ``index``, seeded from (seed, index);
         a record schema's window slots have categorical columns, the
         protocol fallback's record lengths none."""
         categorical = cat if schema_id != SCHEMA_ALP_FALLBACK else frozenset()
-        return rf.train(X, y, _child_params(params, seed, index),
-                        categorical=categorical, schema_id=schema_id)
+        return rf.View(rows, columns, y, _child_params(params, seed, index),
+                       categorical, schema_id)
+
+    def alone(X, y, index: int, schema_id: str) -> rf.Forest:
+        """Forest number ``index``, on all of the table X."""
+        return rf.grow(X, [view(np.arange(len(y)), y, index, schema_id,
+                                np.arange(X.shape[1]))])[0]
 
     protocols_seen = sorted({lc.protocol for lc in train})
     if not protocols_seen:
@@ -401,8 +415,8 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     bundle.default_protocol = protocols_seen[0]
     if len(protocols_seen) > 1:
         X = np.stack([alp_fallback_features(lc.conn) for lc in train])
-        bundle.alp_fallback = fit(X, [lc.protocol for lc in train], 0,
-                                  SCHEMA_ALP_FALLBACK)
+        bundle.alp_fallback = alone(X, [lc.protocol for lc in train], 0,
+                                    SCHEMA_ALP_FALLBACK)
     model_index = 1
 
     for protocol in PROTOCOLS:
@@ -424,57 +438,79 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
             heads.append([lr.index for lr in lc.records if lr.message_type])
             labels.append([lr.labels for lr in lc.records if lr.message_type])
             bases.append(table[heads[-1]])
+        del table
         block = _Block([lc.conn for lc in members], [protocol] * len(members),
                        heads, bases, labels, mode == "tor")
-
+        del bases
         if len(set(mt_y)) > 1:
-            pm.message_type = fit(np.concatenate(mt_rows), mt_y, model_index,
-                                  schema)
+            pm.message_type = alone(np.concatenate(mt_rows), mt_y,
+                                    model_index, schema)
+        del mt_rows
         model_index += 1
 
-        layout = Layout(problems[protocol])
-        if with_enhanced:
-            block.context(_cross_fit_context(block, problems[protocol], fit,
-                                             schema), {protocol: layout})
-
-        for p in problems[protocol]:
+        # the single forests, and the cross-fit fold forests that label
+        # held-out headers as enhanced-training context: connections are
+        # split into two folds by parity, and each fold's headers are
+        # labelled by a forest trained on the other fold (a fold forest that
+        # would see fewer than two labels is skipped, and its headers keep
+        # their ground truth); all of them on the block's base features
+        base = np.arange(block.base.shape[1])
+        singles, views, folds, fold_views = [], [], [], []
+        for k, p in enumerate(problems[protocol]):
             rows = block.sent(p, labelled=True)
             sy = [block.labels[g][p.id] for g in rows.tolist()]
+            index = model_index + 2 * k
             if len(set(sy)) > 1:
-                pm.single[p.id] = fit(block.base[rows], sy, model_index,
-                                      f"{schema}/{p.id}")
-                if with_enhanced:
-                    eX = block.rows(rows, np.arange(rows.size),
-                                    layout.mask(p.id))
-                    pm.enhanced[p.id] = fit(eX, sy, model_index + 1,
-                                            f"{schema}/{p.id}/enhanced")
-            model_index += 2
-    return bundle
+                singles.append((p, rows, sy, index))
+                views.append(view(rows, sy, index, f"{schema}/{p.id}", base))
+            parity = block.conn[rows] % 2
+            for fold in (0, 1) if with_enhanced else ():
+                other = parity != fold
+                y = [label for label, keep in zip(sy, other.tolist()) if keep]
+                if not other.all() and len(set(y)) > 1:
+                    folds.append((p, rows[~other]))
+                    fold_views.append(view(rows[other], y, 1000 + 10 * k + fold,
+                                           f"{schema}/{p.id}/fold{fold}", base))
+        forests = rf.grow(block.base, views + fold_views)
+        for (p, *_), f in zip(singles, forests):
+            pm.single[p.id] = f
+        folds = list(zip(folds, forests[len(views):]))
+        del forests
+        model_index += 2 * len(problems[protocol])
+        if not (with_enhanced and singles):
+            continue
 
-
-def _cross_fit_context(block, problems, fit, schema):
-    """Held-out first-pass predictions to serve as enhanced-training context,
-    one label dict per row of ``block``.
-
-    Connections are split into two folds by parity; each fold's header
-    records are relabeled by per-problem models trained on the other fold.
-    Records a fold model cannot cover keep their ground-truth label.
-    """
-    context = [dict(lab) for lab in block.labels]
-    for k, p in enumerate(problems):
-        rows = block.sent(p, labelled=True)
-        parity = block.conn[rows] % 2
-        for fold in (0, 1):
-            other, held = rows[parity != fold], rows[parity == fold]
-            sy = [block.labels[g][p.id] for g in other.tolist()]
-            if not held.size or len(set(sy)) < 2:
-                continue
-            model = fit(block.base[other], sy, 1000 + 10 * k + fold,
-                        f"{schema}/{p.id}/fold{fold}")
+        # context from the fold forests, then the enhanced forests on one
+        # table: the used headers' base features, their context, and their
+        # context less their own indicators, so each forest's columns take
+        # the latter over its problem's span and the former elsewhere
+        context = [dict(lab) for lab in block.labels]
+        while folds:  # each fold forest is dropped once it has labelled
+            (p, held), model = folds.pop()
             for g, label in zip(held.tolist(),
                                 rf.predict_labels(model, block.base[held])):
                 context[g][p.id] = label
-    return context
+            del model
+        layout = Layout(problems[protocol])
+        block.context(context, {protocol: layout})
+        del context
+        used = np.zeros(len(block.labels), dtype=bool)
+        for _, rows, _, _ in singles:
+            used[rows] = True
+        used = np.flatnonzero(used)
+        ctx = block.window(used)
+        table = np.hstack([block.base[used], ctx, ctx - block.vecs[used]])
+        del ctx, block
+        width, span = base.size, layout.width
+        enhanced = rf.grow(table, [
+            view(np.searchsorted(used, rows), sy, index + 1,
+                 f"{schema}/{p.id}/enhanced",
+                 np.concatenate([base, width + np.arange(span)
+                                 + span * (layout.mask(p.id) > 0)]))
+            for p, rows, sy, index in singles])
+        for (p, *_), f in zip(singles, enhanced):
+            pm.enhanced[p.id] = f
+    return bundle
 
 
 # --- persistence ---

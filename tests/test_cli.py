@@ -110,6 +110,28 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
     assert open(table).read() == render_semantics_report(parsed)
 
 
+def test_train_names_an_absent_protocol_once(tmp_path, capsys):
+    """A protocol the corpus has no connection of gets one warning line,
+    not a list of its problems; a present protocol short of labels still
+    lists its problems."""
+    full, corpus = str(tmp_path / "full.jsonl"), str(tmp_path / "h1.jsonl")
+    assert main(["synth", "--connections", "20", "--seed", "5",
+                 "--out", full]) == 0
+    with open(full) as src, open(corpus, "w") as dst:
+        for line in src:
+            if json.loads(line).get("protocol", "http1") == "http1":
+                dst.write(line)
+    assert any(c.protocol == "http2" for c in load_corpus(full))
+    code, _, err = _run(capsys, "train", corpus, "--trees", "2",
+                        "--out", str(tmp_path / "b.json"))
+    assert code == 0
+    lines = err.splitlines()
+    assert [l for l in lines if "http2" in l] == [
+        "warning: http2: skipped (the corpus has no http2 connection)"]
+    assert all(l.startswith("warning: http1: skipped (too few labels): ")
+               for l in lines if "http2" not in l)
+
+
 def test_infer_requires_input(tmp_path, capsys):
     code, _, err = _run(capsys, "infer", "--bundle", "nope.json")
     assert code == 2

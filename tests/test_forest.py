@@ -179,7 +179,7 @@ def _categorical_candidates(col, Y, yv, min_leaf, node_counts):
 
 
 def scalar_best_split(B, y, counts, is_cat, min_leaf):
-    """``rf._best_split`` one column at a time: the first column whose best
+    """The split search one column at a time: the first column whose best
     cut beats every earlier column's wins."""
     Y = np.zeros((len(y), counts.size), dtype=np.int64)
     Y[np.arange(len(y)), y] = 1
@@ -196,6 +196,95 @@ def scalar_best_split(B, y, counts, is_cat, min_leaf):
     return best
 
 
+def _gini(counts):
+    p = counts / counts.sum()
+    return float(1.0 - (p ** 2).sum())
+
+
+def _reference_tree(X, yv, K, params, is_cat, rng, importance):
+    """One tree grown alone, depth-first and left child first, with the
+    scalar split search; each split adds its impurity decrease to
+    ``importance`` as it is made."""
+    n_total, d = X.shape
+    mtry = params.resolved_mtry(d)
+    feature, threshold, right, cat, node_counts, cats_left = [], [], [], [], [], []
+    if params.bootstrap:
+        root_idx = np.sort(rng.integers(0, n_total, n_total))
+    else:
+        root_idx = np.arange(n_total)
+    # (sample idx, their class counts, depth, parent if a right child else -1)
+    stack = [(root_idx, np.bincount(yv[root_idx], minlength=K), 0, -1)]
+    while stack:
+        idx, counts, depth, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(feature)
+        n = idx.size
+        best = None
+        if n >= 2 * params.min_leaf and (counts > 0).sum() >= 2 and \
+                (params.max_depth is None or depth < params.max_depth):
+            base = float((counts.astype(np.float64) ** 2).sum()) / n
+            cand = np.sort(rng.choice(d, size=mtry, replace=False))
+            best = scalar_best_split(X[idx[:, None], cand], yv[idx], counts,
+                                     is_cat[cand], params.min_leaf)
+            if best is not None and best[0] <= base:
+                best = None
+        f, t, codes = (-1, None, None) if best is None else \
+            (int(cand[best[1]]), best[2], best[3])
+        feature.append(f)
+        threshold.append(np.nan if t is None else t)
+        cat.append(-1 if codes is None else len(cats_left))
+        right.append(-1)
+        node_counts.append(counts if best is None else np.zeros(K, np.int64))
+        if best is None:
+            continue
+        if codes is not None:
+            cats_left.append(np.asarray(codes, dtype=np.float64))
+        col = X[idx, f]
+        mask = np.isin(col, codes) if codes else col <= t
+        left_idx, right_idx = idx[mask], idx[~mask]
+        cl = np.bincount(yv[left_idx], minlength=K)
+        cr = counts - cl
+        importance[f] += (n / n_total) * _gini(counts) \
+            - (left_idx.size / n_total) * _gini(cl) \
+            - (right_idx.size / n_total) * _gini(cr)
+        # push right first so the left child is the next node
+        stack.append((right_idx, cr, depth + 1, len(feature) - 1))
+        stack.append((left_idx, cl, depth + 1, -1))
+    feature = np.asarray(feature, dtype=np.int64)
+    return rf.Nodes(feature=feature,
+                    threshold=np.asarray(threshold, dtype=np.float64),
+                    left=np.where(feature >= 0, np.arange(feature.size) + 1,
+                                  -1),
+                    right=np.asarray(right, dtype=np.int64),
+                    roots=np.zeros(1, np.int64),
+                    counts=np.asarray(node_counts, dtype=np.int64),
+                    cat=np.asarray(cat, dtype=np.int64), cats_left=cats_left)
+
+
+def reference_train(X, y, params, categorical=frozenset(),
+                    schema_id="unspecified"):
+    """The reference trainer: one tree at a time, one scalar split search
+    per node.  -0.0 counts as 0.0, as in training."""
+    X = np.asarray(X, dtype=np.float64) + 0.0
+    classes = sorted(set(y))
+    yv = np.array([classes.index(v) for v in y], dtype=np.int64)
+    is_cat = np.isin(np.arange(X.shape[1]), list(categorical))
+    importance = np.zeros(X.shape[1])
+    trees = [_reference_tree(X, yv, len(classes), params, is_cat,
+                             np.random.default_rng(ss), importance)
+             for ss in np.random.SeedSequence(params.seed).spawn(
+                 params.n_trees)]
+    return rf.Forest(classes=classes, schema_id=schema_id,
+                     n_features=X.shape[1],
+                     categorical=frozenset(int(i) for i in categorical),
+                     params=params, importance_raw=importance,
+                     nodes=rf.Nodes.concat(trees))
+
+
+def _saved(forest):
+    return json.dumps(rf.to_dict(forest), sort_keys=True)
+
+
 def _oracle_dataset(rng, k, n_codes):
     """Integer-valued numeric columns (many ties), one real-valued column
     and two categorical columns with ``n_codes`` arbitrary float codes."""
@@ -210,25 +299,77 @@ def _oracle_dataset(rng, k, n_codes):
     return X, y
 
 
-def test_batched_search_matches_scalar_oracle(monkeypatch):
-    """Whole forests trained with the batched split search and with the
-    scalar one are equal in their saved form: splits, thresholds, codes,
-    node ids, counts and importances."""
+def test_batched_search_matches_scalar_oracle():
+    """Whole forests grown in lockstep with the batched split search, and
+    by the reference trainer with the scalar one, are equal in their saved
+    form: splits, thresholds, codes, node ids, counts and importances."""
     rng = np.random.default_rng(21)
     cases = itertools.product((2, 3, 5), (1, 2, 3), (True, False), (None, 1))
-    trained = []
     for k, min_leaf, bootstrap, max_depth in cases:
         X, y = _oracle_dataset(rng, k, n_codes=2 if k == 2 else 5)
         params = rf.TrainParams(n_trees=3, max_depth=max_depth,
                                 min_leaf=min_leaf, features_per_split=3,
                                 bootstrap=bootstrap, seed=int(rng.integers(99)))
-        trained.append((X, y, params))
-    batched = [json.dumps(rf.to_dict(rf.train(X, y, p, categorical={3, 4})))
-               for X, y, p in trained]
-    monkeypatch.setattr(rf, "_best_split", scalar_best_split)
-    for (X, y, p), saved in zip(trained, batched):
-        assert json.dumps(rf.to_dict(rf.train(X, y, p,
-                                              categorical={3, 4}))) == saved
+        assert _saved(rf.train(X, y, params, categorical={3, 4})) == \
+            _saved(reference_train(X, y, params, categorical={3, 4}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.tuples(st.integers(min_value=1, max_value=20),
+                          st.integers(min_value=1, max_value=3),
+                          st.sampled_from([None, 1, 3]), st.booleans()),
+                min_size=1, max_size=6))
+def test_grown_batch_matches_reference_trainer(seed, shapes):
+    """Forests grown together over one table, each on its own rows
+    (repeated ones too) and columns of it, equal the reference trainer's
+    forests on those rows and columns: classes, min_leaf, max_depth and
+    bootstrap vary by forest.  Columns 5 and 6 are categorical, and
+    rounding leaves both signs of zero in column 4."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    X = np.column_stack([
+        rng.integers(0, 4, n), rng.integers(-2, 3, n), rng.normal(size=n),
+        rng.integers(0, 2, n), np.round(rng.normal(size=n) / 4, 1),
+        rng.choice([-1.5, 0.0, 4.0, 7.25], n), rng.integers(0, 6, n) * 2.5,
+    ]).astype(float)
+    views = []
+    for k, (n_classes, min_leaf, max_depth, bootstrap) in enumerate(shapes):
+        rows = rng.integers(0, n, int(rng.integers(1, 2 * n)))
+        columns = rng.choice(X.shape[1], int(rng.integers(1, X.shape[1] + 1)),
+                             replace=False)
+        params = rf.TrainParams(
+            n_trees=int(rng.integers(1, 4)), max_depth=max_depth,
+            min_leaf=min_leaf, bootstrap=bootstrap,
+            features_per_split=int(rng.integers(1, columns.size + 1)),
+            seed=int(rng.integers(1000)))
+        views.append(rf.View(
+            rows, columns, [f"c{v}" for v in rng.integers(0, n_classes,
+                                                          rows.size)],
+            params, frozenset(np.flatnonzero(columns >= 5).tolist()),
+            f"view{k}"))
+    for view, forest in zip(views, rf.grow(X, views)):
+        assert _saved(forest) == _saved(reference_train(
+            X[view.rows][:, view.columns], view.y, view.params,
+            view.categorical, view.schema_id))
+
+
+def test_signed_zeros_train_the_same_forest():
+    """-0.0 and 0.0 are one value: a forest trained with every zero
+    negated saves the same bytes, its codes and thresholds included."""
+    rng = np.random.default_rng(30)
+    n = 120
+    X = np.column_stack([rng.integers(-1, 2, n) * 0.5,
+                         rng.choice([0.0, 1.0, 2.0], n),
+                         np.round(rng.normal(size=n) / 4, 1)])
+    y = [f"c{int(v)}" for v in (X[:, 0] > 0) + (X[:, 1] == 0)
+         + rng.integers(0, 2, n)]
+    params = rf.TrainParams(n_trees=5, features_per_split=2, seed=4)
+    negated = np.where(X == 0, -0.0, X)
+    forest = rf.train(X + 0.0, y, params, categorical={1})
+    assert forest.nodes.cat.max() >= 0  # a categorical split saves codes
+    assert _saved(rf.train(negated, y, params, categorical={1})) == \
+        _saved(forest)
 
 
 def test_predict_matches_manual_tree_walk():

@@ -504,6 +504,17 @@ class TestTraining:
         assert not bundle.models["http2"].single
         assert bundle.models["http1"].single
 
+    def test_labels_that_never_vary_train_no_problem_forest(self):
+        """One connection of one transaction: every problem has a single
+        label, so its protocol gets a message-type forest and nothing
+        else."""
+        corpus = synthesize_corpus(SynthSpec(
+            seed=3, n_connections=1, protocol_mix={"http1": 1.0},
+            transactions_range=(1, 1)))
+        pm = train_bundle(corpus, params=PARAMS_FAST, seed=0).models["http1"]
+        assert pm.message_type is not None
+        assert not pm.single and not pm.enhanced
+
     def test_training_determinism(self):
         corpus = synthesize_corpus(SynthSpec(seed=24, n_connections=15,
                                              protocol_mix={"http1": 1.0}))
