@@ -192,8 +192,9 @@ def cmd_keyscan(args) -> int:
 def cmd_importance(args) -> int:
     bundle = load_bundle(args.bundle)
     pm = bundle.models[args.protocol]
-    model = pm.message_type if args.problem == "message_type" else \
-        (pm.enhanced if args.stage == "enhanced" else pm.single).get(args.problem)
+    # message types have no enhanced stage
+    model = (pm.enhanced if args.stage == "enhanced" else
+             {**pm.single, "message_type": pm.message_type}).get(args.problem)
     if model is None:
         print(f"error: no {args.stage} model for {args.problem}",
               file=sys.stderr)

@@ -3,8 +3,8 @@
 Pipeline per connection: application-protocol determination (ALPN with a
 record-length fallback), message-type detection over application_data records,
 a first semantics pass per problem, then repeated enhanced passes whose extra
-features summarize the previous iteration's predictions across the connection,
-until the predictions reach a fixed point.
+features summarize the newest predictions around each header, until a pass
+moves no label or ``max_iters`` passes have run (Tor-mode labels can cycle).
 """
 from __future__ import annotations
 
@@ -107,10 +107,8 @@ class _Block:
     ``context`` adds the enhanced models' input: ``vecs``, one indicator
     vector per row in its own protocol's layout, and each connection's
     total, kept in ``totals`` as labels move.  The indicators are 0/1, so
-    every float64 sum of them is exact, whatever its order.  ``moved`` holds
-    the tick of each header's last label move and ``conn_moved`` that of
-    each connection's, or -1; ``last_move`` reads them over a header's
-    window.
+    every float64 sum of them is exact, whatever its order.  ``move`` gives
+    back the rows whose window holds the moved header.
     """
 
     def __init__(self, conns: list[Connection], protocols: list[str],
@@ -160,8 +158,6 @@ class _Block:
             self.vecs[rows, :layout.width] = layout.vectors(
                 [labels[g] for g in rows.tolist()])
         self.totals = np.add.reduceat(self.vecs, self.start, axis=0)
-        self.moved = np.full(len(labels), -1, dtype=np.int64)
-        self.conn_moved = np.full(self.size.shape, -1, dtype=np.int64)
 
     def window(self, heads: np.ndarray) -> np.ndarray:
         """Each header's context: the indicator sums over its window (its
@@ -179,23 +175,20 @@ class _Block:
         g = heads[head_of]
         return np.hstack([self.base[g], ctx[head_of] - self.vecs[g] * masks])
 
-    def last_move(self, heads: np.ndarray) -> np.ndarray:
-        """The tick of the last label move in each header's window."""
-        if self.tor:
-            return self.moved[heads[:, None] + _WINDOW].max(axis=1)
-        return self.conn_moved[self.conn[heads]]
-
-    def move(self, g: int, old: int | None, new: int | None, tick: int,
-             ) -> None:
-        """Header g's indicator moves from column ``old`` to ``new``."""
-        c = self.conn[g]
+    def move(self, g: int, old: int | None, new: int | None,
+             ) -> np.ndarray | slice:
+        """Header g's indicator moves from column ``old`` to ``new``; gives
+        back the rows whose window holds g, all in g's connection."""
+        c = int(self.conn[g])
         if old is not None:
             self.vecs[g, old] = 0.0
             self.totals[c, old] -= 1.0
         if new is not None:
             self.vecs[g, new] = 1.0
             self.totals[c, new] += 1.0
-        self.moved[g] = self.conn_moved[c] = tick
+        if self.tor:
+            return g + _WINDOW
+        return slice(int(self.start[c]), int(self.start[c] + self.size[c]))
 
 
 SWITCH_MARGIN = 0.05
@@ -283,10 +276,12 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
     ``predict_scores`` call over the stacked enhanced models of every
     protocol.  A row's context takes its own protocol's ``Layout`` in the
     columns after the base features; past that layout's width it is zero,
-    and its protocol's forests never read there.  A header is scored only
-    when a label in its context window (its whole connection in standard
-    mode) moved since its last scoring: a clean header's rows have the same
-    input and the same incumbent labels, so none could move.
+    and its protocol's forests never read there.  Only ``dirty`` headers
+    are scored: first every header a model labels, then each one whose window
+    (its whole connection in standard mode) had a label move since it was
+    last scored; a clean header's input and labels are unchanged, so none
+    could move.  A moved header stays dirty until it is next scored, so a
+    connection has converged when a pass leaves none of its headers dirty.
     """
     iterated = {res.protocol for res in results if not res.converged}
     layouts = {protocol: Layout(bundle.problems[protocol])
@@ -315,44 +310,40 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
                             for g in rows.tolist()]
         columns.append([layout.column.get((p.id, c)) for c in forest.classes])
     has_model = uses.any(axis=1)
-    scored = np.full(len(uses), -1, dtype=np.int64)  # tick of last scoring
+    dirty = has_model.copy()
     sizes = block.size
     live = np.array([c for c, res in enumerate(results) if not res.converged],
                     dtype=np.int64)
-    tick = 0
     while live.size:
-        for c in live.tolist():
-            results[c].converged = True  # until one of its labels moves
         for pos in range(int(sizes[live].max())):
             heads = block.start[live[sizes[live] > pos]] + pos
-            heads = heads[has_model[heads]
-                          & (scored[heads] <= block.last_move(heads))]
+            heads = heads[dirty[heads]]
             if not heads.size:
                 continue
+            dirty[heads] = False
             head_of, ks = np.nonzero(uses[heads])
             scores = rf.predict_scores(
                 stack, block.rows(heads, head_of, masks[ks]), ks)
-            scored[heads] = tick
             g = heads[head_of]
             r = np.arange(len(ks))
             best = scores.argmax(axis=1)
             cur = current[g, ks]
             # a row's padding past its model's classes is zero and the row
             # sums to 1, so the padding never holds the first maximum
-            moves = (best != cur) & (scores[r, best] - scores[r, cur]
-                                     > SWITCH_MARGIN)
+            moves = scores[r, best] - scores[r, cur] > SWITCH_MARGIN
             # every row is built already, and a connection's rows all sit in
             # this call, so labels and vectors can move right away
             for i in np.flatnonzero(moves).tolist():
                 gi, k, b = int(g[i]), int(ks[i]), int(best[i])
-                block.move(gi, columns[k][int(cur[i])], columns[k][b], tick)
+                reach = block.move(gi, columns[k][int(cur[i])], columns[k][b])
+                dirty[reach] = has_model[reach]
                 block.labels[gi][enhanced[k].id] = forests[k].classes[b]
                 current[gi, k] = b
-                results[int(block.conn[gi])].converged = False
-            tick += 1
+        busy = np.logical_or.reduceat(dirty, block.start)
         for c in live.tolist():
             results[c].iterations += 1
-        live = np.array([c for c in live.tolist() if not results[c].converged
+            results[c].converged = not busy[c]
+        live = np.array([c for c in live.tolist() if busy[c]
                          and results[c].iterations < max_iters],
                         dtype=np.int64)
 
@@ -442,7 +433,7 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
         block = _Block([lc.conn for lc in members], [protocol] * len(members),
                        heads, bases, labels, mode == "tor")
         del bases
-        if len(set(mt_y)) > 1:
+        if mt_y:  # one class still labels this protocol's records
             pm.message_type = alone(np.concatenate(mt_rows), mt_y,
                                     model_index, schema)
         del mt_rows

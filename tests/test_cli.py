@@ -569,8 +569,9 @@ def test_importance_names_enhanced_context_columns(saved_bundle, tmp_path,
 
 def test_importance_without_a_model_is_one_error_line(saved_bundle, tmp_path,
                                                       capsys):
-    """An http1-only bundle has no http2 models, and no bundle has a model
-    for an unknown problem: either is one error line and exit 1."""
+    """An http1-only bundle has no http2 models, no bundle has a model for
+    an unknown problem, and message types have no enhanced stage: each is
+    one error line and exit 1."""
     corpus, _ = saved_bundle
     lines = open(corpus).read().splitlines()
     http1 = tmp_path / "http1.jsonl"
@@ -579,12 +580,17 @@ def test_importance_without_a_model_is_one_error_line(saved_bundle, tmp_path,
     bundle = str(tmp_path / "b.json")
     assert _run(capsys, "train", str(http1), "--trees", "2", "--out",
                 bundle)[0] == 0
-    for protocol, problem in [("http2", "request.method"),
-                              ("http1", "request.teapot")]:
+    for protocol, problem, stage in [("http2", "request.method", "single"),
+                                     ("http1", "request.teapot", "single"),
+                                     ("http1", "message_type", "enhanced")]:
         code, out, err = _run(capsys, "importance", "--bundle", bundle,
-                              "--protocol", protocol, "--problem", problem)
+                              "--protocol", protocol, "--problem", problem,
+                              "--stage", stage)
         assert (code, out) == (1, "")
-        assert err == f"error: no single model for {problem}\n"
+        assert err == f"error: no {stage} model for {problem}\n"
+    code, out, _ = _run(capsys, "importance", "--bundle", bundle,
+                        "--problem", "message_type")
+    assert code == 0 and out
 
 
 def test_determinism_across_runs(tmp_path, capsys):

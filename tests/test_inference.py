@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from datetime import timedelta
@@ -66,7 +67,11 @@ def reference_passes(models, problems, block, members, max_iters):
     indicator vectors, every row is scored, and each label is applied in
     Python.  Run on one protocol's block by ``reference_classify``; the
     one loop of ``classify_corpus`` must give the same labels, pass counts
-    and flags."""
+    and flags.
+
+    Gives back how many of the rows scored could have had another outcome:
+    a header's rows count when the labels in its window differ from those
+    it saw at its last scoring, or when it was never scored."""
     enhanced = [p for p in problems if p.id in models.enhanced]
     layout = Layout(problems)
     spans = [layout.span[p.id] for p in enhanced]
@@ -78,9 +83,17 @@ def reference_passes(models, problems, block, members, max_iters):
     heads = [range(at, at + n) for at, n in
              zip(block.start.tolist(), block.size.tolist())]
     vecs = [layout.vectors([block.labels[g] for g in rows]) for rows in heads]
+    seen = {}  # (c, pos): the labels in the header's window at its scoring
+    counted = 0
 
     def rows(c, pos, ks):
+        nonlocal counted
         window = _tor_window(len(heads[c]), pos) if block.tor else None
+        lo, hi = window or (0, len(heads[c]) - 1)
+        now = [dict(block.labels[g]) for g in heads[c][lo:hi + 1]]
+        if seen.get((c, pos)) != now:
+            counted += len(ks)
+        seen[c, pos] = now
         ctx = _context(vecs[c], pos, [spans[k] for k in ks], window)
         base = np.broadcast_to(block.base[heads[c][pos]],
                                (len(ks), block.base.shape[1]))
@@ -123,15 +136,17 @@ def reference_passes(models, problems, block, members, max_iters):
             members[c].iterations += 1
         active = [c for c in active if not members[c].converged
                   and members[c].iterations < max_iters]
+    return counted
 
 
 def reference_classify(bundle, conns, max_iters):
     """``classify_corpus`` with the enhanced passes of ``reference_passes``,
-    one protocol at a time.  The first pass is ``classify_corpus``'s at
-    max_iters=1; each protocol's headers then form a block of their own,
-    whose label dicts are the results' own, so the passes label them in
-    place."""
+    one protocol at a time, and the rows those count.  The first pass is
+    ``classify_corpus``'s at max_iters=1; each protocol's headers then form
+    a block of their own, whose label dicts are the results' own, so the
+    passes label them in place."""
     results = classify_corpus(bundle, conns, max_iters=1)
+    counted = 0
     for protocol in PROTOCOLS:
         picked = [c for c, res in enumerate(results)
                   if res.protocol == protocol]
@@ -146,9 +161,10 @@ def reference_classify(bundle, conns, max_iters):
              for c, idx in zip(picked, heads)],
             [[res.records[i].labels for i in idx]
              for res, idx in zip(members, heads)], bundle.mode == "tor")
-        reference_passes(bundle.models[protocol], bundle.problems[protocol],
-                         block, members, max_iters)
-    return results
+        counted += reference_passes(bundle.models[protocol],
+                                    bundle.problems[protocol], block, members,
+                                    max_iters)
+    return results, counted
 
 
 def _header_block(label_lists, tor=False, problems=PROBS_H1):
@@ -515,6 +531,30 @@ class TestTraining:
         assert pm.message_type is not None
         assert not pm.single and not pm.enhanced
 
+    def test_a_protocol_of_headers_only_keeps_its_message_types(self):
+        """When every application record of a protocol is a header, its
+        message-type forest has the one class 1: the bundle loads, and
+        classification still finds that protocol's headers."""
+        corpus = synthesize_corpus(SynthSpec(seed=3, n_connections=12,
+                                             transactions_range=(1, 2)))
+        app = {}
+        for lc in corpus:
+            app[lc.connection_id] = [
+                rec.index for rec in lc.conn.records if rec.type_code == 23]
+            if lc.protocol == "http1":
+                for lr in lc.records:
+                    lr.message_type |= lr.index in app[lc.connection_id]
+        bundle = bundle_from_dict(bundle_to_dict(
+            train_bundle(corpus, params=PARAMS_FAST, seed=0)))
+        assert bundle.models["http1"].message_type.classes == [1]
+        results = classify_corpus(bundle, [lc.conn for lc in corpus], 1)
+        http1 = [(lc, res) for lc, res in zip(corpus, results)
+                 if res.protocol == "http1"]
+        assert http1
+        for lc, res in http1:
+            assert [r.index for r in res.records if r.message_type] == \
+                app[lc.connection_id]
+
     def test_training_determinism(self):
         corpus = synthesize_corpus(SynthSpec(seed=24, n_connections=15,
                                              protocol_mix={"http1": 1.0}))
@@ -669,6 +709,18 @@ def oracle_worlds(small_world):
     return [bundle, tor], [lc.conn for lc in test]
 
 
+@pytest.fixture(scope="module")
+def oracle_inputs(oracle_worlds):
+    """The oracle bundles and two corpora: the test connections, and four
+    long ones, where a Tor window holds only part of a connection and two
+    Tor-mode connections cycle until the pass limit."""
+    bundles, conns = oracle_worlds
+    long = synthesize_corpus(SynthSpec(seed=27, n_connections=4,
+                                       transactions_range=(20, 25),
+                                       filler_range=(0, 4)))
+    return bundles, [conns, [lc.conn for lc in long]]
+
+
 def _counting_stacked_calls(monkeypatch):
     """Count the calls and rows that ``predict_scores`` scores for a Stack
     (the enhanced passes), into the last entry of the list returned."""
@@ -687,11 +739,11 @@ def _counting_stacked_calls(monkeypatch):
 
 class TestGaussSeidelOracle:
     @pytest.mark.parametrize("max_iters", [1, 2, 10])
-    def test_block_passes_match_the_reference(self, oracle_worlds, max_iters):
-        bundles, conns = oracle_worlds
-        for bundle in bundles:
+    def test_block_passes_match_the_reference(self, oracle_inputs, max_iters):
+        bundles, corpora = oracle_inputs
+        for bundle, conns in itertools.product(bundles, corpora):
             got = classify_corpus(bundle, conns, max_iters)
-            want = reference_classify(bundle, conns, max_iters)
+            want, _ = reference_classify(bundle, conns, max_iters)
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
             assert {res.protocol for res in got} == set(PROTOCOLS)
             assert len({sum(r.message_type for r in res.records)
@@ -699,18 +751,19 @@ class TestGaussSeidelOracle:
             if max_iters == 10:
                 assert any(res.iterations > 2 for res in got)
 
-    def test_clean_rows_are_not_scored(self, oracle_worlds, monkeypatch):
+    def test_clean_rows_are_not_scored(self, oracle_inputs, monkeypatch):
         """Skipping headers whose window did not move since their last
-        scoring gives fewer rows to predict_scores and the same results."""
-        bundles, conns = oracle_worlds
+        scoring gives the same results, from exactly the rows that the
+        reference counts: those of headers whose window labels changed."""
+        bundles, corpora = oracle_inputs
         counted = _counting_stacked_calls(monkeypatch)
-        for bundle in bundles:
+        for bundle, conns in itertools.product(bundles, corpora):
             counted.append([0, 0])
             got = classify_corpus(bundle, conns)
             counted.append([0, 0])
-            want = reference_classify(bundle, conns, MAX_ITERS_DEFAULT)
+            want, rows = reference_classify(bundle, conns, MAX_ITERS_DEFAULT)
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
-            assert counted[-2][1] < counted[-1][1]
+            assert counted[-2][1] == rows < counted[-1][1]
 
     @pytest.mark.parametrize("max_iters", [1, 10])
     def test_empty_and_headerless_corpora(self, oracle_worlds, max_iters):
