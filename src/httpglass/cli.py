@@ -21,8 +21,8 @@ from .capture import load_pcap
 from .corpus import (SynthSpec, ground_truth_session, load_corpus, save_corpus,
                      split_dataset, synthesize_corpus)
 from .features import MODES, feature_names, record_table
-from .inference import (DEFAULT_PARAMS, classify_corpus, load_bundle,
-                        save_bundle, train_bundle)
+from .inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT, classify_corpus,
+                        load_bundle, save_bundle, train_bundle)
 from .registry import PROTOCOLS, Layout
 from .tlsparse import parse_tls_records
 
@@ -117,14 +117,12 @@ def cmd_infer(args) -> int:
         for (cid, conn), res in zip(items, results):
             head = (f'{{"connection": {json.dumps(cid)}, '
                     f'"converged": {json.dumps(res.converged)}, "direction": ')
-            for rp in res.records:
-                if not rp.message_type:
-                    continue
-                prefix = (f"{head}{int(conn.records[rp.index].direction)}, "
+            for index, labels in res.headers.items():
+                prefix = (f"{head}{int(conn.records[index].direction)}, "
                           f'"iteration_count": {res.iterations}, "label": ')
-                suffix = (f', "record": {rp.index}, "schema_version": '
+                suffix = (f', "record": {index}, "schema_version": '
                           f'{OUTPUT_SCHEMA_VERSION}, "score": null}}\n')
-                for problem, label in sorted(rp.labels.items()):
+                for problem, label in sorted(labels.items()):
                     out.write(f"{prefix}{encode(label)}, "
                               f'"problem": {encode(problem)}{suffix}')
     return 0
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcap")
     p.add_argument("--corpus")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS_DEFAULT)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval",

@@ -17,7 +17,8 @@ from .corpus import LabeledConnection
 from .features import (build_feature_vocab, enrich_malware_features,
                        extract_malware_standard, feature_names,
                        malware_categorical_indices, SCHEMA_MALWARE_STANDARD)
-from .inference import ModelBundle, aggregate_predictions, classify_corpus
+from .inference import (MAX_ITERS_DEFAULT, ModelBundle, aggregate_predictions,
+                        classify_corpus)
 from .registry import OTHER, PROTOCOLS, Layout, registry
 
 # Table 4 reference points from the original study, recorded for context in
@@ -105,66 +106,63 @@ def precision_recall(cm: ConfusionMatrix, positive: str) -> tuple[float, float]:
 
 # --- semantics experiment ---
 
-def _connection_eval_sets(lc: LabeledConnection, result,
+def _connection_eval_sets(lc: LabeledConnection, headers: dict,
                           filter_misclassified: bool):
-    """(truth, predicted) header-record pairs for one connection.
+    """(ground-truth record, predicted labels) pairs for one connection's
+    ``headers``.
 
     Evaluation covers records that are header-bearing in both truth and
     prediction; with paper-style filtering, a connection with any
     message-type disagreement is discarded outright.
     """
-    gt = {lr.index: lr for lr in lc.records}
-    pred = {rp.index: rp for rp in result.records}
-    if filter_misclassified:
-        for idx, lr in gt.items():
-            if lr.message_type != pred[idx].message_type:
-                return []
-    return [(gt[idx], pred[idx]) for idx in gt
-            if gt[idx].message_type and pred[idx].message_type]
+    if filter_misclassified and any(lr.message_type != (lr.index in headers)
+                                    for lr in lc.records):
+        return []
+    return [(lr, headers[lr.index]) for lr in lc.records
+            if lr.message_type and lr.index in headers]
 
 
 def run_semantics_experiment(bundle: ModelBundle,
                              train: list[LabeledConnection],
                              test: list[LabeledConnection],
-                             max_iters: int = 10,
+                             max_iters: int = MAX_ITERS_DEFAULT,
                              filter_misclassified: bool = False) -> dict:
     """Report a bundle's single-pass vs iterative metrics on ``test`` per
     problem, plus message-type, protocol, and convergence statistics;
-    ``train`` is the corpus it was trained on, counted in the report."""
-    conns = [lc.conn for lc in test]
-    single = classify_corpus(bundle, conns, max_iters=1)
-    iterative = classify_corpus(bundle, conns, max_iters=max_iters)
+    ``train`` is the corpus it was trained on, counted in the report.  Both
+    stages come from one classification: the single pass is its first."""
+    results = classify_corpus(bundle, [lc.conn for lc in test], max_iters)
 
     proto_cm = ConfusionMatrix.from_pairs(
-        [lc.protocol for lc in test], [r.protocol for r in iterative],
+        [lc.protocol for lc in test], [r.protocol for r in results],
         labels=PROTOCOLS)
 
     mt_truth, mt_pred = [], []
-    for lc, res in zip(test, iterative):
-        flags = {rp.index: rp.message_type for rp in res.records}
+    for lc, res in zip(test, results):
         for lr, rec in zip(lc.records, lc.conn.records):
             if rec.type_code == 23:
                 mt_truth.append(int(lr.message_type))
-                mt_pred.append(int(flags[lr.index]))
+                mt_pred.append(int(lr.index in res.headers))
     mt_cm = ConfusionMatrix.from_pairs(mt_truth, mt_pred, labels=[0, 1])
 
     problems_report = {}
     for protocol in PROTOCOLS:
-        members = [(lc, s, it) for lc, s, it in zip(test, single, iterative)
+        members = [(lc, res) for lc, res in zip(test, results)
                    if lc.protocol == protocol]
         if not members:
             continue
         for p in bundle.problems[protocol]:
             valid = set(p.labels) | {OTHER}
             pairs = {"single_pass": [], "iterative": []}
-            for lc, s, it in members:
-                for stage, res in (("single_pass", s), ("iterative", it)):
-                    for lr, rp in _connection_eval_sets(lc, res,
-                                                        filter_misclassified):
+            for lc, res in members:
+                for stage, headers in (("single_pass", res.first_pass),
+                                       ("iterative", res.headers)):
+                    for lr, labels in _connection_eval_sets(
+                            lc, headers, filter_misclassified):
                         if p.id not in lr.labels:
                             continue
                         truth = lr.labels[p.id]
-                        pred = rp.labels.get(p.id, OTHER)
+                        pred = labels.get(p.id, OTHER)
                         pairs[stage].append(
                             (truth if truth in valid else OTHER,
                              pred if pred in valid else OTHER))
@@ -190,7 +188,7 @@ def run_semantics_experiment(bundle: ModelBundle,
             entry["labels"] = labels
             problems_report[key] = entry
 
-    iters = [r.iterations for r in iterative]
+    iters = [r.iterations for r in results]
     return {
         "mode": bundle.mode,
         "filter_misclassified": filter_misclassified,
@@ -203,10 +201,10 @@ def run_semantics_experiment(bundle: ModelBundle,
         "problems": problems_report,
         "convergence": {
             "iterations": iters,
-            "converged": [bool(r.converged) for r in iterative],
+            "converged": [bool(r.converged) for r in results],
             "fraction_converged": float(np.mean([r.converged
-                                                 for r in iterative]))
-            if iterative else 1.0,
+                                                 for r in results]))
+            if results else 1.0,
             "max_iterations": max(iters) if iters else 0,
         },
         "f1_zero_denominator_convention": "labels with no support contribute 0",
@@ -252,18 +250,14 @@ def run_malware_experiment(benign: list[LabeledConnection],
     vocab = build_feature_vocab([lc.conn for lc, _ in train_set])
     problems = registry("http1", bundle.include_etag)
 
-    def featurize(group):
-        conns = [lc.conn for lc, _ in group]
-        results = classify_corpus(bundle, conns)
-        enr = np.stack([
-            enrich_malware_features(extract_malware_standard(c, vocab),
-                                    aggregate_predictions(problems, res))
-            for c, res in zip(conns, results)])
-        y = [label for _, label in group]
-        return enr, y
-
-    Xtr, y_tr = featurize(train_set)
-    Xte, y_te = featurize(test_set)
+    conns = [lc.conn for lc, _ in train_set + test_set]
+    X = np.stack([
+        enrich_malware_features(extract_malware_standard(c, vocab),
+                                aggregate_predictions(problems, res))
+        for c, res in zip(conns, classify_corpus(bundle, conns))])
+    Xtr, Xte = X[:len(train_set)], X[len(train_set):]
+    y_tr = [label for _, label in train_set]
+    y_te = [label for _, label in test_set]
     if len(set(y_tr)) < 2:
         raise EvalError("both classes must appear in the training split")
 

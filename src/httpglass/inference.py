@@ -15,7 +15,7 @@ import numpy as np
 
 from . import HttpglassError, forest as rf
 from .capture import Direction
-from .corpus import LabeledConnection, LabeledRecord
+from .corpus import LabeledConnection
 from .features import (ALP_FALLBACK_LEN, MODES, SCHEMA_ALP_FALLBACK,
                        alp_fallback_features, record_categorical_indices,
                        record_table)
@@ -39,10 +39,14 @@ class InferenceError(HttpglassError):
 
 @dataclass
 class ConnectionResult:
+    """What classification decided for one connection: each predicted
+    header's labels, keyed by record index, after the first pass and after
+    the last."""
     protocol: str
     iterations: int
     converged: bool
-    records: list[LabeledRecord]
+    first_pass: dict[int, dict[str, str]]
+    headers: dict[int, dict[str, str]]
 
 
 @dataclass
@@ -209,7 +213,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
     if max_iters < 1:
         raise InferenceError("max_iters must be >= 1")
     results = [ConnectionResult(protocol=protocol, iterations=1,
-                                converged=False, records=[])
+                                converged=False, first_pass={}, headers={})
                for protocol in _protocols(bundle, conns)]
 
     # message types, one batch per protocol; only the header rows of its
@@ -242,21 +246,17 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
                 for g, label in zip(rows.tolist(), labels):
                     block.labels[g][p.id] = label
 
-    # a connection without headers or enhanced models has nothing to
-    # iterate, so it has converged
-    for res, n in zip(results, block.size.tolist()):
+    # each connection's headers, read from its row range; the passes below
+    # relabel the row dicts in place
+    for res, at, n in zip(results, block.start.tolist(), block.size.tolist()):
+        res.headers = dict(zip(block.index[at:at + n].tolist(),
+                               block.labels[at:at + n]))
+        res.first_pass = {i: dict(labels) for i, labels in res.headers.items()}
+        # a connection without headers or enhanced models has nothing to
+        # iterate, so it has converged
         res.converged = not (bundle.models[res.protocol].enhanced and n)
     if max_iters > 1 and not all(res.converged for res in results):
         _enhanced_passes(bundle, block, results, max_iters)
-
-    # each connection's records, its headers read from its row range
-    for conn, res, at, n in zip(conns, results, block.start.tolist(),
-                                block.size.tolist()):
-        labels = dict(zip(block.index[at:at + n].tolist(),
-                          block.labels[at:at + n]))
-        res.records = [LabeledRecord(index=i, message_type=i in labels,
-                                     labels=labels.get(i, {}))
-                       for i in range(len(conn.records))]
     return results
 
 
@@ -351,8 +351,7 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
 def aggregate_predictions(problems: list[ProblemSpec],
                           result: ConnectionResult) -> np.ndarray:
     """Connection-level sum of predicted indicator vectors (Section 5 enrichment)."""
-    return Layout(problems).vectors([rec.labels for rec in result.records
-                                     if rec.message_type]).sum(axis=0)
+    return Layout(problems).vectors(list(result.headers.values())).sum(axis=0)
 
 
 # --- training ---

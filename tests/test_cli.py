@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -610,3 +611,48 @@ def test_determinism_across_runs(tmp_path, capsys):
         artifacts[run] = tuple(open(p, "rb").read()
                                for p in (corpus, bundle, preds))
     assert artifacts["a"] == artifacts["b"]
+
+
+# sha256 of each output of test_infer_and_eval_outputs_are_pinned
+PINNED_OUTPUTS = {
+    "standard": {
+        "infer-1":
+            "7d54b9485be1fb93336fc2efe3334aa3500255654d89230c8f2480a4bf88b8e1",
+        "infer-10":
+            "0c875099eda9bce8ff8c7c5cb95ebf6be53f8877594438cdf535225d6b98a0ec",
+        "eval":
+            "60ef806e99ff7de57a8ed5e71c65896013aff35f4ad1028a443cb7142ff6cc87",
+    },
+    "tor": {
+        "infer-1":
+            "8bf413d23be9aacd4856f54834bb1a20128399fc82ce08bd3e7f3a9f0baa88d5",
+        "infer-10":
+            "bfc12f4ae3ed057b65184607d8fcc0590f833fa43b92a1ed07a3740eb4cc6b12",
+        "eval":
+            "ce525d4e34a780fc1bee60cf0b7ded76d7871e106489f5655aadda0340f4a880",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["standard", "tor"])
+def test_infer_and_eval_outputs_are_pinned(mode, tmp_path, capsys):
+    """The bytes ``infer`` writes at one pass and at ten, and the bytes of
+    an ``eval`` report as json, on a small seeded corpus."""
+    corpus = str(tmp_path / "corpus.jsonl")
+    bundle = str(tmp_path / "bundle.json")
+    assert _run(capsys, "synth", "--connections", "30", "--seed", "11",
+                "--out", corpus)[0] == 0
+    assert _run(capsys, "train", corpus, "--mode", mode, "--trees", "4",
+                "--seed", "2", "--out", bundle)[0] == 0
+    got = {}
+    for iters in ("1", "10"):
+        code, out, _ = _run(capsys, "infer", "--corpus", corpus, "--bundle",
+                            bundle, "--max-iters", iters)
+        assert code == 0 and out
+        got[f"infer-{iters}"] = hashlib.sha256(out.encode()).hexdigest()
+    code, out, _ = _run(capsys, "eval", "--corpus", corpus, "--mode", mode,
+                        "--split", "by_fraction", "--trees", "4",
+                        "--seed", "2")
+    assert code == 0
+    got["eval"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_OUTPUTS[mode]

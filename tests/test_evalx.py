@@ -109,7 +109,56 @@ def report():
     return run_semantics_experiment(bundle, train, test, max_iters=5)
 
 
+@pytest.fixture(scope="module", params=["standard", "tor"])
+def mixed_world(request):
+    """A bundle of both protocols and the corpus split it was trained on;
+    filler records make it miss some message types, so filtering drops
+    connections."""
+    corpus = synthesize_corpus(SynthSpec(seed=32, n_connections=50,
+                                         transactions_range=(1, 3),
+                                         filler_range=(0, 3)))
+    train, test = split_dataset(corpus, policy="by_fraction",
+                                fraction=0.7, seed=0)
+    return train_bundle(train, mode=request.param, params=TrainParams(
+        n_trees=8, max_depth=12, min_leaf=2)), train, test
+
+
+def _widened(entry, stage, labels):
+    """``entry[stage]`` as it reads on the wider label list ``labels``: the
+    labels it lacks are never true and never predicted."""
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    at = [labels.index(l) for l in entry["labels"]]
+    counts[np.ix_(at, at)] = entry[stage]["confusion"]
+    cm = ConfusionMatrix(labels, counts)
+    return {"f1": unweighted_f1(cm), "accuracy": accuracy(cm),
+            "vacuous_labels": cm.vacuous_labels(),
+            "confusion": cm.counts.tolist()}
+
+
 class TestSemanticsExperiment:
+    @pytest.mark.parametrize("filter_misclassified", [False, True])
+    def test_single_pass_is_a_one_pass_run(self, mixed_world,
+                                           filter_misclassified):
+        """Each problem's single-pass scores are those a run capped at one
+        pass reports as iterative, on the label list the longer run
+        observes; the later passes move some problem's scores."""
+        many, one = (run_semantics_experiment(*mixed_world, max_iters,
+                                              filter_misclassified)
+                     for max_iters in (10, 1))
+        assert many["problems"].keys() == one["problems"].keys()
+        moved = False
+        for key, entry in many["problems"].items():
+            if entry["status"] != "ok":
+                assert one["problems"][key] == entry
+                continue
+            other = one["problems"][key]
+            assert other["n_test_records"] == entry["n_test_records"]
+            assert set(other["labels"]) <= set(entry["labels"])
+            assert entry["single_pass"] == \
+                _widened(other, "iterative", entry["labels"])
+            moved |= entry["single_pass"] != entry["iterative"]
+        assert moved
+
     def test_report_shape(self, report):
         assert "protocol" in report and "message_type" in report
         assert "convergence" in report

@@ -42,7 +42,7 @@ def single_pass_classify(bundle, conn):
 
 def _outcome(res):
     return (res.protocol, res.iterations, res.converged,
-            [(r.index, r.message_type, r.labels) for r in res.records])
+            list(res.first_pass.items()), list(res.headers.items()))
 
 
 def _tor_window(n_headers, pos):
@@ -153,14 +153,13 @@ def reference_classify(bundle, conns, max_iters):
         members = [results[c] for c in picked]
         if max_iters == 1 or all(res.converged for res in members):
             continue
-        heads = [[r.index for r in res.records if r.message_type]
-                 for res in members]
+        heads = [list(res.headers) for res in members]
         block = inference._Block(
             [conns[c] for c in picked], [protocol] * len(picked), heads,
             [record_table(conns[c], bundle.mode)[idx]
              for c, idx in zip(picked, heads)],
-            [[res.records[i].labels for i in idx]
-             for res, idx in zip(members, heads)], bundle.mode == "tor")
+            [list(res.headers.values()) for res in members],
+            bundle.mode == "tor")
         counted += reference_passes(bundle.models[protocol],
                                     bundle.problems[protocol], block, members,
                                     max_iters)
@@ -376,12 +375,9 @@ class TestClassification:
         for lc in test[:8]:
             res = classify_connection(bundle, lc.conn)
             probs = {p.id: p for p in registry(res.protocol)}
-            for rp in res.records:
-                rec = lc.conn.records[rp.index]
-                if not rp.message_type:
-                    assert rp.labels == {}
-                    continue
-                for pid in rp.labels:
+            for index, labels in res.headers.items():
+                rec = lc.conn.records[index]
+                for pid in labels:
                     side = probs[pid].side
                     expected = Side.CLIENT if rec.direction == 0 else Side.SERVER
                     assert side == expected
@@ -390,9 +386,8 @@ class TestClassification:
         bundle, _, test = small_world
         for lc in test[:8]:
             res = classify_connection(bundle, lc.conn)
-            for rp in res.records:
-                if lc.conn.records[rp.index].type_code != 23:
-                    assert not rp.message_type
+            for index in res.headers:
+                assert lc.conn.records[index].type_code == 23
 
     def test_single_pass_is_iteration_one(self, small_world):
         bundle, _, test = small_world
@@ -426,9 +421,8 @@ class TestClassification:
                     continue
                 again = classify_connection(bundle, conn, max_iters=limit)
                 assert (again.iterations, again.converged) == expected
-                assert [(r.index, r.message_type, r.labels)
-                        for r in again.records] == \
-                    [(r.index, r.message_type, r.labels) for r in res.records]
+                assert list(again.headers.items()) == \
+                    list(res.headers.items())
 
     def test_classify_corpus_matches_per_connection(self, small_world):
         bundle, _, test = small_world
@@ -437,8 +431,7 @@ class TestClassification:
         for conn, got in zip(conns, batch):
             solo = classify_connection(bundle, conn, max_iters=10)
             assert got.protocol == solo.protocol
-            assert [(r.index, r.message_type, r.labels) for r in got.records] \
-                == [(r.index, r.message_type, r.labels) for r in solo.records]
+            assert list(got.headers.items()) == list(solo.headers.items())
 
     def test_one_pass_converges_only_without_headers(self, small_world):
         """At max_iters=1 no enhanced pass runs, so a connection with headers
@@ -449,8 +442,7 @@ class TestClassification:
         bare = replace(conns[0], records=[r for r in conns[0].records
                                           if r.type_code != 23])
         results = classify_corpus(bundle, conns + [bare], max_iters=1)
-        has_headers = [any(r.message_type for r in res.records)
-                       for res in results]
+        has_headers = [bool(res.headers) for res in results]
         assert has_headers[-1] is False and sum(has_headers) >= 10
         for res, headers in zip(results, has_headers):
             assert res.iterations == 1
@@ -493,7 +485,7 @@ class TestClassification:
         probs = registry("http1")
         agg = aggregate_predictions(probs, res)
         assert agg.shape == (58,)
-        n_pred_headers = sum(1 for r in res.records if r.message_type)
+        n_pred_headers = len(res.headers)
         # every header contributes at most one indicator per problem
         assert agg.sum() <= n_pred_headers * len(probs)
 
@@ -552,8 +544,7 @@ class TestTraining:
                  if res.protocol == "http1"]
         assert http1
         for lc, res in http1:
-            assert [r.index for r in res.records if r.message_type] == \
-                app[lc.connection_id]
+            assert list(res.headers) == app[lc.connection_id]
 
     def test_training_determinism(self):
         corpus = synthesize_corpus(SynthSpec(seed=24, n_connections=15,
@@ -629,8 +620,7 @@ class TestTraining:
         conn = test[0].conn
         a = classify_connection(bundle, conn)
         b = classify_connection(loaded, conn)
-        assert [(r.message_type, r.labels) for r in a.records] == \
-            [(r.message_type, r.labels) for r in b.records]
+        assert list(a.headers.items()) == list(b.headers.items())
 
     @pytest.mark.parametrize("content", [b"not a bundle\n",
                                          b"\xff\xfe\x80\x00{}"],
@@ -696,8 +686,7 @@ class TestFixedPoint:
             many = classify_connection(bundle, lc.conn, max_iters=10)
             assert many.converged
             assert many.protocol == one.protocol
-            assert [r.message_type for r in many.records] == \
-                [r.message_type for r in one.records]
+            assert list(many.headers) == list(one.headers)
 
 
 @pytest.fixture(scope="module")
@@ -746,8 +735,7 @@ class TestGaussSeidelOracle:
             want, _ = reference_classify(bundle, conns, max_iters)
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
             assert {res.protocol for res in got} == set(PROTOCOLS)
-            assert len({sum(r.message_type for r in res.records)
-                        for res in got}) > 1
+            assert len({len(res.headers) for res in got}) > 1
             if max_iters == 10:
                 assert any(res.iterations > 2 for res in got)
 
@@ -765,6 +753,19 @@ class TestGaussSeidelOracle:
             assert [_outcome(r) for r in got] == [_outcome(r) for r in want]
             assert counted[-2][1] == rows < counted[-1][1]
 
+    def test_first_pass_is_a_one_pass_run(self, oracle_inputs):
+        """A result's first-pass labels are the labels a run capped at one
+        pass ends with, on the same headers, though the later passes move
+        labels."""
+        bundles, corpora = oracle_inputs
+        for bundle, conns in itertools.product(bundles, corpora):
+            many = classify_corpus(bundle, conns, 10)
+            one = classify_corpus(bundle, conns, 1)
+            for a, b in zip(many, one):
+                assert list(a.headers) == list(b.headers)
+                assert list(a.first_pass.items()) == list(b.headers.items())
+            assert any(a.headers != a.first_pass for a in many)
+
     @pytest.mark.parametrize("max_iters", [1, 10])
     def test_empty_and_headerless_corpora(self, oracle_worlds, max_iters):
         """The one block takes an empty corpus and connections without
@@ -777,9 +778,9 @@ class TestGaussSeidelOracle:
         for bundle in bundles:
             assert classify_corpus(bundle, [], max_iters) == []
             alone = classify_corpus(bundle, bare, max_iters)
-            assert [(len(res.records), res.iterations, res.converged)
-                    for res in alone] == [(2, 1, True), (0, 1, True)]
-            assert not any(r.message_type for r in alone[0].records)
+            assert [(res.first_pass, res.headers, res.iterations,
+                     res.converged) for res in alone] == \
+                [({}, {}, 1, True)] * 2
             mixed = classify_corpus(bundle, bare[:1] + conns + bare[1:],
                                     max_iters)
             assert [_outcome(r) for r in mixed] == [_outcome(r) for r in (
