@@ -106,22 +106,6 @@ def precision_recall(cm: ConfusionMatrix, positive: str) -> tuple[float, float]:
 
 # --- semantics experiment ---
 
-def _connection_eval_sets(lc: LabeledConnection, headers: dict,
-                          filter_misclassified: bool):
-    """(ground-truth record, predicted labels) pairs for one connection's
-    ``headers``.
-
-    Evaluation covers records that are header-bearing in both truth and
-    prediction; with paper-style filtering, a connection with any
-    message-type disagreement is discarded outright.
-    """
-    if filter_misclassified and any(lr.message_type != (lr.index in headers)
-                                    for lr in lc.records):
-        return []
-    return [(lr, headers[lr.index]) for lr in lc.records
-            if lr.message_type and lr.index in headers]
-
-
 def run_semantics_experiment(bundle: ModelBundle,
                              train: list[LabeledConnection],
                              test: list[LabeledConnection],
@@ -130,56 +114,57 @@ def run_semantics_experiment(bundle: ModelBundle,
     """Report a bundle's single-pass vs iterative metrics on ``test`` per
     problem, plus message-type, protocol, and convergence statistics;
     ``train`` is the corpus it was trained on, counted in the report.  Both
-    stages come from one classification: the single pass is its first."""
+    stages come from one classification: the single pass is its first.
+
+    A problem is scored on the records that are header-bearing in both
+    truth and prediction; with paper-style filtering, a connection with any
+    message-type disagreement is discarded outright.
+    """
     results = classify_corpus(bundle, [lc.conn for lc in test], max_iters)
 
     proto_cm = ConfusionMatrix.from_pairs(
         [lc.protocol for lc in test], [r.protocol for r in results],
         labels=PROTOCOLS)
 
+    # per protocol with test connections: (truth, first-pass, final labels)
+    # of each evaluated record
+    evaluated: dict[str, list] = {}
     mt_truth, mt_pred = [], []
     for lc, res in zip(test, results):
         for lr, rec in zip(lc.records, lc.conn.records):
             if rec.type_code == 23:
                 mt_truth.append(int(lr.message_type))
                 mt_pred.append(int(lr.index in res.headers))
+        rows = evaluated.setdefault(lc.protocol, [])
+        if filter_misclassified and any(
+                lr.message_type != (lr.index in res.headers)
+                for lr in lc.records):
+            continue
+        rows.extend((lr.labels, res.first_pass[lr.index], res.headers[lr.index])
+                    for lr in lc.records
+                    if lr.message_type and lr.index in res.headers)
     mt_cm = ConfusionMatrix.from_pairs(mt_truth, mt_pred, labels=[0, 1])
 
     problems_report = {}
-    for protocol in PROTOCOLS:
-        members = [(lc, res) for lc, res in zip(test, results)
-                   if lc.protocol == protocol]
-        if not members:
-            continue
+    for protocol, rows in evaluated.items():
         for p in bundle.problems[protocol]:
             valid = set(p.labels) | {OTHER}
-            pairs = {"single_pass": [], "iterative": []}
-            for lc, res in members:
-                for stage, headers in (("single_pass", res.first_pass),
-                                       ("iterative", res.headers)):
-                    for lr, labels in _connection_eval_sets(
-                            lc, headers, filter_misclassified):
-                        if p.id not in lr.labels:
-                            continue
-                        truth = lr.labels[p.id]
-                        pred = labels.get(p.id, OTHER)
-                        pairs[stage].append(
-                            (truth if truth in valid else OTHER,
-                             pred if pred in valid else OTHER))
+            scored = [[l if l in valid else OTHER for l in
+                       (truth[p.id], first.get(p.id, OTHER),
+                        final.get(p.id, OTHER))]
+                      for truth, first, final in rows if p.id in truth]
             key = f"{protocol}.{p.id}"
-            if not pairs["single_pass"]:
+            if not scored:
                 problems_report[key] = {"status": "n/a"}
                 continue
-            entry = {"status": "ok", "n_test_records": len(pairs["single_pass"])}
+            entry = {"status": "ok", "n_test_records": len(scored)}
+            truth, *stages = zip(*scored)
             # matrices cover observed labels only, so a label that never
             # occurs in the test split cannot depress the unweighted mean
-            labels = [l for l in list(p.labels) + [OTHER]
-                      if any(l in (t, q) for st in pairs.values()
-                             for t, q in st)]
-            for stage in ("single_pass", "iterative"):
-                cm = ConfusionMatrix.from_pairs(
-                    [t for t, _ in pairs[stage]], [q for _, q in pairs[stage]],
-                    labels=labels)
+            seen = set(truth).union(*stages)
+            labels = [l for l in list(p.labels) + [OTHER] if l in seen]
+            for stage, pred in zip(("single_pass", "iterative"), stages):
+                cm = ConfusionMatrix.from_pairs(truth, pred, labels=labels)
                 entry[stage] = {
                     "f1": unweighted_f1(cm), "accuracy": accuracy(cm),
                     "vacuous_labels": cm.vacuous_labels(),
@@ -231,8 +216,7 @@ def run_malware_experiment(benign: list[LabeledConnection],
     split in half at random.  The enrichment block always uses the HTTP/1.1
     registry so the enriched width is constant across the corpus.
     """
-    params = params or rf.TrainParams(n_trees=30, max_depth=12, min_leaf=2,
-                                      seed=seed)
+    params = params or rf.TrainParams(n_trees=30, max_depth=12, min_leaf=2)
     for name, group in (("benign", benign), ("malicious", malicious)):
         if len(group) < 4:
             raise EvalError(f"{name} corpus too small to split")
@@ -243,26 +227,26 @@ def run_malware_experiment(benign: list[LabeledConnection],
         cut = round(len(group) / 2)
         return [group[i] for i in order[:cut]], [group[i] for i in order[cut:]]
 
+    # each half of each group holds at least two connections, so both
+    # classes reach the training split
     btr, bte = split(benign)
     mtr, mte = split(malicious)
-    train_set = [(lc, "benign") for lc in btr] + [(lc, "malicious") for lc in mtr]
-    test_set = [(lc, "benign") for lc in bte] + [(lc, "malicious") for lc in mte]
-    vocab = build_feature_vocab([lc.conn for lc, _ in train_set])
+    conns = [lc.conn for lc in btr + mtr + bte + mte]
+    y = (["benign"] * len(btr) + ["malicious"] * len(mtr)
+         + ["benign"] * len(bte) + ["malicious"] * len(mte))
+    n_train = len(btr) + len(mtr)
+    vocab = build_feature_vocab(conns[:n_train])
     problems = registry("http1", bundle.include_etag)
 
-    conns = [lc.conn for lc, _ in train_set + test_set]
     X = np.stack([
         enrich_malware_features(extract_malware_standard(c, vocab),
                                 aggregate_predictions(problems, res))
         for c, res in zip(conns, classify_corpus(bundle, conns))])
-    Xtr, Xte = X[:len(train_set)], X[len(train_set):]
-    y_tr = [label for _, label in train_set]
-    y_te = [label for _, label in test_set]
-    if len(set(y_tr)) < 2:
-        raise EvalError("both classes must appear in the training split")
+    Xtr, Xte = X[:n_train], X[n_train:]
+    y_tr, y_te = y[:n_train], y[n_train:]
 
     report = {"paper_reference_f1": PAPER_REFERENCE_MALWARE_F1,
-              "n_train": len(train_set), "n_test": len(test_set),
+              "n_train": n_train, "n_test": len(conns) - n_train,
               "enrich_protocol": "http1"}
     names = feature_names(SCHEMA_MALWARE_STANDARD, vocab)
     # an enriched row is a standard row and then its inferred sums, so

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +61,13 @@ class ProtocolModels:
 class ModelBundle:
     mode: str  # "standard" | "tor"
     include_etag: bool
-    problems: dict[str, list[ProblemSpec]]
     models: dict[str, ProtocolModels]
     alp_fallback: rf.Forest | None = None
     default_protocol: str = "http1"
+
+    @cached_property
+    def problems(self) -> dict[str, list[ProblemSpec]]:
+        return {p: registry(p, self.include_etag) for p in PROTOCOLS}
 
     def base_schema(self) -> str:
         return MODES[self.mode][0]
@@ -381,9 +385,8 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
     if mode not in MODES:
         raise InferenceError(f"unknown mode {mode!r}")
     params = params or DEFAULT_PARAMS
-    problems = {p: registry(p, include_etag) for p in PROTOCOLS}
-    bundle = ModelBundle(mode=mode, include_etag=include_etag,
-                         problems=problems, models={})
+    bundle = ModelBundle(mode=mode, include_etag=include_etag, models={})
+    problems = bundle.problems
     cat = record_categorical_indices()
 
     def view(rows, y, index: int, schema_id: str, columns) -> rf.View:
@@ -558,10 +561,8 @@ def bundle_from_dict(data: dict) -> ModelBundle:
         except rf.ForestError as exc:
             raise InferenceError(f"forest {name} is refused: {exc}") from exc
 
-    include_etag = _field(data, "include_etag")
     bundle = ModelBundle(
-        mode=_field(data, "mode"), include_etag=include_etag,
-        problems={p: registry(p, include_etag) for p in PROTOCOLS},
+        mode=_field(data, "mode"), include_etag=_field(data, "include_etag"),
         models={},
         alp_fallback=load("alp_fallback", _field(data, "alp_fallback"), True),
         default_protocol=_field(data, "default_protocol"))
