@@ -191,12 +191,8 @@ def _messages_from_decrypted(dd) -> list[dict]:
     out = []
     if "cells" in dd:
         for cell in dd.get("cells") or []:
-            inner = cell.get("decrypted_data") if isinstance(cell, dict) else None
-            if isinstance(inner, dict) and "tls_records" in inner:
-                for rec in inner["tls_records"]:
-                    out.extend(_messages_from_decrypted(rec.get("decrypted_data")))
-            else:
-                out.extend(_messages_from_decrypted(inner))
+            if isinstance(cell, dict):
+                out.extend(_messages_from_decrypted(cell.get("decrypted_data")))
         return out
     if "tls_records" in dd:
         for rec in dd["tls_records"]:

@@ -95,6 +95,54 @@ class TestGroundTruth:
                 assert back.message_type == orig.message_type
                 assert back.labels == orig.labels
 
+    @pytest.mark.parametrize("protocol,shape", [
+        (protocol, shape) for protocol in ("http1", "http2")
+        for shape in ("tls_records", "tor_cells", "tor_cell_message",
+                      "messages", "dict_headers")] + [("http2", "frames")])
+    def test_decrypted_data_shapes(self, protocol, shape):
+        """A message tree wrapped in nested TLS records, in Tor cells (with
+        or without their own TLS records), in a list of messages (the first
+        supplies the labels), with dict headers, or among HTTP/2 frames
+        that carry no semantics ingests to the labels of the plain tree; a
+        record tree with no message in it is not a message."""
+        def dict_headers(dd):
+            if "frames" in dd:
+                return {"frames": [{**f, "headers": dict(f["headers"])}
+                                   for f in dd["frames"]]}
+            return {**dd, "headers": dict(dd["headers"])}
+
+        wrap = {
+            "tls_records": lambda dd: {"tls_records": [{"decrypted_data": dd}]},
+            "tor_cells": lambda dd: {"cells": [
+                "padding", {"decrypted_data": {"relay": "data"}},
+                {"decrypted_data": {"tls_records": [{"decrypted_data": dd}]}}]},
+            "tor_cell_message": lambda dd: {"cells": [{"decrypted_data": dd}]},
+            "messages": lambda dd: {"messages": [
+                dd, {"status_code": "500", "headers": [["Server", "x"]]}]},
+            "dict_headers": dict_headers,
+            "frames": lambda dd: {"frames": [
+                {"type": "DATA"},
+                {"type": "headers", "headers": [["server", "nginx"]]},
+                *dd["frames"]]},
+        }[shape]
+        empty = {"cells": ["padding", {"decrypted_data": {
+            "tls_records": [{"decrypted_data": {"frames": [
+                {"type": "DATA"}]}}]}}]}
+        corpus = self._corpus(protocol_mix={protocol: 1.0},
+                              filler_range=(1, 2), include_etag=True)
+        problems = registry(protocol, include_etag=True)
+        for lc in corpus:
+            session = ground_truth_session(lc)
+            for gt in session["tls_records"]:
+                dd = gt.get("decrypted_data")
+                gt["decrypted_data"] = wrap(dd) if dd is not None else empty
+            relabeled = ingest_ground_truth(lc.conn, session, lc.protocol,
+                                            problems=problems)
+            assert [(r.message_type, r.labels) for r in relabeled] == \
+                [(r.message_type, r.labels) for r in lc.records]
+            assert any(r.message_type for r in relabeled)
+            assert not all(r.message_type for r in relabeled)
+
     def test_count_mismatch_raises(self):
         lc = self._corpus()[0]
         session = ground_truth_session(lc)
