@@ -159,15 +159,20 @@ def run_semantics_experiment(bundle: ModelBundle,
                 continue
             entry = {"status": "ok", "n_test_records": len(scored)}
             truth, *stages = zip(*scored)
-            # matrices cover observed labels only, so a label that never
-            # occurs in the test split cannot depress the unweighted mean
+            # both matrices cover the labels either stage meets, and each
+            # stage's F1 averages those it meets itself, so a label absent
+            # from its truth and predictions cannot depress its mean
             seen = set(truth).union(*stages)
             labels = [l for l in list(p.labels) + [OTHER] if l in seen]
             for stage, pred in zip(("single_pass", "iterative"), stages):
                 cm = ConfusionMatrix.from_pairs(truth, pred, labels=labels)
+                vacuous = cm.vacuous_labels()
+                met = [k for k, l in enumerate(labels) if l not in vacuous]
                 entry[stage] = {
-                    "f1": unweighted_f1(cm), "accuracy": accuracy(cm),
-                    "vacuous_labels": cm.vacuous_labels(),
+                    "f1": unweighted_f1(ConfusionMatrix(
+                        [labels[k] for k in met], cm.counts[np.ix_(met, met)])),
+                    "accuracy": accuracy(cm),
+                    "vacuous_labels": vacuous,
                     "confusion": cm.counts.tolist(),
                 }
             entry["labels"] = labels

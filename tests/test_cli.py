@@ -621,7 +621,7 @@ PINNED_OUTPUTS = {
         "infer-10":
             "0c875099eda9bce8ff8c7c5cb95ebf6be53f8877594438cdf535225d6b98a0ec",
         "eval":
-            "60ef806e99ff7de57a8ed5e71c65896013aff35f4ad1028a443cb7142ff6cc87",
+            "2b747426b5ee734e20722def78566e66a428f772c3b1ca2a726f0b037d2cc51f",
     },
     "tor": {
         "infer-1":
@@ -629,7 +629,7 @@ PINNED_OUTPUTS = {
         "infer-10":
             "bfc12f4ae3ed057b65184607d8fcc0590f833fa43b92a1ed07a3740eb4cc6b12",
         "eval":
-            "ce525d4e34a780fc1bee60cf0b7ded76d7871e106489f5655aadda0340f4a880",
+            "f2799fd423c9bb5089be6956841dbdbb14f2c356df60e5436756dd7384f1174c",
     },
 }
 
