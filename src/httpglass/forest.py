@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import ceil, sqrt
 
 import numpy as np
@@ -56,8 +57,9 @@ class Nodes:
     """Every node of a forest's trees, as parallel arrays indexed by node id.
 
     Tree t starts at ``roots[t]``; its nodes follow depth-first, left child
-    first.  Training grows each tree as one and pools them with ``concat``,
-    as ``Stack`` pools forests; prediction and persistence read them too.
+    first.  Training builds a forest's arrays once from its trees' node
+    lists, ``Stack`` pools forests with ``concat``, and prediction and
+    persistence read them too.
     """
 
     feature: np.ndarray    # split feature of each node, -1 at leaves
@@ -241,25 +243,26 @@ class View:
 class _Tree:
     """A tree while it grows: its forest's index, its RNG, its depth-first
     stack of open nodes, and its node lists in node order.  Class counts
-    are lists, one per node (None at a split); ``splits`` holds (feature,
-    counts, left child's counts) of each split."""
+    are lists, one per node, splits included: the forest's importances are
+    computed from them once its trees are grown, a split's left child being
+    the node after it."""
 
     __slots__ = ("forest", "rng", "stack", "feature", "threshold", "right",
-                 "cat", "counts", "cats_left", "splits")
+                 "counts", "cats_left")
 
     def __init__(self, forest: int, rng, root: np.ndarray, counts: list):
         self.forest, self.rng = forest, rng
         # (samples, class counts, classes present, depth, parent if a right
         # child else -1)
         self.stack = [(root, counts, len(counts) - counts.count(0), 0, -1)]
-        self.feature, self.threshold, self.right, self.cat = [], [], [], []
-        self.counts, self.cats_left, self.splits = [], [], []
+        self.feature, self.threshold, self.right = [], [], []
+        self.counts, self.cats_left = [], []
 
     def open_node(self, params: TrainParams, d: int, mtry: int):
         """Pop open nodes, keeping each one the split gate refuses as a
-        leaf, until one may split; returns (node id, samples, counts,
-        classes present, depth, candidate features drawn from the tree's
-        RNG), or None once the tree is grown."""
+        leaf, until one may split; returns (node id, depth, samples, counts,
+        classes present, candidate features drawn from the tree's RNG), or
+        None once the tree is grown."""
         while self.stack:
             samples, counts, present, depth, parent = self.stack.pop()
             node = len(self.feature)
@@ -268,45 +271,26 @@ class _Tree:
             self.feature.append(-1)
             self.threshold.append(np.nan)
             self.right.append(-1)
-            self.cat.append(-1)
             self.counts.append(counts)
             if samples.size >= 2 * params.min_leaf and present >= 2 and \
                     (params.max_depth is None or depth < params.max_depth):
-                cand = self.rng.choice(d, size=mtry, replace=False)
-                cand.sort()
-                return node, samples, counts, present, depth, cand
+                return node, depth, samples, counts, present, \
+                    self.rng.choice(d, size=mtry, replace=False)
         self.rng = self.stack = None
         return None
 
-    def split(self, node: int, feature: int, threshold, codes, depth: int,
+    def split(self, node: int, depth: int, feature: int, threshold, codes,
               left, right) -> None:
         """Make ``node`` a split; ``left`` and ``right`` are its children's
         (samples, counts, classes present)."""
         self.feature[node] = feature
-        self.splits.append((feature, self.counts[node], left[1]))
-        self.counts[node] = None
         if codes is None:
             self.threshold[node] = threshold
         else:
-            self.cat[node] = len(self.cats_left)
             self.cats_left.append(np.asarray(codes, dtype=np.float64))
         # push right first so the left child is the next node
         self.stack.append((*right, depth + 1, node))
         self.stack.append((*left, depth + 1, -1))
-
-    def nodes(self, n_classes: int) -> Nodes:
-        feature = np.asarray(self.feature, dtype=np.int64)
-        zero = [0] * n_classes
-        return Nodes(
-            feature=feature,
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.where(feature >= 0, np.arange(feature.size) + 1, -1),
-            right=np.asarray(self.right, dtype=np.int64),
-            roots=np.zeros(1, np.int64),
-            counts=np.asarray([zero if c is None else c for c in self.counts],
-                              dtype=np.int64).reshape(-1, n_classes),
-            cat=np.asarray(self.cat, dtype=np.int64),
-            cats_left=self.cats_left)
 
 
 def grow(X, views: list[View]) -> list[Forest]:
@@ -329,28 +313,42 @@ def grow(X, views: list[View]) -> list[Forest]:
         raise ForestError("X holds NaN or infinite values")
     if not views:
         return []
-    specs, live = [], []
+    specs, live, first, tables = [], [], [], {}
     # the samples of all views, numbered one after another: a node holds
-    # the numbers of its rows, whose table rows and class indices these map
-    table_row, label, offset = [], [], 0
+    # the numbers of its rows, whose table rows (as where each starts among
+    # X's values) and class indices these map
+    row_start, label, offset = [], [], 0
     for f, view in enumerate(views):
         rows = np.asarray(view.rows, dtype=np.int64)
-        columns = np.asarray(view.columns, dtype=np.int64)
-        n, d = rows.size, columns.size
+        cols = np.asarray(view.columns, dtype=np.int64)
+        n, d = rows.size, cols.size
         if len(view.y) != n:
             raise ForestError("X and y length mismatch")
         if n < 1:
             raise ForestError("need at least one sample")
+        if d < 1:
+            raise ForestError("need at least one column")
+        # a negative index would read X wrapped round, one past the end the
+        # next row
+        if rows.min() < 0 or rows.max() >= X.shape[0] or cols.min() < 0 \
+                or cols.max() >= X.shape[1]:
+            raise ForestError("view rows or columns outside X")
         for i in view.categorical:
             if not 0 <= i < d:
                 raise ForestError(f"categorical index {i} out of range")
         classes = sorted(set(view.y))
         index = {c: k for k, c in enumerate(classes)}
         yv = np.asarray([index[v] for v in view.y], dtype=np.int64)
-        table_row.append(rows)
+        row_start.append(rows * X.shape[1])
         label.append(yv)
-        is_cat = np.zeros(d, dtype=bool)
-        is_cat[list(view.categorical)] = True
+        # views that share a column array share one copy of it here
+        key = (id(view.columns), view.categorical)
+        if key not in tables:
+            is_cat = np.zeros(d, dtype=bool)
+            is_cat[list(view.categorical)] = True
+            tables[key] = (sum(c.size for _, c, _ in tables.values()), cols,
+                           is_cat)
+        first.append(tables[key][0])
         params = view.params
         trees = []
         for ss in np.random.SeedSequence(params.seed).spawn(params.n_trees):
@@ -360,274 +358,330 @@ def grow(X, views: list[View]) -> list[Forest]:
             trees.append(_Tree(f, rng, root + offset, np.bincount(
                 yv[root], minlength=len(classes)).tolist()))
         live += trees
-        specs.append((view, classes, columns, is_cat,
-                      params.resolved_mtry(d), trees))
+        specs.append((view, classes, d, params.resolved_mtry(d), trees))
         offset += n
-    table_row = np.concatenate(table_row)
+    row_start = np.concatenate(row_start)
     label = np.concatenate(label)
+    # the distinct column arrays and their categorical flags, one after
+    # another; then, indexed by forest, where its columns start, its
+    # min_leaf and whether it is binary
+    forests = (np.concatenate([c for _, c, _ in tables.values()]),
+               np.concatenate([m for *_, m in tables.values()]),
+               np.array(first),
+               np.array([v.params.min_leaf for v in views]),
+               np.array([len(classes) == 2 for _, classes, *_ in specs]))
+    del tables
 
-    forests = [None] * len(views)
+    out = [None] * len(views)
     unfinished = [view.params.n_trees for view in views]
     while live:
-        opened, nodes = [], []
+        nodes = []
         for tree in live:
-            view, classes, columns, is_cat, mtry, trees = specs[tree.forest]
-            found = tree.open_node(view.params, columns.size, mtry)
+            view, classes, d, mtry, trees = specs[tree.forest]
+            found = tree.open_node(view.params, d, mtry)
             if found is not None:
-                node, samples, counts, present, depth, cand = found
-                opened.append((tree, node, depth, cand))
-                nodes.append((samples, counts, present, cand, columns,
-                              is_cat, view.params.min_leaf))
+                nodes.append((tree, *found))
                 continue
             unfinished[tree.forest] -= 1
             if not unfinished[tree.forest]:
-                forests[tree.forest] = _forest(view, classes, trees)
+                out[tree.forest] = _forest(view, classes, trees)
                 trees.clear()
-        live = [tree for tree, *_ in opened]
-        for (tree, node, depth, cand), split in zip(
-                opened, _search(X, table_row, label, nodes)):
-            if split is not None:
-                j, threshold, codes, left, right = split
-                tree.split(node, int(cand[j]), threshold, codes, depth,
-                           left, right)
-    return forests
+        live = [tree for tree, *_ in nodes]
+        _search(X, row_start, label, forests, nodes)
+    return out
 
 
 def _forest(view: View, classes: list, trees: list[_Tree]) -> Forest:
-    """The forest of a view's grown trees."""
-    K = len(classes)
+    """The forest of a view's grown trees: their node lists joined, ids
+    shifted to the forest's numbering, one array per field."""
+    roots, right = [], []
+    for tree in trees:
+        base = len(right)
+        roots.append(base)
+        right += [r + base if r >= 0 else -1 for r in tree.right]
+    feature = np.array([f for tree in trees for f in tree.feature],
+                       dtype=np.int64)
+    threshold = np.array([t for tree in trees for t in tree.threshold],
+                         dtype=np.float64)
+    counts = np.fromiter(chain.from_iterable(
+        c for tree in trees for c in tree.counts), np.int64,
+        feature.size * len(classes)).reshape(feature.size, -1)
+    split = (feature >= 0).nonzero()[0]
     importance = np.zeros(len(view.columns), dtype=np.float64)
-    splits = [s for tree in trees for s in tree.splits]
-    if splits:
-        feature, counts, left = zip(*splits)
+    if split.size:
         # in (tree, node) order, as growing the trees one at a time would
-        np.add.at(importance, np.asarray(feature), _gini_decrease(
-            np.asarray(counts).reshape(-1, K), np.asarray(left).reshape(-1, K),
-            len(view.y)))
+        np.add.at(importance, feature[split], _gini_decrease(
+            counts[split], counts[split + 1], len(view.y)))
+    counts[split] = 0
+    # a split without a threshold is categorical; each tree keeps its codes
+    # in node order
+    cat = np.full(feature.size, -1, dtype=np.int64)
+    categorical = split[np.isnan(threshold[split])]
+    cat[categorical] = np.arange(categorical.size)
     return Forest(classes=classes, schema_id=view.schema_id,
                   n_features=len(view.columns),
                   categorical=frozenset(int(i) for i in view.categorical),
                   params=view.params, importance_raw=importance,
-                  nodes=Nodes.concat([tree.nodes(K) for tree in trees]))
+                  nodes=Nodes(feature=feature, threshold=threshold,
+                              left=np.where(feature >= 0,
+                                            np.arange(1, feature.size + 1),
+                                            -1),
+                              right=np.array(right, dtype=np.int64),
+                              roots=np.array(roots, dtype=np.int64),
+                              counts=counts, cat=cat,
+                              cats_left=[c for tree in trees
+                                         for c in tree.cats_left]))
 
 
 def _gini_decrease(counts, left, n_total) -> np.ndarray:
     """Each split's Gini impurity decrease, weighted by its share of the
     ``n_total`` training rows, from its class counts and its left child's."""
-    def weighted_gini(c):
-        n = c.sum(axis=1, keepdims=True)
-        return (n[:, 0] / n_total) * (1.0 - ((c / n) ** 2).sum(axis=1))
-
-    return weighted_gini(counts) - weighted_gini(left) \
-        - weighted_gini(counts - left)
+    m = len(counts)
+    c = np.concatenate([counts, left, counts - left])
+    n = c.sum(axis=1, keepdims=True)
+    gini = (n[:, 0] / n_total) * (1.0 - ((c / n) ** 2).sum(axis=1))
+    return gini[:m] - gini[m:2 * m] - gini[2 * m:]
 
 
 # The most count-table cells (rows x candidate columns x (classes + 1)) one
 # split search takes at once, unless the table has more cells; a node with
-# more is searched alone.  The search's memory grows with it: about 20
-# bytes per (row, column) cell and 3 per count cell, measured with
+# more is searched alone.  The search's memory grows with it: about 21
+# bytes per (row, column) cell and 5 per count cell, measured with
 # tracemalloc on the bench's ``train`` workload.  There, at this size, the
-# command peaks about 1 % above growing one tree at a time (seed 2: 2.09
-# against 2.07 MB); twice the size adds 4 % more.  A larger table lets
-# chunks grow with it, so the search holds at most a few times the table's
-# own bytes: training one criterion-5 bundle (Tor mode, 40 deep trees per
-# forest) then makes 6,348 searches instead of 19,980.
+# command peaks at 1.82-1.87 MB over seeds 1-3; twice the size adds 7-9 %.
+# A larger table lets chunks grow with it, so the search holds at most a
+# few times the table's own bytes: training one criterion-5 bundle (Tor
+# mode, 40 deep trees per forest) then makes 6,348 searches instead of
+# 19,980.
 _CHUNK_CELLS = 16384
 
 
-def _search(X, table_row, label, nodes):
-    """Each node's best split, or None: the nodes in chunks of at most
-    ``_CHUNK_CELLS`` count cells or as many as X has, whichever is more (a
-    larger node alone), largest nodes first so that a chunk pads little."""
-    out = [None] * len(nodes)
-    order = sorted(range(len(nodes)), key=lambda i: -nodes[i][0].size)
+def _search(X, row_start, label, forests, nodes) -> None:
+    """Split each node in its tree by its best split, if it has one: the
+    nodes in chunks of at most ``_CHUNK_CELLS`` count cells or as many as X
+    has, whichever is more (a larger node alone), largest nodes first so
+    that a chunk pads little.
+
+    A node is (its tree, its id and depth, its samples, their class counts,
+    the classes present, its candidate features); ``forests`` holds the
+    distinct column arrays of the forests and their categorical flags, one
+    after another, then by forest where its columns start, its min_leaf and
+    whether it is binary.
+    """
+    if not nodes:
+        return
+    step = _Step(forests, sorted(nodes, key=lambda node: -node[3].size))
     at = 0
-    while at < len(order):
+    while at < len(step.size):
         # the first node is the chunk's largest
-        n_max, columns, classes, end = nodes[order[at]][0].size, 0, 0, at
-        while end < len(order):
-            _, _, present, cand, *_ = nodes[order[end]]
-            if end > at and n_max * (columns + cand.size) * (max(
+        n_max, columns, classes, end = step.size[at], 0, 0, at
+        while end < len(step.size):
+            width, present = step.width[end], step.present[end]
+            if end > at and n_max * (columns + width) * (max(
                     classes, present) + 1) > max(_CHUNK_CELLS, X.size):
                 break
-            columns, classes, end = columns + cand.size, max(classes,
-                                                             present), end + 1
-        chunk = order[at:end]
-        for i, split in zip(chunk, _search_chunk(
-                X, table_row, label, [nodes[i] for i in chunk])):
-            out[i] = split
+            columns, classes, end = columns + width, max(classes,
+                                                         present), end + 1
+        _search_chunk(X, row_start, label, step, at, end)
         at = end
-    return out
 
 
-def _search_chunk(X, table_row, label, nodes):
-    """The best split of each node, or None when no cut is allowed or none
-    beats the node.
+class _Step:
+    """The nodes of one step's search, in search order, with what does not
+    depend on the chunk laid out once: per node its tree, id, depth,
+    samples, class counts, classes present and candidates, as tuples, and
+    the arrays below.
 
-    A node is (its samples, their class counts, the classes present, its
-    candidate features, its forest's table columns and which of them are
-    categorical, min_leaf).
-    Each (node, candidate column) is a segment of the node's values.  Runs
-    of equal values in a segment are groups: numeric groups in value order,
-    categorical ones by the share of the reference class (class 1 for
-    binary problems, else the node's majority class), then by value.  Every
-    cut between groups leaving ``min_leaf`` rows a side is scored by
-    sum(left^2)/n_left + sum(right^2)/n_right over the class counts, and a
-    node's first maximum in (column, cut) order wins if it beats the node's
-    own sum(counts^2)/n strictly.  A numeric threshold is the midpoint of
-    the values around the cut (the lower one if the midpoint rounds onto the
-    upper); a categorical split sends the codes of the groups up to the cut
-    left.
-
-    Returns per node None or (candidate index, threshold or None, left codes
-    or None, (samples, counts, classes present) of the left child, and of
-    the right).
+    Each node's classes are renumbered in order among those it holds, so a
+    count table is only as wide as the most classes one node holds:
+    ``counts`` holds each node's class counts in its numbering, and
+    ``code`` maps its forest's class numbers to it, -1 for a class the
+    node lacks.  ``first`` is where the node's forest's columns start in
+    ``columns`` (and ``categorical``), and ``seg_first`` where its
+    segments start among the step's.
     """
-    k = len(nodes)
-    ns = np.array([s.size for s, *_ in nodes], dtype=np.int64)
-    n_max = int(ns[0])
-    wide = np.zeros((k, max(len(c) for _, c, *_ in nodes)), dtype=np.int64)
-    for row, (_, c, *_) in zip(wide, nodes):
-        row[:len(c)] = c
-    # each node's classes renumbered in order among those it holds, so the
-    # count table is only as wide as the most classes one node holds; the
-    # padding that fills each node's rows up to the chunk's largest node
-    # is one more class, K, which sorts last and never makes a cut
-    present = wide > 0
-    code = np.cumsum(present, axis=1) - 1
-    K = int(code[:, -1].max()) + 1
-    counts = np.zeros((k, K + 1), dtype=np.int64)
-    held = np.nonzero(present)
-    counts[held[0], code[held]] = wide[held]
-    counts[:, K] = n_max - ns
-    square = (counts[:, :K] ** 2).sum(axis=1)
-    widths = [cand.size for _, _, _, cand, _, _, _ in nodes]
-    seg_node = np.repeat(np.arange(k), widths)
-    seg_first = np.cumsum([0] + widths)  # each node's first segment
-    seg_col = np.concatenate([cols[cand] for _, _, _, cand, cols, _, _
-                              in nodes])
-    seg_cat = np.concatenate([cat[cand] for _, _, _, cand, _, cat, _
-                              in nodes])
-    min_leaf = np.array([m for *_, m in nodes], dtype=np.int64)
-    # each node's samples, padded with its first one (of its own forest)
-    samples = np.repeat([s[:1] for s, *_ in nodes], n_max, axis=1)
-    inside = np.arange(n_max) < ns[:, None]
-    samples[inside] = np.concatenate([s for s, *_ in nodes])
-    # each sample's class in its node's numbering
-    classes = code[np.arange(k)[:, None], label[samples]]
-    classes[~inside] = K
-    classes = classes.astype(np.min_scalar_type(K))
+
+    def __init__(self, forests, nodes):
+        self.columns, self.categorical, first, min_leaf, binary = forests
+        (self.tree, self.id, self.depth, self.samples, self.node_counts,
+         self.present, self.cand) = zip(*nodes)
+        k = len(nodes)
+        self.size = [s.size for s in self.samples]
+        self.width = [c.size for c in self.cand]
+        self.seg_first = np.cumsum([0] + self.width)
+        self.ns = np.array(self.size)
+        forest = np.array([tree.forest for tree in self.tree])
+        self.first, self.min_leaf = first[forest], min_leaf[forest]
+        zero = [0] * max(map(len, self.node_counts))
+        wide = np.fromiter(chain.from_iterable(
+            [c + zero[len(c):] for c in self.node_counts]), np.int64,
+            k * len(zero)).reshape(k, -1)
+        held = wide > 0
+        code = held.cumsum(axis=1) - 1
+        self.counts = np.zeros((k, max(self.present)), dtype=np.int64)
+        self.counts[held.nonzero()[0], code[held]] = wide[held]
+        self.square = np.einsum("ij,ij->i", self.counts, self.counts)
+        # the reference class that orders categorical groups: class 1 for
+        # binary problems (a binary node holds both, so class 1 keeps its
+        # number), else the node's majority class
+        self.ref = np.where(binary[forest], 1,
+                            code[np.arange(k), wide.argmax(axis=1)])
+        code[~held] = -1
+        # wide enough for the padding class, numbered up to len(zero)
+        self.code = code.astype(np.min_scalar_type(-1 - len(zero)))
+
+
+def _search_chunk(X, row_start, label, step, a: int, b: int) -> None:
+    """Split each of the step's nodes a to b - 1 by its best split, if it
+    has one, in its tree.
+
+    Each (node, candidate feature) is a segment of the node's values in
+    one column, all segments padded to the chunk's largest node with one
+    more class, K, that sorts last in its segment and never makes a cut.
+    Runs of equal values in a segment are groups: numeric groups in value
+    order, categorical ones by the share of the node's reference class,
+    then by value.  Every cut between groups leaving ``min_leaf`` rows a
+    side is scored by sum(left^2)/n_left + sum(right^2)/n_right over the
+    class counts, and a node's first maximum in (column, cut) order wins if
+    it beats the node's own sum(counts^2)/n strictly.  A numeric threshold
+    is the midpoint of the values around the cut (the lower one if the
+    midpoint rounds onto the upper); a categorical split sends the codes of
+    the groups up to the cut left.  But for a slice per child and per
+    categorical split's codes, the chunk makes the same numpy calls however
+    many nodes it holds.
+    """
+    ns = step.ns[a:b]
+    n_max, K = step.size[a], max(step.present[a:b])
+    # each (node, candidate) is a segment
+    width = step.width[a:b]
+    seg_node = np.repeat(np.arange(b - a), width)
+    # each segment's own feature, in increasing order within its node
+    own = np.concatenate(step.cand[a:b])
+    offset = seg_node * step.columns.size  # above any forest's column count
+    own += offset
+    own.sort()
+    own -= offset
+    column = own + np.repeat(step.first[a:b], width)
+    column, is_cat = step.columns[column], step.categorical[column]
+    # each node's samples and their classes, padded to n_max with the
+    # chunk's first sample, whose label every row of ``code`` can map
+    pad = np.arange(n_max) >= ns[:, None]
+    fill = np.full(n_max, step.samples[a][0])
+    samples = np.concatenate([part for s in step.samples[a:b]
+                              for part in (s, fill[s.size:])]).reshape(
+                                  b - a, n_max)
+    classes = step.code[np.arange(a, b)[:, None], label.take(samples)]
+    classes[pad] = K
+    counts = np.concatenate([step.counts[a:b, :K], (n_max - ns)[:, None]],
+                            axis=1)
     # (flat takes: about twice as fast as 2-d fancy indexing here)
-    index = table_row[samples][seg_node]
-    index *= X.shape[1]
-    index += seg_col[:, None]
+    index = row_start.take(samples).take(seg_node, axis=0)
+    index += column[:, None]
     B = X.take(index)
     del index
     # -0.0 and 0.0 are one value: without this, which of them a group
     # saves as its threshold or code would depend on the sort
     B += 0.0
-    B[~inside[seg_node]] = np.inf  # the padding sorts last in its segment
-    at = np.argsort(B, axis=1)
-    at += (np.arange(seg_node.size) * n_max)[:, None]
-    v = B.take(at)
+    B[pad.take(seg_node, axis=0)] = np.inf
+    at = B.argsort(axis=1)
+    at += np.arange(0, B.size, n_max)[:, None]
+    v = B.take(at).ravel()
     del B
-    # each sorted value's place in ``samples``; kept, to part a split's rows
-    at += ((seg_node - np.arange(seg_node.size)) * n_max)[:, None]
-    v = v.ravel()
     # segment s holds values s * n_max to (s + 1) * n_max; ``new`` marks
     # where each group starts
     new = np.empty(v.size, dtype=bool)
     np.not_equal(v[1:], v[:-1], out=new[1:])
     new[::n_max] = True
-    first = np.flatnonzero(new)
+    first = new.nonzero()[0]
     val = v[first]
     del v
     G = val.size
     gseg = first // n_max
     gnode = seg_node[gseg]
-    key = np.cumsum(new)  # each value's group, from 1
+    key = new.cumsum()  # each value's group, from 1
     seg_g0 = key[::n_max] - 1  # each segment's first group
-    # each group's class counts
-    key -= 1
+    # each group's class counts (group 0's bins stay empty)
     key *= K + 1
-    key += classes.take(at).ravel()
-    cnt = np.bincount(key, minlength=G * (K + 1)).reshape(G, K + 1)
+    key += classes.take(seg_node, axis=0).take(at).ravel()
+    cnt = np.bincount(key, minlength=(G + 1) * (K + 1))[K + 1:].reshape(
+        G, K + 1)
     del key
     rank = None  # each group's place in cut order, when it moved
-    cat = np.flatnonzero(seg_cat[gseg])
-    if cat.size:  # reorder each categorical segment's groups
-        # a binary node holds both classes, so class 1 keeps its number
-        ref = np.where([len(c) == 2 for _, c, *_ in nodes], 1,
-                       counts[:, :K].argmax(axis=1))[gnode[cat]]
-        cat_cnt = cnt[cat]
-        share = np.where(cat_cnt[:, K] > 0, 2.0,  # the padding stays last
-                         cat_cnt[np.arange(cat.size), ref] / cat_cnt.sum(
-                             axis=1))
-        perm = np.lexsort((val[cat], share, gseg[cat]))
-        cnt[cat], val[cat] = cat_cnt[perm], val[cat[perm]]
-        del cat_cnt
+    # each categorical segment's groups but its padding, which stays last
+    cat = (is_cat[gseg] & (val < np.inf)).nonzero()[0]
+    if cat.size:  # reorder them
+        c = cnt.take(cat, axis=0)
+        share = c[np.arange(cat.size), step.ref[a:b][gnode[cat]]] \
+            / np.einsum("ij->i", c)
+        # a stable sort: groups of one share stay in value order
+        order = cat[np.lexsort((share, gseg[cat]))]
+        cnt[cat], val[cat] = cnt.take(order, axis=0), val[order]
         rank = np.arange(G)
-        rank[cat[perm]] = cat
+        rank[order] = cat
     # the class counts left of each cut: a running sum over all groups,
     # restarted at each segment by taking the previous segment's total off
     # its first group
-    cnt[seg_g0[1:]] -= counts[seg_node[:-1]]
+    cnt[seg_g0[1:]] -= counts.take(seg_node[:-1], axis=0)
     left = np.cumsum(cnt, axis=0, out=cnt)
-    nl = left.sum(axis=1)
-    nr = ns[gnode] - nl
+    # (row sums: einsum is several times faster than sum(axis=1) here)
+    nl = np.einsum("ij->i", left)
     sum_l = np.einsum("ij,ij->i", left, left)
-    # sum(right^2) = sum((counts - left)^2), in exact integers; a segment's
-    # last group (and its padding) leaves no rows right, and is never a cut
-    sum_r = np.einsum("ij,ij->i", left, counts[gnode])
-    sum_r *= -2
-    sum_r += square[gnode] + sum_l
-    score = sum_l / nl + sum_r / np.maximum(nr, 1)
-    score[(nl < min_leaf[gnode]) | (nr < min_leaf[gnode])] = -np.inf
+    # the class counts right of each cut, the padding's left out: a
+    # segment's last group leaves no rows right, and is never a cut
+    right = counts.take(gnode, axis=0)
+    right -= left
+    right = right[:, :K]
+    nr = ns.take(gnode) - nl
+    score = sum_l / nl + np.einsum("ij,ij->i", right, right) / np.maximum(
+        nr, 1)
+    score[np.minimum(nl, nr) < step.min_leaf[a:b][gnode]] = -np.inf
     # each node's first maximum: groups run in (node, column, cut) order
-    top = np.maximum.reduceat(score, seg_g0[seg_first[:-1]])
-    hit = np.flatnonzero(score == top[gnode])
-    hit = hit[np.searchsorted(gnode[hit], np.arange(k))]
-    split = top > square / ns
-    out = [None] * k
-    if not split.any():
-        return out
-    node, g = np.flatnonzero(split), hit[split]
+    node_g0 = seg_g0[step.seg_first[a:b] - step.seg_first[a]]
+    top = np.maximum.reduceat(score, node_g0)
+    hit = np.minimum.reduceat(np.where(score == top[gnode], np.arange(G), G),
+                              node_g0)
+    node = (top > step.square[a:b] / ns).nonzero()[0]
+    if not node.size:
+        return
+    g = hit[node]
     seg = gseg[g]
     nn, nleft = ns[node], nl[g]
-    # each split's segment, element by element: its sample, and whether its
-    # group is at or before the cut
-    pos = np.arange(nn.sum()) - np.repeat(np.cumsum(nn) - nn, nn)
-    element = np.repeat(seg * n_max, nn) + pos
-    moved = samples.take(at.take(element))
-    # a segment's first value starts its first group
-    group = np.cumsum(new[element])
-    group += np.repeat(seg_g0[seg] - group[pos == 0], nn)
-    goes_left = (group if rank is None else rank[group]) <= np.repeat(g, nn)
-    to_left, to_right = moved[goes_left], moved[~goes_left]
-    # the children's counts, back in their forests' class numbers
-    cl, cr = np.zeros((2, node.size, wide.shape[1]), dtype=np.int64)
-    r, c = np.nonzero(present[node])
-    cl[r, c] = left[g[r], code[node[r], c]]
-    cr[r, c] = wide[node[r], c] - cl[r, c]
-    a, b = val[g], val[g + 1]
-    mid = (a + b) / 2.0
-    # neighbouring doubles can round their midpoint up onto b
-    threshold = np.where(mid < b, mid, a).tolist()
+    # each split's segment in sorted order: its samples, and whether each
+    # one's group is at or before the cut; the padding sorts last
+    moved = at.take(seg, axis=0)
+    moved += ((node - seg) * n_max)[:, None]
+    moved = samples.take(moved)
+    group = new.reshape(-1, n_max).take(seg, axis=0).cumsum(axis=1)
+    group += (seg_g0[seg] - 1)[:, None]
+    goes_left = (group if rank is None else rank[group]) <= g[:, None]
+    to_left = moved[goes_left]
+    goes_left |= pad.take(node, axis=0)
+    to_right = moved[~goes_left]
+    # the children's counts, back in their forests' class numbers: a class
+    # the node lacks reads the padding column, 0 left of a cut
+    node += a
+    cl = left[g[:, None], step.code.take(node, axis=0)].tolist()
+    lo, hi = val[g], val[g + 1]
+    mid = (lo + hi) / 2.0
+    # neighbouring doubles can round their midpoint up onto hi
+    threshold = np.where(mid < hi, mid, lo).tolist()
+    # a categorical split sends the codes of its groups up to the cut left
+    codes = [None] * node.size
+    for j in is_cat[seg].nonzero()[0].tolist():
+        codes[j], threshold[j] = sorted(
+            val[seg_g0[seg[j]]:g[j] + 1].tolist()), None
     at_l = at_r = 0
-    for s, sg, gi, t, n_l, n_r, lc, rc in zip(
-            node.tolist(), seg.tolist(), g.tolist(), threshold,
-            nleft.tolist(), (nn - nleft).tolist(), cl.tolist(), cr.tolist()):
-        width = len(nodes[s][1])  # the node's forest's classes
-        lc, rc = lc[:width], rc[:width]
-        codes = None
-        if seg_cat[sg]:
-            codes, t = sorted(val[seg_g0[sg]:gi + 1].tolist()), None
-        out[s] = (sg - int(seg_first[s]), t, codes,
-                  (to_left[at_l:at_l + n_l], lc, width - lc.count(0)),
-                  (to_right[at_r:at_r + n_r].copy(), rc,
-                   width - rc.count(0)))
-        at_l, at_r = at_l + n_l, at_r + n_r
-    return out
+    for i, f, t, c, end_l, end_r, lc in zip(
+            node.tolist(), own[seg].tolist(), threshold, codes,
+            nleft.cumsum().tolist(), (nn - nleft).cumsum().tolist(), cl):
+        # the right child's counts, as wide as the node's forest's classes
+        rc = [n - m for n, m in zip(step.node_counts[i], lc)]
+        lc = lc[:len(rc)]
+        step.tree[i].split(step.id[i], step.depth[i], f, t, c,
+                           (to_left[at_l:end_l], lc, len(lc) - lc.count(0)),
+                           (to_right[at_r:end_r].copy(), rc,
+                            len(rc) - rc.count(0)))
+        at_l, at_r = end_l, end_r
 
 
 def train(X, y, params: TrainParams | None = None,

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,13 +315,13 @@ def test_batched_search_matches_scalar_oracle():
             _saved(reference_train(X, y, params, categorical={3, 4}))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.lists(st.tuples(st.integers(min_value=1, max_value=20),
-                          st.integers(min_value=1, max_value=3),
-                          st.sampled_from([None, 1, 3]), st.booleans()),
-                min_size=1, max_size=6))
-def test_grown_batch_matches_reference_trainer(seed, shapes):
+_VIEW_SHAPES = st.lists(st.tuples(st.integers(min_value=1, max_value=20),
+                                  st.integers(min_value=1, max_value=3),
+                                  st.sampled_from([None, 1, 3]), st.booleans()),
+                        min_size=1, max_size=6)
+
+
+def _check_grown_batch(seed, shapes):
     """Forests grown together over one table, each on its own rows
     (repeated ones too) and columns of it, equal the reference trainer's
     forests on those rows and columns: classes, min_leaf, max_depth and
@@ -352,6 +353,53 @@ def test_grown_batch_matches_reference_trainer(seed, shapes):
         assert _saved(forest) == _saved(reference_train(
             X[view.rows][:, view.columns], view.y, view.params,
             view.categorical, view.schema_id))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _VIEW_SHAPES)
+def test_grown_batch_matches_reference_trainer(seed, shapes):
+    _check_grown_batch(seed, shapes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), _VIEW_SHAPES)
+def test_grown_batch_in_many_chunks_matches_reference_trainer(seed, shapes):
+    """The same property with the smallest chunk cap, the table's size: a
+    step's nodes are then searched in several chunks, each padded to its
+    own largest node and with its own class numbering, so state that leaks
+    from one chunk into the next shows."""
+    with mock.patch.object(rf, "_CHUNK_CELLS", 1):
+        _check_grown_batch(seed, shapes)
+
+
+@pytest.mark.parametrize("rows, columns", [
+    (np.arange(-5, 25), np.arange(3)),  # a negative row
+    (np.arange(30), np.array([0, -1])),  # a negative column
+    (np.arange(29), np.array([0, 3])),  # a column past the end
+    (np.arange(30), np.array([3])),  # ... and X's last row
+    (np.array([0, 30]), np.arange(3)),  # a row past the end
+    (np.arange(30), np.array([], dtype=np.int64)),  # no column at all
+])
+def test_view_outside_x_is_refused(rows, columns):
+    """A view reads only X: a negative index would wrap round, and a column
+    past the end would read the next row's first column."""
+    X = np.arange(90, dtype=np.float64).reshape(30, 3)
+    view = rf.View(rows, columns, [i % 2 for i in range(rows.size)],
+                   rf.TrainParams(n_trees=2, features_per_split=1))
+    with pytest.raises(rf.ForestError, match="outside X|column"):
+        rf.grow(X, [view])
+
+
+def test_a_node_holding_128_classes_matches_reference_trainer():
+    """A node's classes are coded in the smallest integer type that also
+    holds the padding class, numbered after them: with 128 classes that
+    is not int8."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(300, 2))
+    y = [i % 128 for i in range(300)]
+    params = rf.TrainParams(n_trees=2, max_depth=2, bootstrap=False, seed=3)
+    assert _saved(rf.train(X, y, params)) == \
+        _saved(reference_train(X, y, params))
 
 
 def test_signed_zeros_train_the_same_forest():
