@@ -211,7 +211,11 @@ def cmd_importance(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of ``main``: parsing leaves it unchanged, and nothing may change
+    it."""
     parser = argparse.ArgumentParser(
         prog="httpglass",
         description="HTTP semantics inference over encrypted TLS traffic")

@@ -210,10 +210,18 @@ class Stack:
         self.freqs = np.zeros(nodes.counts.shape, dtype=np.float64)
         self.freqs[leaf] = counts / counts.sum(axis=1, keepdims=True)
 
-    def compact(self, X: np.ndarray) -> np.ndarray:
+    def compact(self, X: np.ndarray, width: int | None = None) -> np.ndarray:
         """The walk's input for the rows of X: its numeric columns, then its
-        membership columns."""
-        W = np.take(X, self.gather, axis=1)  # C order: _leaves ravels it
+        membership columns.  Given a ``width``, X holds only the first
+        ``width`` features of each row, which every categorical test must
+        read; the numeric columns that read past them, the last numeric ones,
+        are left 0 for the caller to fill."""
+        if width is None:
+            W = np.take(X, self.gather, axis=1)  # C order: _leaves ravels it
+        else:
+            W = np.zeros((len(X), self.gather.size))
+            read = self.gather < width
+            W[:, read] = np.take(X, self.gather[read], axis=1)
         if self.codes is not None:
             tested = W[:, self.columns.size:]
             # one compare per code column: a (rows, tests, codes) compare and
@@ -729,16 +737,23 @@ def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
         model, which = model.stack, np.zeros(n_rows, dtype=np.int64)
     else:
         which = _forest_of_rows(model, which, n_rows)
-    n_features, n_trees = model.n_features, model.n_trees
-    if X.shape[1] != n_features:
-        raise ForestError(f"schema mismatch: expected {n_features} features, "
-                          f"got {X.shape[1]}")
+    if X.shape[1] != model.n_features:
+        raise ForestError(f"schema mismatch: expected {model.n_features} "
+                          f"features, got {X.shape[1]}")
+    return predict_compact(model, model.compact(X), which)
+
+
+def predict_compact(stack: Stack, W: np.ndarray, which: np.ndarray,
+                    ) -> np.ndarray:
+    """``predict_scores`` of the rows whose walk input is W, as
+    ``stack.compact`` gives it, row i scored by forest ``which[i]`` (an
+    int64 array, unchecked)."""
+    n_rows, n_trees = W.shape[0], stack.n_trees
     # (row, tree) pairs, row-major; forest k's trees are roots[k*T:(k+1)*T]
     rows = np.repeat(np.arange(n_rows), n_trees)
     trees = which[:, None] * n_trees + np.arange(n_trees)
-    leaves = _leaves(model, model.compact(X), rows,
-                     model.roots[trees.ravel()])
-    freqs = model.freqs[leaves].reshape(n_rows, n_trees, model.freqs.shape[1])
+    leaves = _leaves(stack, W, rows, stack.roots[trees.ravel()])
+    freqs = stack.freqs[leaves].reshape(n_rows, n_trees, stack.freqs.shape[1])
     total = np.zeros((n_rows, freqs.shape[2]), dtype=np.float64)
     for t in range(n_trees):  # summed in tree order: reproducible bit for bit
         total += freqs[:, t]

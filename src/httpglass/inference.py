@@ -113,10 +113,12 @@ class _Block:
     that never crosses into another connection.
 
     ``context`` adds the enhanced models' input: ``vecs``, one indicator
-    vector per row in its own protocol's layout, and each connection's
-    total, kept in ``totals`` as labels move.  The indicators are 0/1, so
-    every float64 sum of them is exact, whatever its order.  ``move`` gives
-    back the rows whose window holds the moved header.
+    vector per row in its own protocol's layout, then a scratch column that
+    no window reads, and each connection's total, kept in ``totals`` as
+    labels move.  The indicators are 0/1, so every float64 sum of them is
+    exact, whatever its order.  ``static`` builds, once, the part of a
+    stack's walk input that the passes never change; ``compact`` completes
+    it for the rows being scored.
     """
 
     def __init__(self, conns: list[Connection], protocols: list[str],
@@ -159,8 +161,8 @@ class _Block:
         """Index the enhanced models' context: each row's ``labels`` dict as
         indicators in its own protocol's layout (of ``layouts``), zero past
         that layout's width and on the rows of other protocols."""
-        self.vecs = np.zeros((len(labels), max(layout.width for layout
-                                               in layouts.values())))
+        width = max(layout.width for layout in layouts.values())
+        self.vecs = np.zeros((len(labels), width + 1))
         for protocol, layout in layouts.items():
             rows = np.flatnonzero(self.protocol == PROTOCOLS.index(protocol))
             self.vecs[rows, :layout.width] = layout.vectors(
@@ -169,34 +171,46 @@ class _Block:
 
     def window(self, heads: np.ndarray) -> np.ndarray:
         """Each header's context: the indicator sums over its window (its
-        whole connection in standard mode), its own included."""
+        whole connection in standard mode), its own included, in the
+        columns of ``vecs`` (the scratch one too)."""
         if self.tor:
             return self.vecs[heads[:, None] + _WINDOW].sum(axis=1)
-        return self.totals[self.conn[heads]]
+        return self.totals.take(self.conn[heads], axis=0)
 
-    def rows(self, heads: np.ndarray, head_of: np.ndarray, masks: np.ndarray,
-             ) -> np.ndarray:
-        """Enhanced-model inputs: row i holds header ``heads[head_of[i]]``'s
-        base features and its context, less the header's own indicators
-        under the span mask ``masks[i]``."""
-        ctx = self.window(heads)
-        g = heads[head_of]
-        return np.hstack([self.base[g], ctx[head_of] - self.vecs[g] * masks])
+    def static(self, stack: rf.Stack, masks: np.ndarray,
+               rows: np.ndarray) -> None:
+        """Build the static part of ``stack``'s walk input for each of
+        ``rows``, once, and drop ``base``.  Forest k of the stack reads a
+        row's base features, then its context less the header's own
+        indicators under ``masks[k]``; only the context columns change as
+        labels move, and every categorical test reads a base feature (the
+        loader checks it), so the static part is the numeric base columns
+        and every membership column."""
+        n_base = self.base.shape[1]
+        self.at = np.full(len(self.labels), -1, dtype=np.int64)
+        self.at[rows] = np.arange(rows.size)
+        self.table = stack.compact(self.base[rows], n_base)
+        del self.base
+        # the numeric columns the stack reads in the context, which come
+        # last among its numeric columns
+        late = stack.columns >= n_base
+        self.late = slice(stack.columns.size - np.count_nonzero(late),
+                          stack.columns.size)
+        self.late_columns = stack.columns[late] - n_base
+        self.late_masks = masks[:, self.late_columns]
 
-    def move(self, g: int, old: int | None, new: int | None,
-             ) -> np.ndarray | slice:
-        """Header g's indicator moves from column ``old`` to ``new``; gives
-        back the rows whose window holds g, all in g's connection."""
-        c = int(self.conn[g])
-        if old is not None:
-            self.vecs[g, old] = 0.0
-            self.totals[c, old] -= 1.0
-        if new is not None:
-            self.vecs[g, new] = 1.0
-            self.totals[c, new] += 1.0
-        if self.tor:
-            return g + _WINDOW
-        return slice(int(self.start[c]), int(self.start[c] + self.size[c]))
+    def compact(self, heads: np.ndarray, head_of: np.ndarray,
+                ks: np.ndarray) -> np.ndarray:
+        """The walk input of rows whose row i is header ``heads[head_of[i]]``
+        for the stack's forest ``ks[i]``: its static part, with the context
+        columns the stack reads written in."""
+        W = self.table.take(self.at[heads[head_of]], axis=0)
+        columns = self.late_columns
+        ctx = self.window(heads).take(columns, axis=1)
+        own = self.vecs.take(heads, axis=0).take(columns, axis=1)
+        np.subtract(ctx.take(head_of, axis=0), own.take(head_of, axis=0)
+                    * self.late_masks.take(ks, axis=0), out=W[:, self.late])
+        return W
 
 
 SWITCH_MARGIN = 0.05
@@ -276,16 +290,20 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
     points.
 
     Each header position is one block: the rows of all connections' headers
-    there, of every protocol, are built and scored at once, with one
-    ``predict_scores`` call over the stacked enhanced models of every
-    protocol.  A row's context takes its own protocol's ``Layout`` in the
-    columns after the base features; past that layout's width it is zero,
-    and its protocol's forests never read there.  Only ``dirty`` headers
-    are scored: first every header a model labels, then each one whose window
-    (its whole connection in standard mode) had a label move since it was
-    last scored; a clean header's input and labels are unchanged, so none
-    could move.  A moved header stays dirty until it is next scored, so a
-    connection has converged when a pass leaves none of its headers dirty.
+    there, of every protocol, are scored at once, with one
+    ``predict_compact`` call over the stacked enhanced models of every
+    protocol.  Its input is the block's static table, built once, with the
+    context columns the stack reads written in (``_Block.compact``).  A
+    row's context takes its own protocol's ``Layout`` in the columns after
+    the base features; past that layout's width it is zero, and its
+    protocol's forests never read there.  The moves a call decides land as
+    arrays, and the label dicts are written once, after the last pass.
+    Only ``dirty`` headers are scored: first every header a model labels,
+    then each one whose window (its whole connection in standard mode) had
+    a label move since it was last scored; a clean header's input and
+    labels are unchanged, so none could move.  A moved header stays dirty
+    until it is next scored, so a connection has converged when a pass
+    leaves none of its headers dirty.
     """
     iterated = {res.protocol for res in results if not res.converged}
     layouts = {protocol: Layout(bundle.problems[protocol])
@@ -296,14 +314,17 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
     forests = [bundle.models[p.protocol].enhanced[p.id] for p in enhanced]
     stack = rf.Stack(forests)
     block.context(block.labels, layouts)
+    scratch = block.vecs.shape[1] - 1  # vecs' last column, past the layouts
     # masks[k]: model k's span; uses[g, k]: model k labels header g;
     # current[g, k]: the class index of its label there, which the first
     # pass set (the loader holds the model's classes to its single model's);
-    # columns[k][c]: the indicator column of model k's class c, or None
-    masks = np.zeros((len(enhanced), block.vecs.shape[1]))
+    # column[k, c]: the indicator column of model k's class c, the scratch
+    # column for a class outside the layout
+    masks = np.zeros((len(enhanced), scratch))
     uses = np.zeros((len(block.labels), len(enhanced)), dtype=bool)
     current = np.zeros(uses.shape, dtype=np.int64)
-    columns = []
+    column = np.full((len(enhanced), max(f.n_classes for f in forests)),
+                     scratch, dtype=np.int64)
     for k, (p, forest) in enumerate(zip(enhanced, forests)):
         layout = layouts[p.protocol]
         masks[k, :layout.width] = layout.mask(p.id)
@@ -312,8 +333,11 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
         index = {c: i for i, c in enumerate(forest.classes)}
         current[rows, k] = [index[block.labels[g][p.id]]
                             for g in rows.tolist()]
-        columns.append([layout.column.get((p.id, c)) for c in forest.classes])
+        column[k, :forest.n_classes] = [layout.column.get((p.id, c), scratch)
+                                        for c in forest.classes]
+    first = current.copy()
     has_model = uses.any(axis=1)
+    block.static(stack, masks, np.flatnonzero(has_model))
     dirty = has_model.copy()
     sizes = block.size
     live = np.array([c for c, res in enumerate(results) if not res.converged],
@@ -326,23 +350,39 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
                 continue
             dirty[heads] = False
             head_of, ks = np.nonzero(uses[heads])
-            scores = rf.predict_scores(
-                stack, block.rows(heads, head_of, masks[ks]), ks)
+            scores = rf.predict_compact(stack,
+                                        block.compact(heads, head_of, ks), ks)
             g = heads[head_of]
             r = np.arange(len(ks))
             best = scores.argmax(axis=1)
             cur = current[g, ks]
             # a row's padding past its model's classes is zero and the row
             # sums to 1, so the padding never holds the first maximum
-            moves = scores[r, best] - scores[r, cur] > SWITCH_MARGIN
-            # every row is built already, and a connection's rows all sit in
-            # this call, so labels and vectors can move right away
-            for i in np.flatnonzero(moves).tolist():
-                gi, k, b = int(g[i]), int(ks[i]), int(best[i])
-                reach = block.move(gi, columns[k][int(cur[i])], columns[k][b])
-                dirty[reach] = has_model[reach]
-                block.labels[gi][enhanced[k].id] = forests[k].classes[b]
-                current[gi, k] = b
+            moves = np.flatnonzero(scores[r, best] - scores[r, cur]
+                                   > SWITCH_MARGIN)
+            if not moves.size:
+                continue
+            # the call scored all its rows, and each header once, so every
+            # move lands at once; a header's models have disjoint spans
+            g, k, old, new = g[moves], ks[moves], cur[moves], best[moves]
+            current[g, k] = new
+            old, new = column[k, old], column[k, new]
+            block.vecs[g, old] = 0.0
+            block.vecs[g, new] = 1.0
+            c = block.conn[g]
+            np.add.at(block.totals, (c, old), -1.0)
+            np.add.at(block.totals, (c, new), 1.0)
+            # the rows whose window holds a moved header
+            if block.tor:
+                reach = (g[:, None] + _WINDOW).ravel()
+            else:  # the rows of each moved header's connection
+                moved = np.zeros(heads.size, dtype=bool)
+                moved[head_of[moves]] = True
+                c = block.conn[heads[moved]]
+                n = block.size[c]
+                reach = np.arange(n.sum()) + np.repeat(
+                    block.start[c] - (np.cumsum(n) - n), n)
+            dirty[reach] = has_model[reach]
         busy = np.logical_or.reduceat(dirty, block.start)
         for c in live.tolist():
             results[c].iterations += 1
@@ -350,6 +390,8 @@ def _enhanced_passes(bundle: ModelBundle, block: _Block,
         live = np.array([c for c in live.tolist() if busy[c]
                          and results[c].iterations < max_iters],
                         dtype=np.int64)
+    for g, k in zip(*np.nonzero(current != first)):
+        block.labels[g][enhanced[k].id] = forests[k].classes[current[g, k]]
 
 
 def aggregate_predictions(problems: list[ProblemSpec],
@@ -491,8 +533,9 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
         for _, rows, _, _ in singles:
             used[rows] = True
         used = np.flatnonzero(used)
-        ctx = block.window(used)
-        table = np.hstack([block.base[used], ctx, ctx - block.vecs[used]])
+        ctx = block.window(used)[:, :-1]
+        table = np.hstack([block.base[used], ctx,
+                           ctx - block.vecs[used, :-1]])
         del ctx, block
         width, span = base.size, layout.width
         enhanced = rf.grow(table, [
@@ -594,7 +637,8 @@ def _check_schemas(bundle: ModelBundle) -> None:
     every protocol, every forest with the schema id and width training
     gives it for the bundle's mode, a message-type forest no class but 0
     and 1, every enhanced forest the single forest of its problem with the
-    same classes, and as many trees as each other enhanced forest;
+    same classes, categorical splits on base features only, and as many
+    trees as each other enhanced forest;
     otherwise prediction would fail far from the cause, or read features in
     the wrong places."""
     if not isinstance(bundle.mode, str) or bundle.mode not in MODES:
@@ -615,13 +659,19 @@ def _check_schemas(bundle: ModelBundle) -> None:
         if any(c not in (0, 1) for c in classes):
             raise InferenceError(f"forest {protocol}.message_type has classes "
                                  f"{classes!r}; a message type is 0 or 1")
-        # the enhanced passes start from the single forest's labels
+        # the enhanced passes start from the single forest's labels, and
+        # test each categorical split once, on the base features
         for pid, f in pm.enhanced.items():
             single = pm.single.get(pid)
             if single is None or single.classes != f.classes:
                 raise InferenceError(
                     f"forest {protocol}.enhanced.{pid} needs a single forest "
                     f"{protocol}.single.{pid} with its classes {f.classes!r}")
+            if (f.nodes.feature[f.nodes.cat >= 0] >= width).any():
+                raise InferenceError(
+                    f"forest {protocol}.enhanced.{pid} has a categorical "
+                    f"split on a context feature; only the first {width} "
+                    f"(base) features may be categorical")
         context = Layout(bundle.problems[protocol]).width
         expected.append((f"{protocol}.message_type", pm.message_type, schema,
                          width))

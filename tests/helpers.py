@@ -142,6 +142,18 @@ def synthetic_connection(lengths_directions, handshake=None, start_time=0.0,
                       handshake=handshake or HandshakeMeta())
 
 
+def reference_rows(block, heads, head_of, masks, base=None):
+    """The enhanced models' inputs built in full, as the passes once built
+    them, kept as the oracle of their compact inputs: row i holds header
+    ``heads[head_of[i]]``'s base features (of ``base``, by default the
+    block's) and its context, less the header's own indicators under the
+    span mask ``masks[i]``, without the block's scratch column."""
+    base = block.base if base is None else base
+    ctx = block.window(heads)[:, :-1]
+    g = heads[head_of]
+    return np.hstack([base[g], ctx[head_of] - block.vecs[g, :-1] * masks])
+
+
 def random_dataset(rng, n_max=200, d_max=8, k_max=4):
     """A random (X, y) classification dataset for forest oracles."""
     n = int(rng.integers(8, n_max + 1))

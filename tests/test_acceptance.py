@@ -25,7 +25,7 @@ from httpglass.keyscan import (PROFILE_NAMES, build_fixture,
                                scan, scan_file)
 from httpglass.registry import ABSENT, PRESENT, Layout, registry
 
-from helpers import (handshake_payloads, pcap_frames,
+from helpers import (handshake_payloads, pcap_frames, reference_rows,
                      synthetic_connection, tls_stream)
 from test_evalx import brute_force_f1
 from test_forest import _encode, _split_score, exhaustive_numeric_stump
@@ -229,8 +229,10 @@ def test_criterion_07_malware_enrichment_direction():
 
 
 def test_criterion_08_referer_aggregation_oracle():
-    """The production builder: a ``_Block`` of 7 requests, whose target's
-    Referer span must read [2, 4] from ``_Block.rows``."""
+    """The production context: a ``_Block`` of 7 requests, whose target's
+    Referer span must read [2, 4] in the rows of ``reference_rows``, which
+    the enhanced passes' compact inputs equal bit for bit (tested in
+    test_inference.py)."""
     problems = registry("http1")
     labels = [{"request.method": "GET",
                "request.referer": PRESENT if i < 4 else ABSENT}
@@ -241,7 +243,8 @@ def test_criterion_08_referer_aggregation_oracle():
     layout = Layout(problems)
     block.context(block.labels, {"http1": layout})
     target = np.array([block.start[0] + 5])  # an absent-Referer request
-    row = block.rows(target, np.array([0]), layout.mask("request.referer"))[0]
+    row = reference_rows(block, target, np.array([0]),
+                         layout.mask("request.referer"))[0]
     ctx = row[STANDARD_LEN:]
     lo, hi = layout.span["request.referer"]
     sub = ctx[lo:hi].tolist()

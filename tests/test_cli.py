@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from httpglass.capture import write_pcap
-from httpglass.cli import main
+from httpglass.cli import build_parser, main
 from httpglass.corpus import load_corpus
 from httpglass.evalx import render_semantics_report
 from httpglass.features import SCHEMA_STANDARD, feature_names
@@ -131,6 +132,43 @@ def test_train_names_an_absent_protocol_once(tmp_path, capsys):
         "warning: http2: skipped (the corpus has no http2 connection)"]
     assert all(l.startswith("warning: http1: skipped (too few labels): ")
                for l in lines if "http2" not in l)
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys,
+                                                     monkeypatch):
+    """``main`` reuses one parser: a Tor-mode train, an infer and a train in
+    one process each parse to the Namespace a fresh parser gives, so no
+    command's options or defaults leak into the next; ``--version`` still
+    exits 0."""
+    corpus, bundle = str(tmp_path / "c.jsonl"), str(tmp_path / "b.json")
+    assert _run(capsys, "synth", "--connections", "6", "--seed", "2",
+                "--out", corpus)[0] == 0
+    parsed, parse = [], argparse.ArgumentParser.parse_args
+
+    def recording(parser, args=None, namespace=None):
+        parsed.append((parser, list(args)))
+        return parse(parser, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    runs = [["train", corpus, "--mode", "tor", "--trees", "1",
+             "--include-etag", "--out", bundle],
+            ["infer", "--corpus", corpus, "--bundle", bundle,
+             "--max-iters", "2", "--out", str(tmp_path / "p.jsonl")],
+            ["train", corpus, "--trees", "1", "--out", bundle]]
+    for argv in runs:
+        assert _run(capsys, *argv)[0] == 0
+    monkeypatch.undo()
+    assert [args for _, args in parsed] == runs
+    assert all(parser is build_parser() for parser, _ in parsed)
+    for argv in runs:
+        assert build_parser().parse_args(argv) == \
+            build_parser.__wrapped__().parse_args(argv)
+    assert build_parser().parse_args(runs[2]).mode == "standard"
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert build_parser().parse_args(runs[0]) == \
+        build_parser.__wrapped__().parse_args(runs[0])
 
 
 def test_infer_requires_input(tmp_path, capsys):

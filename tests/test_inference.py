@@ -25,7 +25,7 @@ from httpglass.inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT,
                                  save_bundle, train_bundle)
 from httpglass.registry import ABSENT, OTHER, PRESENT, Layout, Side, registry
 
-from helpers import synthetic_connection
+from helpers import reference_rows, synthetic_connection
 
 PROBS_H1 = registry("http1")
 PARAMS_FAST = TrainParams(n_trees=8, max_depth=10, min_leaf=2)
@@ -183,10 +183,10 @@ def _header_block(label_lists, tor=False, problems=PROBS_H1):
 
 def _context_of(block, conn, pos, pid, problems=PROBS_H1):
     """The context block of header ``pos`` of connection ``conn`` as the
-    ``pid`` model reads it from ``_Block.rows``."""
+    ``pid`` model reads it, from the reference row builder."""
     layout = Layout(problems)
     g = np.array([block.start[conn] + pos])
-    row = block.rows(g, np.array([0]), layout.mask(pid)[None])[0]
+    row = reference_rows(block, g, np.array([0]), layout.mask(pid)[None])[0]
     assert row.shape == (block.base.shape[1] + layout.width,)
     return row[block.base.shape[1]:]
 
@@ -226,12 +226,14 @@ def test_block_addresses_rows_by_protocol_and_side(tor):
                 == sender[p.side]]
     block.context(block.labels, layouts)
     width = max(layout.width for layout in layouts.values())
-    assert block.vecs.shape == (len(block.labels), width)
+    # and a scratch column, zero until the passes move a label outside its
+    # layout
+    assert block.vecs.shape == (len(block.labels), width + 1)
     for g in heads:
         layout = layouts[protocols[block.conn[g]]]
         vec = layout.vectors([label_lists[block.conn[g]][block.index[g]]])[0]
         assert block.vecs[g].tolist() == \
-            vec.tolist() + [0.0] * (width - layout.width)
+            vec.tolist() + [0.0] * (width + 1 - layout.width)
     padding = block.conn < 0
     assert padding.sum() == (len(conns) + 1) * TOR_WINDOW
     assert not block.vecs[padding].any()
@@ -670,6 +672,28 @@ class TestTraining:
             bundle_from_dict(data)
 
 
+    def test_a_categorical_split_on_the_context_is_refused(self,
+                                                          small_world):
+        """The passes test each categorical split once, on the base
+        features, so an enhanced forest whose categorical split reads a
+        context feature is refused, by name."""
+        bundle, _, _ = small_world
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        edited = []
+        for pid, forest in sorted(data["protocols"]["http1"]["enhanced"]
+                                  .items()):
+            nodes = forest["nodes"]
+            split = [i for i, c in enumerate(nodes["cat"]) if c >= 0]
+            if split:
+                nodes["feature"][split[0]] = forest["n_features"] - 1
+                edited.append(pid)
+        assert edited
+        with pytest.raises(InferenceError, match=(
+                rf"forest http1\.enhanced\.{edited[0]} has a categorical "
+                rf"split on a context feature")):
+            bundle_from_dict(data)
+
+
 class TestFixedPoint:
     def test_single_transaction_connections_converge(self):
         """With one transaction per connection the context is just the peer
@@ -711,18 +735,27 @@ def oracle_inputs(oracle_worlds):
 
 
 def _counting_stacked_calls(monkeypatch):
-    """Count the calls and rows that ``predict_scores`` scores for a Stack
-    (the enhanced passes), into the last entry of the list returned."""
-    predict = rf.predict_scores
+    """Count the calls and rows that a Stack scores, into the last entry of
+    the list returned: the passes' inputs (each ``_Block.compact`` input is
+    scored by one call) and the reference's ``predict_scores`` calls."""
+    predict, compact = rf.predict_scores, inference._Block.compact
     counted = []
+
+    def count(rows):
+        counted[-1][0] += 1
+        counted[-1][1] += rows
 
     def counting(model, X, which=None):
         if isinstance(model, rf.Stack):
-            counted[-1][0] += 1
-            counted[-1][1] += len(X)
+            count(len(X))
         return predict(model, X, which)
 
+    def compacting(block, heads, head_of, ks):
+        count(len(ks))
+        return compact(block, heads, head_of, ks)
+
     monkeypatch.setattr(rf, "predict_scores", counting)
+    monkeypatch.setattr(inference._Block, "compact", compacting)
     return counted
 
 
@@ -738,6 +771,38 @@ class TestGaussSeidelOracle:
             assert len({len(res.headers) for res in got}) > 1
             if max_iters == 10:
                 assert any(res.iterations > 2 for res in got)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 10])
+    def test_compact_inputs_match_the_reference_rows(self, oracle_inputs,
+                                                     monkeypatch, max_iters):
+        """Every walk input that the passes score is, bit for bit, the
+        stack's compact input of the rows built in full from the block's
+        base features and its context at that moment."""
+        static, compact = inference._Block.static, inference._Block.compact
+        checked = []
+
+        def keeping(block, stack, masks, rows):
+            # ``static`` drops the base features: keep them for the check
+            block.reference = (block.base, stack, masks)
+            static(block, stack, masks, rows)
+
+        def checking(block, heads, head_of, ks):
+            W = compact(block, heads, head_of, ks)
+            base, stack, masks = block.reference
+            want = stack.compact(reference_rows(block, heads, head_of,
+                                                masks[ks], base))
+            checked.append((W.dtype, W.shape, W.tobytes())
+                           == (want.dtype, want.shape, want.tobytes()))
+            return W
+
+        monkeypatch.setattr(inference._Block, "static", keeping)
+        monkeypatch.setattr(inference._Block, "compact", checking)
+        bundles, corpora = oracle_inputs
+        for bundle, conns in itertools.product(bundles, corpora):
+            checked.clear()
+            classify_corpus(bundle, conns, max_iters)
+            assert all(checked)
+            assert bool(checked) == (max_iters > 1)
 
     def test_clean_rows_are_not_scored(self, oracle_inputs, monkeypatch):
         """Skipping headers whose window did not move since their last
