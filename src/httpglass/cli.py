@@ -61,16 +61,15 @@ def cmd_extract(args) -> int:
             out.write("connection,record,"
                       + ",".join(feature_names(schema)) + "\n")
         for cid, conn in conns:
-            for rec, values in zip(conn.records,
-                                   record_table(conn, args.mode)):
+            for index, values in enumerate(record_table(conn, args.mode)):
                 if csv:
-                    out.write(f"{cid},{rec.index},"
+                    out.write(f"{cid},{index},"
                               + ",".join(map(repr, values.tolist())) + "\n")
                 else:
                     out.write(json.dumps(
                         {"schema_version": OUTPUT_SCHEMA_VERSION,
                          "schema_id": schema, "connection": cid,
-                         "record": rec.index,
+                         "record": index,
                          "values": list(values)}, sort_keys=True) + "\n")
     return 0
 
@@ -117,8 +116,9 @@ def cmd_infer(args) -> int:
         for (cid, conn), res in zip(items, results):
             head = (f'{{"connection": {json.dumps(cid)}, '
                     f'"converged": {json.dumps(res.converged)}, "direction": ')
+            direction = conn.records["direction"].tolist()
             for index, labels in res.headers.items():
-                prefix = (f"{head}{int(conn.records[index].direction)}, "
+                prefix = (f"{head}{direction[index]}, "
                           f'"iteration_count": {res.iterations}, "label": ')
                 suffix = (f', "record": {index}, "schema_version": '
                           f'{OUTPUT_SCHEMA_VERSION}, "score": null}}\n')

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import HttpglassError
 from .capture import Direction, PacketMeta, RawConnection
-from .tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
-                       build_client_hello, build_server_hello, record_header,
+from .tlsparse import (Connection, HandshakeMeta, build_client_hello,
+                       build_server_hello, record_array, record_header,
                        EXT_ALPN, GREASE_COLLAPSED)
 from .registry import (ABSENT, OTHER, PRESENT, PROTOCOLS, Kind, ProblemSpec,
                        Side, registry)
@@ -279,16 +279,17 @@ def ingest_ground_truth(conn: Connection, session: dict, protocol: str,
             f"record count mismatch: capture has {len(conn.records)}, "
             f"ground truth has {len(gt_records)}")
     out = []
-    for rec, gt in zip(conn.records, gt_records):
+    for index, ((type_code, length), gt) in enumerate(zip(
+            conn.records[["type_code", "length"]].tolist(), gt_records)):
         gt_type = TYPE_CODES.get(str(gt.get("type", "")))
-        if gt_type != rec.type_code or int(gt.get("length", -1)) != rec.length:
+        if gt_type != type_code or int(gt.get("length", -1)) != length:
             raise AlignmentError(
-                f"record {rec.index}: type/length mismatch "
+                f"record {index}: type/length mismatch "
                 f"({gt.get('type')}/{gt.get('length')} vs "
-                f"{rec.type_code}/{rec.length})")
+                f"{type_code}/{length})")
         messages = _messages_from_decrypted(gt.get("decrypted_data"))
         labels = _labels_for_message(messages[0], problems) if messages else {}
-        out.append(LabeledRecord(index=rec.index, message_type=bool(messages),
+        out.append(LabeledRecord(index=index, message_type=bool(messages),
                                  labels=labels))
     return out
 
@@ -433,14 +434,15 @@ class _ConnBuilder:
         self.ts = start_ts
         self.start_ts = start_ts
         self.packets: list[PacketMeta] = []
-        self.records: list[TlsRecordMeta] = []
+        self.records: list[tuple] = []  # rows in RECORD_DTYPE's field order
         self.streams = {Direction.CLIENT_TO_SERVER: bytearray(),
                         Direction.SERVER_TO_CLIENT: bytearray()}
         self.emit_streams = emit_streams
 
     def add_record(self, type_code: int, direction: Direction, length: int,
                    pkt_count: int | None = None, push_all: bool = False,
-                   payload: bytes | None = None):
+                   payload: bytes | None = None) -> int:
+        """Append one record and its packets; returns the record's index."""
         wire = length + 5
         if pkt_count is None:
             pkt_count = max(1, -(-wire // _MSS))
@@ -463,12 +465,9 @@ class _ConnBuilder:
             pos += size
             self.ts += 0.001
         pushes = pkt_count if push_all else 1
-        self.records.append(TlsRecordMeta(
-            index=len(self.records), type_code=type_code, length=length,
-            direction=direction, pkt_count=pkt_count, push_count=pushes,
-            avg_pkt_size=wire / pkt_count, first_byte_ts=first_ts,
-            stream_offset=offset))
-        return self.records[-1]
+        self.records.append((first_ts, direction, offset, type_code, length,
+                             pkt_count, pushes, wire / pkt_count, False))
+        return len(self.records) - 1
 
     def finish(self, handshake: HandshakeMeta) -> Connection:
         duration = (self.packets[-1].timestamp - self.packets[0].timestamp
@@ -480,7 +479,7 @@ class _ConnBuilder:
             server_stream=bytes(self.streams[Direction.SERVER_TO_CLIENT]),
             duration=duration, start_time=self.start_ts,
         )
-        return Connection(raw=raw, records=self.records, handshake=handshake)
+        return Connection(raw, record_array(self.records), handshake)
 
 
 def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
@@ -590,13 +589,13 @@ def _synthesize_connection(spec: SynthSpec, rng, conn_index: int,
                    if by_problem[pid].side == Side.CLIENT}
         resp_lab = {pid: v for pid, v in labels.items()
                     if by_problem[pid].side == Side.SERVER}
-        labeled.append(LabeledRecord(crecs[0].index, True, req_lab))
-        labeled.append(LabeledRecord(srecs[0].index, True, resp_lab))
+        labeled.append(LabeledRecord(crecs[0], True, req_lab))
+        labeled.append(LabeledRecord(srecs[0], True, resp_lab))
 
     conn = builder.finish(hs)
     label_by_index = {lr.index: lr for lr in labeled}
-    full = [label_by_index.get(r.index, LabeledRecord(r.index, False, {}))
-            for r in conn.records]
+    full = [label_by_index.get(i, LabeledRecord(i, False, {}))
+            for i in range(len(conn.records))]
     return LabeledConnection(conn=conn, protocol=protocol, records=full,
                              connection_id=f"synth-{conn_index}")
 
@@ -627,8 +626,9 @@ def ground_truth_session(lc: LabeledConnection) -> dict:
     """Emit the decrypted-session JSON tree for a labeled connection."""
     problems = {p.id: p for p in registry(lc.protocol, include_etag=True)}
     records = []
-    for rec, lr in zip(lc.conn.records, lc.records):
-        entry: dict = {"type": TYPE_NAMES[rec.type_code], "length": rec.length}
+    for (type_code, length), lr in zip(
+            lc.conn.records[["type_code", "length"]].tolist(), lc.records):
+        entry: dict = {"type": TYPE_NAMES[type_code], "length": length}
         if lr.message_type:
             is_request = any(problems[pid].side == Side.CLIENT
                              for pid in lr.labels)
@@ -710,9 +710,9 @@ def _conn_to_dict(lc: LabeledConnection) -> dict:
         },
         "packets": [[p.timestamp, int(p.direction), p.payload_len,
                      int(p.push_flag), p.seq] for p in conn.raw.packets],
-        "records": [[r.index, r.type_code, r.length, int(r.direction),
-                     r.pkt_count, r.push_count, r.avg_pkt_size,
-                     r.first_byte_ts] for r in conn.records],
+        "records": [[i, *row] for i, row in enumerate(conn.records[[
+            "type_code", "length", "direction", "pkt_count", "push_count",
+            "avg_pkt_size", "first_byte_ts"]].tolist())],
         "labels": [{"index": lr.index, "message_type": lr.message_type,
                     "labels": lr.labels} for lr in lc.records],
     }
@@ -721,42 +721,40 @@ def _conn_to_dict(lc: LabeledConnection) -> dict:
 def _conn_from_dict(d: dict) -> LabeledConnection:
     packets = [PacketMeta(ts, Direction(di), ln, bool(pf), seq)
                for ts, di, ln, pf, seq in d["packets"]]
-    records = [TlsRecordMeta(index=i, type_code=t, length=ln,
-                             direction=Direction(di), pkt_count=pc,
-                             push_count=pu, avg_pkt_size=avg, first_byte_ts=ts)
-               for i, t, ln, di, pc, pu, avg, ts in d["records"]]
+    rows = [(ts, di, 0, t, ln, pc, pu, avg, False)
+            for _, t, ln, di, pc, pu, avg, ts in d["records"]]
     hs = HandshakeMeta(**d["handshake"])
+    labels = [LabeledRecord(l["index"], l["message_type"], l["labels"])
+              for l in d["labels"]]
+    _check_conn(d, hs, labels)
     raw = RawConnection(five_tuple=("", 0, "", 0, "tcp"), packets=packets,
                         client_stream=b"", server_stream=b"",
                         duration=d["duration"], start_time=d["start_time"])
-    conn = Connection(raw=raw, records=records, handshake=hs)
-    labels = [LabeledRecord(l["index"], l["message_type"], l["labels"])
-              for l in d["labels"]]
-    lc = LabeledConnection(conn=conn, protocol=d["protocol"], records=labels,
-                           connection_id=d["id"])
-    _check_conn(lc, d)
-    return lc
+    conn = Connection(raw=raw, records=record_array(rows), handshake=hs)
+    return LabeledConnection(conn=conn, protocol=d["protocol"], records=labels,
+                             connection_id=d["id"])
 
 
 _I, _N = {int}, {int, float}
 _ROW_TYPES = {"packets": (_N, _I, _I, _I, _I), "records": (_I,) * 6 + (_N, _N)}
 
 
-def _check_conn(lc: LabeledConnection, d: dict) -> None:
-    """Refuse a loaded connection that training or classification could not
-    use, which would otherwise fail far from the cause."""
-    n, hs = len(lc.conn.records), lc.conn.handshake
+def _check_conn(d: dict, hs: HandshakeMeta, labels: list) -> None:
+    """Refuse a connection that training or classification could not use,
+    which would otherwise fail far from the cause.  It runs before the
+    record array is built, which would coerce a wrong type."""
+    n = len(d["records"])
     for failed, message in [
-            (lc.protocol not in PROTOCOLS,
-             f"unknown protocol {lc.protocol!r}"),
-            ([r.index for r in lc.conn.records] != list(range(n))
-             or [lr.index for lr in lc.records] != list(range(n)),
+            (d["protocol"] not in PROTOCOLS,
+             f"unknown protocol {d['protocol']!r}"),
+            ([r[0] for r in d["records"]] != list(range(n))
+             or [lr.index for lr in labels] != list(range(n)),
              "labels must be one per record, in record order"),
             (any(not set(map(type, column)) <= t
                  for name, types in _ROW_TYPES.items()
                  for column, t in zip(zip(*d[name]), types))
              or not {type(d["start_time"]), type(d["duration"])} <= _N
-             or type(lc.connection_id) is not str
+             or type(d["id"]) is not str
              or not all(type(v) is list and all(type(x) is t for x in v)
                         for v, t in [(hs.offered_cipher_suites, int),
                                      (hs.advertised_extensions, int),
@@ -768,11 +766,14 @@ def _check_conn(lc: LabeledConnection, d: dict) -> None:
                     or type(lr.message_type) is not bool
                     or type(lr.labels) is not dict
                     or any(type(v) is not str for kv in lr.labels.items()
-                           for v in kv) for lr in lc.records),
-             "a field has the wrong type")]:
+                           for v in kv) for lr in labels),
+             "a field has the wrong type"),
+            # 2 is DIR_NO_RECORD, the code of an absent window slot
+            (any(r[3] not in (0, 1) for r in d["records"]),
+             "a record direction must be 0 or 1")]:
         if failed:
             raise CorpusError(message)
-    if any(p.payload_len < 0 for p in lc.conn.raw.packets):
+    if any(p[2] < 0 for p in d["packets"]):
         raise CorpusError("payload_len must be >= 0")
 
 
@@ -796,13 +797,18 @@ def _int64(text: str) -> int:
     return value
 
 
+def _finite(constant: str) -> float:
+    """Refuse a JSON NaN, Infinity or -Infinity: no field can hold one."""
+    raise ValueError(f"a number is not finite: {constant}")
+
+
 def load_corpus(path: str) -> list[LabeledConnection]:
     out = []
     # bytes, decoded line by line, so that invalid UTF-8 names its line
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"),
-                                parse_int=_int64)
+                                parse_int=_int64, parse_constant=_finite)
         except ValueError as exc:
             raise CorpusError(f"line 1: {type(exc).__name__}: {exc}") from exc
         manifest = header.get("manifest") if isinstance(header, dict) else None
@@ -814,7 +820,8 @@ def load_corpus(path: str) -> list[LabeledConnection]:
             if line.strip():
                 try:
                     out.append(_conn_from_dict(json.loads(
-                        line.decode("utf-8"), parse_int=_int64)))
+                        line.decode("utf-8"), parse_int=_int64,
+                        parse_constant=_finite)))
                 except (CorpusError, KeyError, TypeError, ValueError) as exc:
                     raise CorpusError(
                         f"line {n}: {type(exc).__name__}: {exc}") from exc

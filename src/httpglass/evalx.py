@@ -131,10 +131,9 @@ def run_semantics_experiment(bundle: ModelBundle,
     evaluated: dict[str, list] = {}
     mt_truth, mt_pred = [], []
     for lc, res in zip(test, results):
-        for lr, rec in zip(lc.records, lc.conn.records):
-            if rec.type_code == 23:
-                mt_truth.append(int(lr.message_type))
-                mt_pred.append(int(lr.index in res.headers))
+        for i in np.flatnonzero(lc.conn.records["type_code"] == 23).tolist():
+            mt_truth.append(int(lc.records[i].message_type))
+            mt_pred.append(int(i in res.headers))
         rows = evaluated.setdefault(lc.protocol, [])
         if filter_misclassified and any(
                 lr.message_type != (lr.index in res.headers)

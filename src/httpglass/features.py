@@ -73,21 +73,20 @@ class FeatureVocab:
             raise FeatureError("vocab must hold exactly 25 extensions")
 
 
-_ABSENT_SLOT = (0.0, 0.0, 0.0, 0.0, 0.0, float(DIR_NO_RECORD))
+# the record fields of a window slot, in slot order
+_SLOT_FIELDS = ("pkt_count", "push_count", "avg_pkt_size", "type_code",
+                "length", "direction")
 
 
 def _padded_slots(conn: Connection, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, 6) slot features for records lo .. hi-1; absent records pad."""
-    recs = conn.records
-    out: list[float] = []
-    for k in range(lo, hi):
-        if 0 <= k < len(recs):
-            r = recs[k]
-            out += (float(r.pkt_count), float(r.push_count), r.avg_pkt_size,
-                    float(r.type_code), float(r.length), float(r.direction))
-        else:
-            out += _ABSENT_SLOT
-    return np.asarray(out, dtype=np.float64).reshape(hi - lo, PER_RECORD_FEATURES)
+    recs = np.asarray(conn.records)  # a plain array reads fields faster
+    out = np.zeros((hi - lo, PER_RECORD_FEATURES))
+    out[:, -1] = DIR_NO_RECORD
+    a, b = max(lo, 0), min(hi, len(recs))
+    for j, name in enumerate(_SLOT_FIELDS):
+        out[a - lo:b - lo, j] = recs[name][a:b]
+    return out
 
 
 def extract_window_features(conn: Connection, i: int) -> np.ndarray:
@@ -99,10 +98,10 @@ def extract_window_features(conn: Connection, i: int) -> np.ndarray:
 
 def signed_record_lengths(conn: Connection, n: int) -> np.ndarray:
     """Sizes of the first n records; server-sent records are negative."""
+    recs = np.asarray(conn.records)[:n]
     out = np.zeros(n, dtype=np.float64)
-    for k, rec in enumerate(conn.records[:n]):
-        sign = -1.0 if rec.direction == Direction.SERVER_TO_CLIENT else 1.0
-        out[k] = sign * rec.length
+    out[:len(recs)] = np.where(recs["direction"] == Direction.SERVER_TO_CLIENT,
+                               -1.0, 1.0) * recs["length"]
     return out
 
 

@@ -141,7 +141,7 @@ class _Block:
                 conns, protocols, heads, bases, labels, self.start.tolist())):
             rows = slice(at, at + len(idx))
             self.index[rows], self.base[rows] = idx, base
-            self.direction[rows] = [conn.records[i].direction for i in idx]
+            self.direction[rows] = conn.records["direction"][idx]
             self.protocol[rows] = PROTOCOLS.index(protocol)
             self.conn[rows] = c
             self.labels[rows] = labs
@@ -241,7 +241,7 @@ def classify_corpus(bundle: ModelBundle, conns: list[Connection],
         picked = [c for c, res in enumerate(results)
                   if res.protocol == protocol]
         tables = [record_table(conns[c], bundle.mode) for c in picked]
-        app = [[rec.index for rec in conns[c].records if rec.type_code == 23]
+        app = [np.flatnonzero(conns[c].records["type_code"] == 23).tolist()
                for c in picked]
         if pm.message_type is not None and any(app):
             flags = iter(rf.predict_labels(pm.message_type, np.concatenate(
@@ -466,10 +466,9 @@ def train_bundle(train: list[LabeledConnection], mode: str = "standard",
         mt_rows, mt_y, heads, bases, labels = [], [], [], [], []
         for lc in members:
             table = record_table(lc.conn, mode)
-            flags = {lr.index: lr.message_type for lr in lc.records}
-            app = [rec.index for rec in lc.conn.records if rec.type_code == 23]
+            app = np.flatnonzero(lc.conn.records["type_code"] == 23).tolist()
             mt_rows.append(table[app])
-            mt_y += [int(flags.get(i, False)) for i in app]
+            mt_y += [int(lc.records[i].message_type) for i in app]
             heads.append([lr.index for lr in lc.records if lr.message_type])
             labels.append([lr.labels for lr in lc.records if lr.message_type])
             bases.append(table[heads[-1]])

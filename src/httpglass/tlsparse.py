@@ -3,7 +3,8 @@
 Each direction's stream is cut into records in one pass.  A record's packets
 are the (stream offset, packet) pairs its bytes span, and records from both
 directions are interleaved by the capture timestamp of each record's first
-byte.  Hello metadata comes from each direction's leading hello messages.
+byte.  A connection holds its records as one array of ``RECORD_DTYPE`` rows.
+Hello metadata comes from each direction's leading hello messages.
 """
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import NamedTuple
 
-from .capture import Direction, RawConnection
+import numpy as np
+
+from .capture import RawConnection
 
 RECORD_TYPES = (20, 21, 22, 23)
 MAX_RECORD_LEN = (1 << 14) + 2048
@@ -28,19 +30,19 @@ GREASE_COLLAPSED = 0x0A0A
 EXT_ALPN = 16
 
 
-class TlsRecordMeta(NamedTuple):
-    """Per-record metadata; every data feature derives from these fields."""
+# A connection's records, one np.record row each in time order: a row's
+# index is the record's, and a row reads its fields as attributes too.  The
+# sort keys lead, so sorted tuples order by time, direction, then offset.
+RECORD_DTYPE = np.dtype((np.record, [
+    ("first_byte_ts", np.float64), ("direction", np.int64),
+    ("stream_offset", np.int64), ("type_code", np.int64),
+    ("length", np.int64), ("pkt_count", np.int64), ("push_count", np.int64),
+    ("avg_pkt_size", np.float64), ("truncated", np.bool_)]))
 
-    index: int
-    type_code: int
-    length: int
-    direction: Direction
-    pkt_count: int
-    push_count: int
-    avg_pkt_size: float
-    first_byte_ts: float = 0.0
-    stream_offset: int = 0
-    truncated: bool = False
+
+def record_array(rows: list[tuple]) -> np.recarray:
+    """Records from one tuple per record, in ``RECORD_DTYPE``'s field order."""
+    return np.array(rows, dtype=RECORD_DTYPE).view(np.recarray)
 
 
 @dataclass
@@ -59,7 +61,7 @@ class Connection:
     """A parsed TLS connection: raw capture data plus record/handshake metadata."""
 
     raw: RawConnection
-    records: list[TlsRecordMeta]
+    records: np.recarray  # of RECORD_DTYPE
     handshake: HandshakeMeta
 
     @property
@@ -100,8 +102,8 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
     entries = []
     hello_payloads = []
     streams = (raw.client_stream, raw.server_stream)
-    for direction, stream, segments in zip(
-            Direction, streams, (raw.client_segments, raw.server_segments)):
+    for direction, (stream, segments) in enumerate(
+            zip(streams, (raw.client_segments, raw.server_segments))):
         starts = [off for off, _ in segments]
         pkts = [raw.packets[i] for _, i in segments]
         pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
@@ -125,22 +127,15 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
         if off == 0 and n > 0:
             return None  # the stream does not start with a plausible record
         hello_payloads.append(b"".join(handshake))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    records = [
-        TlsRecordMeta(index=i, type_code=t, length=ln, direction=d,
-                      pkt_count=pc, push_count=pu, avg_pkt_size=avg,
-                      first_byte_ts=ts, stream_offset=off, truncated=tr)
-        for i, (ts, d, off, t, ln, pc, pu, avg, tr) in enumerate(entries)
-    ]
+    entries.sort()
     # the record-layer version of the first handshake record in time order
-    version = next((struct.unpack_from("!H", streams[r.direction],
-                                       r.stream_offset + 1)[0]
-                    for r in records if r.type_code == 22), 0)
+    version = next((struct.unpack_from("!H", streams[d], off + 1)[0]
+                    for _, d, off, t, *_ in entries if t == 22), 0)
     # nothing reads the payload after record cutting, so the connection
     # keeps none: its streams die with the caller's RawConnection
     return Connection(raw=replace(raw, client_stream=b"", server_stream=b"",
                                   client_segments=[], server_segments=[]),
-                      records=records,
+                      records=record_array(entries),
                       handshake=parse_handshake_meta(*hello_payloads, version))
 
 

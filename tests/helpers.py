@@ -1,7 +1,9 @@
 """Shared fixture builders for the test suite."""
 
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from socket import inet_ntoa
 
 import numpy as np
@@ -10,8 +12,13 @@ from httpglass.capture import (LINKTYPE_ETHERNET, PCAP_MAGIC_NS, PCAP_MAGIC_US,
                                Direction, PacketMeta, PcapError, RawConnection,
                                TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN,
                                build_tcp_frame, reassemble)
-from httpglass.tlsparse import (Connection, HandshakeMeta, TlsRecordMeta,
+from httpglass.features import (CONNECTION_LEN, DIR_NO_RECORD,
+                                N_SIGNED_LENGTHS, WINDOW_RADIUS, WINDOW_SLOTS,
+                                extract_connection_features)
+from httpglass.tlsparse import (MAX_RECORD_LEN, RECORD_HEADER_LEN,
+                                RECORD_TYPES, Connection, HandshakeMeta,
                                 build_client_hello, build_server_hello,
+                                parse_handshake_meta, record_array,
                                 record_header)
 
 CLIENT = ("10.0.0.1", 40000)
@@ -129,17 +136,85 @@ def synthetic_connection(lengths_directions, handshake=None, start_time=0.0,
         wire = length + 5
         packets.append(PacketMeta(timestamp=ts, direction=Direction(direction),
                                   payload_len=wire, push_flag=True, seq=0))
-        records.append(TlsRecordMeta(
-            index=i, type_code=tc, length=length,
-            direction=Direction(direction), pkt_count=1, push_count=1,
-            avg_pkt_size=float(wire), first_byte_ts=ts))
+        records.append((ts, direction, 0, tc, length, 1, 1, float(wire),
+                        False))
         ts += 0.01
     raw = RawConnection(
         five_tuple=(*CLIENT, *SERVER, "tcp"), packets=packets,
         client_stream=b"", server_stream=b"", duration=duration,
         start_time=start_time)
-    return Connection(raw=raw, records=records,
+    return Connection(raw=raw, records=record_array(records),
                       handshake=handshake or HandshakeMeta())
+
+
+def reference_parse_tls_records(raw):
+    """The record cut as it was before records became one array, kept as
+    the oracle of ``parse_tls_records``: (the records as tuples in
+    ``RECORD_DTYPE``'s field order, sorted by a key of time, direction and
+    offset; the handshake), or None for a connection that is not TLS."""
+    entries = []
+    hello_payloads = []
+    streams = (raw.client_stream, raw.server_stream)
+    for direction, stream, segments in zip(
+            Direction, streams, (raw.client_segments, raw.server_segments)):
+        starts = [off for off, _ in segments]
+        pkts = [raw.packets[i] for _, i in segments]
+        pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
+        sizes = list(accumulate((p.payload_len for p in pkts), initial=0))
+        handshake = []
+        off, n = 0, len(stream)
+        while off + RECORD_HEADER_LEN <= n:
+            type_code, ver_hi, length = struct.unpack_from("!BBxH", stream,
+                                                           off)
+            if type_code not in RECORD_TYPES or ver_hi != 0x03 \
+                    or length > MAX_RECORD_LEN:
+                break
+            end = off + RECORD_HEADER_LEN + length
+            lo = bisect_right(starts, off) - 1
+            hi = bisect_left(starts, end)
+            entries.append((pkts[lo].timestamp, direction, off, type_code,
+                            length, hi - lo, pushes[hi] - pushes[lo],
+                            (sizes[hi] - sizes[lo]) / (hi - lo), end > n))
+            if type_code == 22 and end <= n:
+                handshake.append(stream[off + RECORD_HEADER_LEN:end])
+            off = end
+        if off == 0 and n > 0:
+            return None
+        hello_payloads.append(b"".join(handshake))
+    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    version = next((struct.unpack_from("!H", streams[d], off + 1)[0]
+                    for _, d, off, t, *_ in entries if t == 22), 0)
+    return entries, parse_handshake_meta(*hello_payloads, version)
+
+
+def reference_padded_slots(rows, lo, hi):
+    """The window slots as they were built one record at a time, kept as
+    the oracle of ``features._padded_slots``: rows ``lo .. hi-1`` of the
+    records ``rows`` (tuples in ``RECORD_DTYPE``'s field order)."""
+    out = []
+    for k in range(lo, hi):
+        if 0 <= k < len(rows):
+            _, d, _, t, ln, pc, pu, avg, _ = rows[k]
+            out += (float(pc), float(pu), avg, float(t), float(ln), float(d))
+        else:
+            out += (0.0, 0.0, 0.0, 0.0, 0.0, float(DIR_NO_RECORD))
+    return np.asarray(out, dtype=np.float64).reshape(hi - lo, 6)
+
+
+def reference_record_table(conn, rows, mode):
+    """``record_table(conn, mode)`` built from the reference slots and the
+    signed lengths of ``rows``, one record at a time."""
+    n = len(rows)
+    slots = reference_padded_slots(rows, -WINDOW_RADIUS, n + WINDOW_RADIUS)
+    blocks = [slots[k:k + n] for k in range(WINDOW_SLOTS)]
+    if mode == "standard":
+        block = extract_connection_features(conn)
+        block[6:6 + N_SIGNED_LENGTHS] = 0.0
+        for k, (_, d, _, _, ln, *_) in enumerate(rows[:N_SIGNED_LENGTHS]):
+            block[6 + k] = (-1.0 if d == Direction.SERVER_TO_CLIENT
+                            else 1.0) * ln
+        blocks.append(np.broadcast_to(block, (n, CONNECTION_LEN)))
+    return np.concatenate(blocks, axis=1)
 
 
 def reference_rows(block, heads, head_of, masks, base=None):

@@ -45,9 +45,9 @@ def test_criterion_01_feature_dimensionality():
     t0 = time.monotonic()
     ok = True
     for lc in corpus:
-        for rec in lc.conn.records:
-            std = assemble_record_sample(lc.conn, rec.index, "standard").values
-            tor = assemble_record_sample(lc.conn, rec.index, "tor").values
+        for i in range(len(lc.conn.records)):
+            std = assemble_record_sample(lc.conn, i, "standard").values
+            tor = assemble_record_sample(lc.conn, i, "tor").values
             ok &= std.shape == (174,) and tor.shape == (66,)
         mal = extract_malware_standard(lc.conn, vocab)
         enriched = enrich_malware_features(mal, np.zeros(enh[lc.protocol]))

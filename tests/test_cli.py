@@ -403,6 +403,22 @@ def _payload_len_negative(conn):
     conn["packets"][0][2] = -1
 
 
+def _duration_nan(conn):
+    conn["duration"] = float("nan")
+
+
+def _packet_time_infinity(conn):
+    conn["packets"][0][0] = float("inf")
+
+
+def _avg_pkt_size_minus_infinity(conn):
+    conn["records"][0][6] = float("-inf")
+
+
+def _record_direction_2(conn):
+    conn["records"][0][3] = 2
+
+
 BAD_CORPORA = {
     _protocol_http3: "unknown protocol 'http3'",
     _label_index_999: "labels must be one per record",
@@ -412,7 +428,12 @@ BAD_CORPORA = {
     _extension_as_string: "wrong type",
     _length_as_string: "wrong type",
     _length_10_pow_400: "outside int64",
-    _payload_len_negative: "CorpusError: payload_len must be >= 0"}
+    _payload_len_negative: "CorpusError: payload_len must be >= 0",
+    _duration_nan: "ValueError: a number is not finite: NaN",
+    _packet_time_infinity: "ValueError: a number is not finite: Infinity",
+    _avg_pkt_size_minus_infinity:
+        "ValueError: a number is not finite: -Infinity",
+    _record_direction_2: "CorpusError: a record direction must be 0 or 1"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_CORPORA))

@@ -12,7 +12,9 @@ from httpglass.corpus import (AlignmentError, CorpusError, SynthSpec,
                               ground_truth_session, ingest_ground_truth,
                               load_corpus, normalize_label, save_corpus,
                               split_dataset, synthesize_corpus)
+from httpglass.features import record_table
 from httpglass.registry import (ABSENT, OTHER, PRESENT, Side, registry)
+from httpglass.tlsparse import RECORD_DTYPE
 
 
 def _problem(pid, protocol="http1"):
@@ -289,6 +291,27 @@ class TestPersistence:
             hs_a, hs_b = a.conn.handshake, b.conn.handshake
             assert hs_a.offered_cipher_suites == hs_b.offered_cipher_suites
             assert hs_a.alpn_selected == hs_b.alpn_selected
+
+    def test_round_trip_keeps_the_record_arrays(self, tmp_path):
+        """Every record field the format holds comes back bit for bit, so
+        both modes' record tables are equal byte for byte; the stream
+        offsets and truncation flags, which it does not hold, load as 0 and
+        False."""
+        corpus = synthesize_corpus(SynthSpec(seed=11, n_connections=8,
+                                             filler_range=(0, 4)))
+        path = str(tmp_path / "corpus.jsonl")
+        save_corpus(path, corpus)
+        held = [f for f in RECORD_DTYPE.names
+                if f not in ("stream_offset", "truncated")]
+        for a, b in zip(corpus, load_corpus(path)):
+            assert a.conn.records.dtype == b.conn.records.dtype
+            assert a.conn.records[held].tolist() == \
+                b.conn.records[held].tolist()
+            assert not b.conn.records.stream_offset.any()
+            assert not b.conn.records.truncated.any()
+            for mode in ("standard", "tor"):
+                assert record_table(a.conn, mode).tobytes() == \
+                    record_table(b.conn, mode).tobytes()
 
     @pytest.mark.parametrize("value, refused", [
         (2**63 - 1, False), (-2**63, False), (2**63, True), (-2**63 - 1, True),

@@ -441,8 +441,8 @@ class TestClassification:
         bundle, _, test = small_world
         assert all(bundle.models[p].enhanced for p in PROTOCOLS)
         conns = [lc.conn for lc in test]
-        bare = replace(conns[0], records=[r for r in conns[0].records
-                                          if r.type_code != 23])
+        bare = replace(conns[0], records=conns[0].records[
+            conns[0].records.type_code != 23])
         results = classify_corpus(bundle, conns + [bare], max_iters=1)
         has_headers = [bool(res.headers) for res in results]
         assert has_headers[-1] is False and sum(has_headers) >= 10
@@ -533,8 +533,8 @@ class TestTraining:
                                              transactions_range=(1, 2)))
         app = {}
         for lc in corpus:
-            app[lc.connection_id] = [
-                rec.index for rec in lc.conn.records if rec.type_code == 23]
+            app[lc.connection_id] = np.flatnonzero(
+                lc.conn.records.type_code == 23).tolist()
             if lc.protocol == "http1":
                 for lr in lc.records:
                     lr.message_type |= lr.index in app[lc.connection_id]

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction, load_pcap, write_pcap
+from httpglass.capture import (Direction, PacketMeta, RawConnection,
+                               load_pcap, write_pcap)
 from httpglass.features import record_table
 from httpglass.tlsparse import (GREASE_COLLAPSED, RECORD_HEADER_LEN,
-                                collapse_grease, build_client_hello,
-                                build_server_hello, parse_tls_records,
-                                record_header)
+                                RECORD_TYPES, collapse_grease,
+                                build_client_hello, build_server_hello,
+                                parse_tls_records, record_header)
 
-from helpers import handshake_payloads, pcap_frames, tls_stream
+from helpers import (handshake_payloads, pcap_frames,
+                     reference_parse_tls_records, reference_record_table,
+                     tls_stream)
 
 
 def _load_single(tmp_path, client_chunks, server_chunks):
@@ -282,3 +285,77 @@ def test_collapse_grease_idempotent(codes):
 def test_record_header_round_trip():
     hdr = record_header(23, 1234)
     assert hdr == b"\x17\x03\x03\x04\xd2"
+
+
+@st.composite
+def _record_stream(draw, direction):
+    """(stream, segment starts) of one direction: TLS records, perhaps a
+    hello first, then perhaps a truncated record or trailing garbage, cut
+    into segments at random bounds or at every byte.  The stream may be
+    empty, or not start with a record at all."""
+    hello = {0: build_client_hello([0x1301, 0x0A0A], [0, 16], ["h2"]),
+             1: build_server_hello(0x1301, "h2")}[direction]
+    version = draw(st.sampled_from([0x0301, 0x0303]))
+    parts = [record_header(22, len(hello), version) + hello] \
+        if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.integers(0, 40))
+        parts.append(record_header(draw(st.sampled_from(RECORD_TYPES)),
+                                   length) + bytes(length))
+    tail = draw(st.sampled_from(["none", "truncated", "garbage", "not_tls"]))
+    if tail == "truncated":
+        length = draw(st.integers(1, 40))
+        parts.append((record_header(23, length) + bytes(length))[
+            :draw(st.integers(1, RECORD_HEADER_LEN + length - 1))])
+    elif tail == "garbage":
+        parts.append(draw(st.binary(min_size=1, max_size=8)))
+    elif tail == "not_tls":
+        parts.insert(0, b"GET / HTTP/1.1\r\n")
+    stream = b"".join(parts)
+    if len(stream) < 2:
+        return stream, [0] if stream else []
+    if draw(st.booleans()):
+        cuts = range(1, len(stream))  # one-byte segments
+    else:
+        cuts = draw(st.sets(st.integers(1, len(stream) - 1), max_size=12))
+    return stream, [0] + sorted(cuts)
+
+
+@st.composite
+def _raw_connections(draw):
+    """A connection as ``reassemble`` leaves it: each direction's segment
+    map tiles its stream, and packet times often tie across directions."""
+    packets, streams, maps = [], [], []
+    for direction in Direction:
+        stream, starts = draw(_record_stream(int(direction)))
+        ts, segments = 0.0, []
+        for off, end in zip(starts, starts[1:] + [len(stream)]):
+            ts += draw(st.sampled_from([0.0, 0.25, 0.5]))
+            segments.append((off, len(packets)))
+            packets.append(PacketMeta(ts, direction, end - off,
+                                      draw(st.booleans()), off))
+        streams.append(stream)
+        maps.append(segments)
+    return RawConnection(("10.0.0.1", 1, "10.0.0.2", 443, "tcp"), packets,
+                         *streams, duration=ts, client_segments=maps[0],
+                         server_segments=maps[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_raw_connections())
+def test_records_match_the_reference_cut(raw):
+    """The record array holds what the per-record cut built, in the same
+    order; the handshake and both modes' record tables are equal too."""
+    want = reference_parse_tls_records(raw)
+    conn = parse_tls_records(raw)
+    if want is None:
+        assert conn is None
+        return
+    rows, handshake = want
+    assert conn.records.tolist() == rows
+    assert conn.handshake == handshake
+    for mode in ("standard", "tor"):
+        got = record_table(conn, mode)
+        assert got.dtype == np.float64
+        assert got.tobytes() == \
+            reference_record_table(conn, rows, mode).tobytes()
