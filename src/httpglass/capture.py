@@ -8,12 +8,14 @@ are gathered with numpy, and each payload is a slice of the map.  Frames that
 are too short, not IPv4 after at most one 802.1Q tag, or not TCP are skipped;
 a truncated record header or body ends the capture.
 
-The endpoint that sends the first SYN without ACK (or, absent any, the
-flow's first packet) is treated as the client for direction assignment.  Each
-direction is reassembled from its ISN + 1; with no SYN it starts at the
-earliest sequence number, read modulo 2**32 around its first segment's.  Data
-carried on a SYN (TCP Fast Open) starts at the SYN's seq + 1, as the SYN
-itself takes one sequence number.
+A connection is an endpoint pair's frames up to the next SYN without ACK
+whose sender already sent one on that pair with another sequence number; a
+retransmitted SYN stays in its connection.  The client sent the connection's
+first SYN without ACK (or, absent any, its first frame).  Every direction of
+the capture is reassembled at once, as columns, from its ISN + 1, or with no
+SYN from its earliest sequence number, read modulo 2**32 around its first
+segment's.  Data on a SYN (TCP Fast Open) starts at the SYN's seq + 1.  Each
+stream is one join of slices of the map.
 """
 from __future__ import annotations
 
@@ -75,61 +77,6 @@ _FIN, _SYN, _RST, _PSH, _ACK = 0x01, 0x02, 0x04, 0x08, 0x10
 
 _SEQ_MASK = 0xFFFFFFFF  # TCP sequence numbers are 32-bit
 _HALF_SEQ = 1 << 31
-
-
-def reassemble(segments: list[tuple[int, bytes, int]], base_seq: int | None = None,
-               ) -> tuple[bytes, list[tuple[int, int]], bool, bool]:
-    """Reassemble one direction of a TCP stream.
-
-    ``segments`` is a list of (seq, payload, packet_index) in arrival order;
-    a payload is any bytes-like object.  Returns (stream, segment_map,
-    gap_flag, overlap_anomaly).  Duplicate bytes are dropped (first-seen
-    wins; bytes before ``base_seq`` are never compared), and reassembly
-    stops at the first unfilled gap; remaining bytes are discarded with the
-    gap flag set.  The segment map is a list of (stream offset, packet
-    index) pairs that tiles the stream: the offsets start at 0, strictly
-    increase and stay below the stream's length, and no packet repeats.
-
-    Without ``base_seq`` the stream starts at the earliest seq, read modulo
-    2**32 around the first segment's, so a capture with no SYN whose
-    sequence numbers cross 2**32 still reassembles whole.
-    """
-    if not segments:
-        return b"", [], False, False
-    if base_seq is None:
-        # the earliest seq, read modulo 2**32 around the first segment's
-        first = segments[0][0]
-        base_seq = (first + min(((seq - first + _HALF_SEQ) & _SEQ_MASK)
-                                - _HALF_SEQ for seq, _, _ in segments)) & _SEQ_MASK
-    # offsets from base_seq mod 2**32, signed so bytes before base_seq stay
-    # duplicates; the stable sort keeps first-seen order among equal offsets
-    ordered = sorted(
-        ((((seq - base_seq + _HALF_SEQ) & _SEQ_MASK) - _HALF_SEQ, payload, pkt_idx)
-         for seq, payload, pkt_idx in segments), key=lambda s: s[0])
-    stream = bytearray()
-    segmap: list[tuple[int, int]] = []
-    expected = 0
-    gap = False
-    anomaly = False
-    for off, payload, pkt_idx in ordered:
-        end = off + len(payload)
-        if end <= expected:
-            continue  # full duplicate / retransmission
-        if off > expected:
-            gap = True
-            break
-        skip = expected - off
-        if skip > 0:
-            # overlap region: first-seen bytes already in the stream win
-            lo = max(off, 0)
-            if stream[lo:expected] != payload[lo - off:skip]:
-                anomaly = True
-        new = payload[skip:]
-        if new:
-            segmap.append((len(stream), pkt_idx))
-            stream.extend(new)
-            expected = end
-    return bytes(stream), segmap, gap, anomaly
 
 
 def _record_heads(capture) -> tuple[list[int], str, float]:
@@ -218,96 +165,148 @@ def _decode_frames(capture):
             tcp[:, 13], payload_at, np.maximum(payload_end - payload_at, 0))
 
 
-def _first_per_flow(flow: np.ndarray, rows: np.ndarray, n_flows: int):
-    """Per flow, the first of ``rows`` (frame indices) that lies in it, or -1."""
-    flows, at = np.unique(flow[rows], return_index=True)
-    first = np.full(n_flows, -1, np.int64)
-    first[flows] = rows[at]
-    return first
-
-
 def _endpoint(key: int) -> tuple[str, int]:
     return inet_ntoa((key >> 16).to_bytes(4, "big")), key & 0xFFFF
 
 
-def _connections(capture) -> list[RawConnection]:
-    ts, src, dst, seq, flags, payload_at, payload_len = _decode_frames(capture)
-    if not len(ts):
-        return []
-    # a flow is an unordered endpoint pair; flows are numbered by first frame
-    pairs = np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1)
-    _, first, inverse = np.unique(pairs, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    n_flows = len(order)
-    rank = np.empty(n_flows, np.int64)
-    rank[order] = np.arange(n_flows)
-    flow = rank[inverse.reshape(-1)]
-    first = first[order]
-    last = _first_per_flow(flow, np.arange(len(flow))[::-1], n_flows)  # reversed
-    # the client sent the flow's first SYN without ACK, or else its first frame
-    syn = flags & _SYN != 0
-    syn_sender = _first_per_flow(flow, np.flatnonzero(syn & (flags & _ACK == 0)),
-                                 n_flows)
-    client = np.where(syn_sender >= 0, src[syn_sender], src[first])
-    server = np.where(client == pairs[first, 0], pairs[first, 1],
-                      pairs[first, 0])
-    # an endpoint's ISN is the seq of the last SYN it sent
-    syn_rows = np.flatnonzero(syn)[::-1]
-    bases = []
-    for end in (client, server):
-        rows = syn_rows[src[syn_rows] == end[flow[syn_rows]]]
-        isn = _first_per_flow(flow, rows, n_flows)
-        bases.append([None if row < 0 else (s + 1) & _SEQ_MASK for row, s in
-                      zip(isn.tolist(), seq[isn].tolist())])
+def _reassemble(group, start, length, at, index, base):
+    """Plan the reassembly of every direction at once.
 
-    # data packets, grouped by flow and in file order within each
-    rows = np.flatnonzero(payload_len)
-    rows = rows[np.argsort(flow[rows], kind="stable")]
-    data_flow = flow[rows]
-    bounds = np.searchsorted(data_flow, np.arange(n_flows + 1)).tolist()
-    from_client = (src[rows] == client[data_flow]).tolist()
-    from_server = (src[rows] == server[data_flow]).tolist()
-    directions = [Direction.CLIENT_TO_SERVER if c else Direction.SERVER_TO_CLIENT
-                  for c in from_client]
-    push = (flags[rows] & _PSH != 0).tolist()
+    One entry per segment: its direction ``group`` (non-decreasing, arrival
+    order within a group), start seq, payload length (> 0), place ``at`` in
+    the capture and packet ``index``.  ``base[g]`` is group g's ISN + 1, or
+    -1 for its earliest seq.  Offsets from the base are signed, so bytes
+    before it are duplicates.  In (group, offset, arrival) order, a segment
+    that ends within the bytes before it is a duplicate (first seen wins),
+    the first that starts past them is a gap and cuts the rest of its group,
+    and every other one adds its bytes past them.
+
+    Returns plain lists, so no column outlives the call: the bounds of each
+    group's kept entries; per kept entry, the capture range of its new
+    bytes, its stream offset and packet index; each group's gap flag; and
+    (group, lo, hi, at) of each overlap inside the stream, whose capture
+    bytes from ``at`` must equal the stream's ``lo:hi``.
+    """
+    head = np.diff(group, prepend=-1) != 0
+    run = np.cumsum(head) - 1  # the entry's group, numbered densely
+    # offsets are signed distances mod 2**32: from the first segment, then
+    # from the base (without one, from the earliest seq)
+    first, origin = start[head], base[group[head]]
+    off = ((start - first[run] + _HALF_SEQ) & _SEQ_MASK) - _HALF_SEQ
+    origin = np.where(origin < 0, first + np.minimum.reduceat(
+        off, np.flatnonzero(head)), origin)
+    off = ((start - origin[run] + _HALF_SEQ) & _SEQ_MASK) - _HALF_SEQ
+    order = np.argsort((run << 33) + off, kind="stable")
+    group, run, off, length, at, index = (
+        a[order] for a in (group, run, off, length, at, index))
+    # the largest end before each entry in its group, and at least 0
+    reach = np.maximum.accumulate((run << 33) + off + length)
+    expected = np.maximum(np.r_[0, reach[:-1]] - (run << 33), 0)
+    gap = off > expected
+    kept = np.flatnonzero((np.maximum.accumulate(2 * run + gap) == 2 * run)
+                          & (off + length > expected))
+    lo = np.maximum(off, 0)
+    over = kept[expected[kept] > lo[kept]]
+    checks = list(zip(*(a[over].tolist() for a in (group, lo, expected,
+                                                   at + lo - off))))
+    return (np.searchsorted(group[kept], np.arange(len(base) + 1)).tolist(),
+            (at + expected - off)[kept].tolist(), (at + length)[kept].tolist(),
+            expected[kept].tolist(), index[kept].tolist(),
+            (np.bincount(group[gap], minlength=len(base)) > 0).tolist(),
+            checks)
+
+
+def _streams(view, plan):
+    """Join each group's stream from ``_reassemble``'s plan: (streams,
+    segment maps, gap flags, overlap anomaly flags), one per group."""
+    bounds, froms, tos, offsets, index, gaps, checks = plan
+    spans = list(zip(bounds, bounds[1:]))
+    streams = [b"".join([view[a:b] for a, b in zip(froms[x:y], tos[x:y])])
+               for x, y in spans]
+    anomalies = [False] * len(spans)
+    for g, lo, hi, at in checks:
+        if streams[g][lo:hi] != view[at:at + hi - lo]:
+            anomalies[g] = True
+    return (streams, [list(zip(offsets[x:y], index[x:y])) for x, y in spans],
+            gaps, anomalies)
+
+
+def _flows(capture):
+    """Group the frames into connections and plan each direction's
+    reassembly.  Returns plain lists, so no column outlives the call: per
+    connection, in order of its first frame, (number, client, server, start
+    time, duration, bounds of its data packets); the data packets; and the
+    plan."""
+    ts, src, dst, seq, flags, at, length = _decode_frames(capture)
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    order = np.lexsort((hi, lo))  # by endpoint pair, then file order
+    ts, src, seq, flags, at, length, lo, hi = (
+        a[order] for a in (ts, src, seq, flags, at, length, lo, hi))
+    head = (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
+    pair = np.cumsum(head)
+    # a SYN without ACK starts a new connection on its pair when its
+    # sender's previous SYN without ACK there had another sequence number
+    syn = flags & _SYN != 0
+    opens = np.flatnonzero(syn & (flags & _ACK == 0))
+    o = opens[np.lexsort((src[opens], pair[opens]))]
+    head[o[1:][(np.diff(pair[o]) == 0) & (np.diff(src[o]) == 0)
+               & (np.diff(seq[o]) != 0)]] = True
+    firsts = np.flatnonzero(head)
+    conn, n = np.cumsum(head) - 1, len(firsts)
+    # the client sent the connection's first SYN without ACK, or else its
+    # first frame; a self-connection (client == server) gives each side
+    # every segment
+    client = src[firsts]
+    opener = opens[np.diff(conn[opens], prepend=-1) != 0]
+    client[conn[opener]] = src[opener]
+    ends = np.stack([client, lo[firsts] + hi[firsts] - client])
+    # an endpoint's ISN is the seq of the last SYN it sent
+    syns = np.flatnonzero(syn)
+    side, row = np.nonzero(src[syns] == ends[:, conn[syns]])
+    group, row = side * n + conn[syns[row]], syns[row]
+    last = np.diff(group, append=-1) != 0
+    base = np.full(2 * n, -1)
+    base[group[last]] = (seq[row[last]] + 1) & _SEQ_MASK
     # a SYN's own sequence number comes before the data it carries
-    starts = ((seq[rows] + syn[rows]) & _SEQ_MASK).tolist()
-    times, seqs, ats, lens = (a[rows].tolist()
-                              for a in (ts, seq, payload_at, payload_len))
-    view = memoryview(capture)
-    connections = []
-    for k, (c, s, t0, dur) in enumerate(zip(
-            client.tolist(), server.tolist(), ts[first].tolist(),
-            (ts[last] - ts[first]).tolist())):
-        a, b = bounds[k], bounds[k + 1]
-        packets = list(map(PacketMeta, times[a:b], directions[a:b], lens[a:b],
-                           push[a:b], seqs[a:b]))
-        # a self-connection (client == server) gives each side every segment
-        raw_c, raw_s = [], []
-        for i, j in enumerate(range(a, b)):
-            segment = (starts[j], view[ats[j]:ats[j] + lens[j]], i)
-            if from_client[j]:
-                raw_c.append(segment)
-            if from_server[j]:
-                raw_s.append(segment)
-        cs, cmap, gap_c, an_c = reassemble(raw_c, bases[0][k])
-        ss, smap, gap_s, an_s = reassemble(raw_s, bases[1][k])
-        connections.append(RawConnection(
-            five_tuple=(*_endpoint(c), *_endpoint(s), "tcp"),
-            packets=packets, client_stream=cs, server_stream=ss,
-            duration=dur, client_segments=cmap, server_segments=smap,
-            gap_client=gap_c, gap_server=gap_s,
-            overlap_anomaly=an_c or an_s, start_time=t0))
-    return connections
+    data = np.flatnonzero(length)
+    owner = conn[data]
+    bounds = np.searchsorted(owner, np.arange(n + 1))
+    side, k = np.nonzero(src[data] == ends[:, owner])
+    row = data[k]
+    plan = _reassemble(side * n + owner[k], (seq + syn)[row] & _SEQ_MASK,
+                       length[row], at[row], k - bounds[owner[k]], base)
+    rank = np.argsort(order[firsts])
+    first, last = ts[firsts], ts[np.r_[head, True][1:]]
+    heads = zip(*(a.tolist() for a in (
+        rank, ends[0, rank], ends[1, rank], first[rank],
+        (last - first)[rank], bounds[rank], bounds[rank + 1])))
+    return list(heads), list(map(PacketMeta._make, zip(
+        ts[data].tolist(), map(tuple(Direction).__getitem__,
+                               (src[data] != client[owner]).tolist()),
+        length[data].tolist(), (flags[data] & _PSH != 0).tolist(),
+        seq[data].tolist()))), plan
+
+
+def _connections(capture) -> list[RawConnection]:
+    heads, packets, plan = _flows(capture)
+    streams, maps, gaps, anomalies = _streams(memoryview(capture), plan)
+    n = len(heads)
+    return [RawConnection(
+        five_tuple=(*_endpoint(c), *_endpoint(s), "tcp"),
+        packets=packets[a:b], client_stream=streams[k],
+        server_stream=streams[n + k], duration=dur,
+        client_segments=maps[k], server_segments=maps[n + k],
+        gap_client=gaps[k], gap_server=gaps[n + k],
+        overlap_anomaly=anomalies[k] or anomalies[n + k], start_time=t0)
+        for k, c, s, t0, dur, a, b in heads]
 
 
 def load_pcap(path: str) -> list[RawConnection]:
     """Load a classic pcap file and group TCP traffic into connections.
 
-    Flows come out in the order of their first packet.  Each data packet gets
-    its direction once, after the whole capture is read, so a SYN seen after
-    data still decides which endpoint is the client.
+    Connections come out in the order of their first frame.  Each data
+    packet gets its direction once, after the whole capture is read, so a
+    SYN seen after data still decides which endpoint is the client.
     """
     with open(path, "rb") as fh:
         try:

@@ -731,6 +731,15 @@ def _conn_from_dict(d: dict) -> LabeledConnection:
                         client_stream=b"", server_stream=b"",
                         duration=d["duration"], start_time=d["start_time"])
     conn = Connection(raw=raw, records=record_array(rows), handshake=hs)
+    # a literal such as 1e400 parses as an infinity, which no hook sees
+    records = np.asarray(conn.records)  # a plain array reads fields faster
+    floats = [("first_byte_ts", records["first_byte_ts"]),
+              ("avg_pkt_size", records["avg_pkt_size"]),
+              ("packet time", next(zip(*d["packets"]), ())),
+              ("duration", [raw.duration]), ("start_time", [raw.start_time])]
+    if not np.isfinite(np.concatenate([c for _, c in floats])).all():
+        raise CorpusError(next(f"{name} is not finite" for name, c in floats
+                               if not np.isfinite(c).all()))
     return LabeledConnection(conn=conn, protocol=d["protocol"], records=labels,
                              connection_id=d["id"])
 

@@ -8,6 +8,7 @@ indicator features on top of the connection block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -113,11 +114,16 @@ def extract_connection_features(conn: Connection) -> np.ndarray:
     (zero-padded), duration, and total TLS record count.
     """
     out = np.zeros(CONNECTION_LEN, dtype=np.float64)
-    for d, base in ((Direction.CLIENT_TO_SERVER, 0), (Direction.SERVER_TO_CLIENT, 3)):
-        pkts = [p for p in conn.raw.packets if p.direction == d]
-        out[base] = len(pkts)
-        out[base + 1] = sum(1 for p in pkts if p.push_flag)
-        out[base + 2] = (sum(p.payload_len for p in pkts) / len(pkts)) if pkts else 0.0
+    # packets, PSH flags and payload bytes per direction: one transpose of
+    # the packets, then sums in C; a direction is 0 or 1, so it selects the
+    # server's packets
+    _, from_server, size, push, _ = list(zip(*conn.raw.packets)) or [()] * 5
+    server = (sum(from_server), sum(compress(push, from_server)),
+              sum(compress(size, from_server)))
+    client = [total - s for total, s in zip(
+        (len(from_server), sum(push), sum(size)), server)]
+    for base, (k, pushes, sizes) in ((0, client), (3, server)):
+        out[base:base + 3] = k, pushes, sizes / k if k else 0.0
     out[6:6 + N_SIGNED_LENGTHS] = signed_record_lengths(conn, N_SIGNED_LENGTHS)
     out[106] = conn.duration
     out[107] = len(conn.records)

@@ -92,7 +92,7 @@ def parse_tls_records(raw: RawConnection) -> Connection | None:
 
     A connection with data in some direction that does not begin with a
     plausible record header is excluded entirely.  Each direction's segment
-    map must tile its stream, as ``reassemble`` emits it: the (stream
+    map must tile its stream, as ``load_pcap`` emits it: the (stream
     offset, packet index) pairs start at offset 0, their offsets strictly
     increase and stay below the stream's length, and no packet appears
     twice.  So a record's packets are the run of pairs its bytes span.

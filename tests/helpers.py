@@ -11,7 +11,7 @@ import numpy as np
 from httpglass.capture import (LINKTYPE_ETHERNET, PCAP_MAGIC_NS, PCAP_MAGIC_US,
                                Direction, PacketMeta, PcapError, RawConnection,
                                TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN,
-                               build_tcp_frame, reassemble)
+                               _reassemble, _streams, build_tcp_frame)
 from httpglass.features import (CONNECTION_LEN, DIR_NO_RECORD,
                                 N_SIGNED_LENGTHS, WINDOW_RADIUS, WINDOW_SLOTS,
                                 extract_connection_features)
@@ -67,7 +67,7 @@ def pcap_frames(client_payloads, server_payloads, start_ts=100.0,
     return frames
 
 
-def planted_pcap_frames(corpus, isn):
+def planted_pcap_frames(corpus, isn, reuse=False):
     """Write ``SynthSpec(emit_streams=True)`` connections as capture frames.
 
     Connection i gets its own client endpoint and a SYN handshake with ``isn``
@@ -75,29 +75,43 @@ def planted_pcap_frames(corpus, isn):
     packet becomes one frame with seq = isn + 1 + its stream offset (mod
     2**32).  Returns the (timestamp, frame) pairs in capture-time order and
     the planted connection of each five-tuple.
+
+    With ``reuse``, connections 2j and 2j + 1 share client endpoint j, one
+    after the other: every frame of the second follows the first's last
+    frame, and its ISNs have bit 7 flipped, so they differ from the first's
+    and still cross 2**32 where the first's do.  The planted connections
+    are then keyed by (five-tuple, k), k counting from 0 on each endpoint.
     """
     frames, planted = [], {}
+    after = {}  # client endpoint -> time of its last frame so far
     for i, lc in enumerate(corpus):
-        client = (f"10.1.{i >> 8}.{i & 255}", 30000 + i)
-        planted[client + SERVER + ("tcp",)] = lc
+        j = i // 2 if reuse else i
+        client = (f"10.1.{j >> 8}.{j & 255}", 30000 + j)
+        five = client + SERVER + ("tcp",)
+        planted[(five, i - 2 * j) if reuse else five] = lc
+        seq0 = isn ^ 0x80 if reuse and i % 2 else isn
         raw = lc.conn.raw
         streams = (raw.client_stream, raw.server_stream)
         start = raw.packets[0].timestamp
-        frames += [
-            (start, build_tcp_frame(client, SERVER, isn, flags=TCP_FLAG_SYN)),
-            (start, build_tcp_frame(SERVER, client, isn,
+        own = [
+            (start, build_tcp_frame(client, SERVER, seq0, flags=TCP_FLAG_SYN)),
+            (start, build_tcp_frame(SERVER, client, seq0,
                                     flags=TCP_FLAG_SYN | TCP_FLAG_ACK)),
-            (start, build_tcp_frame(client, SERVER, isn + 1))]
+            (start, build_tcp_frame(client, SERVER, seq0 + 1))]
         for pkt in raw.packets:
             src, dst = ((client, SERVER)
                         if pkt.direction == Direction.CLIENT_TO_SERVER
                         else (SERVER, client))
             payload = streams[pkt.direction][pkt.seq:pkt.seq + pkt.payload_len]
             flags = TCP_FLAG_ACK | (TCP_FLAG_PSH if pkt.push_flag else 0)
-            frames.append((pkt.timestamp, build_tcp_frame(
-                src, dst, isn + 1 + pkt.seq, payload, flags=flags)))
+            own.append((pkt.timestamp, build_tcp_frame(
+                src, dst, seq0 + 1 + pkt.seq, payload, flags=flags)))
+        # a frame sorts at its time, or after its endpoint's earlier frames
+        floor = after.get(client, float("-inf"))
+        frames += [(max(ts, floor), ts, frame) for ts, frame in own]
+        after[client] = max(floor, own[-1][0])
     frames.sort(key=lambda f: f[0])  # stable: each flow keeps its own order
-    return frames, planted
+    return [(ts, frame) for _, ts, frame in frames], planted
 
 
 def assert_tiles(stream, segments):
@@ -111,6 +125,72 @@ def assert_tiles(stream, segments):
     assert all(a < b for a, b in zip(offsets, offsets[1:]))
     indices = [i for _, i in segments]
     assert len(set(indices)) == len(indices)
+
+
+def reference_reassemble(segments, base_seq=None):
+    """One direction reassembled one segment at a time, as ``load_pcap`` did
+    before it reassembled the whole capture as columns; kept as the oracle
+    of the columnar core.
+
+    ``segments`` is a list of (seq, payload, packet_index) in arrival order;
+    a payload is any bytes-like object.  Returns (stream, segment_map,
+    gap_flag, overlap_anomaly).  Duplicate bytes are dropped (first-seen
+    wins; bytes before ``base_seq`` are never compared), and reassembly
+    stops at the first unfilled gap; remaining bytes are discarded with the
+    gap flag set.  Without ``base_seq`` the stream starts at the earliest
+    seq, read modulo 2**32 around the first segment's.
+    """
+    if not segments:
+        return b"", [], False, False
+    if base_seq is None:
+        first = segments[0][0]
+        base_seq = (first + min(((seq - first + 2**31) & 0xFFFFFFFF)
+                                - 2**31 for seq, _, _ in segments)) & 0xFFFFFFFF
+    # offsets from base_seq mod 2**32, signed so bytes before base_seq stay
+    # duplicates; the stable sort keeps first-seen order among equal offsets
+    ordered = sorted(
+        ((((seq - base_seq + 2**31) & 0xFFFFFFFF) - 2**31, payload, pkt_idx)
+         for seq, payload, pkt_idx in segments), key=lambda s: s[0])
+    stream = bytearray()
+    segmap = []
+    expected = 0
+    gap = False
+    anomaly = False
+    for off, payload, pkt_idx in ordered:
+        end = off + len(payload)
+        if end <= expected:
+            continue  # full duplicate / retransmission
+        if off > expected:
+            gap = True
+            break
+        skip = expected - off
+        if skip > 0:
+            # overlap region: first-seen bytes already in the stream win
+            lo = max(off, 0)
+            if stream[lo:expected] != payload[lo - off:skip]:
+                anomaly = True
+        new = payload[skip:]
+        if new:
+            segmap.append((len(stream), pkt_idx))
+            stream.extend(new)
+            expected = end
+    return bytes(stream), segmap, gap, anomaly
+
+
+def columnar_reassemble(segments, base_seq=None):
+    """``reference_reassemble``'s interface over the columnar core: the
+    segments' payloads are laid end to end as the capture it reads."""
+    lengths = [len(p) for _, p, _ in segments]
+    at = np.cumsum([0] + lengths, dtype=np.int64)[:-1]
+    plan = _reassemble(
+        np.zeros(len(segments), np.int64),
+        np.array([s for s, _, _ in segments], np.int64),
+        np.array(lengths, np.int64), at,
+        np.array([i for _, _, i in segments], np.int64),
+        np.array([-1 if base_seq is None else base_seq], np.int64))
+    data = memoryview(b"".join(bytes(p) for _, p, _ in segments))
+    (stream,), (segmap,), (gap,), (anomaly,) = _streams(data, plan)
+    return stream, segmap, gap, anomaly
 
 
 def handshake_payloads(alpn_offered=("h2", "http/1.1"), alpn_selected="h2",
@@ -307,15 +387,24 @@ class _ReferenceFlow:
 
 def reference_load_pcap(path):
     """The per-frame pcap reader that ``load_pcap`` replaced, kept as its
-    oracle: one Python decode and one flow-dict lookup per frame."""
+    oracle: one Python decode and one flow-dict lookup per frame.  A SYN
+    without ACK starts a new connection on its endpoint pair when its sender
+    already sent one there with another sequence number."""
     flows = {}
+    opens = {}  # (endpoint pair, sender) -> seq of its last SYN without ACK
+    count = {}  # endpoint pair -> connections it started after its first
     with open(path, "rb") as fh:
         for ts, data in _reference_frames(fh):
             parsed = _reference_frame(data)
             if parsed is None:
                 continue
             src, dst, seq, flags, payload = parsed
-            key = (min(src, dst), max(src, dst))
+            pair = (min(src, dst), max(src, dst))
+            if flags & TCP_FLAG_SYN and not flags & TCP_FLAG_ACK:
+                if opens.get((pair, src), seq) != seq:
+                    count[pair] = count.get(pair, 0) + 1
+                opens[pair, src] = seq
+            key = pair, count.get(pair, 0)
             state = flows.get(key)
             if state is None:
                 state = flows[key] = _ReferenceFlow(src, ts, ts)
@@ -327,7 +416,7 @@ def reference_load_pcap(path):
             if payload:
                 state.data.append((ts, src, payload, flags, seq))
     connections = []
-    for (a, b), state in flows.items():
+    for ((a, b), _), state in flows.items():
         client = state.syn_sender or state.first_sender
         server = b if client == a else a
         packets = []
@@ -345,8 +434,8 @@ def reference_load_pcap(path):
         isn = state.isn
         base_c = (isn[client] + 1) & 0xFFFFFFFF if client in isn else None
         base_s = (isn[server] + 1) & 0xFFFFFFFF if server in isn else None
-        cs, cmap, gap_c, an_c = reassemble(raw_segs[client], base_c)
-        ss, smap, gap_s, an_s = reassemble(raw_segs[server], base_s)
+        cs, cmap, gap_c, an_c = reference_reassemble(raw_segs[client], base_c)
+        ss, smap, gap_s, an_s = reference_reassemble(raw_segs[server], base_s)
         connections.append(RawConnection(
             five_tuple=(client[0], client[1], server[0], server[1], "tcp"),
             packets=packets, client_stream=cs, server_stream=ss,

@@ -4,18 +4,22 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from httpglass.capture import (PCAP_MAGIC_NS, PCAP_MAGIC_US, Direction,
                                PcapError, build_tcp_frame, load_pcap,
-                               reassemble, write_pcap, TCP_FLAG_ACK,
-                               TCP_FLAG_PSH, TCP_FLAG_SYN)
+                               write_pcap, TCP_FLAG_ACK, TCP_FLAG_PSH,
+                               TCP_FLAG_SYN)
 
 from httpglass.tlsparse import parse_tls_records
 
-from helpers import (CLIENT, SERVER, assert_tiles, handshake_payloads,
-                     pcap_frames, reference_load_pcap, tls_stream)
+from helpers import (CLIENT, SERVER, assert_tiles, columnar_reassemble,
+                     handshake_payloads, pcap_frames, reference_load_pcap,
+                     reference_reassemble, tls_stream)
+
+# the reference loop and the columnar core take each case alike
+BOTH = (reference_reassemble, columnar_reassemble)
 
 
 def test_pcap_round_trip(tmp_path):
@@ -82,60 +86,67 @@ def test_pcap_truncated_header(tmp_path):
 
 
 def test_reassemble_in_order():
-    stream, segmap, gap, anomaly = reassemble(
-        [(100, b"abc", 0), (103, b"def", 1)])
-    assert stream == b"abcdef"
-    assert not gap and not anomaly
-    assert segmap == [(0, 0), (3, 1)]
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(
+            [(100, b"abc", 0), (103, b"def", 1)])
+        assert stream == b"abcdef"
+        assert not gap and not anomaly
+        assert segmap == [(0, 0), (3, 1)]
 
 
 def test_reassemble_out_of_order():
-    stream, _, gap, anomaly = reassemble(
-        [(103, b"def", 0), (100, b"abc", 1)])
-    assert stream == b"abcdef"
-    assert not gap and not anomaly
+    for reassemble in BOTH:
+        stream, _, gap, anomaly = reassemble(
+            [(103, b"def", 0), (100, b"abc", 1)])
+        assert stream == b"abcdef"
+        assert not gap and not anomaly
 
 
 def test_reassemble_duplicate_dropped():
-    stream, segmap, gap, anomaly = reassemble(
-        [(100, b"abc", 0), (100, b"abc", 1), (103, b"def", 2)])
-    assert stream == b"abcdef"
-    assert not anomaly
-    assert segmap == [(0, 0), (3, 2)]
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(
+            [(100, b"abc", 0), (100, b"abc", 1), (103, b"def", 2)])
+        assert stream == b"abcdef"
+        assert not anomaly
+        assert segmap == [(0, 0), (3, 2)]
 
 
 def test_reassemble_overlap_consistent():
-    stream, _, gap, anomaly = reassemble(
-        [(100, b"abcd", 0), (102, b"cdef", 1)])
-    assert stream == b"abcdef"
-    assert not anomaly
+    for reassemble in BOTH:
+        stream, _, gap, anomaly = reassemble(
+            [(100, b"abcd", 0), (102, b"cdef", 1)])
+        assert stream == b"abcdef"
+        assert not anomaly
 
 
 def test_reassemble_overlap_conflict_flags_anomaly():
-    stream, _, gap, anomaly = reassemble(
-        [(100, b"abcd", 0), (102, b"XYef", 1)])
-    assert stream == b"abcdef"  # first-seen bytes win
-    assert anomaly
+    for reassemble in BOTH:
+        stream, _, gap, anomaly = reassemble(
+            [(100, b"abcd", 0), (102, b"XYef", 1)])
+        assert stream == b"abcdef"  # first-seen bytes win
+        assert anomaly
 
 
 def test_reassemble_checks_overlaps_inside_the_stream_only():
     """Bytes before ``base_seq`` are dropped unchecked: they are not in the
     stream, so they cannot conflict with it."""
-    stream, segmap, gap, anomaly = reassemble(
-        [(998, b"xyab", 0), (1002, b"cd", 1)], 1000)
-    assert (stream, segmap, gap, anomaly) == \
-        (b"abcd", [(0, 0), (2, 1)], False, False)
-    # a conflict inside the stream is still flagged
-    stream, _, _, anomaly = reassemble(
-        [(998, b"xyab", 0), (999, b"qaXd", 1)], 1000)
-    assert stream == b"abd" and anomaly
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(
+            [(998, b"xyab", 0), (1002, b"cd", 1)], 1000)
+        assert (stream, segmap, gap, anomaly) == \
+            (b"abcd", [(0, 0), (2, 1)], False, False)
+        # a conflict inside the stream is still flagged
+        stream, _, _, anomaly = reassemble(
+            [(998, b"xyab", 0), (999, b"qaXd", 1)], 1000)
+        assert stream == b"abd" and anomaly
 
 
 def test_reassemble_gap_truncates():
-    stream, _, gap, anomaly = reassemble(
-        [(100, b"abc", 0), (110, b"later", 1)])
-    assert stream == b"abc"
-    assert gap
+    for reassemble in BOTH:
+        stream, _, gap, anomaly = reassemble(
+            [(100, b"abc", 0), (110, b"later", 1)])
+        assert stream == b"abc"
+        assert gap
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,10 +163,11 @@ def test_reassemble_permutation_invariant(chunks, rnd):
     expected = b"".join(chunks)
     shuffled = list(segs)
     rnd.shuffle(shuffled)
-    stream, segmap, gap, anomaly = reassemble(shuffled, base_seq=1000)
-    assert stream == expected
-    assert not gap and not anomaly
-    assert segmap == [(seq - 1000, i) for seq, _, i in segs]
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(shuffled, base_seq=1000)
+        assert stream == expected
+        assert not gap and not anomaly
+        assert segmap == [(seq - 1000, i) for seq, _, i in segs]
 
 
 def test_segment_map_covers_stream(tmp_path):
@@ -172,10 +184,11 @@ def test_sequence_wraparound(tmp_path, isn):
     chunks = [bytes([k]) * 100 for k in range(8)]
     base = (isn + 1) & 0xFFFFFFFF
     segs = [((base + 100 * k) & 0xFFFFFFFF, c, k) for k, c in enumerate(chunks)]
-    stream, segmap, gap, anomaly = reassemble(segs, base)
-    assert stream == b"".join(chunks)
-    assert not gap and not anomaly
-    assert segmap == [(100 * k, k) for k in range(8)]
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(segs, base)
+        assert stream == b"".join(chunks)
+        assert not gap and not anomaly
+        assert segmap == [(100 * k, k) for k in range(8)]
 
     path = str(tmp_path / "wrap.pcap")
     frames = [(1.0, build_tcp_frame(CLIENT, SERVER, isn, flags=TCP_FLAG_SYN))]
@@ -194,13 +207,14 @@ def test_reassemble_without_syn_across_wraparound():
     chunks = [bytes([65 + k]) * 100 for k in range(4)]
     segs = [((0xFFFFFF80 + 100 * k) & 0xFFFFFFFF, c, k)
             for k, c in enumerate(chunks)]
-    stream, segmap, gap, anomaly = reassemble(segs)
-    assert stream == b"".join(chunks)
-    assert not gap and not anomaly
-    assert segmap == [(100 * k, k) for k in range(4)]
-    # the earliest seq is found whichever segment arrives first
-    stream, _, gap, _ = reassemble(segs[2:] + segs[:2])
-    assert stream == b"".join(chunks) and not gap
+    for reassemble in BOTH:
+        stream, segmap, gap, anomaly = reassemble(segs)
+        assert stream == b"".join(chunks)
+        assert not gap and not anomaly
+        assert segmap == [(100 * k, k) for k in range(4)]
+        # the earliest seq is found whichever segment arrives first
+        stream, _, gap, _ = reassemble(segs[2:] + segs[:2])
+        assert stream == b"".join(chunks) and not gap
 
 
 def _load_both(path):
@@ -352,3 +366,65 @@ def test_data_on_a_syn_starts_after_its_sequence_number(tmp_path):
     assert conn is not None
     assert conn.handshake.alpn_offered == ["h2", "http/1.1"]
     assert [r.type_code for r in conn.records] == [22, 23, 22]
+
+
+
+# two clients, so that connections share port pairs
+_CLIENTS = st.sampled_from([CLIENT, ("10.0.0.2", 50000)])
+_ISNS = st.sampled_from([0, 7, 0xFFFFFF00, 0xFFFFFFF8, 0xFFFFFFFF]) \
+    | st.integers(0, 0xFFFFFFFF)
+# (offset from the ISN + 1, length, alter the first byte): one direction's
+# segments, which may repeat, overlap with equal or other bytes, leave a
+# gap or start before the base
+_SEGMENTS = st.lists(st.tuples(st.integers(-6, 24), st.integers(1, 16),
+                               st.booleans()), max_size=10)
+_MOSTLY = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def _connection_frames(draw):
+    """One connection's frames, now and then of an endpoint to itself: most
+    often a SYN from each side, each maybe carrying data, then both
+    directions' segments in a random order."""
+    client = draw(_CLIENTS)
+    server = draw(st.sampled_from([SERVER, SERVER, SERVER, client]))
+    buf = draw(st.binary(min_size=64, max_size=64))  # offset o is buf[o + 6]
+    syns, data = [], []
+    # the server's SYN has an ACK, but not in a simultaneous open
+    server_syn = draw(st.sampled_from([TCP_FLAG_ACK, TCP_FLAG_ACK, 0]))
+    for src, dst, syn in ((client, server, TCP_FLAG_SYN),
+                          (server, client, TCP_FLAG_SYN | server_syn)):
+        isn = draw(_ISNS)
+        if draw(_MOSTLY):
+            syns.append(build_tcp_frame(src, dst, isn, draw(st.sampled_from(
+                [b"", buf[6:9]])), flags=syn))
+        for off, n, alter in draw(_SEGMENTS):
+            payload = bytearray(buf[off + 6:off + 6 + n])
+            payload[0] ^= 0xFF * alter
+            data.append(build_tcp_frame(
+                src, dst, isn + 1 + off, bytes(payload),
+                flags=TCP_FLAG_ACK | TCP_FLAG_PSH * draw(st.booleans())))
+    return syns + draw(st.permutations(data))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_connection_frames(), min_size=1, max_size=3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_columnar_reassembly_matches_the_reference(tmp_path, conns, mix,
+                                                    rnd):
+    """The columnar core reassembles every direction of a capture as the
+    per-segment reference does: the same streams, segment maps, gap and
+    overlap flags, for duplicates, overlaps with equal and with other bytes,
+    gaps, bytes before the base, ISNs that wrap, data on a SYN,
+    self-connections and port pairs that a new SYN reuses (whole
+    connections one after the other or, with ``mix``, frames interleaved)."""
+    frames = [frame for conn in conns for frame in conn]
+    if mix:
+        rnd.shuffle(frames)
+    path = str(tmp_path / "prop.pcap")
+    write_pcap(path, [(1.0 + i / 1000, f) for i, f in enumerate(frames)])
+    raws = _load_both(path)
+    for raw in raws:
+        assert_tiles(raw.client_stream, raw.client_segments)
+        assert_tiles(raw.server_stream, raw.server_segments)

@@ -334,6 +334,31 @@ class TestPersistence:
         else:
             assert load_corpus(str(path))[1].conn.records[0].length == value
 
+    @pytest.mark.parametrize("name, where", [
+        ("first_byte_ts", ("records", 0, 7)),
+        ("avg_pkt_size", ("records", 0, 6)),
+        ("packet time", ("packets", 0, 0)), ("duration", ("duration",)),
+        ("start_time", ("start_time",))])
+    def test_an_overflowing_literal_is_refused(self, tmp_path, name, where):
+        """JSON reads 1e400 as an infinity without calling the hook that
+        refuses NaN and Infinity; the loaded floats are checked, naming the
+        line and the field."""
+        corpus = synthesize_corpus(SynthSpec(seed=10, n_connections=2))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(str(path), corpus)
+        lines = path.read_text().splitlines()
+        conn = json.loads(lines[2])
+        *outer, last = where
+        target = conn
+        for key in outer:
+            target = target[key]
+        target[last] = "X"
+        lines[2] = json.dumps(conn).replace('"X"', "1e400")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError,
+                           match=f"line 3: CorpusError: {name} is not finite"):
+            load_corpus(str(path))
+
     def test_invalid_utf8_after_line_1_names_its_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         save_corpus(str(path), synthesize_corpus(SynthSpec(seed=10,

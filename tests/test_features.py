@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction
+from httpglass.capture import Direction, PacketMeta
 from httpglass.features import (ALP_FALLBACK_LEN, CONNECTION_LEN,
                                 DIR_NO_RECORD, MALWARE_STANDARD_LEN,
                                 SELECTED_SUITE_OTHER, STANDARD_LEN, TOR_LEN,
@@ -79,6 +79,25 @@ def test_connection_features_layout():
     assert v[106] == pytest.approx(2.5)
     assert v[107] == 6
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(Direction)),
+                          st.integers(0, 70000), st.booleans()), max_size=12))
+def test_packet_statistics_match_a_filter_per_direction(packets):
+    """The per-direction packet, PSH and mean-size features equal, byte for
+    byte, a filter of the packets per direction and two sums over each,
+    with no packets or one direction only among the cases."""
+    conn = _conn(2)
+    conn.raw.packets = [PacketMeta(0.1 * i, d, size, push, 0)
+                        for i, (d, size, push) in enumerate(packets)]
+    want = []
+    for d in Direction:
+        pkts = [p for p in conn.raw.packets if p.direction == d]
+        want += [len(pkts), sum(1 for p in pkts if p.push_flag),
+                 sum(p.payload_len for p in pkts) / len(pkts) if pkts else 0.0]
+    assert extract_connection_features(conn)[:6].tobytes() == \
+        np.array(want, dtype=np.float64).tobytes()
 
 def test_assemble_modes():
     conn = _conn(4)

@@ -323,7 +323,7 @@ def _record_stream(draw, direction):
 
 @st.composite
 def _raw_connections(draw):
-    """A connection as ``reassemble`` leaves it: each direction's segment
+    """A connection as ``load_pcap`` leaves it: each direction's segment
     map tiles its stream, and packet times often tie across directions."""
     packets, streams, maps = [], [], []
     for direction in Direction:

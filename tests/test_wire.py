@@ -62,6 +62,35 @@ def test_planted_connections_come_back(tmp_path, isn, etag):
             [(r.index, r.message_type, r.labels) for r in lc.records]
 
 
+@pytest.mark.parametrize("isn", [0, 0xFFFFFF00, 0xFFFFFFFF])
+def test_reused_port_pairs_come_back(tmp_path, isn):
+    """Two connections one after the other on each client endpoint, the
+    second opened by a SYN with another ISN, come back as two connections,
+    each with its own streams, records, handshake and labels."""
+    corpus = synthesize_corpus(SynthSpec(
+        seed=3, n_connections=30, filler_range=(0, 3), emit_streams=True))
+    frames, planted = planted_pcap_frames(corpus, isn, reuse=True)
+    path = str(tmp_path / "reused.pcap")
+    write_pcap(path, frames)
+    raws = load_pcap(path)
+    assert raws == reference_load_pcap(path)
+    keys = [(raw.five_tuple, [r.five_tuple for r in raws[:i]].count(
+        raw.five_tuple)) for i, raw in enumerate(raws)]
+    assert sorted(keys) == sorted(planted)
+    for key, raw in zip(keys, raws):
+        lc = planted[key]
+        want = lc.conn
+        assert (raw.client_stream, raw.server_stream) == \
+            (want.raw.client_stream, want.raw.server_stream)
+        assert not (raw.gap_client or raw.gap_server or raw.overlap_anomaly)
+        conn = parse_tls_records(raw)
+        assert conn.records[EXACT].tolist() == want.records[EXACT].tolist()
+        assert conn.handshake == want.handshake
+        back = ingest_ground_truth(conn, ground_truth_session(lc), lc.protocol,
+                                   registry(lc.protocol, False))
+        assert [(r.index, r.message_type, r.labels) for r in back] == \
+            [(r.index, r.message_type, r.labels) for r in lc.records]
+
 def _valid_pcap(path, on_syn):
     """A TLS flow; with ``on_syn`` its ClientHello rides on the SYN."""
     ch, sh = handshake_payloads()
