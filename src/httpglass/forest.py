@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from math import ceil, sqrt
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,9 @@ FORMAT_VERSION = 2
 
 
 class ForestError(HttpglassError):
-    pass
+    def __init__(self, message: str, forest: int | None = None):
+        super().__init__(message)
+        self.forest = forest  # of forests loaded together, the one refused
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,9 @@ class Nodes:
     Tree t starts at ``roots[t]``; its nodes follow depth-first, left child
     first.  Training builds a forest's arrays once from its trees' node
     lists, ``Stack`` pools forests with ``concat``, and prediction and
-    persistence read them too.
+    persistence read them too.  A loaded forest's arrays are views into
+    its bundle's arrays, which ``from_dicts`` converts for every forest of
+    the bundle at once.
     """
 
     feature: np.ndarray    # split feature of each node, -1 at leaves
@@ -711,7 +717,7 @@ def _leaves(stack: Stack, W: np.ndarray, rows: np.ndarray,
 
     All pairs step together, with no compaction, until every one is at a
     leaf: a pair at a leaf stays there.  A child's id exceeds its parent's
-    within the same tree (``from_dict`` checks that), so the walk ends.
+    within the same tree (``from_dicts`` checks that), so the walk ends.
     Every split sends w <= threshold left and the rest, NaN included, right;
     at a categorical split w is the row's membership column, 0 for a value
     equal to one of the codes, so only those values go left.
@@ -822,42 +828,40 @@ def to_dict(forest: Forest) -> dict:
     }
 
 
-def _check_nodes(nodes: Nodes, leaf_counts: np.ndarray, n_features: int,
-                 n_classes: int) -> None:
-    """Refuse loaded node arrays that ``predict_scores`` could not use: each
-    child must follow its parent inside its tree, so every walk ends at a
-    leaf, and each leaf must hold a count."""
-    n = nodes.feature.size
-    ids, split, roots = np.arange(n), nodes.feature >= 0, nodes.roots
-    if any(a.shape != (n,) for a in (nodes.feature, nodes.threshold,
-                                      nodes.left, nodes.right, nodes.cat)):
-        raise ForestError("node arrays differ in length")
-    if roots.ndim != 1 or roots.size == 0 or roots[0] != 0 \
-            or (np.diff(roots) <= 0).any() or roots[-1] >= n:
-        raise ForestError("roots must be increasing node ids from 0")
-    end = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
-    children = np.stack([nodes.left, nodes.right])[:, split]
-    for failed, message in [
-            (((children <= ids[split]) | (children >= end[split])).any(),
-             "a child id does not follow its parent in its tree"),
-            (leaf_counts.shape != ((~split).sum(), n_classes)
-             or (leaf_counts < 0).any() or (leaf_counts.sum(axis=1) <= 0).any(),
-             "leaf_counts needs one positive row per leaf"),
-            (((nodes.feature < -1) | (nodes.feature >= n_features)).any(),
-             f"split feature out of range for {n_features} features"),
-            (((nodes.cat < -1) | (nodes.cat >= len(nodes.cats_left))).any(),
-             "categorical split index out of range"),
-            (any(c.ndim != 1 for c in nodes.cats_left),
-             "each categorical split needs a flat list of codes"),
-            (not np.isfinite(nodes.threshold[split & (nodes.cat < 0)]).all(),
-             "numeric split without a finite threshold")]:
-        if failed:
-            raise ForestError(message)
+# the fields saved as one flat list per forest, converted for all forests
+# together: their dtypes, and the refusal when a forest's list is not flat
+_FLAT = (("feature", np.int64, "node arrays differ in length"),
+         ("threshold", np.float64, "node arrays differ in length"),
+         ("left", np.int64, "node arrays differ in length"),
+         ("right", np.int64, "node arrays differ in length"),
+         ("roots", np.int64, "roots must be increasing node ids from 0"),
+         ("cat", np.int64, "node arrays differ in length"),
+         ("importance_raw", np.float64,
+          "importance_raw needs one value per feature"))
+# the field saved with nulls: to_dict writes each threshold but a numeric
+# split's as null
+_NULLS = "threshold"
+# a saved forest's node lists: the flat ones of _FLAT, then leaf_counts
+_NODE_LISTS = itemgetter(*(name for name, *_ in _FLAT[:-1]), "leaf_counts")
+_CONVERT_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def from_dict(data: dict) -> Forest:
-    """The forest ``to_dict`` saved as ``data``; a missing, unknown or
-    wrongly typed field raises ForestError."""
+class _Saved(NamedTuple):
+    """A saved forest's fields, their types checked, not yet converted."""
+
+    classes: list
+    n_features: int
+    flat: tuple  # the lists of the _FLAT fields, in that order
+    cats_left: list
+    leaf_counts: list
+    schema_id: object
+    categorical: frozenset
+    params: TrainParams
+
+
+def _unpack(data) -> _Saved:
+    """The fields of the forest ``to_dict`` saved as ``data``; ForestError
+    for a missing, unknown or wrongly typed one."""
     if not isinstance(data, dict):
         raise ForestError("a forest must be a JSON object")
     if data.get("format_version") != FORMAT_VERSION:
@@ -869,33 +873,255 @@ def from_dict(data: dict) -> Forest:
                 or len(set(classes)) != len(classes):
             raise ForestError("classes must be a list of distinct values, "
                               "none of them null")
-        feature = np.asarray(nd["feature"], dtype=np.int64)
-        nodes = Nodes(
-            feature=feature,
-            threshold=np.asarray(nd["threshold"], dtype=np.float64),
-            left=np.asarray(nd["left"], dtype=np.int64),
-            right=np.asarray(nd["right"], dtype=np.int64),
-            roots=np.asarray(nd["roots"], dtype=np.int64),
-            counts=np.zeros((feature.size, len(classes)), dtype=np.int64),
-            cat=np.asarray(nd["cat"], dtype=np.int64),
-            cats_left=[np.asarray(c, dtype=np.float64)
-                       for c in nd["cats_left"]])
-        leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
         # exactly an int: 174.0 passes every comparison with 174 but sizes
         # no array, and a bool is no width
         n_features = data["n_features"]
         if type(n_features) is not int:
             raise ForestError("n_features must be an integer")
-        _check_nodes(nodes, leaf_counts, n_features, len(classes))
-        nodes.counts[feature < 0] = leaf_counts
-        importance = np.asarray(data["importance_raw"], dtype=np.float64)
-        if importance.shape != (n_features,):
+        lists = _NODE_LISTS(nd)
+        if set(map(type, lists)) != {list}:
+            raise ForestError("each node field must be a list")
+        importance = data["importance_raw"]
+        if type(importance) is not list or len(importance) != n_features:
             raise ForestError("importance_raw needs one value per feature")
-        return Forest(
-            classes=classes, schema_id=data["schema_id"],
-            n_features=n_features,
-            categorical=frozenset(data["categorical"]),
-            params=TrainParams(**data["params"]),
-            importance_raw=importance, nodes=nodes)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return _Saved(classes, n_features, (*lists[:-1], importance),
+                      list(nd["cats_left"]), lists[-1], data["schema_id"],
+                      frozenset(data["categorical"]),
+                      TrainParams(**data["params"]))
+    except _CONVERT_ERRORS as exc:
         raise ForestError(f"malformed field ({exc!r})") from exc
+
+
+class _Refusal:
+    """The first refusal of forests loaded together, in (forest, check)
+    order: the checks run in order, each over the forests before the first
+    one refused so far (``first``), so a later check names only an earlier
+    forest."""
+
+    def __init__(self, n: int):
+        self.first, self.message = n, None
+
+    def forest(self, k: int, message: str) -> None:
+        if k < self.first:
+            self.first, self.message = k, message
+
+    def check(self, bad: np.ndarray, message: str, starts=None) -> None:
+        """Refuse the forest of the first True of ``bad``, one entry per
+        forest or, given where each forest's entries ``starts``, per
+        entry."""
+        k = _first(bad, starts)
+        if k is not None:
+            self.forest(k, message)
+
+
+def _first(bad: np.ndarray, starts=None) -> int | None:
+    """The forest of ``bad``'s first True, if any: its index, or the forest
+    whose entries hold it, each forest's entries starting at ``starts``."""
+    i = int(bad.argmax()) if bad.size else 0
+    if not bad.size or not bad[i]:
+        return None
+    if starts is None:
+        return i
+    return int(np.searchsorted(starts, i, "right")) - 1
+
+
+def _chained(refused: _Refusal, lists: list, dtype, refusal: str,
+             nulls: bool = False, widths: list | None = None) -> np.ndarray:
+    """The values of the lists of the forests before ``refused.first`` as
+    one flat array, in one conversion; if that fails, the first forest whose
+    own list does not convert as ``np.asarray`` converts it, or does not
+    have its shape, is refused (with ``refusal`` for a wrong shape) and the
+    values of the lists before it are returned.  A list is flat, or given
+    ``widths``, a list of rows of its forest's width.  Given ``nulls``, the
+    lists hold many None, which np.asarray reads as NaN."""
+    lists = lists[:refused.first]
+    try:
+        values = chain.from_iterable(lists)
+        if widths is None:
+            size = sum(map(len, lists))
+        else:
+            rows = list(values)
+            if rows and set(map(type, rows)) != {list}:
+                raise TypeError("a row is not a list")
+            lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+            if not np.array_equal(lengths, np.repeat(widths[:len(lists)],
+                                                     list(map(len, lists)))):
+                raise ValueError("a row is not as long as its forest's width")
+            values, size = chain.from_iterable(rows), int(lengths.sum())
+        if nulls:  # (np.fromiter refuses None)
+            values = [np.nan if v is None else v for v in values]
+        # np.fromiter converts each value as np.asarray does in a list of
+        # numbers, without asarray's search for nested lists, which takes
+        # as long as the conversion
+        return np.fromiter(values, dtype, size)
+    except _CONVERT_ERRORS:
+        pass
+    parts = [np.empty(0, dtype=dtype)]
+    for k, v in enumerate(lists):
+        try:
+            part = np.asarray(v, dtype=dtype)
+        except _CONVERT_ERRORS as exc:
+            refused.forest(k, f"malformed field ({exc!r})")
+            break
+        if part.shape != ((len(v),) if widths is None else (len(v),
+                                                            widths[k])):
+            refused.forest(k, refusal)
+            break
+        parts.append(part.ravel())
+    return np.concatenate(parts)
+
+
+def _bases(sizes) -> np.ndarray:
+    """Where each of consecutive parts of ``sizes`` starts, and the end."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def from_dicts(data: list) -> list[Forest]:
+    """The forests ``to_dict`` saved as the items of ``data``, loaded as one
+    node table.  Each field of all of them (each node array, the roots,
+    the leaf counts, the importances and the codes of every categorical
+    split) is chained in order and converted in one call; each forest's
+    arrays are views into those, and its class counts a view into one
+    shared array.
+
+    The table is checked against each forest's bounds (its node range,
+    roots, n_features, class count and number of categorical splits) by one
+    array test per check, for what ``predict_scores`` could not use: each
+    child must follow its parent inside its tree, so every walk ends at a
+    leaf, each leaf must hold a positive count, and numeric thresholds and
+    importances must be finite.  The first forest refused in ``data``'s
+    order raises a ForestError whose ``forest`` is its index there; a
+    missing, unknown or wrongly typed field is one too."""
+    refused, saved = _Refusal(len(data)), []
+    for k, d in enumerate(data):
+        try:
+            saved.append(_unpack(d))
+        except ForestError as exc:
+            refused.forest(k, str(exc))
+            break
+    feature, threshold, left, right, roots, cat, importance = (
+        _chained(refused, [s.flat[j] for s in saved], dtype, not_flat,
+                 name == _NULLS)
+        for j, (name, dtype, not_flat) in enumerate(_FLAT))
+    size = np.fromiter(map(len, chain.from_iterable(s.flat for s in saved)),
+                       np.int64, len(saved) * len(_FLAT)).reshape(
+                           -1, len(_FLAT))
+    # threshold, left, right and cat as long as feature
+    refused.check((size[:, [1, 2, 3, 5]] != size[:, :1]).any(axis=1),
+                  "node arrays differ in length")
+    # roots: 0 first, then increasing, all inside their forest
+    n = refused.first
+    n_nodes, n_roots = size[:n, 0], size[:n, 4]
+    root_base = _bases(n_roots)
+    head = roots[:root_base[-1]]
+    first_root = np.zeros(head.size, dtype=bool)
+    first_root[root_base[:-1][n_roots > 0]] = True
+    roots_message = "roots must be increasing node ids from 0"
+    refused.check(n_roots == 0, roots_message)
+    refused.check(np.where(first_root, head != 0,
+                           head <= np.append(0, head[:-1]))
+                  | (head >= np.repeat(n_nodes, n_roots)), roots_message,
+                  root_base)
+
+    # every check from here on reads the forests before the first refused:
+    # their node arrays line up, and their trees follow one another
+    n = refused.first
+    n_nodes, n_roots, root_base = n_nodes[:n], n_roots[:n], root_base[:n + 1]
+    node_base = _bases(n_nodes)
+    N = node_base[-1]
+    feature, threshold, left, right, cat = (
+        a[:N] for a in (feature, threshold, left, right, cat))
+    roots = roots[:root_base[-1]]
+    split = feature >= 0
+    # each node's id and its tree's end, in its forest's numbering
+    base = np.repeat(node_base[:-1], n_nodes)
+    tops = roots + np.repeat(node_base[:-1], n_roots)
+    ids = np.arange(N)
+    end = np.append(tops[1:], N)[np.searchsorted(tops, ids, "right") - 1] \
+        - base
+    ids -= base
+    refused.check(split & ((left <= ids) | (left >= end) | (right <= ids)
+                           | (right >= end)),
+                  "a child id does not follow its parent in its tree",
+                  node_base)
+
+    # one positive row of class counts per leaf (each tree ends in one)
+    n = refused.first
+    leaf = ~split
+    leaf_base = _bases(leaf)[node_base[:n + 1]]
+    n_leaves = np.diff(leaf_base)
+    width = [len(s.classes) for s in saved[:n]]
+    leaf_message = "leaf_counts needs one positive row per leaf"
+    refused.check((np.array([len(s.leaf_counts) for s in saved[:n]],
+                            dtype=np.int64) != n_leaves)
+                  | (np.array(width, dtype=np.int64) == 0), leaf_message)
+    values = _chained(refused, [s.leaf_counts for s in saved], np.int64,
+                      leaf_message, widths=width)
+    n = refused.first
+    row_width = np.repeat(np.array(width[:n], dtype=np.int64), n_leaves[:n])
+    row_start = np.cumsum(row_width) - row_width
+    if row_start.size:
+        refused.check((np.add.reduceat(values, row_start) <= 0)
+                      | (np.minimum.reduceat(values, row_start) < 0),
+                      leaf_message, leaf_base)
+
+    n_features = [s.n_features for s in saved[:n_nodes.size]]
+    k = _first((feature < -1) | (feature >= np.repeat(n_features, n_nodes)),
+               node_base)
+    if k is not None:
+        refused.forest(k, f"split feature out of range for "
+                          f"{saved[k].n_features} features")
+    n_cats = [len(s.cats_left) for s in saved[:n_nodes.size]]
+    refused.check((cat < -1) | (cat >= np.repeat(n_cats, n_nodes)),
+                  "categorical split index out of range", node_base)
+    codes_message = "each categorical split needs a flat list of codes"
+    refused.check(np.array([not all(type(c) is list for c in s.cats_left)
+                            for s in saved[:refused.first]], dtype=bool),
+                  codes_message)
+    codes = _chained(refused, [list(chain.from_iterable(s.cats_left))
+                               for s in saved[:refused.first]], np.float64,
+                     codes_message)
+    refused.check(split & (cat < 0) & ~np.isfinite(threshold),
+                  "numeric split without a finite threshold", node_base)
+    importance_base = _bases(n_features)
+    refused.check(~np.isfinite(importance[:importance_base[-1]]),
+                  "importance_raw holds a NaN or infinite value",
+                  importance_base)
+    if refused.message is not None:
+        raise ForestError(refused.message, forest=refused.first)
+
+    # every forest loaded: its class counts, 0 at splits, are a view into
+    # one array, a leaf's row starting at its forest's cell base + its id
+    # times its class count
+    n_classes = np.array(width, dtype=np.int64)
+    cell_base = _bases(n_nodes * n_classes)
+    cells = np.zeros(cell_base[-1], dtype=np.int64)
+    leaf_forest = np.repeat(np.arange(len(saved)), n_leaves)
+    row_at = cell_base[leaf_forest] + (np.flatnonzero(leaf)
+                                       - node_base[leaf_forest]) \
+        * n_classes[leaf_forest]
+    cells[np.repeat(row_at - row_start, row_width)
+          + np.arange(values.size)] = values
+    codes = np.split(codes, list(accumulate(
+        len(c) for s in saved for c in s.cats_left))[:-1])
+    forests = []
+    for s, (a, b), (r, t), (i, j), (c, d), (e, f) in zip(
+            saved, *(pairwise(x.tolist()) for x in (
+                node_base, root_base, importance_base, cell_base,
+                _bases(n_cats)))):
+        nodes = Nodes(feature=feature[a:b], threshold=threshold[a:b],
+                      left=left[a:b], right=right[a:b], roots=roots[r:t],
+                      counts=cells[c:d].reshape(b - a, len(s.classes)),
+                      cat=cat[a:b], cats_left=codes[e:f])
+        forests.append(Forest(
+            classes=s.classes, schema_id=s.schema_id,
+            n_features=s.n_features, categorical=s.categorical,
+            params=s.params, importance_raw=importance[i:j], nodes=nodes))
+    return forests
+
+
+def from_dict(data: dict) -> Forest:
+    """The forest ``to_dict`` saved as ``data``: ``from_dicts`` of it
+    alone.  As a bundle's forests' arrays are views into the bundle's
+    arrays, its arrays are views into arrays of its own."""
+    return from_dicts([data])[0]

@@ -593,35 +593,50 @@ def bundle_from_dict(data: dict) -> ModelBundle:
             != BUNDLE_FORMAT_VERSION:
         raise InferenceError("unsupported bundle format version")
 
-    def load(name, d, optional=False):
-        """The forest saved as ``d``, or None for an optional one saved as
-        null; a refused one is named."""
+    names, saved = [], []
+
+    def gather(name, d, optional=False):
+        """The place of the forest saved as ``d`` among those to load, or
+        None for an optional one saved as null."""
         if optional and d is None:
             return None
-        try:
-            return rf.from_dict(d)
-        except rf.ForestError as exc:
-            raise InferenceError(f"forest {name} is refused: {exc}") from exc
+        names.append(name)
+        saved.append(d)
+        return len(saved) - 1
 
-    bundle = ModelBundle(
-        mode=_field(data, "mode"), include_etag=_field(data, "include_etag"),
-        models={},
-        alp_fallback=load("alp_fallback", _field(data, "alp_fallback"), True),
-        default_protocol=_field(data, "default_protocol"))
+    mode, include_etag = _field(data, "mode"), _field(data, "include_etag")
+    alp_fallback = gather("alp_fallback", _field(data, "alp_fallback"), True)
+    default_protocol = _field(data, "default_protocol")
+    places = {}
     for protocol, pd in _object(_field(data, "protocols"),
                                 "protocols").items():
         name = f"protocols.{protocol}"
         pd = _object(pd, name)
-        bundle.models[protocol] = ProtocolModels(
-            message_type=load(f"{protocol}.message_type",
-                              _field(pd, "message_type", name), True),
-            single={pid: load(f"{protocol}.single.{pid}", d) for pid, d in
-                    _object(_field(pd, "single", name),
-                            f"{protocol}.single").items()},
-            enhanced={pid: load(f"{protocol}.enhanced.{pid}", d) for pid, d in
-                      _object(_field(pd, "enhanced", name),
-                              f"{protocol}.enhanced").items()},
-        )
+        places[protocol] = (
+            gather(f"{protocol}.message_type",
+                   _field(pd, "message_type", name), True),
+            *({pid: gather(f"{protocol}.{kind}.{pid}", d) for pid, d in
+               _object(_field(pd, kind, name),
+                       f"{protocol}.{kind}").items()}
+              for kind in ("single", "enhanced")))
+    # every forest in one call, so that the bundle is one node table
+    try:
+        forests = rf.from_dicts(saved)
+    except rf.ForestError as exc:
+        raise InferenceError(f"forest {names[exc.forest]} is refused: "
+                             f"{exc}") from exc
+
+    def at(place):
+        return None if place is None else forests[place]
+
+    bundle = ModelBundle(
+        mode=mode, include_etag=include_etag, models={
+            protocol: ProtocolModels(
+                message_type=at(mt),
+                single={pid: forests[i] for pid, i in single.items()},
+                enhanced={pid: forests[i] for pid, i in enhanced.items()})
+            for protocol, (mt, single, enhanced) in places.items()},
+        alp_fallback=at(alp_fallback), default_protocol=default_protocol)
     fallback = [bundle.default_protocol,
                 *(bundle.alp_fallback.classes if bundle.alp_fallback else [])]
     if any(p not in PROTOCOLS for p in fallback):

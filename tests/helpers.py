@@ -12,9 +12,13 @@ from httpglass.capture import (LINKTYPE_ETHERNET, PCAP_MAGIC_NS, PCAP_MAGIC_US,
                                Direction, PacketMeta, PcapError, RawConnection,
                                TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN,
                                _reassemble, _streams, build_tcp_frame)
+from httpglass import forest as rf
 from httpglass.features import (CONNECTION_LEN, DIR_NO_RECORD,
                                 N_SIGNED_LENGTHS, WINDOW_RADIUS, WINDOW_SLOTS,
                                 extract_connection_features)
+from httpglass.inference import (BUNDLE_FORMAT_VERSION, PROTOCOLS,
+                                 InferenceError, ModelBundle, ProtocolModels,
+                                 _check_schemas, _field, _object)
 from httpglass.tlsparse import (MAX_RECORD_LEN, RECORD_HEADER_LEN,
                                 RECORD_TYPES, Connection, HandshakeMeta,
                                 build_client_hello, build_server_hello,
@@ -317,6 +321,169 @@ def random_dataset(rng, n_max=200, d_max=8, k_max=4):
     X = np.round(rng.normal(size=(n, d)) * 4.0, 1)
     y = [f"c{int(v)}" for v in rng.integers(0, k, size=n)]
     return X, y
+
+
+def reference_check_nodes(nodes, leaf_counts, n_features, n_classes):
+    """Refuse loaded node arrays that ``predict_scores`` could not use: each
+    child must follow its parent inside its tree, so every walk ends at a
+    leaf, and each leaf must hold a count."""
+    n = nodes.feature.size
+    ids, split, roots = np.arange(n), nodes.feature >= 0, nodes.roots
+    if any(a.shape != (n,) for a in (nodes.feature, nodes.threshold,
+                                      nodes.left, nodes.right, nodes.cat)):
+        raise rf.ForestError("node arrays differ in length")
+    if roots.ndim != 1 or roots.size == 0 or roots[0] != 0 \
+            or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+        raise rf.ForestError("roots must be increasing node ids from 0")
+    end = np.append(roots[1:], n)[np.searchsorted(roots, ids, side="right") - 1]
+    children = np.stack([nodes.left, nodes.right])[:, split]
+    for failed, message in [
+            (((children <= ids[split]) | (children >= end[split])).any(),
+             "a child id does not follow its parent in its tree"),
+            (leaf_counts.shape != ((~split).sum(), n_classes)
+             or (leaf_counts < 0).any() or (leaf_counts.sum(axis=1) <= 0).any(),
+             "leaf_counts needs one positive row per leaf"),
+            (((nodes.feature < -1) | (nodes.feature >= n_features)).any(),
+             f"split feature out of range for {n_features} features"),
+            (((nodes.cat < -1) | (nodes.cat >= len(nodes.cats_left))).any(),
+             "categorical split index out of range"),
+            (any(c.ndim != 1 for c in nodes.cats_left),
+             "each categorical split needs a flat list of codes"),
+            (not np.isfinite(nodes.threshold[split & (nodes.cat < 0)]).all(),
+             "numeric split without a finite threshold")]:
+        if failed:
+            raise rf.ForestError(message)
+
+
+def reference_forest_from_dict(data):
+    """One saved forest converted and checked alone, field by field, as
+    forests were loaded before a bundle became one node table: the oracle
+    of ``forest.from_dicts``.  It lets non-finite importances through."""
+    if not isinstance(data, dict):
+        raise rf.ForestError("a forest must be a JSON object")
+    if data.get("format_version") != rf.FORMAT_VERSION:
+        raise rf.ForestError("unsupported model format version")
+    try:
+        nd, classes = data["nodes"], data["classes"]
+        if not isinstance(classes, list) or None in classes \
+                or len(set(classes)) != len(classes):
+            raise rf.ForestError("classes must be a list of distinct values, "
+                                 "none of them null")
+        feature = np.asarray(nd["feature"], dtype=np.int64)
+        nodes = rf.Nodes(
+            feature=feature,
+            threshold=np.asarray(nd["threshold"], dtype=np.float64),
+            left=np.asarray(nd["left"], dtype=np.int64),
+            right=np.asarray(nd["right"], dtype=np.int64),
+            roots=np.asarray(nd["roots"], dtype=np.int64),
+            counts=np.zeros((feature.size, len(classes)), dtype=np.int64),
+            cat=np.asarray(nd["cat"], dtype=np.int64),
+            cats_left=[np.asarray(c, dtype=np.float64)
+                       for c in nd["cats_left"]])
+        leaf_counts = np.asarray(nd["leaf_counts"], dtype=np.int64)
+        n_features = data["n_features"]
+        if type(n_features) is not int:
+            raise rf.ForestError("n_features must be an integer")
+        reference_check_nodes(nodes, leaf_counts, n_features, len(classes))
+        nodes.counts[feature < 0] = leaf_counts
+        importance = np.asarray(data["importance_raw"], dtype=np.float64)
+        if importance.shape != (n_features,):
+            raise rf.ForestError("importance_raw needs one value per feature")
+        return rf.Forest(
+            classes=classes, schema_id=data["schema_id"],
+            n_features=n_features,
+            categorical=frozenset(data["categorical"]),
+            params=rf.TrainParams(**data["params"]),
+            importance_raw=importance, nodes=nodes)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise rf.ForestError(f"malformed field ({exc!r})") from exc
+
+
+def reference_bundle_from_dict(data):
+    """A saved bundle loaded one forest at a time, in load order, each by
+    ``reference_forest_from_dict``: the oracle of
+    ``inference.bundle_from_dict``."""
+    if _object(data, "a bundle").get("format_version") \
+            != BUNDLE_FORMAT_VERSION:
+        raise InferenceError("unsupported bundle format version")
+
+    def load(name, d, optional=False):
+        if optional and d is None:
+            return None
+        try:
+            return reference_forest_from_dict(d)
+        except rf.ForestError as exc:
+            raise InferenceError(f"forest {name} is refused: {exc}") from exc
+
+    bundle = ModelBundle(
+        mode=_field(data, "mode"), include_etag=_field(data, "include_etag"),
+        models={},
+        alp_fallback=load("alp_fallback", _field(data, "alp_fallback"), True),
+        default_protocol=_field(data, "default_protocol"))
+    for protocol, pd in _object(_field(data, "protocols"),
+                                "protocols").items():
+        name = f"protocols.{protocol}"
+        pd = _object(pd, name)
+        bundle.models[protocol] = ProtocolModels(
+            message_type=load(f"{protocol}.message_type",
+                              _field(pd, "message_type", name), True),
+            single={pid: load(f"{protocol}.single.{pid}", d) for pid, d in
+                    _object(_field(pd, "single", name),
+                            f"{protocol}.single").items()},
+            enhanced={pid: load(f"{protocol}.enhanced.{pid}", d) for pid, d in
+                      _object(_field(pd, "enhanced", name),
+                              f"{protocol}.enhanced").items()},
+        )
+    fallback = [bundle.default_protocol,
+                *(bundle.alp_fallback.classes if bundle.alp_fallback else [])]
+    if any(p not in PROTOCOLS for p in fallback):
+        raise InferenceError(f"the protocol fallback names {fallback!r}; "
+                             f"only {PROTOCOLS!r} are known")
+    _check_schemas(bundle)
+    return bundle
+
+
+def bundle_forests(bundle):
+    """(name, forest) of each of a bundle's forests, in load order."""
+    out = [("alp_fallback", bundle.alp_fallback)]
+    for protocol, pm in bundle.models.items():
+        out.append((f"{protocol}.message_type", pm.message_type))
+        out += [(f"{protocol}.{kind}.{pid}", f)
+                for kind in ("single", "enhanced")
+                for pid, f in getattr(pm, kind).items()]
+    return [(name, f) for name, f in out if f is not None]
+
+
+def assert_same_forest(a, b):
+    """Two loaded forests hold equal fields and arrays, NaN included."""
+    assert (a.classes, a.schema_id, a.n_features, a.categorical, a.params) \
+        == (b.classes, b.schema_id, b.n_features, b.categorical, b.params)
+    assert a.importance_raw.dtype == b.importance_raw.dtype
+    assert np.array_equal(a.importance_raw, b.importance_raw, equal_nan=True)
+    for name in ("feature", "threshold", "left", "right", "roots", "counts",
+                 "cat"):
+        x, y = getattr(a.nodes, name), getattr(b.nodes, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
+    assert len(a.nodes.cats_left) == len(b.nodes.cats_left)
+    for x, y in zip(a.nodes.cats_left, b.nodes.cats_left):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y, equal_nan=True)
+
+
+def assert_same_bundle(a, b):
+    """Two loaded bundles hold equal settings and forests, in one order."""
+    assert (a.mode, a.include_etag, a.default_protocol) == \
+        (b.mode, b.include_etag, b.default_protocol)
+    assert list(a.models) == list(b.models)
+    for protocol in a.models:
+        for kind in ("single", "enhanced"):
+            assert list(getattr(a.models[protocol], kind)) == \
+                list(getattr(b.models[protocol], kind))
+    fa, fb = bundle_forests(a), bundle_forests(b)
+    assert [name for name, _ in fa] == [name for name, _ in fb]
+    for (_, x), (_, y) in zip(fa, fb):
+        assert_same_forest(x, y)
 
 
 def _reference_frames(fh):

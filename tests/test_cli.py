@@ -235,6 +235,19 @@ def _importance_too_long(data):
     forest["importance_raw"].append(0.0)
 
 
+def _importance_nan(data):
+    forest = data["protocols"]["http1"]["single"]["request.method"]
+    forest["importance_raw"][0] = float("nan")  # json.dumps writes NaN
+
+
+def _importance_1e400(data):
+    # json.dumps writes no overflowing literal; json.load reads this one as
+    # infinity
+    forest = data["protocols"]["http1"]["single"]["request.method"]
+    forest["importance_raw"][0] = "1e400"
+    return json.dumps(data).replace('"1e400"', "1e400")
+
+
 def _unknown_problem(data):
     enhanced = data["protocols"]["http1"]["enhanced"]
     forest = copy.deepcopy(enhanced["request.method"])
@@ -314,7 +327,8 @@ def _enhanced_classes_differ(data):
 
 
 # each corruption and a part of the one error line it must give; a
-# corruption that returns a value replaces the whole JSON with it
+# corruption that returns a value replaces the whole JSON with it, and one
+# that returns a str the file's text
 BAD_BUNDLES = {
     _format_1: "format version",
     _cyclic_child: "forest http1.single.",
@@ -348,7 +362,11 @@ BAD_BUNDLES = {
                               "a single forest http1.single.response.server",
     _enhanced_classes_differ: "forest http1.enhanced.response.server needs "
                               "a single forest http1.single.response.server "
-                              "with its classes ['teapot', "}
+                              "with its classes ['teapot', ",
+    _importance_nan: "forest http1.single.request.method is refused: "
+                     "importance_raw holds a NaN or infinite value",
+    _importance_1e400: "forest http1.single.request.method is refused: "
+                       "importance_raw holds a NaN or infinite value"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_BUNDLES))
@@ -359,7 +377,7 @@ def test_bad_bundle_is_one_error_line(saved_bundle, corrupt, tmp_path,
     data = copy.deepcopy(data)
     data = corrupt(data) or data
     bundle = tmp_path / "bad.json"
-    bundle.write_text(json.dumps(data))
+    bundle.write_text(data if isinstance(data, str) else json.dumps(data))
     code, _, err = _run(capsys, "infer", "--corpus", corpus, "--bundle",
                         str(bundle), "--out", str(tmp_path / "p.jsonl"))
     assert code == 1
@@ -607,6 +625,21 @@ def test_importance_command(tmp_path, capsys):
     for line in lines:
         weight, name = line.split(" ", 1)
         assert float(weight) >= 0.0
+
+
+def test_importance_refuses_a_nan_importance(saved_bundle, tmp_path,
+                                             capsys):
+    """A NaN importance is refused at load, not printed as ``nan``."""
+    _, data = saved_bundle
+    data = copy.deepcopy(data)
+    _importance_nan(data)
+    bundle = str(tmp_path / "b.json")
+    json.dump(data, open(bundle, "w"))
+    code, _, err = _run(capsys, "importance", "--bundle", bundle,
+                        "--protocol", "http1", "--problem", "request.method",
+                        "--out", str(tmp_path / "imp.txt"))
+    assert code == 1
+    assert err == BAD_BUNDLES[_importance_nan].join(["error: ", "\n"])
 
 
 def test_importance_names_enhanced_context_columns(saved_bundle, tmp_path,

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from httpglass import forest as rf
 
-from helpers import random_dataset
+from helpers import (assert_same_forest, random_dataset,
+                     reference_forest_from_dict)
 
 
 def _split_score(yv, mask, k):
@@ -616,7 +617,9 @@ def test_saved_forest_layout_round_trips_byte_for_byte():
     assert rf.predict_scores(forest, _SAVED_ROWS).tolist() == _SAVED_SCORES
 
 
-@pytest.mark.parametrize("field, index, value, problem", [
+# (node field, index, value) corruptions of _SAVED_FOREST, each with a part
+# of the refusal it must give
+CORRUPTIONS = [
     ("left", 0, 0, "child id"),  # a cycle: the walk would never end
     ("left", 0, 10**6, "child id"),
     ("right", 0, 7, "child id"),  # into the second tree
@@ -627,7 +630,10 @@ def test_saved_forest_layout_round_trips_byte_for_byte():
     ("leaf_counts", 1, [0, 0, 0], "leaf_counts"),
     ("cats_left", 0, 15.0, "flat list"),
     ("feature", 1, 2**70, "malformed"),
-])
+]
+
+
+@pytest.mark.parametrize("field, index, value, problem", CORRUPTIONS)
 def test_corrupt_saved_forest_is_refused(field, index, value, problem):
     data = json.loads(_SAVED_FOREST)
     data["nodes"][field][index] = value
@@ -640,6 +646,59 @@ def test_saved_forest_with_a_leaf_count_missing_is_refused():
     del data["nodes"]["leaf_counts"][-1]
     with pytest.raises(rf.ForestError, match="leaf_counts"):
         rf.from_dict(data)
+
+
+def _small_edits(nodes: dict) -> list:
+    """(field, new value) for one small edit of a saved forest's node
+    lists: an id, feature, categorical index, root or class count moved by
+    one, a list one entry longer or shorter, the last root past the nodes,
+    two rows of class counts of compensating widths, a row as a string."""
+    edits = []
+    for field in ("feature", "left", "right", "roots", "cat"):
+        for i in range(len(nodes[field])):
+            for step in (-1, 1):
+                value = list(nodes[field])
+                value[i] += step
+                edits.append((field, value))
+    counts = nodes["leaf_counts"]
+    for r, row in enumerate(counts):
+        for j in range(len(row)):
+            for step in (-1, 1):
+                value = [list(c) for c in counts]
+                value[r][j] += step
+                edits.append(("leaf_counts", value))
+    for field, value in nodes.items():
+        edits += [(field, value + value[-1:]), (field, value[:-1])]
+    return edits + [
+        ("roots", nodes["roots"][:-1] + [len(nodes["feature"])]),
+        ("leaf_counts", [counts[0][:-1], counts[1] + counts[0][-1:],
+                         *counts[2:]]),
+        ("leaf_counts", ["".join(map(str, counts[0])), *counts[1:]])]
+
+
+def test_every_small_edit_loads_as_the_reference_loads_it():
+    """_SAVED_FOREST between two other forests, with one small edit of its
+    node lists, loads as the one-forest reference loads it alone: the same
+    arrays, or a refusal of that forest with the same message."""
+    rng = np.random.default_rng(3)
+    X, y = random_dataset(rng)
+    around = [rf.to_dict(rf.train(X, y, rf.TrainParams(n_trees=2, seed=s)))
+              for s in (0, 1)]
+    refused = 0
+    for field, value in _small_edits(json.loads(_SAVED_FOREST)["nodes"]):
+        data = json.loads(_SAVED_FOREST)
+        data["nodes"][field] = value
+        try:
+            want = reference_forest_from_dict(data)
+        except rf.ForestError as exc:
+            refused += 1
+            with pytest.raises(rf.ForestError) as got:
+                rf.from_dicts([around[0], data, around[1]])
+            assert (got.value.forest, str(got.value)) == (1, str(exc))
+            continue
+        assert_same_forest(rf.from_dicts([around[0], data, around[1]])[1],
+                           want)
+    assert refused > 60
 
 
 def test_stacked_call_equals_each_forest():

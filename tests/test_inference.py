@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import replace
 from datetime import timedelta
 
@@ -25,7 +26,10 @@ from httpglass.inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT,
                                  save_bundle, train_bundle)
 from httpglass.registry import ABSENT, OTHER, PRESENT, Layout, Side, registry
 
-from helpers import reference_rows, synthetic_connection
+from helpers import (assert_same_bundle, bundle_forests,
+                     reference_bundle_from_dict, reference_rows,
+                     synthetic_connection)
+from test_forest import _SAVED_FOREST, CORRUPTIONS
 
 PROBS_H1 = registry("http1")
 PARAMS_FAST = TrainParams(n_trees=8, max_depth=10, min_leaf=2)
@@ -613,6 +617,30 @@ class TestTraining:
         data = json.loads(json.dumps(bundle_to_dict(bundle)))
         assert bundle_to_dict(bundle_from_dict(data)) == data
 
+    @pytest.mark.parametrize("mix", [{"http1": 0.5, "http2": 0.5},
+                                     {"http1": 1.0}], ids=["mixed", "http1"])
+    @pytest.mark.parametrize("include_etag", [False, True],
+                             ids=["no-etag", "etag"])
+    @pytest.mark.parametrize("mode", ["standard", "tor"])
+    def test_every_trained_bundle_loads_as_the_reference_loads_it(
+            self, mode, include_etag, mix):
+        """The bundle loaded as one node table equals the bundle loaded
+        one forest at a time, array for array, and its forests' arrays are
+        views into arrays the bundle's forests share."""
+        corpus = synthesize_corpus(SynthSpec(
+            seed=43, n_connections=12, protocol_mix=mix,
+            include_etag=include_etag, transactions_range=(1, 3)))
+        bundle = train_bundle(corpus, mode=mode, params=TrainParams(
+            n_trees=2, min_leaf=2), include_etag=include_etag, seed=1)
+        data = json.loads(json.dumps(bundle_to_dict(bundle)))
+        loaded = bundle_from_dict(data)
+        assert_same_bundle(loaded, reference_bundle_from_dict(data))
+        forests = [f for _, f in bundle_forests(loaded)]
+        assert len(forests) > 1
+        for name in ("feature", "threshold", "roots", "counts"):
+            assert len({id(getattr(f.nodes, name).base)
+                        for f in forests}) == 1, name
+
     def test_bundle_round_trip(self, small_world, tmp_path):
         bundle, _, test = small_world
         path = str(tmp_path / "bundle.json")
@@ -898,6 +926,31 @@ _JSON_VALUES = st.one_of(
     st.just([]), st.just({}), st.lists(st.integers(-1, 4), max_size=3))
 
 
+_REFUSED = re.compile(r"forest (.*) is refused: ")
+
+
+def _refusal(exc: Exception) -> str:
+    """The forest a load error names as refused, else its whole message."""
+    found = _REFUSED.match(str(exc))
+    return found.group(1) if found else str(exc)
+
+
+def _refused_as_the_reference_does(exc: Exception, data: dict) -> None:
+    """The reference loader refuses the bundle ``data`` as the loader did
+    with ``exc``: the same forest, or the same bundle error; or it loads it,
+    and the loader refused its first forest with a NaN or infinite
+    importance."""
+    try:
+        reference = reference_bundle_from_dict(data)
+    except HttpglassError as refused:
+        assert _refusal(exc) == _refusal(refused)
+        return
+    nonfinite = [name for name, f in bundle_forests(reference)
+                 if not np.isfinite(f.importance_raw).all()]
+    assert nonfinite and _refusal(exc) == nonfinite[0]
+    assert "importance_raw" in str(exc)
+
+
 @settings(max_examples=150, deadline=timedelta(seconds=2), derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 1 << 20),
                           st.sampled_from(["set", "delete", "shift", "cut",
@@ -905,15 +958,81 @@ _JSON_VALUES = st.one_of(
                           _JSON_VALUES), min_size=1, max_size=4))
 def test_mutated_bundles_never_crash(fuzz_world, mutations):
     """Mutated values, ids, lengths and deleted keys raise nothing but
-    HttpglassError from bundle load through classification."""
+    HttpglassError from bundle load through classification.  After one
+    mutation, the loader agrees with the one-forest-at-a-time reference: it
+    loads an equal bundle, or refuses the same forest or gives the same
+    bundle error; but a forest with a NaN or infinite importance, which the
+    reference lets through, is refused."""
     text, conns = fuzz_world
     data = json.loads(text)
     for mutation in mutations:
         _mutate(data, *mutation)
     try:
-        classify_corpus(bundle_from_dict(data), conns, max_iters=3)
+        bundle = bundle_from_dict(data)
+    except HttpglassError as exc:
+        if len(mutations) == 1:
+            _refused_as_the_reference_does(exc, data)
+        return
+    if len(mutations) == 1:
+        assert_same_bundle(bundle, reference_bundle_from_dict(data))
+    try:
+        classify_corpus(bundle, conns, max_iters=3)
     except HttpglassError:
         pass
+
+
+def _with_saved_forest(text: str, *placed) -> dict:
+    """The bundle ``text`` with _SAVED_FOREST, corrupted, in place of some
+    of its forests: each of ``placed`` is (protocol, kind, the index of
+    the problem in sorted order, a CORRUPTIONS entry)."""
+    data = json.loads(text)
+    for protocol, kind, index, (field, at, value, _) in placed:
+        forests = data["protocols"][protocol][kind]
+        forest = json.loads(_SAVED_FOREST)
+        forest["nodes"][field][at] = value
+        forests[sorted(forests)[index]] = forest
+    return data
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS,
+                         ids=[problem for *_, problem in CORRUPTIONS])
+def test_a_refusal_names_the_forest_late_in_load_order(fuzz_world,
+                                                       corruption):
+    """A corrupt forest late in load order, the first enhanced forest of
+    http2, is named, with the reference loader's message.  Its bounds are
+    not its neighbours' (3 features, 12 nodes in 2 trees), so only its
+    own bounds refuse each corruption."""
+    data = _with_saved_forest(fuzz_world[0], ("http2", "enhanced", 0,
+                                              corruption))
+    pid = sorted(data["protocols"]["http2"]["enhanced"])[0]
+    with pytest.raises(InferenceError) as reference:
+        reference_bundle_from_dict(data)
+    with pytest.raises(InferenceError, match=corruption[-1]) as refused:
+        bundle_from_dict(data)
+    assert str(refused.value).startswith(f"forest http2.enhanced.{pid} is "
+                                         f"refused: ")
+    assert str(refused.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("early", CORRUPTIONS,
+                         ids=[problem for *_, problem in CORRUPTIONS])
+def test_of_two_refused_forests_the_first_in_load_order_is_named(fuzz_world,
+                                                                early):
+    """With one corrupt forest early in load order and another late, the
+    early one is named, whichever check refuses each, with the reference
+    loader's message."""
+    for late in CORRUPTIONS:
+        data = _with_saved_forest(fuzz_world[0],
+                                  ("http1", "single", 0, early),
+                                  ("http2", "enhanced", 0, late))
+        pid = sorted(data["protocols"]["http1"]["single"])[0]
+        with pytest.raises(InferenceError) as reference:
+            reference_bundle_from_dict(data)
+        with pytest.raises(InferenceError) as refused:
+            bundle_from_dict(data)
+        assert str(refused.value).startswith(f"forest http1.single.{pid} is "
+                                             f"refused: ")
+        assert str(refused.value) == str(reference.value)
 
 
 @pytest.fixture(scope="module")
