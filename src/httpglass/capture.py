@@ -9,13 +9,18 @@ are too short, not IPv4 after at most one 802.1Q tag, or not TCP are skipped;
 a truncated record header or body ends the capture.
 
 A connection is an endpoint pair's frames up to the next SYN without ACK
-whose sender already sent one on that pair with another sequence number; a
-retransmitted SYN stays in its connection.  The client sent the connection's
-first SYN without ACK (or, absent any, its first frame).  Every direction of
-the capture is reassembled at once, as columns, from its ISN + 1, or with no
-SYN from its earliest sequence number, read modulo 2**32 around its first
-segment's.  Data on a SYN (TCP Fast Open) starts at the SYN's seq + 1.  Each
-stream is one join of slices of the map.
+whose sender's previous SYN on that pair, with or without ACK, had another
+sequence number: a retransmitted SYN stays in its connection, and so does a
+simultaneous open, while a pair reused with the roles reversed splits.  The
+client sent the connection's first SYN without ACK (or, absent any, its
+first frame).  Every direction of the capture is reassembled at once, as
+columns, from its ISN + 1, or with no SYN from its earliest sequence number,
+read modulo 2**32 around its first segment's.  Data on a SYN (TCP Fast Open)
+starts at the SYN's seq + 1.  Each stream is one join of slices of the map.
+
+The data packets of the whole capture are one ``PACKET_DTYPE`` array; each
+connection's ``Packets`` table and (stream offset, packet index) segment maps
+are views of the capture's columns.
 """
 from __future__ import annotations
 
@@ -45,31 +50,92 @@ class Direction(IntEnum):
 
 
 class PacketMeta(NamedTuple):
-    """Metadata for one data-bearing TCP packet."""
+    """Metadata for one data-bearing TCP packet: a row of ``Packets``."""
 
     timestamp: float
-    direction: Direction
+    direction: int  # a Direction value
     payload_len: int
     push_flag: bool
     seq: int
 
 
-@dataclass
+# the columns of a connection's data packets, in PacketMeta's field order
+PACKET_DTYPE = np.dtype([
+    ("timestamp", np.float64), ("direction", np.int64),
+    ("payload_len", np.int64), ("push_flag", np.bool_), ("seq", np.int64)])
+
+
+class Packets:
+    """A connection's data packets, in capture order, as one array of
+    ``PACKET_DTYPE`` rows.
+
+    numpy readers take its columns from ``array``.  ``len``, indexing and
+    iteration give ``PacketMeta`` rows built from the array's ``tolist()``,
+    as cheap to walk as a list of them; a slice is a table viewing the same
+    array.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    @classmethod
+    def from_rows(cls, rows) -> Packets:
+        """The table of (timestamp, direction, payload_len, push_flag, seq)
+        rows, in one conversion."""
+        return cls(np.array(list(map(tuple, rows)), PACKET_DTYPE))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Packets(self.array[k])
+        return PacketMeta._make(self.array[k].tolist())
+
+    def __iter__(self):
+        return map(PacketMeta._make, self.array.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Packets):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"Packets({self.array!r})"
+
+
+def no_segments() -> np.ndarray:
+    """The segment map of an empty stream."""
+    return np.empty((0, 2), np.int64)
+
+
+@dataclass(eq=False)
 class RawConnection:
     """One observed TCP connection with reassembled per-direction streams
-    and their (stream offset, packet index) segment maps."""
+    and their segment maps: (k, 2) int64 arrays of (stream offset, packet
+    index) rows."""
 
     five_tuple: tuple
-    packets: list[PacketMeta]
+    packets: Packets
     client_stream: bytes
     server_stream: bytes
     duration: float
-    client_segments: list[tuple[int, int]] = field(default_factory=list)
-    server_segments: list[tuple[int, int]] = field(default_factory=list)
+    client_segments: np.ndarray = field(default_factory=no_segments)
+    server_segments: np.ndarray = field(default_factory=no_segments)
     gap_client: bool = False
     gap_server: bool = False
     overlap_anomaly: bool = False
     start_time: float = 0.0
+
+    def __eq__(self, other):
+        """Field by field; the segment maps compare as arrays."""
+        if not isinstance(other, RawConnection):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   else a == b
+                   for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 # TCP flag bits
@@ -181,11 +247,12 @@ def _reassemble(group, start, length, at, index, base):
     the first that starts past them is a gap and cuts the rest of its group,
     and every other one adds its bytes past them.
 
-    Returns plain lists, so no column outlives the call: the bounds of each
-    group's kept entries; per kept entry, the capture range of its new
-    bytes, its stream offset and packet index; each group's gap flag; and
-    (group, lo, hi, at) of each overlap inside the stream, whose capture
-    bytes from ``at`` must equal the stream's ``lo:hi``.
+    Returns plain lists, so no other column outlives the call: the bounds
+    of each group's kept entries; per kept entry, the capture range of its
+    new bytes, and its (stream offset, packet index) row of one (k, 2)
+    array; each group's gap flag; and (group, lo, hi, at) of each overlap
+    inside the stream, whose capture bytes from ``at`` must equal the
+    stream's ``lo:hi``.
     """
     head = np.diff(group, prepend=-1) != 0
     run = np.cumsum(head) - 1  # the entry's group, numbered densely
@@ -211,15 +278,16 @@ def _reassemble(group, start, length, at, index, base):
                                                    at + lo - off))))
     return (np.searchsorted(group[kept], np.arange(len(base) + 1)).tolist(),
             (at + expected - off)[kept].tolist(), (at + length)[kept].tolist(),
-            expected[kept].tolist(), index[kept].tolist(),
+            np.stack([expected[kept], index[kept]], axis=1),
             (np.bincount(group[gap], minlength=len(base)) > 0).tolist(),
             checks)
 
 
 def _streams(view, plan):
     """Join each group's stream from ``_reassemble``'s plan: (streams,
-    segment maps, gap flags, overlap anomaly flags), one per group."""
-    bounds, froms, tos, offsets, index, gaps, checks = plan
+    segment maps, gap flags, overlap anomaly flags), one per group; each
+    segment map is a view of the plan's."""
+    bounds, froms, tos, segments, gaps, checks = plan
     spans = list(zip(bounds, bounds[1:]))
     streams = [b"".join([view[a:b] for a, b in zip(froms[x:y], tos[x:y])])
                for x, y in spans]
@@ -227,15 +295,15 @@ def _streams(view, plan):
     for g, lo, hi, at in checks:
         if streams[g][lo:hi] != view[at:at + hi - lo]:
             anomalies[g] = True
-    return (streams, [list(zip(offsets[x:y], index[x:y])) for x, y in spans],
-            gaps, anomalies)
+    return streams, [segments[x:y] for x, y in spans], gaps, anomalies
 
 
 def _flows(capture):
     """Group the frames into connections and plan each direction's
-    reassembly.  Returns plain lists, so no column outlives the call: per
-    connection, in order of its first frame, (number, client, server, start
-    time, duration, bounds of its data packets); the data packets; and the
+    reassembly.  Returns plain lists, so no other column outlives the call:
+    per connection, in order of its first frame, (number, client, server,
+    start time, duration, bounds of its data packets); the capture's data
+    packets, one ``PACKET_DTYPE`` array in connection order; and the
     plan."""
     ts, src, dst, seq, flags, at, length = _decode_frames(capture)
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
@@ -245,12 +313,15 @@ def _flows(capture):
     head = (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
     pair = np.cumsum(head)
     # a SYN without ACK starts a new connection on its pair when its
-    # sender's previous SYN without ACK there had another sequence number
+    # sender's previous SYN there, with or without ACK, had another
+    # sequence number
     syn = flags & _SYN != 0
-    opens = np.flatnonzero(syn & (flags & _ACK == 0))
-    o = opens[np.lexsort((src[opens], pair[opens]))]
+    opening = syn & (flags & _ACK == 0)
+    opens = np.flatnonzero(opening)
+    syns = np.flatnonzero(syn)
+    o = syns[np.lexsort((src[syns], pair[syns]))]
     head[o[1:][(np.diff(pair[o]) == 0) & (np.diff(src[o]) == 0)
-               & (np.diff(seq[o]) != 0)]] = True
+               & (np.diff(seq[o]) != 0) & opening[o[1:]]]] = True
     firsts = np.flatnonzero(head)
     conn, n = np.cumsum(head) - 1, len(firsts)
     # the client sent the connection's first SYN without ACK, or else its
@@ -261,7 +332,6 @@ def _flows(capture):
     client[conn[opener]] = src[opener]
     ends = np.stack([client, lo[firsts] + hi[firsts] - client])
     # an endpoint's ISN is the seq of the last SYN it sent
-    syns = np.flatnonzero(syn)
     side, row = np.nonzero(src[syns] == ends[:, conn[syns]])
     group, row = side * n + conn[syns[row]], syns[row]
     last = np.diff(group, append=-1) != 0
@@ -280,11 +350,12 @@ def _flows(capture):
     heads = zip(*(a.tolist() for a in (
         rank, ends[0, rank], ends[1, rank], first[rank],
         (last - first)[rank], bounds[rank], bounds[rank + 1])))
-    return list(heads), list(map(PacketMeta._make, zip(
-        ts[data].tolist(), map(tuple(Direction).__getitem__,
-                               (src[data] != client[owner]).tolist()),
-        length[data].tolist(), (flags[data] & _PSH != 0).tolist(),
-        seq[data].tolist()))), plan
+    packets = np.empty(len(data), PACKET_DTYPE)
+    for name, column in (("timestamp", ts), ("payload_len", length),
+                         ("push_flag", flags & _PSH != 0), ("seq", seq)):
+        packets[name] = column[data]
+    packets["direction"] = src[data] != client[owner]
+    return list(heads), packets, plan
 
 
 def _connections(capture) -> list[RawConnection]:
@@ -293,7 +364,7 @@ def _connections(capture) -> list[RawConnection]:
     n = len(heads)
     return [RawConnection(
         five_tuple=(*_endpoint(c), *_endpoint(s), "tcp"),
-        packets=packets[a:b], client_stream=streams[k],
+        packets=Packets(packets[a:b]), client_stream=streams[k],
         server_stream=streams[n + k], duration=dur,
         client_segments=maps[k], server_segments=maps[n + k],
         gap_client=gaps[k], gap_server=gaps[n + k],

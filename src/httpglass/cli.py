@@ -24,18 +24,18 @@ from .features import MODES, feature_names, record_table
 from .inference import (DEFAULT_PARAMS, MAX_ITERS_DEFAULT, classify_corpus,
                         load_bundle, save_bundle, train_bundle)
 from .registry import PROTOCOLS, Layout
-from .tlsparse import parse_tls_records
+from .tlsparse import parse_connections
+# the one-connection call stays importable here: bench/spans.py traces it by
+# this name
+from .tlsparse import parse_tls_records  # noqa: F401
 
 OUTPUT_SCHEMA_VERSION = 1
 
 
 def _parse_connections(pcap_path: str):
-    conns = []
-    for i, raw in enumerate(load_pcap(pcap_path)):
-        conn = parse_tls_records(raw)
-        if conn is not None:
-            conns.append((f"{pcap_path}#{i}", conn))
-    return conns
+    return [(f"{pcap_path}#{i}", conn) for i, conn in
+            enumerate(parse_connections(load_pcap(pcap_path)))
+            if conn is not None]
 
 
 def _open_out(path):

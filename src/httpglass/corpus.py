@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import HttpglassError
-from .capture import Direction, PacketMeta, RawConnection
+from .capture import PACKET_DTYPE, Direction, Packets, RawConnection
 from .tlsparse import (Connection, HandshakeMeta, build_client_hello,
                        build_server_hello, record_array, record_header,
                        EXT_ALPN, GREASE_COLLAPSED)
@@ -433,7 +433,7 @@ class _ConnBuilder:
     def __init__(self, start_ts: float, emit_streams: bool):
         self.ts = start_ts
         self.start_ts = start_ts
-        self.packets: list[PacketMeta] = []
+        self.packets: list[tuple] = []  # rows in PACKET_DTYPE's field order
         self.records: list[tuple] = []  # rows in RECORD_DTYPE's field order
         self.streams = {Direction.CLIENT_TO_SERVER: bytearray(),
                         Direction.SERVER_TO_CLIENT: bytearray()}
@@ -459,9 +459,7 @@ class _ConnBuilder:
         pos = offset
         for k, size in enumerate(sizes):
             push = push_all or (k == pkt_count - 1)
-            self.packets.append(PacketMeta(
-                timestamp=self.ts, direction=direction, payload_len=size,
-                push_flag=push, seq=pos))
+            self.packets.append((self.ts, direction, size, push, pos))
             pos += size
             self.ts += 0.001
         pushes = pkt_count if push_all else 1
@@ -470,11 +468,11 @@ class _ConnBuilder:
         return len(self.records) - 1
 
     def finish(self, handshake: HandshakeMeta) -> Connection:
-        duration = (self.packets[-1].timestamp - self.packets[0].timestamp
+        duration = (self.packets[-1][0] - self.packets[0][0]
                     if self.packets else 0.0)
         raw = RawConnection(
             five_tuple=("10.0.0.2", 40000, "93.184.216.34", 443, "tcp"),
-            packets=self.packets,
+            packets=Packets.from_rows(self.packets),
             client_stream=bytes(self.streams[Direction.CLIENT_TO_SERVER]),
             server_stream=bytes(self.streams[Direction.SERVER_TO_CLIENT]),
             duration=duration, start_time=self.start_ts,
@@ -708,8 +706,7 @@ def _conn_to_dict(lc: LabeledConnection) -> dict:
             "alpn_selected": conn.handshake.alpn_selected,
             "version": conn.handshake.version,
         },
-        "packets": [[p.timestamp, int(p.direction), p.payload_len,
-                     int(p.push_flag), p.seq] for p in conn.raw.packets],
+        "packets": conn.raw.packets.array.astype(_SAVED_PACKET).tolist(),
         "records": [[i, *row] for i, row in enumerate(conn.records[[
             "type_code", "length", "direction", "pkt_count", "push_count",
             "avg_pkt_size", "first_byte_ts"]].tolist())],
@@ -718,16 +715,21 @@ def _conn_to_dict(lc: LabeledConnection) -> dict:
     }
 
 
+# a saved packet row writes its push flag as 0 or 1
+_SAVED_PACKET = [(name, np.int64 if name == "push_flag" else dtype)
+                 for name, (dtype, _) in PACKET_DTYPE.fields.items()]
+
+
 def _conn_from_dict(d: dict) -> LabeledConnection:
-    packets = [PacketMeta(ts, Direction(di), ln, bool(pf), seq)
-               for ts, di, ln, pf, seq in d["packets"]]
+    packets = [(ts, di, ln, pf, seq) for ts, di, ln, pf, seq in d["packets"]]
     rows = [(ts, di, 0, t, ln, pc, pu, avg, False)
             for _, t, ln, di, pc, pu, avg, ts in d["records"]]
     hs = HandshakeMeta(**d["handshake"])
     labels = [LabeledRecord(l["index"], l["message_type"], l["labels"])
               for l in d["labels"]]
     _check_conn(d, hs, labels)
-    raw = RawConnection(five_tuple=("", 0, "", 0, "tcp"), packets=packets,
+    raw = RawConnection(five_tuple=("", 0, "", 0, "tcp"),
+                        packets=Packets.from_rows(packets),
                         client_stream=b"", server_stream=b"",
                         duration=d["duration"], start_time=d["start_time"])
     conn = Connection(raw=raw, records=record_array(rows), handshake=hs)
@@ -735,7 +737,7 @@ def _conn_from_dict(d: dict) -> LabeledConnection:
     records = np.asarray(conn.records)  # a plain array reads fields faster
     floats = [("first_byte_ts", records["first_byte_ts"]),
               ("avg_pkt_size", records["avg_pkt_size"]),
-              ("packet time", next(zip(*d["packets"]), ())),
+              ("packet time", raw.packets.array["timestamp"]),
               ("duration", [raw.duration]), ("start_time", [raw.start_time])]
     if not np.isfinite(np.concatenate([c for _, c in floats])).all():
         raise CorpusError(next(f"{name} is not finite" for name, c in floats
@@ -751,7 +753,7 @@ _ROW_TYPES = {"packets": (_N, _I, _I, _I, _I), "records": (_I,) * 6 + (_N, _N)}
 def _check_conn(d: dict, hs: HandshakeMeta, labels: list) -> None:
     """Refuse a connection that training or classification could not use,
     which would otherwise fail far from the cause.  It runs before the
-    record array is built, which would coerce a wrong type."""
+    record and packet arrays are built, which would coerce a wrong type."""
     n = len(d["records"])
     for failed, message in [
             (d["protocol"] not in PROTOCOLS,
@@ -779,7 +781,9 @@ def _check_conn(d: dict, hs: HandshakeMeta, labels: list) -> None:
              "a field has the wrong type"),
             # 2 is DIR_NO_RECORD, the code of an absent window slot
             (any(r[3] not in (0, 1) for r in d["records"]),
-             "a record direction must be 0 or 1")]:
+             "a record direction must be 0 or 1"),
+            (any(p[1] not in (0, 1) for p in d["packets"]),
+             "a packet direction must be 0 or 1")]:
         if failed:
             raise CorpusError(message)
     if any(p[2] < 0 for p in d["packets"]):

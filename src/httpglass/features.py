@@ -8,7 +8,6 @@ indicator features on top of the connection block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -114,16 +113,15 @@ def extract_connection_features(conn: Connection) -> np.ndarray:
     (zero-padded), duration, and total TLS record count.
     """
     out = np.zeros(CONNECTION_LEN, dtype=np.float64)
-    # packets, PSH flags and payload bytes per direction: one transpose of
-    # the packets, then sums in C; a direction is 0 or 1, so it selects the
-    # server's packets
-    _, from_server, size, push, _ = list(zip(*conn.raw.packets)) or [()] * 5
-    server = (sum(from_server), sum(compress(push, from_server)),
-              sum(compress(size, from_server)))
-    client = [total - s for total, s in zip(
-        (len(from_server), sum(push), sum(size)), server)]
-    for base, (k, pushes, sizes) in ((0, client), (3, server)):
-        out[base:base + 3] = k, pushes, sizes / k if k else 0.0
+    # packets, PSH flags and payload bytes per direction (0 or 1), from the
+    # packet columns; every sum is exact, so the mean is the integer ratio
+    packets = conn.raw.packets.array
+    direction = packets["direction"]
+    k = np.bincount(direction, minlength=2)
+    out[0:6:3] = k
+    out[1:6:3] = np.bincount(direction, packets["push_flag"], 2)
+    np.divide(np.bincount(direction, packets["payload_len"], 2), k,
+              out=out[2:6:3], where=k > 0)
     out[6:6 + N_SIGNED_LENGTHS] = signed_record_lengths(conn, N_SIGNED_LENGTHS)
     out[106] = conn.duration
     out[107] = len(conn.records)

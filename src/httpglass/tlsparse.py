@@ -1,21 +1,21 @@
 """TLS record-layer and handshake-metadata parsing.
 
-Each direction's stream is cut into records in one pass.  A record's packets
-are the (stream offset, packet) pairs its bytes span, and records from both
-directions are interleaved by the capture timestamp of each record's first
-byte.  A connection holds its records as one array of ``RECORD_DTYPE`` rows.
-Hello metadata comes from each direction's leading hello messages.
+The records of every connection of a capture are cut in one pass: Python
+walks each stream's record headers, and the rest is columns over all of
+them.  A record's packets are the (stream offset, packet index) rows of its
+stream's segment map that its bytes span, and records from both directions
+are interleaved by the capture timestamp of each record's first byte.  A
+connection holds its records as a slice of one array of ``RECORD_DTYPE``
+rows.  Hello metadata comes from each direction's leading hello messages.
 """
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
-from .capture import RawConnection
+from .capture import PACKET_DTYPE, RawConnection, no_segments
 
 RECORD_TYPES = (20, 21, 22, 23)
 MAX_RECORD_LEN = (1 << 14) + 2048
@@ -87,56 +87,109 @@ def collapse_grease(codes: list[int]) -> list[int]:
     return out
 
 
-def parse_tls_records(raw: RawConnection) -> Connection | None:
-    """Parse both streams into TLS records; None if the connection is not TLS.
+def parse_connections(raws: list[RawConnection]) -> list[Connection | None]:
+    """Cut every connection's streams into TLS records in one pass; None for
+    a connection that is not TLS.
 
     A connection with data in some direction that does not begin with a
     plausible record header is excluded entirely.  Each direction's segment
-    map must tile its stream, as ``load_pcap`` emits it: the (stream
-    offset, packet index) pairs start at offset 0, their offsets strictly
+    map must tile its stream, as ``load_pcap`` emits it: its (stream
+    offset, packet index) rows start at offset 0, their offsets strictly
     increase and stay below the stream's length, and no packet appears
-    twice.  So a record's packets are the run of pairs its bytes span.
-    The returned connection's ``raw`` holds no streams or segment maps, as
-    a connection loaded from a corpus does.
+    twice.  So a record's packets are the run of rows its bytes span.
+    Each returned connection's ``raw`` holds no streams or segment maps, as
+    a connection loaded from a corpus does, and its records are a slice of
+    one record array.
     """
-    entries = []
-    hello_payloads = []
-    streams = (raw.client_stream, raw.server_stream)
-    for direction, (stream, segments) in enumerate(
-            zip(streams, (raw.client_segments, raw.server_segments))):
-        starts = [off for off, _ in segments]
-        pkts = [raw.packets[i] for _, i in segments]
-        pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
-        sizes = list(accumulate((p.payload_len for p in pkts), initial=0))
-        handshake = []
-        off, n = 0, len(stream)
-        while off + RECORD_HEADER_LEN <= n:
-            type_code, ver_hi, length = _HEADER.unpack_from(stream, off)
-            if type_code not in RECORD_TYPES or ver_hi != 0x03 \
-                    or length > MAX_RECORD_LEN:
-                break  # trailing garbage after valid records
-            end = off + RECORD_HEADER_LEN + length
-            lo = bisect_right(starts, off) - 1  # holds the first byte
-            hi = bisect_left(starts, end)
-            entries.append((pkts[lo].timestamp, direction, off, type_code,
-                            length, hi - lo, pushes[hi] - pushes[lo],
-                            (sizes[hi] - sizes[lo]) / (hi - lo), end > n))
-            if type_code == 22 and end <= n:
-                handshake.append(stream[off + RECORD_HEADER_LEN:end])
-            off = end
-        if off == 0 and n > 0:
-            return None  # the stream does not start with a plausible record
-        hello_payloads.append(b"".join(handshake))
-    entries.sort()
-    # the record-layer version of the first handshake record in time order
-    version = next((struct.unpack_from("!H", streams[d], off + 1)[0]
-                    for _, d, off, t, *_ in entries if t == 22), 0)
-    # nothing reads the payload after record cutting, so the connection
-    # keeps none: its streams die with the caller's RawConnection
-    return Connection(raw=replace(raw, client_stream=b"", server_stream=b"",
-                                  client_segments=[], server_segments=[]),
-                      records=record_array(entries),
-                      handshake=parse_handshake_meta(*hello_payloads, version))
+    # Python walks the record headers; the rest is columns over every stream
+    offsets, types, lengths, cuts, sizes, hellos = [], [], [], [0], [], []
+    for raw in raws:
+        payloads = []
+        for stream in (raw.client_stream, raw.server_stream):
+            handshake = []
+            off, n = 0, len(stream)
+            while off + RECORD_HEADER_LEN <= n:
+                type_code, ver_hi, length = _HEADER.unpack_from(stream, off)
+                if type_code not in RECORD_TYPES or ver_hi != 0x03 \
+                        or length > MAX_RECORD_LEN:
+                    break  # trailing garbage after valid records
+                end = off + RECORD_HEADER_LEN + length
+                offsets.append(off)
+                types.append(type_code)
+                lengths.append(length)
+                if type_code == 22 and end <= n:
+                    handshake.append(stream[off + RECORD_HEADER_LEN:end])
+                off = end
+            cuts.append(len(offsets))
+            sizes.append(n)
+            # a stream with data must start with a plausible record
+            payloads.append(b"".join(handshake) if off or not n else None)
+        hellos.append(None if None in payloads else payloads)
+    stream = np.repeat(np.arange(len(sizes)), np.diff(cuts))
+    off, length = np.array(offsets, np.int64), np.array(lengths, np.int64)
+    end = off + RECORD_HEADER_LEN + length
+    # a record's packets are the rows of its stream's segment map from the
+    # one holding its first byte to the last one starting before its end;
+    # keys order every stream's rows by (stream, offset < 2**40)
+    maps = [m for raw in raws for m in (raw.client_segments,
+                                        raw.server_segments)]
+    rows = np.concatenate([no_segments(), *maps])
+    on = np.repeat(np.arange(len(maps)), [len(m) for m in maps])
+    keys = (on << 40) + rows[:, 0]
+    lo = np.searchsorted(keys, (stream << 40) + off, "right") - 1
+    hi = np.searchsorted(keys, (stream << 40) + end, "left")
+    # a packet column of every connection chained, gathered at each row's
+    # packet; connection c's packets start at first[c]
+    tables = [np.empty(0, PACKET_DTYPE), *(raw.packets.array for raw in raws)]
+    first = np.cumsum([len(t) for t in tables])
+    at = rows[:, 1] + first[on >> 1]
+    ts, push, size = (np.concatenate([t[name] for t in tables])[at]
+                      for name in ("timestamp", "push_flag", "payload_len"))
+    pushes, total = np.r_[0, np.cumsum(push)], np.r_[0, np.cumsum(size)]
+    records = np.empty(len(off), RECORD_DTYPE)
+    for name, column in (
+            ("first_byte_ts", ts[lo]),
+            ("direction", stream & 1), ("stream_offset", off),
+            ("type_code", types), ("length", length),
+            ("pkt_count", hi - lo), ("push_count", pushes[hi] - pushes[lo]),
+            ("avg_pkt_size", (total[hi] - total[lo]) / (hi - lo)),
+            ("truncated", end > np.array(sizes)[stream])):
+        records[name] = column
+    # each connection's records in time order: by time, direction, offset
+    conn = stream >> 1
+    order = np.lexsort((off, records["direction"], records["first_byte_ts"],
+                        conn))
+    records, conn = records[order], conn[order]
+    bounds = np.searchsorted(conn, np.arange(len(raws) + 1)).tolist()
+    # where each connection's first handshake record in time order starts:
+    # its record-layer version is the connection's
+    hs = np.flatnonzero(records["type_code"] == 22)
+    hs = hs[np.diff(conn[hs], prepend=-1) != 0]
+    first_hello = dict(zip(conn[hs].tolist(), records[hs][
+        ["direction", "stream_offset"]].tolist()))
+    out = []
+    for c, (raw, payloads) in enumerate(zip(raws, hellos)):
+        if payloads is None:
+            out.append(None)
+            continue
+        hello = first_hello.get(c)
+        version = 0 if hello is None else struct.unpack_from(
+            "!H", (raw.client_stream, raw.server_stream)[hello[0]],
+            hello[1] + 1)[0]
+        # nothing reads the payload after record cutting, so the connection
+        # keeps none: its streams die with the caller's RawConnection
+        out.append(Connection(
+            raw=replace(raw, client_stream=b"", server_stream=b"",
+                        client_segments=no_segments(),
+                        server_segments=no_segments()),
+            records=records[bounds[c]:bounds[c + 1]].view(np.recarray),
+            handshake=parse_handshake_meta(*payloads, version)))
+    return out
+
+
+def parse_tls_records(raw: RawConnection) -> Connection | None:
+    """``parse_connections`` of one connection."""
+    return parse_connections([raw])[0]
 
 
 def _iter_handshake_messages(payload: bytes):

@@ -7,11 +7,13 @@ from itertools import accumulate
 from socket import inet_ntoa
 
 import numpy as np
+from hypothesis import strategies as st
 
 from httpglass.capture import (LINKTYPE_ETHERNET, PCAP_MAGIC_NS, PCAP_MAGIC_US,
-                               Direction, PacketMeta, PcapError, RawConnection,
-                               TCP_FLAG_ACK, TCP_FLAG_PSH, TCP_FLAG_SYN,
-                               _reassemble, _streams, build_tcp_frame)
+                               Direction, PacketMeta, Packets, PcapError,
+                               RawConnection, TCP_FLAG_ACK, TCP_FLAG_PSH,
+                               TCP_FLAG_SYN, _reassemble, _streams,
+                               build_tcp_frame)
 from httpglass import forest as rf
 from httpglass.features import (CONNECTION_LEN, DIR_NO_RECORD,
                                 N_SIGNED_LENGTHS, WINDOW_RADIUS, WINDOW_SLOTS,
@@ -83,37 +85,42 @@ def planted_pcap_frames(corpus, isn, reuse=False):
     With ``reuse``, connections 2j and 2j + 1 share client endpoint j, one
     after the other: every frame of the second follows the first's last
     frame, and its ISNs have bit 7 flipped, so they differ from the first's
-    and still cross 2**32 where the first's do.  The planted connections
-    are then keyed by (five-tuple, k), k counting from 0 on each endpoint.
+    and still cross 2**32 where the first's do.  For odd j the second has
+    the roles reversed: ``SERVER`` opens it to endpoint j.  The planted
+    connections are then keyed by (five-tuple, k), k counting from 0 on
+    each five-tuple.
     """
     frames, planted = [], {}
-    after = {}  # client endpoint -> time of its last frame so far
+    after = {}  # endpoint j -> time of its last frame so far
     for i, lc in enumerate(corpus):
         j = i // 2 if reuse else i
-        client = (f"10.1.{j >> 8}.{j & 255}", 30000 + j)
-        five = client + SERVER + ("tcp",)
-        planted[(five, i - 2 * j) if reuse else five] = lc
+        endpoint = (f"10.1.{j >> 8}.{j & 255}", 30000 + j)
+        client, server = (SERVER, endpoint) if reuse and i % 4 == 3 \
+            else (endpoint, SERVER)
+        five = client + server + ("tcp",)
+        planted[(five, sum(f == five for f, _ in planted)) if reuse
+                else five] = lc
         seq0 = isn ^ 0x80 if reuse and i % 2 else isn
         raw = lc.conn.raw
         streams = (raw.client_stream, raw.server_stream)
         start = raw.packets[0].timestamp
         own = [
-            (start, build_tcp_frame(client, SERVER, seq0, flags=TCP_FLAG_SYN)),
-            (start, build_tcp_frame(SERVER, client, seq0,
+            (start, build_tcp_frame(client, server, seq0, flags=TCP_FLAG_SYN)),
+            (start, build_tcp_frame(server, client, seq0,
                                     flags=TCP_FLAG_SYN | TCP_FLAG_ACK)),
-            (start, build_tcp_frame(client, SERVER, seq0 + 1))]
+            (start, build_tcp_frame(client, server, seq0 + 1))]
         for pkt in raw.packets:
-            src, dst = ((client, SERVER)
+            src, dst = ((client, server)
                         if pkt.direction == Direction.CLIENT_TO_SERVER
-                        else (SERVER, client))
+                        else (server, client))
             payload = streams[pkt.direction][pkt.seq:pkt.seq + pkt.payload_len]
             flags = TCP_FLAG_ACK | (TCP_FLAG_PSH if pkt.push_flag else 0)
             own.append((pkt.timestamp, build_tcp_frame(
                 src, dst, seq0 + 1 + pkt.seq, payload, flags=flags)))
         # a frame sorts at its time, or after its endpoint's earlier frames
-        floor = after.get(client, float("-inf"))
+        floor = after.get(endpoint, float("-inf"))
         frames += [(max(ts, floor), ts, frame) for ts, frame in own]
-        after[client] = max(floor, own[-1][0])
+        after[endpoint] = max(floor, own[-1][0])
     frames.sort(key=lambda f: f[0])  # stable: each flow keeps its own order
     return [(ts, frame) for _, ts, frame in frames], planted
 
@@ -129,6 +136,11 @@ def assert_tiles(stream, segments):
     assert all(a < b for a, b in zip(offsets, offsets[1:]))
     indices = [i for _, i in segments]
     assert len(set(indices)) == len(indices)
+
+
+def segment_map(pairs):
+    """A segment map from its (stream offset, packet index) pairs."""
+    return np.array(pairs, np.int64).reshape(-1, 2)
 
 
 def reference_reassemble(segments, base_seq=None):
@@ -194,7 +206,7 @@ def columnar_reassemble(segments, base_seq=None):
         np.array([-1 if base_seq is None else base_seq], np.int64))
     data = memoryview(b"".join(bytes(p) for _, p, _ in segments))
     (stream,), (segmap,), (gap,), (anomaly,) = _streams(data, plan)
-    return stream, segmap, gap, anomaly
+    return stream, list(map(tuple, segmap.tolist())), gap, anomaly
 
 
 def handshake_payloads(alpn_offered=("h2", "http/1.1"), alpn_selected="h2",
@@ -224,8 +236,9 @@ def synthetic_connection(lengths_directions, handshake=None, start_time=0.0,
                         False))
         ts += 0.01
     raw = RawConnection(
-        five_tuple=(*CLIENT, *SERVER, "tcp"), packets=packets,
-        client_stream=b"", server_stream=b"", duration=duration,
+        five_tuple=(*CLIENT, *SERVER, "tcp"),
+        packets=Packets.from_rows(packets), client_stream=b"",
+        server_stream=b"", duration=duration,
         start_time=start_time)
     return Connection(raw=raw, records=record_array(records),
                       handshake=handshake or HandshakeMeta())
@@ -241,6 +254,7 @@ def reference_parse_tls_records(raw):
     streams = (raw.client_stream, raw.server_stream)
     for direction, stream, segments in zip(
             Direction, streams, (raw.client_segments, raw.server_segments)):
+        segments = segments.tolist()
         starts = [off for off, _ in segments]
         pkts = [raw.packets[i] for _, i in segments]
         pushes = list(accumulate((p.push_flag for p in pkts), initial=0))
@@ -555,10 +569,11 @@ class _ReferenceFlow:
 def reference_load_pcap(path):
     """The per-frame pcap reader that ``load_pcap`` replaced, kept as its
     oracle: one Python decode and one flow-dict lookup per frame.  A SYN
-    without ACK starts a new connection on its endpoint pair when its sender
-    already sent one there with another sequence number."""
+    without ACK starts a new connection on its endpoint pair when its
+    sender's previous SYN there, with or without ACK, had another sequence
+    number."""
     flows = {}
-    opens = {}  # (endpoint pair, sender) -> seq of its last SYN without ACK
+    syns = {}  # (endpoint pair, sender) -> seq of its last SYN
     count = {}  # endpoint pair -> connections it started after its first
     with open(path, "rb") as fh:
         for ts, data in _reference_frames(fh):
@@ -567,10 +582,11 @@ def reference_load_pcap(path):
                 continue
             src, dst, seq, flags, payload = parsed
             pair = (min(src, dst), max(src, dst))
-            if flags & TCP_FLAG_SYN and not flags & TCP_FLAG_ACK:
-                if opens.get((pair, src), seq) != seq:
+            if flags & TCP_FLAG_SYN:
+                if not flags & TCP_FLAG_ACK \
+                        and syns.get((pair, src), seq) != seq:
                     count[pair] = count.get(pair, 0) + 1
-                opens[pair, src] = seq
+                syns[pair, src] = seq
             key = pair, count.get(pair, 0)
             state = flows.get(key)
             if state is None:
@@ -605,9 +621,112 @@ def reference_load_pcap(path):
         ss, smap, gap_s, an_s = reference_reassemble(raw_segs[server], base_s)
         connections.append(RawConnection(
             five_tuple=(client[0], client[1], server[0], server[1], "tcp"),
-            packets=packets, client_stream=cs, server_stream=ss,
-            duration=state.last_ts - state.first_ts,
-            client_segments=cmap, server_segments=smap,
+            packets=Packets.from_rows(packets), client_stream=cs,
+            server_stream=ss, duration=state.last_ts - state.first_ts,
+            client_segments=segment_map(cmap),
+            server_segments=segment_map(smap),
             gap_client=gap_c, gap_server=gap_s,
             overlap_anomaly=an_c or an_s, start_time=state.first_ts))
     return connections
+
+
+@st.composite
+def record_stream(draw, direction):
+    """(stream, segment starts) of one direction: TLS records, perhaps a
+    hello first, then perhaps a truncated record or trailing garbage, cut
+    into segments at random bounds or at every byte.  The stream may be
+    empty, or not start with a record at all."""
+    hello = {0: build_client_hello([0x1301, 0x0A0A], [0, 16], ["h2"]),
+             1: build_server_hello(0x1301, "h2")}[direction]
+    version = draw(st.sampled_from([0x0301, 0x0303]))
+    parts = [record_header(22, len(hello), version) + hello] \
+        if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.integers(0, 40))
+        parts.append(record_header(draw(st.sampled_from(RECORD_TYPES)),
+                                   length) + bytes(length))
+    tail = draw(st.sampled_from(["none", "truncated", "garbage", "not_tls"]))
+    if tail == "truncated":
+        length = draw(st.integers(1, 40))
+        parts.append((record_header(23, length) + bytes(length))[
+            :draw(st.integers(1, RECORD_HEADER_LEN + length - 1))])
+    elif tail == "garbage":
+        parts.append(draw(st.binary(min_size=1, max_size=8)))
+    elif tail == "not_tls":
+        parts.insert(0, b"GET / HTTP/1.1\r\n")
+    stream = b"".join(parts)
+    if len(stream) < 2:
+        return stream, [0] if stream else []
+    if draw(st.booleans()):
+        cuts = range(1, len(stream))  # one-byte segments
+    else:
+        cuts = draw(st.sets(st.integers(1, len(stream) - 1), max_size=12))
+    return stream, [0] + sorted(cuts)
+
+
+# (offset from the ISN + 1, length, alter the first byte): one direction's
+# segments, which may repeat, overlap with equal or other bytes, leave a
+# gap or start before the base
+SEGMENTS = st.lists(st.tuples(st.integers(-6, 24), st.integers(1, 16),
+                              st.booleans()), max_size=10)
+
+
+@st.composite
+def random_direction(draw, direction):
+    """One direction's bytes and segments for ``connection_frames``: 64
+    random bytes, offset o being byte o + 6, and ``SEGMENTS`` over them."""
+    return draw(st.binary(min_size=64, max_size=64)), draw(SEGMENTS)
+
+
+@st.composite
+def tls_direction(draw, direction):
+    """One direction's bytes and segments for ``connection_frames``: a
+    ``record_stream``, offset o being byte o + 6, cut into its segments,
+    and up to three more segments from before the base to past its end,
+    which repeat or overlap the stream, with equal or other bytes, or extend
+    it with trailing bytes."""
+    stream, starts = draw(record_stream(direction))
+    buf = draw(st.binary(min_size=6, max_size=6)) + stream \
+        + draw(st.binary(min_size=16, max_size=16))
+    tiles = [(a, b - a, False)
+             for a, b in zip(starts, starts[1:] + [len(stream)])]
+    extra = st.tuples(st.integers(-6, len(stream)), st.integers(1, 16),
+                      st.booleans())
+    return buf, tiles + draw(st.lists(extra, max_size=3))
+
+
+# two clients, so that connections share port pairs
+CLIENTS = st.sampled_from([CLIENT, ("10.0.0.2", 50000)])
+ISNS = st.sampled_from([0, 7, 0xFFFFFF00, 0xFFFFFFF8, 0xFFFFFFFF]) \
+    | st.integers(0, 0xFFFFFFFF)
+MOSTLY = st.sampled_from([True, True, True, False])
+
+
+@st.composite
+def connection_frames(draw, direction=random_direction):
+    """One connection's frames, now and then of an endpoint to itself or
+    opened by ``SERVER``: most often a SYN from each side, each maybe
+    carrying data, then both directions' segments in a random order.
+    ``direction(d)`` draws direction d's bytes and segments."""
+    client = draw(CLIENTS)
+    server = draw(st.sampled_from([SERVER, SERVER, SERVER, client]))
+    if draw(st.booleans()):
+        client, server = server, client
+    syns, data = [], []
+    # the server's SYN has an ACK, but not in a simultaneous open
+    server_syn = draw(st.sampled_from([TCP_FLAG_ACK, TCP_FLAG_ACK, 0]))
+    for d, (src, dst, syn) in enumerate((
+            (client, server, TCP_FLAG_SYN),
+            (server, client, TCP_FLAG_SYN | server_syn))):
+        buf, segments = draw(direction(d))
+        isn = draw(ISNS)
+        if draw(MOSTLY):
+            syns.append(build_tcp_frame(src, dst, isn, draw(st.sampled_from(
+                [b"", buf[6:9]])), flags=syn))
+        for off, n, alter in segments:
+            payload = bytearray(buf[off + 6:off + 6 + n])
+            payload[0] ^= 0xFF * alter
+            data.append(build_tcp_frame(
+                src, dst, isn + 1 + off, bytes(payload),
+                flags=TCP_FLAG_ACK | TCP_FLAG_PSH * draw(st.booleans())))
+    return syns + draw(st.permutations(data))

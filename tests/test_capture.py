@@ -15,8 +15,8 @@ from httpglass.capture import (PCAP_MAGIC_NS, PCAP_MAGIC_US, Direction,
 from httpglass.tlsparse import parse_tls_records
 
 from helpers import (CLIENT, SERVER, assert_tiles, columnar_reassemble,
-                     handshake_payloads, pcap_frames, reference_load_pcap,
-                     reference_reassemble, tls_stream)
+                     connection_frames, handshake_payloads, pcap_frames,
+                     reference_load_pcap, reference_reassemble, tls_stream)
 
 # the reference loop and the columnar core take each case alike
 BOTH = (reference_reassemble, columnar_reassemble)
@@ -174,7 +174,7 @@ def test_segment_map_covers_stream(tmp_path):
     path = str(tmp_path / "seg.pcap")
     write_pcap(path, pcap_frames([b"12345", b"678"], []))
     raw = load_pcap(path)[0]
-    assert raw.client_segments == [(0, 0), (5, 1)]
+    assert raw.client_segments.tolist() == [[0, 0], [5, 1]]
     assert_tiles(raw.client_stream, raw.client_segments)
 
 
@@ -360,7 +360,7 @@ def test_data_on_a_syn_starts_after_its_sequence_number(tmp_path):
     write_pcap(path, pcap_frames([app], [sh], syn_data=ch))
     (raw,) = _load_both(path)
     assert raw.client_stream == ch + app
-    assert raw.client_segments == [(0, 0), (len(ch), 1)]
+    assert raw.client_segments.tolist() == [[0, 0], [len(ch), 1]]
     assert not (raw.gap_client or raw.gap_server or raw.overlap_anomaly)
     conn = parse_tls_records(raw)
     assert conn is not None
@@ -368,48 +368,9 @@ def test_data_on_a_syn_starts_after_its_sequence_number(tmp_path):
     assert [r.type_code for r in conn.records] == [22, 23, 22]
 
 
-
-# two clients, so that connections share port pairs
-_CLIENTS = st.sampled_from([CLIENT, ("10.0.0.2", 50000)])
-_ISNS = st.sampled_from([0, 7, 0xFFFFFF00, 0xFFFFFFF8, 0xFFFFFFFF]) \
-    | st.integers(0, 0xFFFFFFFF)
-# (offset from the ISN + 1, length, alter the first byte): one direction's
-# segments, which may repeat, overlap with equal or other bytes, leave a
-# gap or start before the base
-_SEGMENTS = st.lists(st.tuples(st.integers(-6, 24), st.integers(1, 16),
-                               st.booleans()), max_size=10)
-_MOSTLY = st.sampled_from([True, True, True, False])
-
-
-@st.composite
-def _connection_frames(draw):
-    """One connection's frames, now and then of an endpoint to itself: most
-    often a SYN from each side, each maybe carrying data, then both
-    directions' segments in a random order."""
-    client = draw(_CLIENTS)
-    server = draw(st.sampled_from([SERVER, SERVER, SERVER, client]))
-    buf = draw(st.binary(min_size=64, max_size=64))  # offset o is buf[o + 6]
-    syns, data = [], []
-    # the server's SYN has an ACK, but not in a simultaneous open
-    server_syn = draw(st.sampled_from([TCP_FLAG_ACK, TCP_FLAG_ACK, 0]))
-    for src, dst, syn in ((client, server, TCP_FLAG_SYN),
-                          (server, client, TCP_FLAG_SYN | server_syn)):
-        isn = draw(_ISNS)
-        if draw(_MOSTLY):
-            syns.append(build_tcp_frame(src, dst, isn, draw(st.sampled_from(
-                [b"", buf[6:9]])), flags=syn))
-        for off, n, alter in draw(_SEGMENTS):
-            payload = bytearray(buf[off + 6:off + 6 + n])
-            payload[0] ^= 0xFF * alter
-            data.append(build_tcp_frame(
-                src, dst, isn + 1 + off, bytes(payload),
-                flags=TCP_FLAG_ACK | TCP_FLAG_PSH * draw(st.booleans())))
-    return syns + draw(st.permutations(data))
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(_connection_frames(), min_size=1, max_size=3),
+@given(st.lists(connection_frames(), min_size=1, max_size=3),
        st.booleans(), st.randoms(use_true_random=False))
 def test_columnar_reassembly_matches_the_reference(tmp_path, conns, mix,
                                                     rnd):
@@ -417,8 +378,9 @@ def test_columnar_reassembly_matches_the_reference(tmp_path, conns, mix,
     per-segment reference does: the same streams, segment maps, gap and
     overlap flags, for duplicates, overlaps with equal and with other bytes,
     gaps, bytes before the base, ISNs that wrap, data on a SYN,
-    self-connections and port pairs that a new SYN reuses (whole
-    connections one after the other or, with ``mix``, frames interleaved)."""
+    self-connections and port pairs that a new SYN reuses, with the same
+    roles or reversed (whole connections one after the other or, with
+    ``mix``, frames interleaved)."""
     frames = [frame for conn in conns for frame in conn]
     if mix:
         rnd.shuffle(frames)

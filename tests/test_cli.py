@@ -437,6 +437,10 @@ def _record_direction_2(conn):
     conn["records"][0][3] = 2
 
 
+def _packet_direction_2(conn):
+    conn["packets"][0][1] = 2
+
+
 BAD_CORPORA = {
     _protocol_http3: "unknown protocol 'http3'",
     _label_index_999: "labels must be one per record",
@@ -451,7 +455,8 @@ BAD_CORPORA = {
     _packet_time_infinity: "ValueError: a number is not finite: Infinity",
     _avg_pkt_size_minus_infinity:
         "ValueError: a number is not finite: -Infinity",
-    _record_direction_2: "CorpusError: a record direction must be 0 or 1"}
+    _record_direction_2: "CorpusError: a record direction must be 0 or 1",
+    _packet_direction_2: "CorpusError: a packet direction must be 0 or 1"}
 
 
 @pytest.mark.parametrize("corrupt", list(BAD_CORPORA))

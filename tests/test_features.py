@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import Direction, PacketMeta
+from httpglass.capture import Direction, PacketMeta, Packets
 from httpglass.features import (ALP_FALLBACK_LEN, CONNECTION_LEN,
                                 DIR_NO_RECORD, MALWARE_STANDARD_LEN,
                                 SELECTED_SUITE_OTHER, STANDARD_LEN, TOR_LEN,
@@ -89,8 +89,9 @@ def test_packet_statistics_match_a_filter_per_direction(packets):
     byte, a filter of the packets per direction and two sums over each,
     with no packets or one direction only among the cases."""
     conn = _conn(2)
-    conn.raw.packets = [PacketMeta(0.1 * i, d, size, push, 0)
-                        for i, (d, size, push) in enumerate(packets)]
+    conn.raw.packets = Packets.from_rows(
+        PacketMeta(0.1 * i, d, size, push, 0)
+        for i, (d, size, push) in enumerate(packets))
     want = []
     for d in Direction:
         pkts = [p for p in conn.raw.packets if p.direction == d]

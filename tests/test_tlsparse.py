@@ -4,20 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from httpglass.capture import (Direction, PacketMeta, RawConnection,
+from httpglass.capture import (Direction, PacketMeta, Packets, RawConnection,
                                load_pcap, write_pcap)
 from httpglass.features import record_table
 from httpglass.tlsparse import (GREASE_COLLAPSED, RECORD_HEADER_LEN,
-                                RECORD_TYPES, collapse_grease,
-                                build_client_hello, build_server_hello,
+                                collapse_grease, build_client_hello,
+                                build_server_hello, parse_connections,
                                 parse_tls_records, record_header)
 
-from helpers import (handshake_payloads, pcap_frames,
+from helpers import (connection_frames, handshake_payloads, pcap_frames,
+                     record_stream, reference_load_pcap,
                      reference_parse_tls_records, reference_record_table,
-                     tls_stream)
+                     segment_map, tls_direction, tls_stream)
 
 
 def _load_single(tmp_path, client_chunks, server_chunks):
@@ -144,9 +145,9 @@ def test_parsed_connection_keeps_no_payload(tmp_path):
     kept = replace(raw)
     conn = parse_tls_records(raw)
     assert (conn.raw.client_stream, conn.raw.server_stream,
-            conn.raw.client_segments, conn.raw.server_segments) == \
-        (b"", b"", [], [])
-    assert raw == kept and raw.client_stream and raw.server_segments
+            conn.raw.client_segments.tolist(),
+            conn.raw.server_segments.tolist()) == (b"", b"", [], [])
+    assert raw == kept and raw.client_stream and len(raw.server_segments)
     assert replace(conn.raw, client_stream=raw.client_stream,
                    server_stream=raw.server_stream,
                    client_segments=raw.client_segments,
@@ -288,46 +289,12 @@ def test_record_header_round_trip():
 
 
 @st.composite
-def _record_stream(draw, direction):
-    """(stream, segment starts) of one direction: TLS records, perhaps a
-    hello first, then perhaps a truncated record or trailing garbage, cut
-    into segments at random bounds or at every byte.  The stream may be
-    empty, or not start with a record at all."""
-    hello = {0: build_client_hello([0x1301, 0x0A0A], [0, 16], ["h2"]),
-             1: build_server_hello(0x1301, "h2")}[direction]
-    version = draw(st.sampled_from([0x0301, 0x0303]))
-    parts = [record_header(22, len(hello), version) + hello] \
-        if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(0, 5))):
-        length = draw(st.integers(0, 40))
-        parts.append(record_header(draw(st.sampled_from(RECORD_TYPES)),
-                                   length) + bytes(length))
-    tail = draw(st.sampled_from(["none", "truncated", "garbage", "not_tls"]))
-    if tail == "truncated":
-        length = draw(st.integers(1, 40))
-        parts.append((record_header(23, length) + bytes(length))[
-            :draw(st.integers(1, RECORD_HEADER_LEN + length - 1))])
-    elif tail == "garbage":
-        parts.append(draw(st.binary(min_size=1, max_size=8)))
-    elif tail == "not_tls":
-        parts.insert(0, b"GET / HTTP/1.1\r\n")
-    stream = b"".join(parts)
-    if len(stream) < 2:
-        return stream, [0] if stream else []
-    if draw(st.booleans()):
-        cuts = range(1, len(stream))  # one-byte segments
-    else:
-        cuts = draw(st.sets(st.integers(1, len(stream) - 1), max_size=12))
-    return stream, [0] + sorted(cuts)
-
-
-@st.composite
 def _raw_connections(draw):
     """A connection as ``load_pcap`` leaves it: each direction's segment
     map tiles its stream, and packet times often tie across directions."""
     packets, streams, maps = [], [], []
     for direction in Direction:
-        stream, starts = draw(_record_stream(int(direction)))
+        stream, starts = draw(record_stream(int(direction)))
         ts, segments = 0.0, []
         for off, end in zip(starts, starts[1:] + [len(stream)]):
             ts += draw(st.sampled_from([0.0, 0.25, 0.5]))
@@ -336,9 +303,10 @@ def _raw_connections(draw):
                                       draw(st.booleans()), off))
         streams.append(stream)
         maps.append(segments)
-    return RawConnection(("10.0.0.1", 1, "10.0.0.2", 443, "tcp"), packets,
-                         *streams, duration=ts, client_segments=maps[0],
-                         server_segments=maps[1])
+    return RawConnection(("10.0.0.1", 1, "10.0.0.2", 443, "tcp"),
+                         Packets.from_rows(packets), *streams, duration=ts,
+                         client_segments=segment_map(maps[0]),
+                         server_segments=segment_map(maps[1]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -346,8 +314,14 @@ def _raw_connections(draw):
 def test_records_match_the_reference_cut(raw):
     """The record array holds what the per-record cut built, in the same
     order; the handshake and both modes' record tables are equal too."""
-    want = reference_parse_tls_records(raw)
-    conn = parse_tls_records(raw)
+    _assert_reference_cut(parse_tls_records(raw),
+                          reference_parse_tls_records(raw))
+
+
+def _assert_reference_cut(conn, want):
+    """``conn`` holds the reference cut's records in every field and in the
+    same order, its handshake, and both modes' record tables built from
+    them, byte for byte; or both are None."""
     if want is None:
         assert conn is None
         return
@@ -359,3 +333,28 @@ def test_records_match_the_reference_cut(raw):
         assert got.dtype == np.float64
         assert got.tobytes() == \
             reference_record_table(conn, rows, mode).tobytes()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(connection_frames(tls_direction), min_size=1, max_size=3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_capture_wide_cut_matches_the_reference(tmp_path, conns, mix, rnd):
+    """One cut over a whole capture gives every connection the records, the
+    handshake and the record tables that the per-connection reference cut
+    gives the per-frame reference reader's connections, or None where it
+    does: for TLS streams cut anywhere, out of order, repeated and
+    overlapped, with a truncated last record, trailing garbage, a stream
+    that is not TLS or an empty direction, over port pairs that
+    connections share."""
+    frames = [frame for conn in conns for frame in conn]
+    if mix:
+        rnd.shuffle(frames)
+    path = str(tmp_path / "cut.pcap")
+    write_pcap(path, [(1.0 + i / 1000, f) for i, f in enumerate(frames)])
+    got = parse_connections(load_pcap(path))
+    want = [reference_parse_tls_records(raw)
+            for raw in reference_load_pcap(path)]
+    assert len(got) == len(want)
+    for conn, ref in zip(got, want):
+        _assert_reference_cut(conn, ref)

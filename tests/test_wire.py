@@ -65,8 +65,9 @@ def test_planted_connections_come_back(tmp_path, isn, etag):
 @pytest.mark.parametrize("isn", [0, 0xFFFFFF00, 0xFFFFFFFF])
 def test_reused_port_pairs_come_back(tmp_path, isn):
     """Two connections one after the other on each client endpoint, the
-    second opened by a SYN with another ISN, come back as two connections,
-    each with its own streams, records, handshake and labels."""
+    second opened by a SYN with another ISN, by the same endpoint or with
+    the roles reversed, come back as two connections, each with its own
+    streams, records, handshake and labels."""
     corpus = synthesize_corpus(SynthSpec(
         seed=3, n_connections=30, filler_range=(0, 3), emit_streams=True))
     frames, planted = planted_pcap_frames(corpus, isn, reuse=True)
