@@ -135,7 +135,7 @@ class Forest:
 @dataclass(eq=False)
 class Stack:
     """Forests with as many trees each, pooled so that one
-    ``predict_scores`` walk scores rows meant for any of them.  Rows are as
+    ``predict_compact`` walk scores rows meant for any of them.  Rows are as
     wide as the widest forest; a narrower forest reads only its leading
     columns, so what lies past its width does not change its scores.
 
@@ -731,29 +731,23 @@ def _leaves(stack: Stack, W: np.ndarray, rows: np.ndarray,
     return slot // 2
 
 
-def predict_scores(model: Forest | Stack, X, which=None) -> np.ndarray:
-    """Mean of per-tree leaf class frequencies; rows sum to 1.
-
-    For a Stack, ``which[i]`` is the index of row i's forest, and row i holds
-    that forest's scores in its first n_classes columns, zeros after.
-    """
+def predict_scores(forest: Forest, X) -> np.ndarray:
+    """Mean of per-tree leaf class frequencies; rows sum to 1."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n_rows = X.shape[0]
-    if isinstance(model, Forest):
-        model, which = model.stack, np.zeros(n_rows, dtype=np.int64)
-    else:
-        which = _forest_of_rows(model, which, n_rows)
-    if X.shape[1] != model.n_features:
-        raise ForestError(f"schema mismatch: expected {model.n_features} "
+    if X.shape[1] != forest.n_features:
+        raise ForestError(f"schema mismatch: expected {forest.n_features} "
                           f"features, got {X.shape[1]}")
-    return predict_compact(model, model.compact(X), which)
+    stack = forest.stack
+    return predict_compact(stack, stack.compact(X),
+                           np.zeros(X.shape[0], dtype=np.int64))
 
 
 def predict_compact(stack: Stack, W: np.ndarray, which: np.ndarray,
                     ) -> np.ndarray:
     """``predict_scores`` of the rows whose walk input is W, as
     ``stack.compact`` gives it, row i scored by forest ``which[i]`` (an
-    int64 array, unchecked)."""
+    int64 array, unchecked): row i holds that forest's scores in its first
+    n_classes columns, zeros after."""
     n_rows, n_trees = W.shape[0], stack.n_trees
     # (row, tree) pairs, row-major; forest k's trees are roots[k*T:(k+1)*T]
     rows = np.repeat(np.arange(n_rows), n_trees)
@@ -764,21 +758,6 @@ def predict_compact(stack: Stack, W: np.ndarray, which: np.ndarray,
     for t in range(n_trees):  # summed in tree order: reproducible bit for bit
         total += freqs[:, t]
     return total / n_trees
-
-
-def _forest_of_rows(stack: Stack, which, n_rows: int) -> np.ndarray:
-    """``which`` as one forest index per row, refused unless each names one
-    of the stack's forests."""
-    try:
-        which = np.asarray(which, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise ForestError("a Stack needs each row's forest index") from exc
-    n_forests = stack.roots.size // stack.n_trees
-    if which.shape != (n_rows,) or (n_rows and not (
-            0 <= which.min() and which.max() < n_forests)):
-        raise ForestError(f"need one forest index per row, each below "
-                          f"{n_forests}")
-    return which
 
 
 def predict_labels(forest: Forest, X) -> list:
@@ -892,49 +871,14 @@ def _unpack(data) -> _Saved:
         raise ForestError(f"malformed field ({exc!r})") from exc
 
 
-class _Refusal:
-    """The first refusal of forests loaded together, in (forest, check)
-    order: the checks run in order, each over the forests before the first
-    one refused so far (``first``), so a later check names only an earlier
-    forest."""
-
-    def __init__(self, n: int):
-        self.first, self.message = n, None
-
-    def forest(self, k: int, message: str) -> None:
-        if k < self.first:
-            self.first, self.message = k, message
-
-    def check(self, bad: np.ndarray, message: str, starts=None) -> None:
-        """Refuse the forest of the first True of ``bad``, one entry per
-        forest or, given where each forest's entries ``starts``, per
-        entry."""
-        k = _first(bad, starts)
-        if k is not None:
-            self.forest(k, message)
-
-
-def _first(bad: np.ndarray, starts=None) -> int | None:
-    """The forest of ``bad``'s first True, if any: its index, or the forest
-    whose entries hold it, each forest's entries starting at ``starts``."""
-    i = int(bad.argmax()) if bad.size else 0
-    if not bad.size or not bad[i]:
-        return None
-    if starts is None:
-        return i
-    return int(np.searchsorted(starts, i, "right")) - 1
-
-
-def _chained(refused: _Refusal, lists: list, dtype, refusal: str,
-             nulls: bool = False, widths: list | None = None) -> np.ndarray:
-    """The values of the lists of the forests before ``refused.first`` as
-    one flat array, in one conversion; if that fails, the first forest whose
-    own list does not convert as ``np.asarray`` converts it, or does not
-    have its shape, is refused (with ``refusal`` for a wrong shape) and the
-    values of the lists before it are returned.  A list is flat, or given
-    ``widths``, a list of rows of its forest's width.  Given ``nulls``, the
-    lists hold many None, which np.asarray reads as NaN."""
-    lists = lists[:refused.first]
+def _chained(lists: list, dtype, refusal: str, nulls: bool = False,
+             widths: list | None = None) -> np.ndarray:
+    """The values of ``lists`` as one flat array, in one conversion; if
+    that fails, the lists as ``np.asarray`` converts each in turn, a
+    ForestError for the first it does not convert or that does not have its
+    shape (with ``refusal``).  A list is flat, or given ``widths``, a list
+    of rows of its forest's width.  Given ``nulls``, the lists hold many
+    None, which np.asarray reads as NaN."""
     try:
         values = chain.from_iterable(lists)
         if widths is None:
@@ -944,7 +888,7 @@ def _chained(refused: _Refusal, lists: list, dtype, refusal: str,
             if rows and set(map(type, rows)) != {list}:
                 raise TypeError("a row is not a list")
             lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-            if not np.array_equal(lengths, np.repeat(widths[:len(lists)],
+            if not np.array_equal(lengths, np.repeat(widths,
                                                      list(map(len, lists)))):
                 raise ValueError("a row is not as long as its forest's width")
             values, size = chain.from_iterable(rows), int(lengths.sum())
@@ -961,14 +905,17 @@ def _chained(refused: _Refusal, lists: list, dtype, refusal: str,
         try:
             part = np.asarray(v, dtype=dtype)
         except _CONVERT_ERRORS as exc:
-            refused.forest(k, f"malformed field ({exc!r})")
-            break
+            raise ForestError(f"malformed field ({exc!r})") from exc
         if part.shape != ((len(v),) if widths is None else (len(v),
                                                             widths[k])):
-            refused.forest(k, refusal)
-            break
+            raise ForestError(refusal)
         parts.append(part.ravel())
     return np.concatenate(parts)
+
+
+def _refuse(bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise ForestError(message)
 
 
 def _bases(sizes) -> np.ndarray:
@@ -984,54 +931,55 @@ def from_dicts(data: list) -> list[Forest]:
     arrays are views into those, and its class counts a view into one
     shared array.
 
-    The table is checked against each forest's bounds (its node range,
-    roots, n_features, class count and number of categorical splits) by one
-    array test per check, for what ``predict_scores`` could not use: each
-    child must follow its parent inside its tree, so every walk ends at a
-    leaf, each leaf must hold a positive count, and numeric thresholds and
-    importances must be finite.  The first forest refused in ``data``'s
-    order raises a ForestError whose ``forest`` is its index there; a
-    missing, unknown or wrongly typed field is one too."""
-    refused, saved = _Refusal(len(data)), []
-    for k, d in enumerate(data):
-        try:
-            saved.append(_unpack(d))
-        except ForestError as exc:
-            refused.forest(k, str(exc))
-            break
+    The table is checked in one pass, against each forest's bounds (its
+    node range, roots, n_features, class count and number of categorical
+    splits) by one array test per check, for what ``predict_scores`` could
+    not use: each child must follow its parent inside its tree, so every
+    walk ends at a leaf, each leaf must hold a positive count, and numeric
+    thresholds and importances must be finite.  A missing, unknown or
+    wrongly typed field is refused too; numeric node values are converted
+    as numpy converts them.  A refused table is loaded again one forest at
+    a time, in ``data``'s order: the first forest refused alone raises its
+    ForestError, whose ``forest`` is its index there."""
+    try:
+        return _load(data)
+    except ForestError:
+        for k, d in enumerate(data):
+            try:
+                _load([d])
+            except ForestError as exc:
+                exc.forest = k
+                raise
+        raise
+
+
+def _load(data: list) -> list[Forest]:
+    """``from_dicts`` of ``data``, all or nothing: a ForestError at the
+    first check that fails, naming no forest."""
+    saved = [_unpack(d) for d in data]
     feature, threshold, left, right, roots, cat, importance = (
-        _chained(refused, [s.flat[j] for s in saved], dtype, not_flat,
-                 name == _NULLS)
+        _chained([s.flat[j] for s in saved], dtype, not_flat, name == _NULLS)
         for j, (name, dtype, not_flat) in enumerate(_FLAT))
     size = np.fromiter(map(len, chain.from_iterable(s.flat for s in saved)),
                        np.int64, len(saved) * len(_FLAT)).reshape(
                            -1, len(_FLAT))
     # threshold, left, right and cat as long as feature
-    refused.check((size[:, [1, 2, 3, 5]] != size[:, :1]).any(axis=1),
-                  "node arrays differ in length")
+    _refuse(size[:, [1, 2, 3, 5]] != size[:, :1],
+            "node arrays differ in length")
     # roots: 0 first, then increasing, all inside their forest
-    n = refused.first
-    n_nodes, n_roots = size[:n, 0], size[:n, 4]
+    n_nodes, n_roots = size[:, 0], size[:, 4]
     root_base = _bases(n_roots)
-    head = roots[:root_base[-1]]
-    first_root = np.zeros(head.size, dtype=bool)
+    first_root = np.zeros(roots.size, dtype=bool)
     first_root[root_base[:-1][n_roots > 0]] = True
-    roots_message = "roots must be increasing node ids from 0"
-    refused.check(n_roots == 0, roots_message)
-    refused.check(np.where(first_root, head != 0,
-                           head <= np.append(0, head[:-1]))
-                  | (head >= np.repeat(n_nodes, n_roots)), roots_message,
-                  root_base)
+    _refuse((n_roots == 0).any()
+            | np.where(first_root, roots != 0,
+                       roots <= np.append(0, roots[:-1]))
+            | (roots >= np.repeat(n_nodes, n_roots)),
+            "roots must be increasing node ids from 0")
 
-    # every check from here on reads the forests before the first refused:
-    # their node arrays line up, and their trees follow one another
-    n = refused.first
-    n_nodes, n_roots, root_base = n_nodes[:n], n_roots[:n], root_base[:n + 1]
+    # the node arrays line up, and each forest's trees follow one another
     node_base = _bases(n_nodes)
     N = node_base[-1]
-    feature, threshold, left, right, cat = (
-        a[:N] for a in (feature, threshold, left, right, cat))
-    roots = roots[:root_base[-1]]
     split = feature >= 0
     # each node's id and its tree's end, in its forest's numbering
     base = np.repeat(node_base[:-1], n_nodes)
@@ -1040,55 +988,44 @@ def from_dicts(data: list) -> list[Forest]:
     end = np.append(tops[1:], N)[np.searchsorted(tops, ids, "right") - 1] \
         - base
     ids -= base
-    refused.check(split & ((left <= ids) | (left >= end) | (right <= ids)
-                           | (right >= end)),
-                  "a child id does not follow its parent in its tree",
-                  node_base)
+    _refuse(split & ((left <= ids) | (left >= end) | (right <= ids)
+                     | (right >= end)),
+            "a child id does not follow its parent in its tree")
 
     # one positive row of class counts per leaf (each tree ends in one)
-    n = refused.first
     leaf = ~split
-    leaf_base = _bases(leaf)[node_base[:n + 1]]
-    n_leaves = np.diff(leaf_base)
-    width = [len(s.classes) for s in saved[:n]]
+    n_leaves = np.diff(_bases(leaf)[node_base])
+    width = [len(s.classes) for s in saved]
     leaf_message = "leaf_counts needs one positive row per leaf"
-    refused.check((np.array([len(s.leaf_counts) for s in saved[:n]],
-                            dtype=np.int64) != n_leaves)
-                  | (np.array(width, dtype=np.int64) == 0), leaf_message)
-    values = _chained(refused, [s.leaf_counts for s in saved], np.int64,
-                      leaf_message, widths=width)
-    n = refused.first
-    row_width = np.repeat(np.array(width[:n], dtype=np.int64), n_leaves[:n])
+    _refuse((np.array([len(s.leaf_counts) for s in saved], dtype=np.int64)
+             != n_leaves) | (np.array(width, dtype=np.int64) == 0),
+            leaf_message)
+    values = _chained([s.leaf_counts for s in saved], np.int64, leaf_message,
+                      widths=width)
+    row_width = np.repeat(np.array(width, dtype=np.int64), n_leaves)
     row_start = np.cumsum(row_width) - row_width
     if row_start.size:
-        refused.check((np.add.reduceat(values, row_start) <= 0)
-                      | (np.minimum.reduceat(values, row_start) < 0),
-                      leaf_message, leaf_base)
+        _refuse((np.add.reduceat(values, row_start) <= 0)
+                | (np.minimum.reduceat(values, row_start) < 0), leaf_message)
 
-    n_features = [s.n_features for s in saved[:n_nodes.size]]
-    k = _first((feature < -1) | (feature >= np.repeat(n_features, n_nodes)),
-               node_base)
-    if k is not None:
-        refused.forest(k, f"split feature out of range for "
-                          f"{saved[k].n_features} features")
-    n_cats = [len(s.cats_left) for s in saved[:n_nodes.size]]
-    refused.check((cat < -1) | (cat >= np.repeat(n_cats, n_nodes)),
-                  "categorical split index out of range", node_base)
+    n_features = [s.n_features for s in saved]
+    out = (feature < -1) | (feature >= np.repeat(n_features, n_nodes))
+    if out.any():
+        k = int(np.searchsorted(node_base, out.argmax(), "right")) - 1
+        raise ForestError(f"split feature out of range for "
+                          f"{n_features[k]} features")
+    n_cats = [len(s.cats_left) for s in saved]
+    _refuse((cat < -1) | (cat >= np.repeat(n_cats, n_nodes)),
+            "categorical split index out of range")
     codes_message = "each categorical split needs a flat list of codes"
-    refused.check(np.array([not all(type(c) is list for c in s.cats_left)
-                            for s in saved[:refused.first]], dtype=bool),
-                  codes_message)
-    codes = _chained(refused, [list(chain.from_iterable(s.cats_left))
-                               for s in saved[:refused.first]], np.float64,
-                     codes_message)
-    refused.check(split & (cat < 0) & ~np.isfinite(threshold),
-                  "numeric split without a finite threshold", node_base)
-    importance_base = _bases(n_features)
-    refused.check(~np.isfinite(importance[:importance_base[-1]]),
-                  "importance_raw holds a NaN or infinite value",
-                  importance_base)
-    if refused.message is not None:
-        raise ForestError(refused.message, forest=refused.first)
+    if not all(type(c) is list for s in saved for c in s.cats_left):
+        raise ForestError(codes_message)
+    codes = _chained([list(chain.from_iterable(s.cats_left)) for s in saved],
+                     np.float64, codes_message)
+    _refuse(split & (cat < 0) & ~np.isfinite(threshold),
+            "numeric split without a finite threshold")
+    _refuse(~np.isfinite(importance),
+            "importance_raw holds a NaN or infinite value")
 
     # every forest loaded: its class counts, 0 at splits, are a view into
     # one array, a leaf's row starting at its forest's cell base + its id
@@ -1107,7 +1044,7 @@ def from_dicts(data: list) -> list[Forest]:
     forests = []
     for s, (a, b), (r, t), (i, j), (c, d), (e, f) in zip(
             saved, *(pairwise(x.tolist()) for x in (
-                node_base, root_base, importance_base, cell_base,
+                node_base, root_base, _bases(n_features), cell_base,
                 _bases(n_cats)))):
         nodes = Nodes(feature=feature[a:b], threshold=threshold[a:b],
                       left=left[a:b], right=right[a:b], roots=roots[r:t],

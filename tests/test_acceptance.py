@@ -5,6 +5,7 @@ the teed pytest output carries a per-criterion verdict line.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,7 +323,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
                          "--out", bundle]) == 0
         assert cli_main(["infer", "--corpus", corpus, "--bundle", bundle,
                          "--seed", "5", "--out", preds]) == 0
-        artifacts[run] = tuple(open(p, "rb").read()
+        artifacts[run] = tuple(Path(p).read_bytes()
                                for p in (feats, corpus, bundle, preds))
     capsys.readouterr()  # drop CLI chatter so the verdict line stands alone
     ok = artifacts["a"] == artifacts["b"]

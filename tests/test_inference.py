@@ -65,6 +65,13 @@ def _context(vecs, pos, spans, window):
     return out
 
 
+def stacked_scores(stack, X, which):
+    """The scores of the rows of X, row i scored by forest ``which[i]`` of
+    the stack."""
+    return rf.predict_compact(stack, stack.compact(X),
+                              np.asarray(which, dtype=np.int64))
+
+
 def reference_passes(models, problems, block, members, max_iters):
     """The enhanced passes one (connection, model) job at a time: each
     connection's rows at a position are built from slice sums of its
@@ -118,8 +125,8 @@ def reference_passes(models, problems, block, members, max_iters):
                     blocks.append(rows(c, pos, ks))
             if not jobs:
                 continue
-            scores = rf.predict_scores(stack, np.concatenate(blocks),
-                                       [k for _, k in jobs])
+            scores = stacked_scores(stack, np.concatenate(blocks),
+                                    [k for _, k in jobs])
             for (c, k), row in zip(jobs, scores):
                 p = enhanced[k]
                 model = models.enhanced[p.id]
@@ -765,24 +772,23 @@ def oracle_inputs(oracle_worlds):
 def _counting_stacked_calls(monkeypatch):
     """Count the calls and rows that a Stack scores, into the last entry of
     the list returned: the passes' inputs (each ``_Block.compact`` input is
-    scored by one call) and the reference's ``predict_scores`` calls."""
-    predict, compact = rf.predict_scores, inference._Block.compact
+    scored by one call) and the reference's ``stacked_scores`` calls."""
+    predict, compact = stacked_scores, inference._Block.compact
     counted = []
 
     def count(rows):
         counted[-1][0] += 1
         counted[-1][1] += rows
 
-    def counting(model, X, which=None):
-        if isinstance(model, rf.Stack):
-            count(len(X))
-        return predict(model, X, which)
+    def counting(stack, X, which):
+        count(len(X))
+        return predict(stack, X, which)
 
     def compacting(block, heads, head_of, ks):
         count(len(ks))
         return compact(block, heads, head_of, ks)
 
-    monkeypatch.setattr(rf, "predict_scores", counting)
+    monkeypatch.setitem(globals(), "stacked_scores", counting)
     monkeypatch.setattr(inference._Block, "compact", compacting)
     return counted
 
