@@ -940,7 +940,9 @@ def from_dicts(data: list) -> list[Forest]:
     wrongly typed field is refused too; numeric node values are converted
     as numpy converts them.  A refused table is loaded again one forest at
     a time, in ``data``'s order: the first forest refused alone raises its
-    ForestError, whose ``forest`` is its index there."""
+    ForestError, whose ``forest`` is its index there.  Each check is local
+    to its forest, so one is always refused alone; were none, the table's
+    own ForestError, naming no forest, would be raised."""
     try:
         return _load(data)
     except ForestError:
@@ -971,11 +973,11 @@ def _load(data: list) -> list[Forest]:
     root_base = _bases(n_roots)
     first_root = np.zeros(roots.size, dtype=bool)
     first_root[root_base[:-1][n_roots > 0]] = True
-    _refuse((n_roots == 0).any()
-            | np.where(first_root, roots != 0,
-                       roots <= np.append(0, roots[:-1]))
-            | (roots >= np.repeat(n_nodes, n_roots)),
-            "roots must be increasing node ids from 0")
+    roots_message = "roots must be increasing node ids from 0"
+    _refuse(n_roots == 0, roots_message)
+    _refuse(np.where(first_root, roots != 0,
+                     roots <= np.append(0, roots[:-1]))
+            | (roots >= np.repeat(n_nodes, n_roots)), roots_message)
 
     # the node arrays line up, and each forest's trees follow one another
     node_base = _bases(n_nodes)
@@ -1009,11 +1011,9 @@ def _load(data: list) -> list[Forest]:
                 | (np.minimum.reduceat(values, row_start) < 0), leaf_message)
 
     n_features = [s.n_features for s in saved]
-    out = (feature < -1) | (feature >= np.repeat(n_features, n_nodes))
-    if out.any():
-        k = int(np.searchsorted(node_base, out.argmax(), "right")) - 1
-        raise ForestError(f"split feature out of range for "
-                          f"{n_features[k]} features")
+    _refuse((feature < -1) | (feature >= np.repeat(n_features, n_nodes)),
+            f"split feature out of range for {n_features[0]} features"
+            if len(saved) == 1 else "split feature out of range")
     n_cats = [len(s.cats_left) for s in saved]
     _refuse((cat < -1) | (cat >= np.repeat(n_cats, n_nodes)),
             "categorical split index out of range")

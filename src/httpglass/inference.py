@@ -623,8 +623,9 @@ def bundle_from_dict(data: dict) -> ModelBundle:
     try:
         forests = rf.from_dicts(saved)
     except rf.ForestError as exc:
-        raise InferenceError(f"forest {names[exc.forest]} is refused: "
-                             f"{exc}") from exc
+        which = "a forest" if exc.forest is None else \
+            f"forest {names[exc.forest]}"
+        raise InferenceError(f"{which} is refused: {exc}") from exc
 
     def at(place):
         return None if place is None else forests[place]

@@ -651,8 +651,9 @@ def test_saved_forest_with_a_leaf_count_missing_is_refused():
 def _small_edits(nodes: dict) -> list:
     """(field, new value) for one small edit of a saved forest's node
     lists: an id, feature, categorical index, root or class count moved by
-    one, a list one entry longer or shorter, the last root past the nodes,
-    two rows of class counts of compensating widths, a row as a string."""
+    one, a list one entry longer or shorter or empty, the last root past
+    the nodes, two rows of class counts of compensating widths, a row as a
+    string."""
     edits = []
     for field in ("feature", "left", "right", "roots", "cat"):
         for i in range(len(nodes[field])):
@@ -668,7 +669,8 @@ def _small_edits(nodes: dict) -> list:
                 value[r][j] += step
                 edits.append(("leaf_counts", value))
     for field, value in nodes.items():
-        edits += [(field, value + value[-1:]), (field, value[:-1])]
+        edits += [(field, value + value[-1:]), (field, value[:-1]),
+                  (field, [])]
     return edits + [
         ("roots", nodes["roots"][:-1] + [len(nodes["feature"])]),
         ("leaf_counts", [counts[0][:-1], counts[1] + counts[0][-1:],
@@ -699,6 +701,23 @@ def test_every_small_edit_loads_as_the_reference_loads_it():
         assert_same_forest(rf.from_dicts([around[0], data, around[1]])[1],
                            want)
     assert refused > 60
+
+
+def test_a_forest_without_nodes_is_refused_as_the_reference_refuses_it():
+    """A forest whose node lists are all empty has no tree to score with:
+    it is refused alone and between two other forests, with the
+    reference loader's message."""
+    data = json.loads(_SAVED_FOREST)
+    data["nodes"] = dict.fromkeys(data["nodes"], [])
+    with pytest.raises(rf.ForestError) as want:
+        reference_forest_from_dict(data)
+    with pytest.raises(rf.ForestError) as alone:
+        rf.from_dict(data)
+    with pytest.raises(rf.ForestError) as among:
+        rf.from_dicts([json.loads(_SAVED_FOREST), data,
+                       json.loads(_SAVED_FOREST)])
+    assert str(alone.value) == str(want.value)
+    assert (among.value.forest, str(among.value)) == (1, str(want.value))
 
 
 def test_stacked_call_equals_each_forest():

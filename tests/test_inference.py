@@ -1041,6 +1041,38 @@ def test_of_two_refused_forests_the_first_in_load_order_is_named(fuzz_world,
         assert str(refused.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("emptied", [["roots"], None],
+                         ids=["roots", "every node list"])
+def test_a_forest_without_roots_is_named(fuzz_world, emptied):
+    """A forest late in load order with no roots (its roots, or every node
+    list, empty) is named, with the reference loader's message."""
+    data = json.loads(fuzz_world[0])
+    forests = data["protocols"]["http2"]["enhanced"]
+    pid = sorted(forests)[0]
+    nodes = forests[pid]["nodes"]
+    nodes.update(dict.fromkeys(emptied or nodes, []))
+    with pytest.raises(InferenceError) as reference:
+        reference_bundle_from_dict(data)
+    with pytest.raises(InferenceError, match="roots") as refused:
+        bundle_from_dict(data)
+    assert str(refused.value).startswith(f"forest http2.enhanced.{pid} is "
+                                         f"refused: ")
+    assert str(refused.value) == str(reference.value)
+
+
+def test_a_refusal_naming_no_forest_is_a_bundle_error(fuzz_world,
+                                                      monkeypatch):
+    """Were a table refused with every forest loading alone, the loader's
+    ForestError would name no forest; the bundle is refused all the same,
+    with an InferenceError, not a crash."""
+    def refuse(data):
+        raise rf.ForestError("refused together")
+    monkeypatch.setattr(rf, "from_dicts", refuse)
+    with pytest.raises(InferenceError,
+                       match="^a forest is refused: refused together$"):
+        bundle_from_dict(json.loads(fuzz_world[0]))
+
+
 @pytest.fixture(scope="module")
 def corpus_fuzz_world(tmp_path_factory):
     """A small corpus of both protocols as its JSONL lines, parsed, and a
